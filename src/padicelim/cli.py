@@ -192,8 +192,8 @@ def _cmd_congruence(ns: argparse.Namespace) -> int:
                     "a": t.a,
                     "j": t.j,
                     "coeff": str(t.coeff),
-                    "total_val": str(t.total_val),
-                    "slack": str(t.slack),
+                    "total_val": str(t.total_val(params.r)),
+                    "slack": t.slack_text,
                 }
                 for t in terms
             ],
@@ -206,7 +206,7 @@ def _cmd_congruence(ns: argparse.Namespace) -> int:
         )
         print(f"{'line':>4} {'a':>3} {'j':>4} {'slack':>6} {'total':>7}  coeff")
         for t in terms:
-            print(f"{t.line:>4} {t.a:>3} {t.j:>4} {str(t.slack):>6} {str(t.total_val):>7}  {t.coeff}")
+            print(f"{t.line:>4} {t.a:>3} {t.j:>4} {t.slack_text:>6} {str(t.total_val(params.r)):>7}  {t.coeff}")
     return EXIT_OK
 
 

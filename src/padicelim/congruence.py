@@ -21,7 +21,12 @@ simplified mod p^2 by :func:`star_mod_p2`.
 The total valuation of a term is x + (n - j) + vL + v_p(C), which collapses
 to (r/2 - j - vFall) + v_p(C): it does not depend on vL.  The *slack* of a
 term is its total valuation minus the filtration threshold r/2 - j, i.e.
-v_p(C) - vFall.  All elimination decisions reduce to slack thresholds:
+v_p(C) - vFall, an integer (None when C vanishes).  Neither C nor the slack
+depends on r, so the terms of one (p, n) are built once, as a table over
+every degree j an admissible r can ask for; :func:`master_terms` slices it
+at ceil(r/2), and a term derives its total valuation from r on demand.  The
+tables of one prime are kept and dropped when the prime changes.  All
+elimination decisions reduce to slack thresholds:
 
     slack > 0                          the term dies outright
     slack >= 0                         the term is integral and can be
@@ -160,19 +165,19 @@ def _check_star_degree(params: CongruenceParams, j: int) -> None:
         raise InvalidDegreeError(f"j = {j} outside [{lo}, {hi}]")
 
 
-def _star_constants(params: CongruenceParams) -> tuple[int, Fraction, int]:
-    b1 = params.b + 1
+def _star_constants(p: int, n: int, b: int, eps: int) -> tuple[int, Fraction, int]:
+    b1 = b + 1
     fact_b1 = math.factorial(b1)
-    ph = params.p * harmonic(params.eps)
-    sign_n = -1 if params.n % 2 else 1
-    lead = binom(b1 * params.p - 1, params.n) * sign_n
+    ph = p * harmonic(eps)
+    sign_n = -1 if n % 2 else 1
+    lead = binom(b1 * p - 1, n) * sign_n
     return fact_b1, ph, lead
 
 
-def _star_full_at(params: CongruenceParams, j: int, consts: tuple[int, Fraction, int]) -> Rational:
+def _star_full_at(n: int, b: int, j: int, consts: tuple[int, Fraction, int]) -> Rational:
     fact_b1, ph, lead = consts
-    b1 = params.b + 1
-    m = params.n - j
+    b1 = b + 1
+    m = n - j
     sign_b1 = -1 if b1 % 2 else 1
     bracket = sign_b1 * (
         stirling2(m, b1) * fact_b1
@@ -186,7 +191,8 @@ def _star_full_at(params: CongruenceParams, j: int, consts: tuple[int, Fraction,
 def star_full(params: CongruenceParams, j: int) -> Rational:
     """The exact a = 0 coefficient (full closed form, no reduction)."""
     _check_star_degree(params, j)
-    return _star_full_at(params, j, _star_constants(params))
+    consts = _star_constants(params.p, params.n, params.b, params.eps)
+    return _star_full_at(params.n, params.b, j, consts)
 
 
 def star_mod_p2(params: CongruenceParams, j: int) -> int:
@@ -206,33 +212,41 @@ def star_mod_p2(params: CongruenceParams, j: int) -> int:
 class CongruenceTerm:
     """One summand p^(x+n-j) * coeff * L * (z - a)^j on a + pZ_p.
 
-    ``a`` = 0 means support pZ_p (line 2).  ``total_val`` and ``slack`` are
-    +infinity when the coefficient vanishes identically.  ``unit_residue``
-    is the residue mod p^2 of coeff / p^(v_p(coeff)).
+    ``a`` = 0 means support pZ_p (line 2).  A term depends on (p, n) but not
+    on r or vL.  ``slack`` is the integer v_p(coeff) - vFall, or None when
+    the coefficient vanishes identically; the total valuation is derived
+    from r by :meth:`total_val`.  ``unit_residue`` is the residue mod p^2
+    of coeff / p^(v_p(coeff)).  Terms are shared: :func:`master_terms`
+    returns them from a per-(p, n) table that holds one prime at a time.
     """
 
     a: int
     line: int
     j: int
     coeff: Rational
-    total_val: ValP
-    slack: ValP
+    slack: int | None
     unit_residue: int | None
 
     def key(self) -> tuple[int, int, int]:
         return (self.line, self.a, self.j)
 
+    def total_val(self, r: int) -> ValP:
+        """x + (n - j) + vL + v_p(coeff) = r/2 - j + slack; +infinity if coeff = 0."""
+        if self.slack is None:
+            return INF
+        return ValP(Fraction(r, 2) - self.j + self.slack)
 
-def _build_term(
-    params: CongruenceParams, a: int, line: int, j: int, coeff: Rational, base_val: Fraction
-) -> CongruenceTerm:
-    p = params.p
+    @property
+    def slack_text(self) -> str:
+        """The slack as trace text: the integer, or "inf" for a zero coefficient."""
+        return "inf" if self.slack is None else str(self.slack)
+
+
+def _build_term(p: int, v_fall: int, a: int, line: int, j: int, coeff: Rational) -> CongruenceTerm:
     if coeff == 0:
-        return CongruenceTerm(a=a, line=line, j=j, coeff=coeff, total_val=INF, slack=INF, unit_residue=None)
+        return CongruenceTerm(a=a, line=line, j=j, coeff=coeff, slack=None, unit_residue=None)
     num, den = coeff.numerator, coeff.denominator
     v_c = vp_int(num, p) - vp_int(den, p)
-    # base_val is x + vL = r/2 - n - vFall: the vL dependence cancels
-    total = base_val + (params.n - j + v_c)
     # strip the p-part; the reduced fraction carries p in at most one place
     if v_c > 0:
         num //= p**v_c
@@ -243,37 +257,61 @@ def _build_term(
     if den != 1:
         unit_residue = unit_residue * pow(den % modulus, -1, modulus) % modulus
     return CongruenceTerm(
-        a=a,
-        line=line,
-        j=j,
-        coeff=coeff,
-        total_val=ValP(total),
-        slack=ValP(v_c - params.v_fall),
-        unit_residue=unit_residue,
+        a=a, line=line, j=j, coeff=coeff, slack=v_c - v_fall, unit_residue=unit_residue
     )
+
+
+TermTable = tuple[int, tuple[tuple[CongruenceTerm, ...], ...]]
+
+# the term tables of one prime, keyed by (p, n); cleared when p changes
+_TABLES: dict[tuple[int, int], TermTable] = {}
+
+
+def _build_table(p: int, n: int) -> TermTable:
+    """Every term of the (p, n) congruence that an admissible r can ask for.
+
+    Returns (j0, rows): one row per a = 1..eps (line 1, degrees j0..n-1),
+    then the line-2 row (degrees j0-1..n-1).  Admissible r has r >= p and
+    r >= n, so ceil(r/2) >= j0 = ceil(max(p, n)/2).
+    """
+    b, eps = divmod(n, p)
+    v_fall = vp_int(falling_factorial(n, b + 1), p)
+    j0 = (max(p, n) + 1) // 2
+    prefactor = binom((b + 1) * p, n + 1) * (n + 1) * math.factorial(b)
+    rows: list[tuple[CongruenceTerm, ...]] = []
+    for a in range(1, eps + 1):
+        base = binom(eps, a) * prefactor
+        row = []
+        for j in range(j0, n):
+            sign = -1 if (a + j + b + 1) % 2 else 1
+            coeff = Fraction(binom(n, j) * sign * base * stirling2(n - j, b), a)
+            row.append(_build_term(p, v_fall, a, 1, j, coeff))
+        rows.append(tuple(row))
+    consts = _star_constants(p, n, b, eps)
+    row = []
+    for j in range(j0 - 1, n):
+        sign = -1 if (n - j) % 2 else 1
+        coeff = binom(n, j) * sign * _star_full_at(n, b, j, consts)
+        row.append(_build_term(p, v_fall, 0, 2, j, coeff))
+    rows.append(tuple(row))
+    return j0, tuple(rows)
 
 
 def master_terms(params: CongruenceParams) -> tuple[CongruenceTerm, ...]:
     """All terms of the congruence, line 1 then line 2, ordered by (a, j)."""
     if params.mode != "strict":
         raise VLBoundError("the master congruence requires strict-mode parameters")
-    p, n, b, eps = params.p, params.n, params.b, params.eps
-    ceil_half = params.ceil_half_r
-    base_val = params.x + params.vL
-    prefactor = binom((b + 1) * p, n + 1) * (n + 1) * math.factorial(b)
-    terms: list[CongruenceTerm] = []
-    for a in range(1, eps + 1):
-        base = binom(eps, a) * prefactor
-        for j in range(ceil_half, n):
-            sign = -1 if (a + j + b + 1) % 2 else 1
-            coeff = Fraction(binom(n, j) * sign * base * stirling2(n - j, b), a)
-            terms.append(_build_term(params, a, 1, j, coeff, base_val))
-    consts = _star_constants(params)
-    for j in range(ceil_half - 1, n):
-        sign = -1 if (n - j) % 2 else 1
-        coeff = binom(n, j) * sign * _star_full_at(params, j, consts)
-        terms.append(_build_term(params, 0, 2, j, coeff, base_val))
-    return tuple(terms)
+    key = (params.p, params.n)
+    table = _TABLES.get(key)
+    if table is None:
+        if _TABLES and next(iter(_TABLES))[0] != params.p:
+            _TABLES.clear()
+        table = _TABLES[key] = _build_table(params.p, params.n)
+    j0, rows = table
+    start = params.ceil_half_r - j0
+    if start < 0:
+        raise WindowError(f"r = {params.r} is below max(p, n) = {max(params.p, params.n)}")
+    return tuple(term for row in rows for term in row[start:])
 
 
 # --------------------------------------------------------------------------
@@ -324,7 +362,7 @@ class KillAudit:
     def slack_table(self) -> tuple[tuple[int, str], ...]:
         """Degree -> slack for the line-2 terms (the z^j 1_{pZp} family)."""
         return tuple(
-            (d.term.j, str(d.term.slack)) for d in self.dispositions if d.term.line == 2
+            (d.term.j, d.term.slack_text) for d in self.dispositions if d.term.line == 2
         )
 
 
@@ -343,47 +381,47 @@ def _classify(
 
     def fail(term: CongruenceTerm, need: str) -> None:
         failures.append(
-            f"term (line {term.line}, a={term.a}, j={term.j}) has slack {term.slack}, needs {need}"
+            f"term (line {term.line}, a={term.a}, j={term.j}) has slack {term.slack_text}, needs {need}"
         )
 
     for term in terms:
-        j = term.j
-        if term.coeff == 0:
+        j, slack = term.j, term.slack
+        if slack is None:
             dispositions.append(TermDisposition(term, ZERO))
             continue
         if j in must_die:
-            if term.slack > 0:
+            if slack > 0:
                 dispositions.append(TermDisposition(term, DEAD))
             else:
                 fail(term, "> 0 (forced dead)")
             continue
         if j > target_j:
             if j in residual_degrees:
-                if term.slack >= 0:
+                if slack >= 0:
                     dispositions.append(TermDisposition(term, RESIDUAL))
                 else:
                     fail(term, ">= 0 (residual)")
-            elif term.slack > 0:
+            elif slack > 0:
                 dispositions.append(TermDisposition(term, DEAD))
             else:
                 fail(term, "> 0 (above target)")
         elif j == target_j:
             if term.line == 2:
-                if term.slack == 0 and term.unit_residue is not None and term.unit_residue % p != 0:
+                if slack == 0 and term.unit_residue % p != 0:
                     dispositions.append(TermDisposition(term, GENERATOR))
                     generator = term
                 else:
                     fail(term, "== 0 with unit residue (generator)")
-            elif term.slack > 0:
+            elif slack > 0:
                 dispositions.append(TermDisposition(term, DEAD))
             else:
                 fail(term, "> 0 (line 1 at target)")
         elif j >= ceil_half:
-            if term.slack >= 0:
+            if slack >= 0:
                 dispositions.append(TermDisposition(term, DEEPER))
             else:
                 fail(term, ">= 0 (deeper integral)")
-        elif term.slack >= 0:
+        elif slack >= 0:
             dispositions.append(TermDisposition(term, BELOW))
         else:
             fail(term, ">= 0 (below range)")

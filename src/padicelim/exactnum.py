@@ -248,12 +248,17 @@ def binom_mod(n: int, k: int, modulus: int) -> int:
 
 @lru_cache(maxsize=None)
 def harmonic(n: int) -> Fraction:
-    """H_n = 1 + 1/2 + ... + 1/n exactly; H_0 = 0."""
+    """H_n = 1 + 1/2 + ... + 1/n exactly; H_0 = 0.
+
+    Summed in a loop over one integer numerator and denominator, so no
+    recursion depth limit applies and only the result is reduced.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return Fraction(0)
-    return harmonic(n - 1) + Fraction(1, n)
+    num, den = 0, 1
+    for k in range(1, n + 1):
+        num, den = num * k + den, den * k
+    return Fraction(num, den)
 
 
 def rational_mod(q: Fraction | int, modulus: int) -> int:
@@ -280,4 +285,7 @@ def as_rational(text: str | int | Fraction) -> Fraction:
     text = text.strip()
     if "." in text or "e" in text.lower():
         raise ValueError(f"rational literal expected (got {text!r}); decimals are not accepted")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational literal {text!r} has a zero denominator") from None

@@ -33,6 +33,8 @@ report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 
 from padicelim.errors import InvalidRangeError, NotPolynomialError
 from padicelim.exactnum import check_prime
@@ -171,13 +173,13 @@ class HPoly:
 
 
 def linear_form_power(p: int, a: int, b: int, e: int) -> HPoly:
-    """(aX + bY)^e expanded by the binomial theorem."""
+    """(aX + bY)^e expanded by the binomial theorem: X^j has C(e, j) a^j b^(e-j)."""
     check_prime(p)
-    out = HPoly(p, (1,))
-    form = HPoly(p, (b, a))  # coeffs[1] is the X coefficient
+    a_pow, b_pow = [1], [1]
     for _ in range(e):
-        out = out * form
-    return out
+        a_pow.append(a_pow[-1] * a % p)
+        b_pow.append(b_pow[-1] * b % p)
+    return HPoly(p, tuple(comb(e, j) * a_pow[j] * b_pow[e - j] for j in range(e + 1)))
 
 
 def theta(p: int) -> HPoly:
@@ -187,6 +189,12 @@ def theta(p: int) -> HPoly:
     coeffs[p] = 1
     coeffs[1] = -1
     return HPoly(p, tuple(coeffs))
+
+
+@lru_cache(maxsize=None)
+def _theta_power(p: int, i: int) -> HPoly:
+    """theta^i, built once per (p, i)."""
+    return theta(p).power(i)
 
 
 def mat_mul(m1: Matrix2, m2: Matrix2) -> Matrix2:
@@ -235,24 +243,20 @@ def shallow_summand(p: int, r: int, i: int, lam: int) -> HPoly:
         raise NotPolynomialError(
             f"r = {r} < i(p+1) - 1 = {i * (p + 1) - 1}: the quotient is not a polynomial"
         )
-    base = theta(p).power(i).div_y()
-    return linear_form_power(p, 1, -lam, k) * base
+    return linear_form_power(p, 1, -lam, k) * _theta_power(p, i).div_y()
 
 
 def pure_y_defect(p: int, r: int, lam: int) -> int:
-    """Coefficient of Y^r after acting with (0 1; 1 -lam) on X^(p-1)Y^(r-p+1) - Y^r.
+    """Coefficient of Y^r after acting with (0 1; 1 -lam) on f = X^(p-1)Y^(r-p+1) - Y^r.
 
+    The Y^r coefficient of act(m, f) is act(m, f)(0, 1) = f(b, d), here
+    f(1, -lam) = (-lam)^(r-p+1) - (-lam)^r, so no substitution is expanded.
     Zero for every lam once r >= p; at r = p - 1 the lam = 0 defect survives.
     """
     check_prime(p)
     if r < p - 1:
         raise InvalidRangeError("r must be at least p - 1")
-    coeffs = [0] * (r + 1)
-    coeffs[0] = -1
-    coeffs[p - 1] = (coeffs[p - 1] + 1) % p
-    f = HPoly(p, tuple(coeffs))
-    g = act(((0, 1), (1, -lam)), f)
-    return g.coeff(0)
+    return (pow(-lam, r - p + 1, p) - pow(-lam, r, p)) % p
 
 
 @dataclass(frozen=True)
@@ -290,7 +294,7 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
     failures: list[str] = []
 
     k = r - i * (p + 1) + 1
-    f_i = theta(p).power(i).div_x().mul_y(k)
+    f_i = _theta_power(p, i).div_x().mul_y(k)
     if i % 2:
         f_i = -f_i
     unit = f_i.coeff(i - 1)

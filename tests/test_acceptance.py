@@ -13,7 +13,7 @@ from fractions import Fraction
 from padicelim.combinat import binom_mod_p2, stirling_lucas_check
 from padicelim.congruence import make_params, master_terms, star_full, star_mod_p2, inequality_suite
 from padicelim.eliminator import predict, theorem_r_values
-from padicelim.exactnum import harmonic, rational_mod
+from padicelim.exactnum import harmonic, rational_mod, vp
 from padicelim.fp_poly import pure_y_defect, shallow_kill_check
 from padicelim.lambda_solver import lambda_closed, solve_lambda, verify_lambda
 
@@ -187,9 +187,14 @@ def test_criterion_8_vl_independence():
     for p in (5, 7):
         for r, n, _b in admissible_rn(p):
             bound = Fraction(r, 2) - n
-            t1 = master_terms(make_params(p, r, n, bound - 1))
-            t2 = master_terms(make_params(p, r, n, bound - Fraction(5, 2)))
             checked += 1
-            if [(t.key(), t.total_val) for t in t1] != [(t.key(), t.total_val) for t in t2]:
-                failures.append(f"(p={p}, r={r}, n={n}): totalVal depends on vL")
+            # total_val(r) never sees vL; each vL's un-cancelled sum must match it
+            for vL in (bound - 1, bound - Fraction(5, 2)):
+                params = make_params(p, r, n, vL)
+                if any(
+                    t.coeff != 0
+                    and t.total_val(r) != params.x + (n - t.j) + params.vL + vp(t.coeff, p)
+                    for t in master_terms(params)
+                ):
+                    failures.append(f"(p={p}, r={r}, n={n}): totalVal depends on vL")
     report("8 (vL independence)", failures, checked)

@@ -53,6 +53,11 @@ class TestEliminate:
         code, _, err = run_cli(capsys, "eliminate", "--p", "5", "--r", "8", "--vL", "-4.5")
         assert code == 2 and "decimal" in err
 
+    def test_zero_denominator_vl_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "eliminate", "--p", "5", "--r", "8", "--vL", "1/0")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "zero denominator" in err and "Traceback" not in err
+
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "eliminate", "--p", "5", "--r", "11")
         assert code == 2

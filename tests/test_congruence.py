@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicelim import congruence
 from padicelim.congruence import (
     BELOW,
     DEAD,
@@ -33,7 +34,8 @@ from padicelim.errors import (
     VLBoundError,
     WindowError,
 )
-from padicelim.exactnum import InvalidPrimeError, harmonic, rational_mod
+from padicelim.combinat import stirling2
+from padicelim.exactnum import InvalidPrimeError, harmonic, rational_mod, vp
 
 
 class TestMakeParams:
@@ -130,12 +132,72 @@ class TestMasterTerms:
                 assert t.slack >= 1  # C(10, 8) = 45 carries the p
 
     def test_total_val_is_vl_independent(self):
-        for vL1, vL2 in [(-5, -9), (Fraction(-9, 2), -6)]:
-            t1 = master_terms(make_params(5, 8, 7, vL1))
-            t2 = master_terms(make_params(5, 8, 7, vL2))
-            assert [(t.key(), t.total_val, t.slack) for t in t1] == [
-                (t.key(), t.total_val, t.slack) for t in t2
-            ]
+        # each vL's un-cancelled sum x + (n - j) + vL + v_p(C) gives the same total_val
+        for vL in (-5, -9, Fraction(-9, 2), -6):
+            params = make_params(5, 8, 7, vL)
+            for t in master_terms(params):
+                if t.coeff == 0:
+                    continue
+                uncancelled = params.x + (params.n - t.j) + params.vL + vp(t.coeff, 5)
+                assert t.total_val(params.r) == uncancelled, (vL, t.key())
+
+    @staticmethod
+    def _closed_form_terms(p, r, n, oracle_cache):
+        """(line, a, j, coeff, slack, unit residue) from the docstring's closed forms."""
+        params = make_params(p, r, n, Fraction(r, 2) - n - 1)
+        b, eps = divmod(n, p)
+        v_fall = vp(math.prod(range(n - b, n + 1)), p)
+        ceil_half = (r + 1) // 2
+        wanted = [(1, a, j) for a in range(1, eps + 1) for j in range(ceil_half, n)]
+        wanted += [(2, 0, j) for j in range(ceil_half - 1, n)]
+        rows = []
+        for line, a, j in wanted:
+            key = (p, n, line, a, j)
+            if key not in oracle_cache:
+                if line == 1:
+                    coeff = Fraction(
+                        math.comb(n, j) * math.comb(eps, a) * (-1) ** (a + j + b + 1)
+                        * math.comb((b + 1) * p, n + 1) * (n + 1) * math.factorial(b)
+                        * stirling2(n - j, b),
+                        a,
+                    )
+                else:
+                    coeff = math.comb(n, j) * (-1) ** (n - j) * star_full(params, j)
+                if coeff == 0:
+                    oracle_cache[key] = (coeff, None, None)
+                else:
+                    v = vp(coeff, p)
+                    unit = rational_mod(Fraction(coeff) / Fraction(p) ** v, p * p)
+                    oracle_cache[key] = (coeff, v - v_fall, unit)
+            rows.append((line, a, j) + oracle_cache[key])
+        return rows
+
+    def test_table_slices_match_closed_forms(self):
+        # each prime's (r, n) pairs largest r first, so a table is built at a
+        # large r and then sliced for smaller ones; the primes alternate in
+        # halves, so every prime's tables are dropped and rebuilt once
+        halves = {}
+        for p in (5, 7, 11):
+            pairs = sorted(
+                ((r, n) for r in range(p, p * p - p) for n in range(r // 2 + 1, r + 1)
+                 if n // p <= p - 2 and 2 * n >= r + 2 * (n // p) + 2),
+                reverse=True,
+            )
+            halves[p] = (pairs[: len(pairs) // 2], pairs[len(pairs) // 2:])
+        oracle_cache = {}
+        for half in (0, 1):
+            for p in (5, 7, 11):
+                for r, n in halves[p][half]:
+                    got = [
+                        (t.line, t.a, t.j, t.coeff, t.slack, t.unit_residue)
+                        for t in master_terms(make_params(p, r, n, Fraction(r, 2) - n - 1))
+                    ]
+                    assert got == self._closed_form_terms(p, r, n, oracle_cache), (p, r, n)
+
+    def test_tables_held_for_one_prime(self):
+        master_terms(make_params(5, 8, 7, -5))
+        master_terms(make_params(7, 18, 15, -10))
+        assert {p for p, _n in congruence._TABLES} == {7}
 
     def test_weak_mode_rejected(self):
         params = make_params(5, 8, 7, -3, mode="weak")
@@ -147,7 +209,7 @@ class TestMasterTerms:
         params = make_params(5, 5, 4, -4)
         for t in master_terms(params):
             if t.line == 1:
-                assert t.coeff == 0 and t.slack.is_infinite
+                assert t.coeff == 0 and t.slack is None
 
 
 class TestAuditGood:

@@ -142,6 +142,10 @@ class TestHarmonic:
         assert harmonic(4) == Fraction(25, 12)
         assert vp(harmonic(4), 5) == 2
 
+    def test_cold_cache_beyond_recursion_limit(self):
+        harmonic.cache_clear()
+        assert harmonic(1500) == sum(Fraction(1, k) for k in range(1, 1501))
+
     def test_wolstenholme_style_bound(self):
         for p in PRIMES_TO_100:
             if p >= 5:

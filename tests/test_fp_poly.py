@@ -103,6 +103,24 @@ class TestAction:
                 want = (pow(-lam, r - p + 1, p) - pow(-lam, r, p)) % p
                 assert pure_y_defect(p, r, lam) == want
 
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_pure_y_defect_matches_action(self, p):
+        # act is the oracle: the Y^r coefficient of the full substitution
+        for r in range(p - 1, p * p - p):
+            coeffs = [0] * (r + 1)
+            coeffs[0] = -1
+            coeffs[p - 1] += 1
+            f = HPoly(p, tuple(coeffs))
+            for lam in range(p):
+                assert pure_y_defect(p, r, lam) == act(((0, 1), (1, -lam)), f).coeff(0), (r, lam)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_linear_form_power_matches_repeated_products(self, p):
+        for a in range(p):
+            for b in range(p):
+                for e in range(2 * p + 1):
+                    assert linear_form_power(p, a, b, e) == HPoly(p, (b, a)).power(e), (a, b, e)
+
     def test_right_action_composition(self):
         rng = random.Random(7121)
         p = 7
