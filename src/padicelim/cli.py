@@ -47,71 +47,94 @@ EXIT_USAGE = 2
 
 # ----------------------------- rendering -----------------------------
 
+# one TSV row per prediction, read off its to_dict() form with the
+# "prediction" block merged in
+_TSV_COLUMNS = ("p", "r", "c", "vL", "exponent", "label")
+
+
+def _tsv_row(data: dict) -> str:
+    flat = {**data, **data["prediction"]}
+    return "\t".join(str(flat[col]) for col in _TSV_COLUMNS)
+
+
 def _trace_rows(trace: KillTrace) -> list[str]:
     rows = [f"p = {trace.p}  r = {trace.r}  c = {trace.c}  vL = {trace.vL}"]
     rows.append(f"{'i':>3} {'j':>4} {'status':>9} {'method':>8}  witness")
     for e in trace.entries:
-        witness = ",".join(map(str, e.witness_n)) if e.witness_n else "-"
-        rows.append(
-            f"{e.i:>3} {e.j:>4} {e.status:>9} {e.method or '-':>8}  n = {witness}"
-            if e.witness_n
-            else f"{e.i:>3} {e.j:>4} {e.status:>9} {e.method or '-':>8}  -"
-        )
+        witness = "n = " + ",".join(map(str, e.witness_n)) if e.witness_n else "-"
+        rows.append(f"{e.i:>3} {e.j:>4} {e.status:>9} {e.method or '-':>8}  {witness}")
     if trace.duplicates:
         rows.append(f"duplicate kills recorded: {trace.duplicates}")
     return rows
 
 
 def emit_report(obj, fmt: str = "table") -> str:
-    """Render a trace, prediction or verification report in one format."""
+    """Render one CLI output in one format.
+
+    ``obj`` is a KillTrace, a ReductionResult, a sweep (a list of
+    ``ReductionResult.to_dict()`` forms, as the workers return them) or,
+    for json only, any other object with ``to_dict()`` or plain JSON data.
+    tsv is defined for a prediction and a sweep.
+    """
     if fmt == "json":
-        if hasattr(obj, "to_dict"):
-            return json.dumps(obj.to_dict(), indent=2, sort_keys=True)
-        return json.dumps(obj, indent=2, sort_keys=True)
-    if fmt == "tsv":
-        if isinstance(obj, ReductionResult):
-            obj = [obj]
-        if isinstance(obj, list) and all(isinstance(x, ReductionResult) for x in obj):
-            lines = ["p\tr\tc\tvL\texponent\tlabel"]
-            for res in obj:
-                lines.append(
-                    f"{res.p}\t{res.r}\t{res.survivor}\t{res.trace.vL}\t{res.exponent}\t{res.label}"
-                )
-            return "\n".join(lines)
-        raise ValueError(f"tsv rendering is only defined for prediction rows, not {type(obj)}")
-    # human table
-    if isinstance(obj, ReductionResult):
-        rows = _trace_rows(obj.trace)
-        rows.append(
-            f"prediction: ind ω₂^{obj.exponent}  "
-            f"(residue {obj.irreducibility_residue} mod p-1 avoids {obj.excluded_residues})"
-        )
-        return "\n".join(rows)
+        data = obj.to_dict() if hasattr(obj, "to_dict") else obj
+        return json.dumps(data, indent=2, sort_keys=True)
     if isinstance(obj, KillTrace):
         return "\n".join(_trace_rows(obj))
-    if isinstance(obj, list):
-        return "\n".join(emit_report(item, "table") for item in obj)
-    if hasattr(obj, "to_dict"):
-        data = obj.to_dict()
-        return "\n".join(f"{k}: {v}" for k, v in data.items())
-    return str(obj)
+    if isinstance(obj, ReductionResult):
+        if fmt == "table":
+            rows = _trace_rows(obj.trace)
+            rows.append(
+                f"prediction: ind ω₂^{obj.exponent}  "
+                f"(residue {obj.irreducibility_residue} mod p-1 avoids {obj.excluded_residues})"
+            )
+            return "\n".join(rows)
+        obj = [obj.to_dict()]
+    if fmt == "tsv":
+        return "\n".join(["\t".join(_TSV_COLUMNS)] + [_tsv_row(d) for d in obj])
+    rows = [
+        f"p = {d['p']:>3}  r = {d['r']:>3}  c = {d['c']}  {d['prediction']['label']}"
+        for d in obj
+    ]
+    rows.append(f"{len(obj)} predictions, all with exponent r + 1")
+    return "\n".join(rows)
 
 
 # ----------------------------- helpers -----------------------------
 
-def _parse_prime_range(text: str) -> list[int]:
-    lo_text, _, hi_text = text.partition(":")
-    if not _:
-        raise argparse.ArgumentTypeError(f"range must look like A:B, got {text!r}")
-    lo, hi = int(lo_text), int(hi_text)
-    return [p for p in range(max(lo, 5), hi + 1) if is_prime(p)]
-
-
-def _default_jobs() -> int:
+def _int_range(text: str) -> tuple[int, int]:
+    """Parse an inclusive range "A:B" (an argparse type)."""
+    lo, _, hi = text.partition(":")
     try:
-        return max(1, int(os.environ.get("PADICELIM_JOBS", "1")))
+        return int(lo), int(hi)
     except ValueError:
-        return 1
+        raise argparse.ArgumentTypeError(f"range must look like A:B, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """Parse a count of at least 1 (an argparse type)."""
+    error = argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise error from None
+    if value < 1:
+        raise error
+    return value
+
+
+def _job_count(requested: int | None) -> int:
+    """Workers for a sweep: --jobs, else $PADICELIM_JOBS, else 1.
+
+    Capped at the CPU count: each worker rebuilds its own per-(p, n) term
+    tables, so workers beyond the cores only add CPU time.
+    """
+    if requested is None:
+        try:
+            requested = _positive_int(os.environ.get("PADICELIM_JOBS", "1"))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"PADICELIM_JOBS: {exc}") from None
+    return min(requested, os.cpu_count() or 1)
 
 
 def _predict_item(args: tuple[int, int]) -> dict:
@@ -158,7 +181,7 @@ def _cmd_lambda(ns: argparse.Namespace) -> int:
             },
             "passed": report.passed,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(emit_report(payload, "json"))
     else:
         print(f"lambda family for p = {vec.p}, b = {vec.b}, n = {vec.n}")
         for i in vec.index_set:
@@ -198,7 +221,7 @@ def _cmd_congruence(ns: argparse.Namespace) -> int:
                 for t in terms
             ],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(emit_report(payload, "json"))
     else:
         print(
             f"p = {params.p}  r = {params.r}  n = {params.n}  b = {params.b}  "
@@ -218,50 +241,31 @@ def _cmd_eliminate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_predict(ns: argparse.Namespace) -> int:
-    result = predict(ns.p, ns.r)
-    if ns.emit == "json":
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(emit_report(result, ns.emit))
+    print(emit_report(predict(ns.p, ns.r), ns.emit))
     return EXIT_OK
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
-    primes = _parse_prime_range(ns.p_range)
+    p_lo, p_hi = ns.p_range
     work: list[tuple[int, int]] = []
-    for p in primes:
+    for p in range(max(p_lo, 5), p_hi + 1):
+        if not is_prime(p):
+            continue
         r_values = theorem_r_values(p)
         if ns.r_range:
-            lo, _, hi = ns.r_range.partition(":")
-            r_values = tuple(r for r in r_values if int(lo) <= r <= int(hi))
+            r_lo, r_hi = ns.r_range
+            r_values = tuple(r for r in r_values if r_lo <= r <= r_hi)
         work.extend((p, r) for r in r_values)
     if not work:
         print("sweep range is empty", file=sys.stderr)
         return EXIT_USAGE
-    work.sort()
-    jobs = ns.jobs or _default_jobs()
+    jobs = _job_count(ns.jobs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             dicts = list(pool.map(_predict_item, work))
     else:
         dicts = [_predict_item(item) for item in work]
-    # deterministic ordering regardless of parallelism
-    dicts.sort(key=lambda d: (d["p"], d["r"]))
-    if ns.emit == "json":
-        print(json.dumps(dicts, indent=2, sort_keys=True))
-    elif ns.emit == "tsv":
-        lines = ["p\tr\tc\tvL\texponent\tlabel"]
-        for d in dicts:
-            pred = d["prediction"]
-            lines.append(
-                f"{d['p']}\t{d['r']}\t{d['c']}\t{d['vL']}\t{pred['exponent']}\t{pred['label']}"
-            )
-        print("\n".join(lines))
-    else:
-        for d in dicts:
-            pred = d["prediction"]
-            print(f"p = {d['p']:>3}  r = {d['r']:>3}  c = {d['c']}  {pred['label']}")
-        print(f"{len(dicts)} predictions, all with exponent r + 1")
+    print(emit_report(dicts, ns.emit))
     return EXIT_OK
 
 
@@ -313,9 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(func=_cmd_predict)
 
     sp = sub.add_parser("sweep", help="predictions over all theorem-range (p, r)")
-    sp.add_argument("--p-range", required=True, help="inclusive prime range A:B")
-    sp.add_argument("--r-range", default=None, help="optional restriction A:B on r")
-    sp.add_argument("--jobs", type=int, default=None, help="parallel workers (default $PADICELIM_JOBS or 1)")
+    sp.add_argument("--p-range", type=_int_range, required=True, help="inclusive prime range A:B")
+    sp.add_argument("--r-range", type=_int_range, default=None, help="optional restriction A:B on r")
+    sp.add_argument(
+        "--jobs", type=_positive_int, default=None,
+        help="parallel workers, at most the CPU count (default $PADICELIM_JOBS or 1)",
+    )
     _add_emit(sp)
     sp.set_defaults(func=_cmd_sweep)
 

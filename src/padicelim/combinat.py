@@ -35,7 +35,6 @@ __all__ = [
     "binom_mod_p2",
     "stirling2",
     "stirling2_def",
-    "StirlingTable",
     "stirling_lucas_check",
 ]
 
@@ -86,55 +85,6 @@ def stirling2_def(t: int, s: int) -> int:
     if total % fact != 0:
         raise ArithmeticError(f"definition sum for {{{t} brace {s}}} not divisible by {s}!")
     return total // fact
-
-
-class StirlingTable:
-    """Immutable table of {t brace s} for t, s <= t_max with residues mod p^k.
-
-    Precision defaults to k = 2: the congruence bookkeeping only ever needs
-    Stirling residues mod p and mod p^2.
-    """
-
-    def __init__(self, p: int, t_max: int, precision: int = 2):
-        check_prime(p)
-        if t_max < 0 or precision < 1:
-            raise ValueError("t_max >= 0 and precision >= 1 required")
-        self._p = p
-        self._t_max = t_max
-        self._precision = precision
-        self._modulus = p**precision
-        self._values = tuple(
-            tuple(stirling2(t, s) for s in range(t_max + 1)) for t in range(t_max + 1)
-        )
-        self._residues = tuple(
-            tuple(v % self._modulus for v in row) for row in self._values
-        )
-
-    @property
-    def p(self) -> int:
-        return self._p
-
-    @property
-    def t_max(self) -> int:
-        return self._t_max
-
-    @property
-    def precision(self) -> int:
-        return self._precision
-
-    def value(self, t: int, s: int) -> int:
-        if t < 0 or t > self._t_max:
-            raise IndexError(f"t = {t} outside cached range [0, {self._t_max}]")
-        if s < 0 or s > self._t_max:
-            return 0
-        return self._values[t][s]
-
-    def residue(self, t: int, s: int, precision: int | None = None) -> int:
-        if precision is None:
-            precision = self._precision
-        if precision > self._precision:
-            raise ValueError("requested precision exceeds table precision")
-        return self.value(t, s) % self._p**precision
 
 
 def lucas_mod_p(n_big: int, k_big: int, p: int) -> int:

@@ -115,10 +115,6 @@ class CongruenceParams:
     def ceil_half_r(self) -> int:
         return (self.r + 1) // 2
 
-    @property
-    def half_r(self) -> Fraction:
-        return Fraction(self.r, 2)
-
 
 def make_params(
     p: int, r: int, n: int, vL: Fraction | int | str, mode: str = "strict"
@@ -226,9 +222,6 @@ class CongruenceTerm:
     coeff: Rational
     slack: int | None
     unit_residue: int | None
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.line, self.a, self.j)
 
     def total_val(self, r: int) -> ValP:
         """x + (n - j) + vL + v_p(coeff) = r/2 - j + slack; +infinity if coeff = 0."""

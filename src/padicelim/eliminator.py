@@ -39,8 +39,6 @@ __all__ = [
     "SubquotientEntry",
     "KillTrace",
     "ReductionResult",
-    "BadRow",
-    "bad_candidate_table",
     "good_candidates",
     "run_elimination",
     "predict",
@@ -151,32 +149,6 @@ class ReductionResult:
             },
         }
         return data
-
-
-@dataclass(frozen=True)
-class BadRow:
-    d: int
-    degrees: tuple[int, ...]
-    flagged: int  # first-column degree, ignorable: reachable from n = dp - 1
-
-
-def bad_candidate_table(p: int, c: int) -> tuple[BadRow, ...]:
-    """Rows of degrees j = n - b - 1 coming from n with vFall = 1.
-
-    Row d (listed d = c down to 1) holds dp - d - 1, ..., dp - 1.  The first
-    entry of each row is flagged: the same degree arises from n = dp - 1,
-    which has vFall = 0, so the single-congruence kill already covers it.
-    """
-    check_prime(p, minimum=5)
-    if not (1 <= c <= p - 3):
-        raise InvalidRangeError(f"c = {c} outside [1, {p - 3}]")
-    rows = []
-    for d in range(c, 0, -1):
-        degrees = tuple(range(d * p - d - 1, d * p))
-        n_flag = d * p - 1
-        assert vp_int(falling_factorial(n_flag, (n_flag // p) + 1), p) == 0
-        rows.append(BadRow(d=d, degrees=degrees, flagged=degrees[0]))
-    return tuple(rows)
 
 
 def good_candidates(p: int, r: int) -> tuple[int, ...]:

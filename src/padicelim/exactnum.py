@@ -27,11 +27,9 @@ __all__ = [
     "check_prime",
     "vp_int",
     "vp",
-    "vp_total",
     "vp_factorial",
     "falling_factorial",
     "binom",
-    "binom_mod",
     "harmonic",
     "rational_mod",
     "as_rational",
@@ -69,8 +67,8 @@ class ValP:
     """A p-adic valuation value: an exact rational or +infinity.
 
     Instances are immutable.  Ordering and addition treat INF as absorbing,
-    so checks like ``term.slack > 0`` are defined even for terms whose
-    coefficient vanishes identically.
+    so checks like ``term.total_val(r) > threshold`` are defined even for
+    terms whose coefficient vanishes identically.
     """
 
     __slots__ = ("_value",)
@@ -176,7 +174,7 @@ ValP.INF = INF
 def vp_int(n: int, p: int) -> int:
     """Exponent of p in a nonzero integer (p assumed prime by the caller)."""
     if n == 0:
-        raise ValueError("vp_int(0) is undefined; use vp_total")
+        raise ValueError("vp_int(0) is undefined: 0 has valuation +infinity")
     n = abs(n)
     v = 0
     while n % p == 0:
@@ -190,17 +188,8 @@ def vp(q: Fraction | int, p: int) -> int:
     check_prime(p)
     q = Fraction(q)
     if q == 0:
-        raise ValueError("vp(0) is undefined; use vp_total")
+        raise ValueError("vp(0) is undefined: 0 has valuation +infinity")
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
-
-
-def vp_total(q: Fraction | int, p: int) -> ValP:
-    """Total wrapper around :func:`vp`: vp_total(0) = +infinity."""
-    check_prime(p)
-    q = Fraction(q)
-    if q == 0:
-        return INF
-    return ValP(vp_int(q.numerator, p) - vp_int(q.denominator, p))
 
 
 def vp_factorial(n: int, p: int) -> int:
@@ -237,13 +226,6 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def binom_mod(n: int, k: int, modulus: int) -> int:
-    """Exact C(n, k) reduced mod ``modulus``."""
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    return binom(n, k) % modulus
 
 
 @lru_cache(maxsize=None)

@@ -26,8 +26,7 @@ r >= i(p+1) - 1) has two halves:
 
 The power-of-X claim in (b) is sometimes phrased as a *largest* power where
 the divisibility argument (theta^i is divisible by X^i) supports *smallest*;
-the check verifies the min-degree statement and flags the reading in the
-report.
+the check verifies the min-degree statement.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from padicelim.exactnum import check_prime
 __all__ = [
     "HPoly",
     "Matrix2",
-    "ACTION_CONVENTION",
     "theta",
     "linear_form_power",
     "act",
@@ -54,9 +52,6 @@ __all__ = [
 ]
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
-
-ACTION_CONVENTION = "((a,b),(c,d)) sends f(X, Y) to f(aX + bY, cX + dY)"
-
 
 @dataclass(frozen=True)
 class HPoly:
@@ -85,23 +80,11 @@ class HPoly:
                 return j
         raise ValueError("min_x_degree undefined on the zero polynomial")
 
-    def max_x_degree(self) -> int:
-        for j in range(self.degree, -1, -1):
-            if self.coeffs[j]:
-                return j
-        raise ValueError("max_x_degree undefined on the zero polynomial")
-
     def coeff(self, x_power: int) -> int:
         """Coefficient of X^x_power Y^(degree - x_power)."""
         if not (0 <= x_power <= self.degree):
             return 0
         return self.coeffs[x_power]
-
-    def evaluate(self, x: int, y: int) -> int:
-        return sum(
-            c * pow(x, j, self.p) * pow(y, self.degree - j, self.p)
-            for j, c in enumerate(self.coeffs)
-        ) % self.p
 
     def __add__(self, other: "HPoly") -> "HPoly":
         self._compat(other)
@@ -128,9 +111,6 @@ class HPoly:
                     if ck:
                         out[j + k] = (out[j + k] + cj * ck) % left.p
         return HPoly(self.p, tuple(out))
-
-    def scale(self, s: int) -> "HPoly":
-        return HPoly(self.p, tuple(s * c for c in self.coeffs))
 
     def power(self, e: int) -> "HPoly":
         if e < 0:
@@ -265,8 +245,6 @@ class ShallowReport:
 
     ``generator_unit`` is the X^(i-1) Y^(r-i+1) coefficient of f_i;
     ``summand_min_x`` maps lam to the minimal X-degree of its summand.
-    ``min_degree_reading`` records that the check interprets the power-of-X
-    claim as a minimum, not a maximum.
     """
 
     p: int
@@ -275,8 +253,6 @@ class ShallowReport:
     generator_unit: int
     summand_min_x: tuple[tuple[int, int], ...]
     pure_y_defects: tuple[int, ...] | None
-    action_convention: str
-    min_degree_reading: str
     failures: tuple[str, ...]
 
     @property
@@ -323,7 +299,5 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
         generator_unit=unit,
         summand_min_x=tuple(min_degrees),
         pure_y_defects=defects,
-        action_convention=ACTION_CONVENTION,
-        min_degree_reading="power-of-X claim verified as a minimum over the summand",
         failures=tuple(failures),
     )

@@ -1,7 +1,11 @@
 """CLI behavior: exit codes, formats, round trips, determinism."""
 
 import json
+import re
 
+import pytest
+
+from padicelim import cli
 from padicelim.cli import main
 from padicelim.eliminator import run_elimination, trace_from_dict
 
@@ -143,6 +147,58 @@ class TestSweep:
     def test_empty_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--p-range", "5:5", "--r-range", "100:200")
         assert code == 2 and "empty" in err
+
+    def test_table_rows_and_footer(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--p-range", "5:7")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "p =   5  r =   8  c = 1  ind omega2^9"
+        for line in lines[:-1]:
+            m = re.fullmatch(r"p = ([ \d]{3})  r = ([ \d]{3})  c = (\d)  ind omega2\^(\d+)", line)
+            assert m, line
+            p, r, c, exponent = map(int, m.groups())
+            assert c == r // p and exponent == r + 1
+        assert lines[-1] == "8 predictions, all with exponent r + 1"
+
+    def test_predict_tsv_row_matches_sweep_row(self, capsys):
+        _, predicted, _ = run_cli(capsys, "predict", "--p", "7", "--r", "10", "--emit", "tsv")
+        _, swept, _ = run_cli(capsys, "sweep", "--p-range", "7:7", "--emit", "tsv")
+        header, row = predicted.splitlines()
+        sweep_lines = swept.splitlines()
+        assert header == sweep_lines[0]
+        assert row in sweep_lines[1:] and row.startswith("7\t10\t")
+
+    @pytest.mark.parametrize("flag,value", [("--p-range", "5"), ("--r-range", "9")])
+    def test_malformed_range_exits_2(self, capsys, flag, value):
+        argv = ["sweep", "--p-range", "5:7", flag, value]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"argument {flag}: range must look like A:B, got '{value}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_or_non_integer_exits_2(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "sweep", "--p-range", "5:5", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert f"argument --jobs: expected an integer >= 1, got '{jobs}'" in err
+
+    @pytest.mark.parametrize("env", ["0", "x"])
+    def test_bad_jobs_environment_exits_2_with_one_line(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("PADICELIM_JOBS", env)
+        code, out, err = run_cli(capsys, "sweep", "--p-range", "5:5")
+        assert code == 2 and out == ""
+        assert err == f"error: PADICELIM_JOBS: expected an integer >= 1, got '{env}'\n"
+
+    def test_job_count_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("PADICELIM_JOBS", "64")
+        assert cli._job_count(None) == 2
+        assert cli._job_count(8) == 2
+        assert cli._job_count(1) == 1
+        monkeypatch.delenv("PADICELIM_JOBS")
+        assert cli._job_count(None) == 1
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._job_count(4) == 1
 
     def test_parallel_matches_serial(self, capsys):
         _, serial, _ = run_cli(capsys, "sweep", "--p-range", "5:5", "--emit", "json")

@@ -9,7 +9,6 @@ import math
 import pytest
 
 from padicelim.combinat import (
-    StirlingTable,
     binom_mod_p2,
     lucas_mod_p,
     stirling2,
@@ -73,19 +72,6 @@ class TestStirling:
         for t in range(61):
             for s in range(t + 1):
                 assert stirling2(t, s) == stirling2_def(t, s)
-
-    def test_table_recurrence_invariant(self):
-        table = StirlingTable(5, t_max=40)
-        for t in range(1, 41):
-            for s in range(1, t + 1):
-                assert table.value(t, s) == s * table.value(t - 1, s) + table.value(t - 1, s - 1)
-
-    def test_table_residues(self):
-        table = StirlingTable(5, t_max=10, precision=2)
-        assert table.residue(4, 2) == 7
-        assert table.residue(4, 2, precision=1) == 2
-        with pytest.raises(ValueError):
-            table.residue(4, 2, precision=3)
 
     def test_definition_sum_divisibility_guard(self):
         # {t brace s} times s! is the alternating sum; divisibility is exact

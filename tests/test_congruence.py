@@ -119,7 +119,7 @@ class TestStar:
 class TestMasterTerms:
     def test_generator_term_at_5_8_7(self):
         params = make_params(5, 8, 7, -5)
-        terms = {t.key(): t for t in master_terms(params)}
+        terms = {(t.line, t.a, t.j): t for t in master_terms(params)}
         gen = terms[(2, 0, 5)]
         assert gen.slack == 0 and gen.unit_residue % 5 != 0
         assert gen.coeff == math.comb(7, 5) * 608  # C(n,j) (-1)^(n-j) star_j
@@ -139,7 +139,7 @@ class TestMasterTerms:
                 if t.coeff == 0:
                     continue
                 uncancelled = params.x + (params.n - t.j) + params.vL + vp(t.coeff, 5)
-                assert t.total_val(params.r) == uncancelled, (vL, t.key())
+                assert t.total_val(params.r) == uncancelled, (vL, (t.line, t.a, t.j))
 
     @staticmethod
     def _closed_form_terms(p, r, n, oracle_cache):
@@ -228,7 +228,7 @@ class TestAuditGood:
 
     def test_disposition_statuses(self):
         audit = audit_good(5, 8, 7, -5)
-        statuses = {d.term.key(): d.status for d in audit.dispositions}
+        statuses = {(d.term.line, d.term.a, d.term.j): d.status for d in audit.dispositions}
         assert statuses[(2, 0, 5)] == GENERATOR
         assert statuses[(2, 0, 6)] == DEAD
         assert statuses[(2, 0, 4)] == DEEPER
@@ -247,7 +247,7 @@ class TestAuditBad:
         audit = audit_bad(5, 14, -8)
         assert any("stirling rescue" in note for note in audit.notes)
         # the j = p + 1 = 6 term is the below-range edge at r = 2p + 4
-        statuses = {d.term.key(): d.status for d in audit.dispositions}
+        statuses = {(d.term.line, d.term.a, d.term.j): d.status for d in audit.dispositions}
         assert statuses[(2, 0, 6)] in (BELOW, ZERO)
 
     def test_range_check(self):
@@ -280,7 +280,7 @@ class TestAuditUgly:
         audit = audit_ugly(5, 8, -5, 1)
         phase2 = audit.phases[1]
         assert phase2.target_j == 5
-        statuses = {d.term.key(): d.status for d in phase2.dispositions}
+        statuses = {(d.term.line, d.term.a, d.term.j): d.status for d in phase2.dispositions}
         assert statuses[(2, 0, 4)] == DEAD  # C(7, 4) = 35 supplies the p
         assert any("p | C(7, 4)" in note for note in phase2.notes)
 

@@ -1,4 +1,4 @@
-"""Elimination engine: candidate table, full traces, predictions, round trip."""
+"""Elimination engine: full traces, predictions, round trip."""
 
 import json
 from fractions import Fraction
@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from padicelim.eliminator import (
-    bad_candidate_table,
     good_candidates,
     predict,
     run_elimination,
@@ -18,7 +17,7 @@ from padicelim.errors import (
     PredictionUnavailableError,
     VLBoundError,
 )
-from padicelim.exactnum import InvalidPrimeError, falling_factorial, vp_int
+from padicelim.exactnum import InvalidPrimeError
 
 
 def trace_summary(trace):
@@ -29,46 +28,6 @@ def trace_summary(trace):
         else:
             out[e.i] = (e.method, e.witness_n)
     return out
-
-
-class TestBadCandidateTable:
-    def test_p5_c2(self):
-        rows = bad_candidate_table(5, 2)
-        assert [(row.degrees, row.flagged) for row in rows] == [((7, 8, 9), 7), ((3, 4), 3)]
-
-    def test_p5_c1(self):
-        rows = bad_candidate_table(5, 1)
-        assert [(row.degrees, row.flagged) for row in rows] == [((3, 4), 3)]
-
-    def test_p7_c2(self):
-        rows = bad_candidate_table(7, 2)
-        assert [(row.degrees, row.flagged) for row in rows] == [((11, 12, 13), 11), ((5, 6), 5)]
-
-    def test_range(self):
-        with pytest.raises(InvalidRangeError):
-            bad_candidate_table(5, 3)  # c <= p - 3
-        with pytest.raises(InvalidRangeError):
-            bad_candidate_table(5, 0)
-
-    @pytest.mark.parametrize("p,c", [(5, 1), (5, 2), (7, 2), (11, 2)])
-    def test_degrees_match_brute_force(self, p, c):
-        # brute force: j = n - b - 1 over all n <= 3p - 1 with vFall = 1
-        brute = set()
-        for n in range((c + 1) * p):
-            b = n // p
-            if b < 1 or b > p - 2:
-                continue
-            if vp_int(falling_factorial(n, b + 1), p) == 1:
-                brute.add(n - b - 1)
-        table = {j for row in bad_candidate_table(p, c) for j in row.degrees}
-        assert table == {j for j in brute if j <= c * p - 1}
-
-    def test_flagged_comes_from_good_n(self):
-        for row in bad_candidate_table(7, 2):
-            n = row.d * 7 - 1
-            b = n // 7
-            assert vp_int(falling_factorial(n, b + 1), 7) == 0
-            assert n - b - 1 == row.flagged
 
 
 class TestRunElimination:

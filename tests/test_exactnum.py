@@ -17,7 +17,6 @@ from padicelim.exactnum import (
     ValP,
     as_rational,
     binom,
-    binom_mod,
     falling_factorial,
     harmonic,
     is_prime,
@@ -25,7 +24,6 @@ from padicelim.exactnum import (
     vp,
     vp_factorial,
     vp_int,
-    vp_total,
 )
 
 PRIMES_TO_100 = [p for p in range(2, 100) if is_prime(p)]
@@ -52,11 +50,11 @@ class TestVp:
         with pytest.raises(InvalidPrimeError):
             vp(Fraction(1, 2), 6)
 
-    def test_zero_needs_total_wrapper(self):
+    def test_zero_is_undefined(self):
         with pytest.raises(ValueError):
             vp(0, 5)
-        assert vp_total(0, 5) is INF
-        assert vp_total(Fraction(50), 5) == 2
+        with pytest.raises(ValueError):
+            vp_int(0, 5)
 
     def test_additive_and_ultrametric(self):
         rng = random.Random(20240517)
@@ -127,12 +125,6 @@ class TestBinom:
             for k, expected in enumerate(row):
                 assert binom(n, k) == expected
             row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-
-    def test_binom_mod(self):
-        assert binom_mod(9, 7, 25) == 11
-        assert binom_mod(10, 5, 7) == math.comb(10, 5) % 7
-        with pytest.raises(ValueError):
-            binom_mod(4, 2, 0)
 
 
 class TestHarmonic:
