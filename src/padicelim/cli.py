@@ -63,8 +63,6 @@ def _trace_rows(trace: KillTrace) -> list[str]:
     for e in trace.entries:
         witness = "n = " + ",".join(map(str, e.witness_n)) if e.witness_n else "-"
         rows.append(f"{e.i:>3} {e.j:>4} {e.status:>9} {e.method or '-':>8}  {witness}")
-    if trace.duplicates:
-        rows.append(f"duplicate kills recorded: {trace.duplicates}")
     return rows
 
 
@@ -329,22 +327,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_rational_flags(argv: list[str]) -> list[str]:
+# flags whose value may start with "-": argparse only takes a bare negative
+# number as a value, not a rational such as -9/2 or a range such as -5:7
+_SIGNED_FLAGS = ("--vL", "--p-range", "--r-range")
+
+
+def _merge_signed_flags(argv: list[str]) -> list[str]:
     """Rewrite ["--vL", "-9/2"] as ["--vL=-9/2"] so argparse accepts it.
 
-    Negative rationals are the normal case for vL, and argparse only
-    recognizes bare negative integers as values.
+    Negative rationals are the normal case for vL; a range may start below
+    zero too.
     """
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--vL" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--vL={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _SIGNED_FLAGS and tok.startswith("-"):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -352,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _merge_rational_flags(list(argv))
+    argv = _merge_signed_flags(list(argv))
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:

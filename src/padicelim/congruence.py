@@ -25,33 +25,39 @@ v_p(C) - vFall, an integer (None when C vanishes).  Neither C nor the slack
 depends on r, so the terms of one (p, n) are built once, as a table over
 every degree j an admissible r can ask for; :func:`master_terms` slices it
 at ceil(r/2), and a term derives its total valuation from r on demand.  The
-tables of one prime are kept and dropped when the prime changes.  All
-elimination decisions reduce to slack thresholds:
+tables of one prime are kept and dropped when the prime changes.
 
-    slack > 0                          the term dies outright
-    slack >= 0                         the term is integral and can be
-                                       projected off on deeper sub-quotients
-    slack == 0 with a unit coefficient generator of the targeted sub-quotient
+An audit instantiates the congruence at one n, aims at a target degree j*,
+gives each non-zero term a status and checks the one slack bound that the
+status needs:
 
-and a term below the filtration window (j < ceil(r/2)) only needs
-slack >= 0.  These thresholds are the package's single integrality axiom
-pair (the external lattice criteria are not re-proved here); the audits
-re-derive every divisibility fact they rely on by exact arithmetic instead
-of assuming it.
+    dead             slack > 0              forced dead, above j*, or line 1 at j*
+    generator        slack 0, unit residue  line 2 at j*
+    residual         slack >= 0             above j*, carried to a second pass
+    deeper-integral  slack >= 0             below j*, j >= ceil(r/2)
+    below-range      slack >= 0             j < ceil(r/2)
+
+These thresholds are the package's single integrality axiom pair (the
+external lattice criteria are not re-proved here); the audits re-derive
+every divisibility fact they rely on by exact arithmetic instead of
+assuming it.  A term that misses its bound fails the audit with one line
+naming its row (line, a, j).
 
 Three audits package the three elimination arguments: ``audit_good`` (one
 congruence at an n with vFall = 0, generator at degree n - b - 1),
 ``audit_bad`` (n = 2p + 1, vFall = 1) and ``audit_ugly`` (two congruences,
 n = cp + c with vFall = 1 leaving a residual family at degree cp, then
 n = cp + c + 1 with vFall = 0 certifying the residual sits on deeper
-sub-quotients).  ``inequality_suite`` verifies, exactly, the arithmetic
-inequality families that the supporting lemmas reduce to.
+sub-quotients; the audit fails if either phase does).  ``inequality_suite``
+verifies, exactly, the arithmetic inequality families that the supporting
+lemmas reduce to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from padicelim.combinat import stirling2
@@ -81,6 +87,7 @@ __all__ = [
     "CongruenceTerm",
     "TermDisposition",
     "KillAudit",
+    "fall_valuation",
     "make_params",
     "star_full",
     "star_mod_p2",
@@ -116,6 +123,11 @@ class CongruenceParams:
         return (self.r + 1) // 2
 
 
+def fall_valuation(p: int, n: int) -> int:
+    """vFall = v_p([n]_{b+1}), the valuation of n(n-1)...(n-b) for b = floor(n/p)."""
+    return vp_int(falling_factorial(n, n // p + 1), p)
+
+
 def make_params(
     p: int, r: int, n: int, vL: Fraction | int | str, mode: str = "strict"
 ) -> CongruenceParams:
@@ -143,11 +155,11 @@ def make_params(
             raise VLBoundError(f"strict mode needs vL < r/2 - n = {bound}, got {vL}")
     elif not vL <= bound:
         raise VLBoundError(f"weak mode needs vL <= r/2 - n = {bound}, got {vL}")
-    v_fall = vp_int(falling_factorial(n, b + 1), p)
+    v_fall = fall_valuation(p, n)
     x = Fraction(r, 2) - n - v_fall - vL
     # consequences of the hypotheses; cf. the bound x >= -vFall >= -1
-    assert x >= -v_fall >= -1
-    assert n - v_fall > Fraction(r, 2)
+    if not (x >= -v_fall >= -1 and n - v_fall > Fraction(r, 2)):
+        raise AssertionError(f"x = {x}, vFall = {v_fall}: need x >= -vFall >= -1, n - vFall > r/2")
     return CongruenceParams(p=p, r=r, n=n, vL=vL, mode=mode, b=b, eps=eps, v_fall=v_fall, x=x)
 
 
@@ -268,7 +280,7 @@ def _build_table(p: int, n: int) -> TermTable:
     r >= n, so ceil(r/2) >= j0 = ceil(max(p, n)/2).
     """
     b, eps = divmod(n, p)
-    v_fall = vp_int(falling_factorial(n, b + 1), p)
+    v_fall = fall_valuation(p, n)
     j0 = (max(p, n) + 1) // 2
     prefactor = binom((b + 1) * p, n + 1) * (n + 1) * math.factorial(b)
     rows: list[tuple[CongruenceTerm, ...]] = []
@@ -316,6 +328,8 @@ BELOW = "below-range"
 GENERATOR = "generator"
 ZERO = "zero"
 RESIDUAL = "residual"
+# the slack each status needs, as failure text
+_NEEDS = {DEAD: "> 0", GENERATOR: "0 with a unit residue", RESIDUAL: ">= 0", DEEPER: ">= 0", BELOW: ">= 0"}
 
 
 @dataclass(frozen=True)
@@ -329,10 +343,9 @@ class KillAudit:
     """The audited elimination of one sub-quotient index.
 
     ``witness_n`` holds the degree(s) n the congruence was instantiated at:
-    one entry for the single-congruence methods, two for the two-phase one.
-    A passing audit has every term above the target dead (or residual, for
-    the two-phase method's first pass), the target generated by a slack-0
-    unit, and everything below integral.
+    one entry for the single-congruence methods, two for the two-phase one,
+    whose ``phases`` hold the audit of each congruence and whose
+    ``failures`` are those of both.  A passing audit has no failures.
     """
 
     method: str
@@ -350,7 +363,7 @@ class KillAudit:
 
     @property
     def passed(self) -> bool:
-        return not self.failures and all(not ph.failures for ph in self.phases)
+        return not self.failures
 
     def slack_table(self) -> tuple[tuple[int, str], ...]:
         """Degree -> slack for the line-2 terms (the z^j 1_{pZp} family)."""
@@ -363,65 +376,75 @@ def _classify(
     params: CongruenceParams,
     terms: tuple[CongruenceTerm, ...],
     target_j: int,
-    residual_degrees: frozenset[int] = frozenset(),
-    must_die: frozenset[int] = frozenset(),
+    residual_degrees: frozenset[int],
+    must_die: frozenset[int],
 ) -> tuple[tuple[TermDisposition, ...], CongruenceTerm | None, list[str]]:
-    ceil_half = params.ceil_half_r
-    p = params.p
+    """Give each term its status, then check the slack that status needs."""
+    ceil_half, p = params.ceil_half_r, params.p
     dispositions: list[TermDisposition] = []
     generator: CongruenceTerm | None = None
     failures: list[str] = []
-
-    def fail(term: CongruenceTerm, need: str) -> None:
-        failures.append(
-            f"term (line {term.line}, a={term.a}, j={term.j}) has slack {term.slack_text}, needs {need}"
-        )
-
     for term in terms:
         j, slack = term.j, term.slack
         if slack is None:
             dispositions.append(TermDisposition(term, ZERO))
             continue
         if j in must_die:
-            if slack > 0:
-                dispositions.append(TermDisposition(term, DEAD))
-            else:
-                fail(term, "> 0 (forced dead)")
-            continue
-        if j > target_j:
-            if j in residual_degrees:
-                if slack >= 0:
-                    dispositions.append(TermDisposition(term, RESIDUAL))
-                else:
-                    fail(term, ">= 0 (residual)")
-            elif slack > 0:
-                dispositions.append(TermDisposition(term, DEAD))
-            else:
-                fail(term, "> 0 (above target)")
+            status = DEAD
+        elif j > target_j:
+            status = RESIDUAL if j in residual_degrees else DEAD
         elif j == target_j:
-            if term.line == 2:
-                if slack == 0 and term.unit_residue % p != 0:
-                    dispositions.append(TermDisposition(term, GENERATOR))
-                    generator = term
-                else:
-                    fail(term, "== 0 with unit residue (generator)")
-            elif slack > 0:
-                dispositions.append(TermDisposition(term, DEAD))
-            else:
-                fail(term, "> 0 (line 1 at target)")
-        elif j >= ceil_half:
-            if slack >= 0:
-                dispositions.append(TermDisposition(term, DEEPER))
-            else:
-                fail(term, ">= 0 (deeper integral)")
-        elif slack >= 0:
-            dispositions.append(TermDisposition(term, BELOW))
+            status = GENERATOR if term.line == 2 else DEAD
         else:
-            fail(term, ">= 0 (below range)")
+            status = DEEPER if j >= ceil_half else BELOW
+
+        if status == DEAD:
+            ok = slack > 0
+        elif status == GENERATOR:
+            ok = slack == 0 and term.unit_residue % p != 0
+        else:
+            ok = slack >= 0
+        if not ok:
+            failures.append(
+                f"term (line {term.line}, a={term.a}, j={j}) has slack {term.slack_text}, "
+                f"needs {_NEEDS[status]} ({status})"
+            )
+            continue
+        if status == GENERATOR:
+            generator = term
+        dispositions.append(TermDisposition(term, status))
 
     if generator is None:
         failures.append(f"no generator found at degree {target_j}")
     return tuple(dispositions), generator, failures
+
+
+def _audit(
+    method: str,
+    params: CongruenceParams,
+    target_j: int,
+    notes: Sequence[str],
+    failures: Sequence[str] = (),
+    residual_degrees: frozenset[int] = frozenset(),
+    must_die: frozenset[int] = frozenset(),
+) -> KillAudit:
+    """Audit one congruence against ``target_j``; the method's own ``failures`` follow the terms'."""
+    dispositions, generator, term_failures = _classify(
+        params, master_terms(params), target_j, residual_degrees, must_die
+    )
+    return KillAudit(
+        method=method,
+        p=params.p,
+        r=params.r,
+        vL=params.vL,
+        witness_n=(params.n,),
+        target_j=target_j,
+        target_i=params.r - target_j,
+        dispositions=dispositions,
+        generator=generator,
+        notes=tuple(notes),
+        failures=tuple(term_failures) + tuple(failures),
+    )
 
 
 def audit_good(p: int, r: int, n: int, vL: Fraction | int | str) -> KillAudit:
@@ -431,25 +454,10 @@ def audit_good(p: int, r: int, n: int, vL: Fraction | int | str) -> KillAudit:
         raise NotGoodCandidateError(
             f"v_p([{n}]_{params.b + 1}) = {params.v_fall} != 0: n is not a good candidate"
         )
-    target_j = n - params.b - 1
-    terms = master_terms(params)
-    dispositions, generator, failures = _classify(params, terms, target_j)
     notes = [
         f"v_p(C({n}, {params.b + 1})) = {vp_int(binom(n, params.b + 1), p)} (unit binomial at the target)",
     ]
-    return KillAudit(
-        method="good",
-        p=p,
-        r=r,
-        vL=params.vL,
-        witness_n=(n,),
-        target_j=target_j,
-        target_i=r - target_j,
-        dispositions=dispositions,
-        generator=generator,
-        notes=tuple(notes),
-        failures=tuple(failures),
-    )
+    return _audit("good", params, n - params.b - 1, notes)
 
 
 def audit_bad(p: int, r: int, vL: Fraction | int | str) -> KillAudit:
@@ -459,13 +467,12 @@ def audit_bad(p: int, r: int, vL: Fraction | int | str) -> KillAudit:
         raise InvalidRangeError(f"r = {r} outside [{2 * p + 4}, {3 * p - 1}]")
     n = 2 * p + 1
     params = make_params(p, r, n, vL, mode="strict")
-    assert params.v_fall == 1 and params.b == 2
-    target_j = 2 * p - 2
-    terms = master_terms(params)
-    dispositions, generator, failures = _classify(params, terms, target_j)
+    if params.v_fall != 1 or params.b != 2:
+        raise AssertionError(f"n = {n} needs vFall = 1 and b = 2, got {params.v_fall} and {params.b}")
     notes = [
         f"v_p(C({n}, 3)) = {vp_int(binom(n, 3), p)} (target binomial contributes exactly one p)",
     ]
+    failures = []
     if r == 2 * p + 4:
         # only here does degree p + 1 enter the window, as its below-range
         # edge; the Stirling values at t = p vanish mod p and rescue it
@@ -476,19 +483,7 @@ def audit_bad(p: int, r: int, vL: Fraction | int | str) -> KillAudit:
         )
         if stirling2(p, params.b) % p != 0 or stirling2(p, params.b + 1) % p != 0:
             failures.append(f"stirling rescue fails at j = {p + 1}")
-    return KillAudit(
-        method="bad",
-        p=p,
-        r=r,
-        vL=params.vL,
-        witness_n=(n,),
-        target_j=target_j,
-        target_i=r - target_j,
-        dispositions=dispositions,
-        generator=generator,
-        notes=tuple(notes),
-        failures=tuple(failures),
-    )
+    return _audit("bad", params, 2 * p - 2, notes, failures)
 
 
 def audit_ugly(p: int, r: int, vL: Fraction | int | str, c: int) -> KillAudit:
@@ -511,74 +506,42 @@ def audit_ugly(p: int, r: int, vL: Fraction | int | str, c: int) -> KillAudit:
         raise VLBoundError(
             f"ugly method needs vL < r/2 - (cp + c + 1) = {Fraction(r, 2) - (c * p + c + 1)}"
         )
-    target_j = c * p - 1
-    target_i = r - c * p + 1
 
     n1 = c * p + c
     params1 = make_params(p, r, n1, vL, mode="strict")
-    assert params1.v_fall == 1 and params1.b == c
-    terms1 = master_terms(params1)
-    disp1, gen1, fail1 = _classify(
-        params1, terms1, target_j, residual_degrees=frozenset({c * p})
-    )
-    phase1 = KillAudit(
-        method="ugly-phase1",
-        p=p,
-        r=r,
-        vL=vL,
-        witness_n=(n1,),
-        target_j=target_j,
-        target_i=target_i,
-        dispositions=disp1,
-        generator=gen1,
-        notes=(f"v_p(C({n1}, {c + 1})) = {vp_int(binom(n1, c + 1), p)} = vFall",),
-        failures=tuple(fail1),
+    if params1.v_fall != 1 or params1.b != c:
+        raise AssertionError(f"n = {n1} needs vFall = 1 and b = {c}, got {params1.v_fall} and {params1.b}")
+    phase1 = _audit(
+        "ugly-phase1", params1, c * p - 1,
+        [f"v_p(C({n1}, {c + 1})) = {vp_int(binom(n1, c + 1), p)} = vFall"],
+        residual_degrees=frozenset({c * p}),
     )
 
     n2 = c * p + c + 1
     params2 = make_params(p, r, n2, vL, mode="strict")
-    assert params2.v_fall == 0 and params2.b == c
-    terms2 = master_terms(params2)
-    disp2, gen2, fail2 = _classify(
-        params2, terms2, c * p, must_die=frozenset({c * p - 1})
-    )
+    if params2.v_fall != 0 or params2.b != c:
+        raise AssertionError(f"n = {n2} needs vFall = 0 and b = {c}, got {params2.v_fall} and {params2.b}")
     below_binom = binom(n2, c * p - 1)
     notes2 = [
         f"p | C({n2}, {c * p - 1}): v_p = {vp_int(below_binom, p) if below_binom else 'inf'}",
     ]
+    failures2 = []
     if below_binom % p != 0:
-        fail2 = fail2 + [f"C({n2}, {c * p - 1}) is a p-unit; residual certificate fails"]
-    phase2 = KillAudit(
-        method="ugly-phase2",
-        p=p,
-        r=r,
-        vL=vL,
-        witness_n=(n2,),
-        target_j=c * p,
-        target_i=r - c * p,
-        dispositions=disp2,
-        generator=gen2,
-        notes=tuple(notes2),
-        failures=tuple(fail2),
+        failures2.append(f"C({n2}, {c * p - 1}) is a p-unit; residual certificate fails")
+    phase2 = _audit(
+        "ugly-phase2", params2, c * p, notes2, failures2, must_die=frozenset({c * p - 1})
     )
 
-    residuals = [d for d in disp1 if d.status == RESIDUAL]
-    notes = (
-        f"residual family at degree {c * p}: {len(residuals)} integral term(s), "
-        f"discharged by the phase-two certificate",
-    )
-    return KillAudit(
+    residuals = sum(d.status == RESIDUAL for d in phase1.dispositions)
+    return replace(
+        phase1,
         method="ugly",
-        p=p,
-        r=r,
-        vL=vL,
         witness_n=(n1, n2),
-        target_j=target_j,
-        target_i=target_i,
-        dispositions=disp1,
-        generator=gen1,
-        notes=notes,
-        failures=(),
+        notes=(
+            f"residual family at degree {c * p}: {residuals} integral term(s), "
+            f"discharged by the phase-two certificate",
+        ),
+        failures=phase1.failures + phase2.failures,
         phases=(phase1, phase2),
     )
 

@@ -23,17 +23,17 @@ which is why no prediction is emitted there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from padicelim.congruence import KillAudit, audit_bad, audit_good, audit_ugly
+from padicelim.congruence import audit_bad, audit_good, audit_ugly, fall_valuation
 from padicelim.errors import (
     EliminationIncompleteError,
     InvalidRangeError,
     PredictionUnavailableError,
     VLBoundError,
 )
-from padicelim.exactnum import as_rational, check_prime, falling_factorial, vp_int
+from padicelim.exactnum import as_rational, check_prime
 
 __all__ = [
     "SubquotientEntry",
@@ -68,8 +68,6 @@ class KillTrace:
     c: int
     vL: Fraction
     entries: tuple[SubquotientEntry, ...]
-    audits: dict[int, KillAudit] = field(compare=False, repr=False, default_factory=dict)
-    duplicates: tuple[tuple[int, str, tuple[int, ...]], ...] = ()
 
     @property
     def survivor(self) -> int:
@@ -158,7 +156,7 @@ def good_candidates(p: int, r: int) -> tuple[int, ...]:
         b = n // p
         if 2 * n < r + 2 * b + 2:
             continue
-        if vp_int(falling_factorial(n, b + 1), p) == 0:
+        if fall_valuation(p, n) == 0:
             out.append(n)
     return tuple(out)
 
@@ -186,18 +184,22 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
 
     c = r // p
     half = r // 2
-    kills: dict[int, tuple[str, tuple[int, ...] | None, KillAudit | None]] = {}
-    duplicates: list[tuple[int, str, tuple[int, ...]]] = []
+    kills: dict[int, SubquotientEntry] = {}
 
-    def record(i: int, method: str, witness: tuple[int, ...] | None, audit: KillAudit | None):
+    def record(i: int, method: str, witness: tuple[int, ...] | None = None,
+               slack_table: tuple[tuple[int, str], ...] | None = None) -> None:
+        # the methods' targets are disjoint, so a second kill is a gap in
+        # the argument, like a kill of the survivor
         if i == c:
             raise EliminationIncompleteError(
                 f"method {method} targets the surviving index i = {c}"
             )
         if i in kills:
-            duplicates.append((i, method, witness or ()))
-            return
-        kills[i] = (method, witness, audit)
+            raise EliminationIncompleteError(
+                f"method {method} kills i = {i}, already killed by {kills[i].method}"
+            )
+        kills[i] = SubquotientEntry(i=i, j=r - i, status="killed", method=method,
+                                    witness_n=witness, slack_table=slack_table)
 
     for i in range(c):
         if r < (i + 1) * (p + 1) - 1:
@@ -207,61 +209,34 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
             raise EliminationIncompleteError(
                 f"shallow certificate failed at i = {i}: {report.failures}"
             )
-        record(i, "shallow", None, None)
+        record(i, "shallow")
 
-    for n in good_candidates(p, r):
-        audit = audit_good(p, r, n, vL)
-        if not audit.passed:
-            raise EliminationIncompleteError(
-                f"good audit failed at n = {n}: {audit.failures}"
-            )
-        record(audit.target_i, "good", (n,), audit)
-
+    audits = [audit_good(p, r, n, vL) for n in good_candidates(p, r)]
     if c == 2:
-        audit = audit_bad(p, r, vL)
-        if not audit.passed:
-            raise EliminationIncompleteError(f"bad audit failed: {audit.failures}")
-        record(audit.target_i, "bad", audit.witness_n, audit)
-
+        audits.append(audit_bad(p, r, vL))
     # the two-phase kill is needed (and its window holds) iff its target
     # degree cp - 1 is inside the filtration window
     if 2 * (c * p - 1) >= r:
-        audit = audit_ugly(p, r, vL, c)
+        audits.append(audit_ugly(p, r, vL, c))
+    for audit in audits:
         if not audit.passed:
+            witness = ",".join(map(str, audit.witness_n))
             raise EliminationIncompleteError(
-                f"ugly audit failed: {audit.failures or [ph.failures for ph in audit.phases]}"
+                f"{audit.method} audit failed at n = {witness}: " + "; ".join(audit.failures)
             )
-        record(audit.target_i, "ugly", audit.witness_n, audit)
+        record(audit.target_i, audit.method, audit.witness_n, audit.slack_table())
 
     for i in range(half + 1, r + 1):
-        record(i, "trivial", None, None)
+        record(i, "trivial")
 
     missing = [i for i in range(half + 1) if i != c and i not in kills]
     if missing:
         raise EliminationIncompleteError(f"no kill found for indices {missing}")
 
-    entries = []
-    audits: dict[int, KillAudit] = {}
-    for i in range(r + 1):
-        if i == c:
-            entries.append(
-                SubquotientEntry(i=i, j=r - i, status="survivor", method=None,
-                                 witness_n=None, slack_table=None)
-            )
-            continue
-        method, witness, audit = kills[i]
-        table = None
-        if audit is not None:
-            audits[i] = audit
-            table = audit.slack_table()
-        entries.append(
-            SubquotientEntry(i=i, j=r - i, status="killed", method=method,
-                             witness_n=witness, slack_table=table)
-        )
-    return KillTrace(
-        p=p, r=r, c=c, vL=vL, entries=tuple(entries),
-        audits=audits, duplicates=tuple(duplicates),
-    )
+    survivor = SubquotientEntry(i=c, j=r - c, status="survivor", method=None,
+                                witness_n=None, slack_table=None)
+    entries = tuple(kills.get(i, survivor) for i in range(r + 1))
+    return KillTrace(p=p, r=r, c=c, vL=vL, entries=entries)
 
 
 def theorem_r_values(p: int) -> tuple[int, ...]:

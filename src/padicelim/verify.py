@@ -26,6 +26,7 @@ __all__ = [
     "verify_shallow",
     "verify_star",
     "verify_inequalities",
+    "verify_vl_independence",
     "VERIFIERS",
 ]
 

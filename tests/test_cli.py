@@ -1,13 +1,21 @@
 """CLI behavior: exit codes, formats, round trips, determinism."""
 
+import ast
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padicelim
 from padicelim import cli
-from padicelim.cli import main
-from padicelim.eliminator import run_elimination, trace_from_dict
+from padicelim.cli import emit_report, main
+from padicelim.eliminator import predict, run_elimination, trace_from_dict
+
+PACKAGE_DIR = Path(padicelim.__file__).parent
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +184,14 @@ class TestSweep:
         assert f"argument {flag}: range must look like A:B, got '{value}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--p-range", "--r-range"])
+    def test_negative_range_bound(self, capsys, flag):
+        argv = {"--p-range": ("5:7", "-5:7"), "--r-range": ("0:12", "-3:12")}[flag]
+        _, expected, _ = run_cli(capsys, "sweep", "--p-range", "5:7", flag, argv[0])
+        code, out, err = run_cli(capsys, "sweep", "--p-range", "5:7", flag, argv[1])
+        assert code == 0 and err == ""
+        assert out == expected
+
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
     def test_jobs_below_one_or_non_integer_exits_2(self, capsys, jobs):
         code, out, err = run_cli(capsys, "sweep", "--p-range", "5:5", "--jobs", jobs)
@@ -214,3 +230,21 @@ class TestUsage:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestInvariantsUnderOptimization:
+    def test_no_assert_statements(self):
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE_DIR.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
+    def test_predict_under_python_O(self):
+        env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+        argv = [sys.executable, "-O", "-m", "padicelim", "predict", "--p", "7", "--r", "10", "--emit", "json"]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == emit_report(predict(7, 10), "json") + "\n"

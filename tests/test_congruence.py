@@ -4,6 +4,7 @@ The worked numbers for (p, r, n) = (5, 8, 7) are frozen from exact desk
 evaluation: star_5 = 608, star_6 = 610, with residues 8 and 10 mod 25.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -389,3 +390,55 @@ class TestInequalities:
                 if b > p - 2 or 2 * n < r + 2 * b + 2:
                     continue
                 assert inequality_suite(p, r, n).passed, (p, r, n)
+
+
+# the first slack each status forbids
+_FORBIDDEN_SLACK = {DEAD: 0, GENERATOR: 1, RESIDUAL: -1, DEEPER: -1, BELOW: -1}
+
+
+def _mutated_master_terms(monkeypatch, n, key, slack):
+    """Make master_terms give the (line, a, j) term of the degree-n congruence ``slack``."""
+    original = congruence.master_terms
+
+    def mutated(params):
+        terms = original(params)
+        if params.n != n:
+            return terms
+        return tuple(
+            dataclasses.replace(t, slack=slack) if (t.line, t.a, t.j) == key else t
+            for t in terms
+        )
+
+    monkeypatch.setattr(congruence, "master_terms", mutated)
+
+
+class TestAuditFailurePaths:
+    """Every non-zero term of a passing audit, given a slack its status forbids, fails it."""
+
+    AUDITS = {
+        "good": lambda: audit_good(7, 12, 11, -7),
+        "bad": lambda: audit_bad(7, 18, -10),
+        "ugly": lambda: audit_ugly(7, 12, -7, 1),
+    }
+
+    @pytest.mark.parametrize("method", sorted(AUDITS))
+    def test_forbidden_slack_fails_with_term_row(self, monkeypatch, method):
+        run = self.AUDITS[method]
+        audit = run()
+        assert audit.passed
+        phases = audit.phases or (audit,)
+        mutated = 0
+        for phase in phases:
+            (n,) = phase.witness_n
+            for d in phase.dispositions:
+                if d.status == ZERO:
+                    continue
+                key = (d.term.line, d.term.a, d.term.j)
+                with monkeypatch.context() as m:
+                    _mutated_master_terms(m, n, key, _FORBIDDEN_SLACK[d.status])
+                    failed = run()
+                row = f"term (line {key[0]}, a={key[1]}, j={key[2]})"
+                assert not failed.passed, (n, key)
+                assert any(f.startswith(row) for f in failed.failures), (n, key, failed.failures)
+                mutated += 1
+        assert mutated >= 10

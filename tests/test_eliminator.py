@@ -1,10 +1,12 @@
 """Elimination engine: full traces, predictions, round trip."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from padicelim import congruence, eliminator
 from padicelim.eliminator import (
     good_candidates,
     predict,
@@ -13,6 +15,7 @@ from padicelim.eliminator import (
     trace_from_dict,
 )
 from padicelim.errors import (
+    EliminationIncompleteError,
     InvalidRangeError,
     PredictionUnavailableError,
     VLBoundError,
@@ -44,7 +47,7 @@ class TestRunElimination:
             7: ("trivial", None),
             8: ("trivial", None),
         }
-        assert trace.c == 1 and trace.survivor == 1 and not trace.duplicates
+        assert trace.c == 1 and trace.survivor == 1
 
     def test_p5_r14(self):
         trace = run_elimination(5, 14, -8)
@@ -118,6 +121,35 @@ class TestRunElimination:
                 c = r // p
                 for n in good_candidates(p, r):
                     assert r - (n - n // p - 1) != c
+
+    def test_failed_audit_raises_with_term_rows(self, monkeypatch):
+        n = good_candidates(7, 12)[0]
+        target_j = n - n // 7 - 1
+        original = congruence.master_terms
+
+        def mutated(params):
+            terms = original(params)
+            if params.n != n:
+                return terms
+            return tuple(
+                dataclasses.replace(t, slack=1) if (t.line, t.j) == (2, target_j) else t
+                for t in terms
+            )
+
+        monkeypatch.setattr(congruence, "master_terms", mutated)
+        with pytest.raises(EliminationIncompleteError) as info:
+            run_elimination(7, 12)
+        assert str(info.value) == (
+            f"good audit failed at n = {n}: "
+            f"term (line 2, a=0, j={target_j}) has slack 1, needs 0 with a unit residue (generator); "
+            f"no generator found at degree {target_j}"
+        )
+
+    def test_repeated_kill_is_an_error(self, monkeypatch):
+        original = eliminator.good_candidates
+        monkeypatch.setattr(eliminator, "good_candidates", lambda p, r: original(p, r)[:1] * 2)
+        with pytest.raises(EliminationIncompleteError, match="already killed by good"):
+            run_elimination(7, 12)
 
 
 class TestPredict:
