@@ -33,8 +33,8 @@ from padicelim.eliminator import (
     run_elimination,
     theorem_r_values,
 )
-from padicelim.errors import EliminationIncompleteError, PadicElimError
-from padicelim.exactnum import as_rational, is_prime
+from padicelim.errors import EliminationIncompleteError, MalformedInputError, PadicElimError
+from padicelim.exactnum import as_rational, check_prime, is_prime
 from padicelim.lambda_solver import solve_lambda, verify_lambda
 from padicelim.verify import VERIFIERS
 
@@ -131,7 +131,7 @@ def _job_count(requested: int | None) -> int:
         try:
             requested = _positive_int(os.environ.get("PADICELIM_JOBS", "1"))
         except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"PADICELIM_JOBS: {exc}") from None
+            raise MalformedInputError(f"PADICELIM_JOBS: {exc}") from None
     return min(requested, os.cpu_count() or 1)
 
 
@@ -145,7 +145,8 @@ def _predict_item(args: tuple[int, int]) -> dict:
 def _cmd_verify(ns: argparse.Namespace) -> int:
     verifier = VERIFIERS[ns.lemma]
     if ns.p:
-        result = verifier(primes=tuple(ns.p))
+        # the lemmas are stated for primes p >= 5; a smaller p would pass vacuously
+        result = verifier(primes=tuple(check_prime(p, minimum=5) for p in ns.p))
     else:
         result = verifier()
     if ns.emit == "json":
@@ -273,7 +274,7 @@ def _add_emit(parser: argparse.ArgumentParser, formats=("table", "json", "tsv"))
     parser.add_argument("--emit", choices=formats, default="table", help="output format")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padicelim",
         description="Exact p-adic congruence audits and sub-quotient elimination traces.",
@@ -348,7 +349,7 @@ def _merge_signed_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_signed_flags(list(argv))
@@ -362,9 +363,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except PadicElimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -41,7 +41,9 @@ These thresholds are the package's single integrality axiom pair (the
 external lattice criteria are not re-proved here); the audits re-derive
 every divisibility fact they rely on by exact arithmetic instead of
 assuming it.  A term that misses its bound fails the audit with one line
-naming its row (line, a, j).
+naming its row (line, a, j).  The statuses are not stored: an audit returns
+its failures and the line-2 slack table that the kill trace records, and
+``_status`` gives any term its status again on demand.
 
 Three audits package the three elimination arguments: ``audit_good`` (one
 congruence at an n with vFall = 0, generator at degree n - b - 1),
@@ -85,7 +87,6 @@ from padicelim.exactnum import (
 __all__ = [
     "CongruenceParams",
     "CongruenceTerm",
-    "TermDisposition",
     "KillAudit",
     "fall_valuation",
     "make_params",
@@ -326,16 +327,9 @@ DEAD = "dead"
 DEEPER = "deeper-integral"
 BELOW = "below-range"
 GENERATOR = "generator"
-ZERO = "zero"
 RESIDUAL = "residual"
 # the slack each status needs, as failure text
 _NEEDS = {DEAD: "> 0", GENERATOR: "0 with a unit residue", RESIDUAL: ">= 0", DEEPER: ">= 0", BELOW: ">= 0"}
-
-
-@dataclass(frozen=True)
-class TermDisposition:
-    term: CongruenceTerm
-    status: str
 
 
 @dataclass(frozen=True)
@@ -344,105 +338,78 @@ class KillAudit:
 
     ``witness_n`` holds the degree(s) n the congruence was instantiated at:
     one entry for the single-congruence methods, two for the two-phase one,
-    whose ``phases`` hold the audit of each congruence and whose
-    ``failures`` are those of both.  A passing audit has no failures.
+    whose ``failures`` are those of both congruences.  ``slack_table`` pairs
+    each line-2 degree (the z^j 1_{pZp} family) with its slack text, as the
+    kill trace records it.  A passing audit has no failures.
     """
 
     method: str
-    p: int
-    r: int
-    vL: Fraction
     witness_n: tuple[int, ...]
     target_j: int
     target_i: int
-    dispositions: tuple[TermDisposition, ...]
-    generator: CongruenceTerm | None
-    notes: tuple[str, ...]
+    slack_table: tuple[tuple[int, str], ...]
     failures: tuple[str, ...]
-    phases: tuple["KillAudit", ...] = ()
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def slack_table(self) -> tuple[tuple[int, str], ...]:
-        """Degree -> slack for the line-2 terms (the z^j 1_{pZp} family)."""
-        return tuple(
-            (d.term.j, d.term.slack_text) for d in self.dispositions if d.term.line == 2
-        )
 
-
-def _classify(
-    params: CongruenceParams,
-    terms: tuple[CongruenceTerm, ...],
+def _status(
+    term: CongruenceTerm,
     target_j: int,
+    ceil_half: int,
     residual_degrees: frozenset[int],
     must_die: frozenset[int],
-) -> tuple[tuple[TermDisposition, ...], CongruenceTerm | None, list[str]]:
-    """Give each term its status, then check the slack that status needs."""
-    ceil_half, p = params.ceil_half_r, params.p
-    dispositions: list[TermDisposition] = []
-    generator: CongruenceTerm | None = None
-    failures: list[str] = []
-    for term in terms:
-        j, slack = term.j, term.slack
-        if slack is None:
-            dispositions.append(TermDisposition(term, ZERO))
-            continue
-        if j in must_die:
-            status = DEAD
-        elif j > target_j:
-            status = RESIDUAL if j in residual_degrees else DEAD
-        elif j == target_j:
-            status = GENERATOR if term.line == 2 else DEAD
-        else:
-            status = DEEPER if j >= ceil_half else BELOW
-
-        if status == DEAD:
-            ok = slack > 0
-        elif status == GENERATOR:
-            ok = slack == 0 and term.unit_residue % p != 0
-        else:
-            ok = slack >= 0
-        if not ok:
-            failures.append(
-                f"term (line {term.line}, a={term.a}, j={j}) has slack {term.slack_text}, "
-                f"needs {_NEEDS[status]} ({status})"
-            )
-            continue
-        if status == GENERATOR:
-            generator = term
-        dispositions.append(TermDisposition(term, status))
-
-    if generator is None:
-        failures.append(f"no generator found at degree {target_j}")
-    return tuple(dispositions), generator, failures
+) -> str:
+    """The status of a non-zero term in an audit aimed at degree ``target_j``."""
+    j = term.j
+    if j in must_die:
+        return DEAD
+    if j > target_j:
+        return RESIDUAL if j in residual_degrees else DEAD
+    if j == target_j:
+        return GENERATOR if term.line == 2 else DEAD
+    return DEEPER if j >= ceil_half else BELOW
 
 
 def _audit(
     method: str,
     params: CongruenceParams,
     target_j: int,
-    notes: Sequence[str],
     failures: Sequence[str] = (),
     residual_degrees: frozenset[int] = frozenset(),
     must_die: frozenset[int] = frozenset(),
 ) -> KillAudit:
     """Audit one congruence against ``target_j``; the method's own ``failures`` follow the terms'."""
-    dispositions, generator, term_failures = _classify(
-        params, master_terms(params), target_j, residual_degrees, must_die
-    )
+    terms = master_terms(params)
+    term_failures = []
+    generator = False
+    for term in terms:
+        slack = term.slack
+        if slack is None:
+            continue
+        status = _status(term, target_j, params.ceil_half_r, residual_degrees, must_die)
+        if status == DEAD:
+            ok = slack > 0
+        elif status == GENERATOR:
+            # line 2 has one term per degree, so this branch runs at most once
+            ok = generator = slack == 0 and term.unit_residue % params.p != 0
+        else:
+            ok = slack >= 0
+        if not ok:
+            term_failures.append(
+                f"term (line {term.line}, a={term.a}, j={term.j}) has slack {term.slack_text}, "
+                f"needs {_NEEDS[status]} ({status})"
+            )
+    if not generator:
+        term_failures.append(f"no generator found at degree {target_j}")
     return KillAudit(
         method=method,
-        p=params.p,
-        r=params.r,
-        vL=params.vL,
         witness_n=(params.n,),
         target_j=target_j,
         target_i=params.r - target_j,
-        dispositions=dispositions,
-        generator=generator,
-        notes=tuple(notes),
+        slack_table=tuple((t.j, t.slack_text) for t in terms if t.line == 2),
         failures=tuple(term_failures) + tuple(failures),
     )
 
@@ -454,10 +421,7 @@ def audit_good(p: int, r: int, n: int, vL: Fraction | int | str) -> KillAudit:
         raise NotGoodCandidateError(
             f"v_p([{n}]_{params.b + 1}) = {params.v_fall} != 0: n is not a good candidate"
         )
-    notes = [
-        f"v_p(C({n}, {params.b + 1})) = {vp_int(binom(n, params.b + 1), p)} (unit binomial at the target)",
-    ]
-    return _audit("good", params, n - params.b - 1, notes)
+    return _audit("good", params, n - params.b - 1)
 
 
 def audit_bad(p: int, r: int, vL: Fraction | int | str) -> KillAudit:
@@ -469,21 +433,12 @@ def audit_bad(p: int, r: int, vL: Fraction | int | str) -> KillAudit:
     params = make_params(p, r, n, vL, mode="strict")
     if params.v_fall != 1 or params.b != 2:
         raise AssertionError(f"n = {n} needs vFall = 1 and b = 2, got {params.v_fall} and {params.b}")
-    notes = [
-        f"v_p(C({n}, 3)) = {vp_int(binom(n, 3), p)} (target binomial contributes exactly one p)",
-    ]
     failures = []
-    if r == 2 * p + 4:
-        # only here does degree p + 1 enter the window, as its below-range
-        # edge; the Stirling values at t = p vanish mod p and rescue it
-        notes.append(
-            f"stirling rescue at j = p + 1: {{p brace {params.b}}} = {stirling2(p, params.b)} "
-            f"= {stirling2(p, params.b) % p} mod p, "
-            f"{{p brace {params.b + 1}}} = {stirling2(p, params.b + 1) % p} mod p"
-        )
-        if stirling2(p, params.b) % p != 0 or stirling2(p, params.b + 1) % p != 0:
-            failures.append(f"stirling rescue fails at j = {p + 1}")
-    return _audit("bad", params, 2 * p - 2, notes, failures)
+    # only at r = 2p + 4 does degree p + 1 enter the window, as its
+    # below-range edge; the Stirling values at t = p vanish mod p and rescue it
+    if r == 2 * p + 4 and (stirling2(p, params.b) % p != 0 or stirling2(p, params.b + 1) % p != 0):
+        failures.append(f"stirling rescue fails at j = {p + 1}")
+    return _audit("bad", params, 2 * p - 2, failures)
 
 
 def audit_ugly(p: int, r: int, vL: Fraction | int | str, c: int) -> KillAudit:
@@ -511,38 +466,19 @@ def audit_ugly(p: int, r: int, vL: Fraction | int | str, c: int) -> KillAudit:
     params1 = make_params(p, r, n1, vL, mode="strict")
     if params1.v_fall != 1 or params1.b != c:
         raise AssertionError(f"n = {n1} needs vFall = 1 and b = {c}, got {params1.v_fall} and {params1.b}")
-    phase1 = _audit(
-        "ugly-phase1", params1, c * p - 1,
-        [f"v_p(C({n1}, {c + 1})) = {vp_int(binom(n1, c + 1), p)} = vFall"],
-        residual_degrees=frozenset({c * p}),
-    )
+    phase1 = _audit("ugly-phase1", params1, c * p - 1, residual_degrees=frozenset({c * p}))
 
     n2 = c * p + c + 1
     params2 = make_params(p, r, n2, vL, mode="strict")
     if params2.v_fall != 0 or params2.b != c:
         raise AssertionError(f"n = {n2} needs vFall = 0 and b = {c}, got {params2.v_fall} and {params2.b}")
-    below_binom = binom(n2, c * p - 1)
-    notes2 = [
-        f"p | C({n2}, {c * p - 1}): v_p = {vp_int(below_binom, p) if below_binom else 'inf'}",
-    ]
     failures2 = []
-    if below_binom % p != 0:
+    if binom(n2, c * p - 1) % p != 0:
         failures2.append(f"C({n2}, {c * p - 1}) is a p-unit; residual certificate fails")
-    phase2 = _audit(
-        "ugly-phase2", params2, c * p, notes2, failures2, must_die=frozenset({c * p - 1})
-    )
+    phase2 = _audit("ugly-phase2", params2, c * p, failures2, must_die=frozenset({c * p - 1}))
 
-    residuals = sum(d.status == RESIDUAL for d in phase1.dispositions)
     return replace(
-        phase1,
-        method="ugly",
-        witness_n=(n1, n2),
-        notes=(
-            f"residual family at degree {c * p}: {residuals} integral term(s), "
-            f"discharged by the phase-two certificate",
-        ),
-        failures=phase1.failures + phase2.failures,
-        phases=(phase1, phase2),
+        phase1, method="ugly", witness_n=(n1, n2), failures=phase1.failures + phase2.failures
     )
 
 

@@ -224,7 +224,7 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
             raise EliminationIncompleteError(
                 f"{audit.method} audit failed at n = {witness}: " + "; ".join(audit.failures)
             )
-        record(audit.target_i, audit.method, audit.witness_n, audit.slack_table())
+        record(audit.target_i, audit.method, audit.witness_n, audit.slack_table)
 
     for i in range(half + 1, r + 1):
         record(i, "trivial")

@@ -1,17 +1,16 @@
 """Shared exception hierarchy.
 
-Every violated hypothesis gets its own class so callers (and the CLI exit
-code mapping) can tell invalid input apart from a failed verification.
-InvalidPrimeError lives in exactnum but is re-exported here.
+Every violated hypothesis and every malformed input gets its own subclass of
+PadicElimError, so callers can tell invalid input apart from a failed
+verification: the CLI exits 1 on EliminationIncompleteError and 2 on any
+other PadicElimError.  Any other exception is a bug and is not caught.  The
+module imports nothing, so exactnum can take InvalidPrimeError from here.
 """
-
-from __future__ import annotations
-
-from padicelim.exactnum import InvalidPrimeError
 
 __all__ = [
     "PadicElimError",
     "InvalidPrimeError",
+    "MalformedInputError",
     "WindowError",
     "DigitError",
     "VLBoundError",
@@ -26,6 +25,14 @@ __all__ = [
 
 class PadicElimError(ValueError):
     """Base class for all parameter/hypothesis violations in this package."""
+
+
+class InvalidPrimeError(PadicElimError):
+    """An argument that must be prime (and at least a stated minimum) is not."""
+
+
+class MalformedInputError(PadicElimError):
+    """Text from the command line or the environment does not parse as its value."""
 
 
 class WindowError(PadicElimError):

@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
+from padicelim.errors import InvalidPrimeError, MalformedInputError
+
 Rational = Fraction
 
 __all__ = [
@@ -34,10 +36,6 @@ __all__ = [
     "rational_mod",
     "as_rational",
 ]
-
-
-class InvalidPrimeError(ValueError):
-    """Raised when an argument that must be prime is not."""
 
 
 @lru_cache(maxsize=None)
@@ -261,13 +259,21 @@ def rational_mod(q: Fraction | int, modulus: int) -> int:
 
 
 def as_rational(text: str | int | Fraction) -> Fraction:
-    """Parse an exact rational literal ("a/b" or "a"); no decimals."""
+    """Parse an exact rational literal ("a/b" or "a"); no decimals.
+
+    Text that is not such a literal raises MalformedInputError.
+    """
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
     text = text.strip()
-    if "." in text or "e" in text.lower():
-        raise ValueError(f"rational literal expected (got {text!r}); decimals are not accepted")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"rational literal {text!r} has a zero denominator") from None
+        raise MalformedInputError(f"rational literal {text!r} has a zero denominator") from None
+    except ValueError:
+        raise MalformedInputError(f"rational literal expected (got {text!r})") from None
+    if "." in text or "e" in text.lower():
+        raise MalformedInputError(
+            f"rational literal expected (got {text!r}); decimals are not accepted"
+        )
+    return value

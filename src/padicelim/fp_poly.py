@@ -70,10 +70,6 @@ class HPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def min_x_degree(self) -> int:
         for j, c in enumerate(self.coeffs):
             if c:
@@ -85,15 +81,6 @@ class HPoly:
         if not (0 <= x_power <= self.degree):
             return 0
         return self.coeffs[x_power]
-
-    def __add__(self, other: "HPoly") -> "HPoly":
-        self._compat(other)
-        if other.degree != self.degree:
-            raise ValueError("cannot add homogeneous polynomials of different degree")
-        return HPoly(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "HPoly") -> "HPoly":
-        return self + (-other)
 
     def __neg__(self) -> "HPoly":
         return HPoly(self.p, tuple(-c for c in self.coeffs))
@@ -119,9 +106,6 @@ class HPoly:
         for _ in range(e):
             out = out * self
         return out
-
-    def mul_x(self, k: int = 1) -> "HPoly":
-        return HPoly(self.p, (0,) * k + self.coeffs)
 
     def mul_y(self, k: int = 1) -> "HPoly":
         return HPoly(self.p, self.coeffs + (0,) * k)

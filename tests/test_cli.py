@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, formats, round trips, determinism."""
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -70,6 +71,12 @@ class TestEliminate:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "zero denominator" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("vl", ["abc", "one"])
+    def test_garbage_vl_exits_2_with_one_line(self, capsys, vl):
+        code, out, err = run_cli(capsys, "eliminate", "--p", "5", "--r", "8", "--vL", vl)
+        assert code == 2 and out == ""
+        assert err == f"error: rational literal expected (got '{vl}')\n"
+
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "eliminate", "--p", "5", "--r", "11")
         assert code == 2
@@ -94,6 +101,21 @@ class TestVerify:
     def test_unknown_lemma_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "everything")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [lemma, "--p", p]
+            for lemma in ("lambda", "star", "inequalities", "vl-independence")
+            for p in ("1", "0")
+        ]
+        + [["lucas2", "--p", "0"], ["inequalities", "--p", "2"], ["star", "--p", "5", "--p", "9"]],
+    )
+    def test_verify_rejects_p_not_a_prime_at_least_5(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: p = ") and err.endswith("is not a prime >= 5\n")
+        assert err.count("\n") == 1
 
 
 class TestLambdaCommand:
@@ -225,6 +247,14 @@ class TestSweep:
 
 
 class TestUsage:
+    def test_internal_value_error_is_not_mapped_to_exit_2(self, capsys, monkeypatch):
+        def broken(p, r):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "predict", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["predict", "--p", "7", "--r", "10"])
+
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 
@@ -241,6 +271,33 @@ class TestInvariantsUnderOptimization:
             if isinstance(node, ast.Assert)
         ]
         assert found == []
+
+    def test_all_lists_exactly_the_public_definitions(self):
+        problems = []
+        for path in sorted(PACKAGE_DIR.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            assigned = {
+                t.id for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)
+            }
+            if "__all__" not in assigned:
+                continue
+            module = importlib.import_module(
+                "padicelim" if path.stem == "__init__" else f"padicelim.{path.stem}"
+            )
+            listed = set(module.__all__)
+            problems += [
+                f"{path.name}: {name} is listed but undefined"
+                for name in sorted(listed)
+                if not hasattr(module, name)
+            ]
+            public = {
+                node.name
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            }
+            problems += [f"{path.name}: {name} is public but unlisted" for name in sorted(public - listed)]
+        assert problems == []
 
     def test_predict_under_python_O(self):
         env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}

@@ -17,7 +17,6 @@ from padicelim.congruence import (
     DEEPER,
     GENERATOR,
     RESIDUAL,
-    ZERO,
     audit_bad,
     audit_good,
     audit_ugly,
@@ -213,11 +212,33 @@ class TestMasterTerms:
                 assert t.coeff == 0 and t.slack is None
 
 
+def _statuses(params, target_j, residual=(), must_die=()):
+    """(line, a, j) -> status of each non-zero term of the congruence ``params``."""
+    return {
+        (t.line, t.a, t.j): congruence._status(
+            t, target_j, params.ceil_half_r, frozenset(residual), frozenset(must_die)
+        )
+        for t in master_terms(params)
+        if t.slack is not None
+    }
+
+
+def _terms(params):
+    return {(t.line, t.a, t.j): t for t in master_terms(params)}
+
+
+def _line2_slacks(params):
+    return tuple((t.j, t.slack_text) for t in master_terms(params) if t.line == 2)
+
+
 class TestAuditGood:
     def test_kills_i3_via_n7(self):
         audit = audit_good(5, 8, 7, -5)
         assert audit.passed and audit.target_j == 5 and audit.target_i == 3
-        assert audit.generator is not None and audit.generator.slack == 0
+        params = make_params(5, 8, 7, -5)
+        assert _statuses(params, audit.target_j)[(2, 0, 5)] == GENERATOR
+        assert _terms(params)[(2, 0, 5)].slack == 0
+        assert audit.slack_table == _line2_slacks(params)
 
     def test_kills_i2_via_n8(self):
         audit = audit_good(5, 8, 8, -5)
@@ -228,8 +249,7 @@ class TestAuditGood:
             audit_good(5, 8, 6, -5)
 
     def test_disposition_statuses(self):
-        audit = audit_good(5, 8, 7, -5)
-        statuses = {(d.term.line, d.term.a, d.term.j): d.status for d in audit.dispositions}
+        statuses = _statuses(make_params(5, 8, 7, -5), audit_good(5, 8, 7, -5).target_j)
         assert statuses[(2, 0, 5)] == GENERATOR
         assert statuses[(2, 0, 6)] == DEAD
         assert statuses[(2, 0, 4)] == DEEPER
@@ -242,14 +262,19 @@ class TestAuditBad:
         audit = audit_bad(5, 14, -8)
         assert audit.passed
         assert audit.witness_n == (11,) and audit.target_j == 8 and audit.target_i == 6
-        assert audit.generator.slack == 0 and audit.generator.unit_residue % 5 != 0
+        params = make_params(5, 14, 11, -8)
+        assert _statuses(params, audit.target_j)[(2, 0, 8)] == GENERATOR
+        generator = _terms(params)[(2, 0, 8)]
+        assert generator.slack == 0 and generator.unit_residue % 5 != 0
 
-    def test_rescue_note_at_r_2p_plus_4(self):
-        audit = audit_bad(5, 14, -8)
-        assert any("stirling rescue" in note for note in audit.notes)
+    def test_rescue_note_at_r_2p_plus_4(self, monkeypatch):
         # the j = p + 1 = 6 term is the below-range edge at r = 2p + 4
-        statuses = {(d.term.line, d.term.a, d.term.j): d.status for d in audit.dispositions}
-        assert statuses[(2, 0, 6)] in (BELOW, ZERO)
+        assert _statuses(make_params(5, 14, 11, -8), 8)[(2, 0, 6)] == BELOW
+        assert audit_bad(5, 14, -8).passed  # builds the (5, 11) term table
+        # {5 brace 2} = 15 vanishes mod p; a unit in its place breaks the rescue
+        stirling2 = congruence.stirling2
+        monkeypatch.setattr(congruence, "stirling2", lambda t, s: 16 if (t, s) == (5, 2) else stirling2(t, s))
+        assert audit_bad(5, 14, -8).failures == ("stirling rescue fails at j = 6",)
 
     def test_range_check(self):
         with pytest.raises(InvalidRangeError):
@@ -267,23 +292,31 @@ class TestAuditUgly:
         audit = audit_ugly(5, 8, -5, 1)
         assert audit.passed
         assert audit.witness_n == (6, 7) and audit.target_j == 4 and audit.target_i == 4
-        residuals = [d for d in audit.dispositions if d.status == RESIDUAL]
-        # one line-1 term (a = 1) and one line-2 term at degree cp = 5
-        assert {(d.term.line, d.term.j) for d in residuals} == {(1, 5), (2, 5)}
+        # phase one: n = cp + c = 6 leaves a residual family at degree cp = 5
+        params1 = make_params(5, 8, 6, -5)
+        statuses = _statuses(params1, audit.target_j, residual=(5,))
+        # one line-1 term (a = 1) and one line-2 term
+        assert {(line, j) for (line, _a, j), s in statuses.items() if s == RESIDUAL} == {(1, 5), (2, 5)}
+        assert audit.slack_table == _line2_slacks(params1)
 
     def test_p5_r14_c2(self):
         audit = audit_ugly(5, 14, -8, 2)
         assert audit.passed and audit.target_i == 5 and audit.witness_n == (12, 13)
-        residuals = [d for d in audit.dispositions if d.status == RESIDUAL]
-        assert len(residuals) == 3  # a = 0, 1, 2 at degree cp = 10
+        statuses = _statuses(make_params(5, 14, 12, -8), audit.target_j, residual=(10,))
+        assert list(statuses.values()).count(RESIDUAL) == 3  # a = 0, 1, 2 at degree cp = 10
 
-    def test_phase2_forces_cp_minus_1_dead(self):
-        audit = audit_ugly(5, 8, -5, 1)
-        phase2 = audit.phases[1]
-        assert phase2.target_j == 5
-        statuses = {(d.term.line, d.term.a, d.term.j): d.status for d in phase2.dispositions}
-        assert statuses[(2, 0, 4)] == DEAD  # C(7, 4) = 35 supplies the p
-        assert any("p | C(7, 4)" in note for note in phase2.notes)
+    def test_phase2_forces_cp_minus_1_dead(self, monkeypatch):
+        # phase two: n = cp + c + 1 = 7, target cp = 5, degree cp - 1 = 4 forced dead
+        assert _statuses(make_params(5, 8, 7, -5), 5, must_die=(4,))[(2, 0, 4)] == DEAD
+        assert audit_ugly(5, 8, -5, 1).passed  # builds the (5, 6) and (5, 7) term tables
+        with monkeypatch.context() as m:
+            _mutated_master_terms(m, 7, (2, 0, 4), slack=0)
+            failures = audit_ugly(5, 8, -5, 1).failures
+        assert failures == ("term (line 2, a=0, j=4) has slack 0, needs > 0 (dead)",)
+        # C(7, 4) = 35 supplies the p; a unit in its place breaks the certificate
+        binom = congruence.binom
+        monkeypatch.setattr(congruence, "binom", lambda n, k: 1 if (n, k) == (7, 4) else binom(n, k))
+        assert audit_ugly(5, 8, -5, 1).failures == ("C(7, 4) is a p-unit; residual certificate fails",)
 
     def test_errors(self):
         with pytest.raises(VLBoundError):
@@ -396,8 +429,8 @@ class TestInequalities:
 _FORBIDDEN_SLACK = {DEAD: 0, GENERATOR: 1, RESIDUAL: -1, DEEPER: -1, BELOW: -1}
 
 
-def _mutated_master_terms(monkeypatch, n, key, slack):
-    """Make master_terms give the (line, a, j) term of the degree-n congruence ``slack``."""
+def _mutated_master_terms(monkeypatch, n, key, **changes):
+    """Make master_terms apply ``changes`` to the (line, a, j) term of the degree-n congruence."""
     original = congruence.master_terms
 
     def mutated(params):
@@ -405,7 +438,7 @@ def _mutated_master_terms(monkeypatch, n, key, slack):
         if params.n != n:
             return terms
         return tuple(
-            dataclasses.replace(t, slack=slack) if (t.line, t.a, t.j) == key else t
+            dataclasses.replace(t, **changes) if (t.line, t.a, t.j) == key else t
             for t in terms
         )
 
@@ -415,30 +448,37 @@ def _mutated_master_terms(monkeypatch, n, key, slack):
 class TestAuditFailurePaths:
     """Every non-zero term of a passing audit, given a slack its status forbids, fails it."""
 
+    # each audit's (p, r, vL), and its congruences as
+    # (n, target j, residual degrees, must-die degrees)
     AUDITS = {
-        "good": lambda: audit_good(7, 12, 11, -7),
-        "bad": lambda: audit_bad(7, 18, -10),
-        "ugly": lambda: audit_ugly(7, 12, -7, 1),
+        "good": (lambda: audit_good(7, 12, 11, -7), (7, 12, -7), [(11, 9, (), ())]),
+        "bad": (lambda: audit_bad(7, 18, -10), (7, 18, -10), [(15, 12, (), ())]),
+        "ugly": (
+            lambda: audit_ugly(7, 12, -7, 1), (7, 12, -7), [(8, 6, (7,), ()), (9, 7, (), (6,))]
+        ),
     }
 
     @pytest.mark.parametrize("method", sorted(AUDITS))
     def test_forbidden_slack_fails_with_term_row(self, monkeypatch, method):
-        run = self.AUDITS[method]
-        audit = run()
-        assert audit.passed
-        phases = audit.phases or (audit,)
+        run, (p, r, vL), phases = self.AUDITS[method]
+        assert run().passed
         mutated = 0
-        for phase in phases:
-            (n,) = phase.witness_n
-            for d in phase.dispositions:
-                if d.status == ZERO:
-                    continue
-                key = (d.term.line, d.term.a, d.term.j)
+        for n, target_j, residual, must_die in phases:
+            statuses = _statuses(make_params(p, r, n, vL), target_j, residual, must_die)
+            for key, status in statuses.items():
                 with monkeypatch.context() as m:
-                    _mutated_master_terms(m, n, key, _FORBIDDEN_SLACK[d.status])
+                    _mutated_master_terms(m, n, key, slack=_FORBIDDEN_SLACK[status])
                     failed = run()
                 row = f"term (line {key[0]}, a={key[1]}, j={key[2]})"
                 assert not failed.passed, (n, key)
                 assert any(f.startswith(row) for f in failed.failures), (n, key, failed.failures)
                 mutated += 1
         assert mutated >= 10
+
+    def test_generator_needs_a_unit_residue(self, monkeypatch):
+        # the generator of audit_good(5, 8, 7, -5) keeps slack 0, its residue becomes 0 mod p
+        _mutated_master_terms(monkeypatch, 7, (2, 0, 5), unit_residue=5)
+        assert audit_good(5, 8, 7, -5).failures == (
+            "term (line 2, a=0, j=5) has slack 0, needs 0 with a unit residue (generator)",
+            "no generator found at degree 5",
+        )
