@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from padicelim.congruence import make_params, master_terms
@@ -33,7 +32,12 @@ from padicelim.eliminator import (
     run_elimination,
     theorem_r_values,
 )
-from padicelim.errors import EliminationIncompleteError, MalformedInputError, PadicElimError
+from padicelim.errors import (
+    EliminationIncompleteError,
+    InvalidRangeError,
+    MalformedInputError,
+    PadicElimError,
+)
 from padicelim.exactnum import as_rational, check_prime, is_prime
 from padicelim.lambda_solver import solve_lambda, verify_lambda
 from padicelim.verify import VERIFIERS
@@ -256,10 +260,12 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             r_values = tuple(r for r in r_values if r_lo <= r <= r_hi)
         work.extend((p, r) for r in r_values)
     if not work:
-        print("sweep range is empty", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidRangeError("sweep range is empty")
     jobs = _job_count(ns.jobs)
     if jobs > 1:
+        # import here: a pool is only needed for a parallel sweep
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             dicts = list(pool.map(_predict_item, work))
     else:

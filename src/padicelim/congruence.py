@@ -25,7 +25,10 @@ v_p(C) - vFall, an integer (None when C vanishes).  Neither C nor the slack
 depends on r, so the terms of one (p, n) are built once, as a table over
 every degree j an admissible r can ask for; :func:`master_terms` slices it
 at ceil(r/2), and a term derives its total valuation from r on demand.  The
-tables of one prime are kept and dropped when the prime changes.
+tables of one prime are kept and dropped when the prime changes.  On line 1
+the factor (-1)^a C(eps, a)/a is a p-unit (a <= eps < p), so every a shares
+the slack of its column j: the table values each column once and derives
+each a's coefficient and unit residue from it.
 
 An audit instantiates the congruence at one n, aims at a target degree j*,
 gives each non-zero term a status and checks the one slack bound that the
@@ -40,10 +43,12 @@ status needs:
 These thresholds are the package's single integrality axiom pair (the
 external lattice criteria are not re-proved here); the audits re-derive
 every divisibility fact they rely on by exact arithmetic instead of
-assuming it.  A term that misses its bound fails the audit with one line
-naming its row (line, a, j).  The statuses are not stored: an audit returns
-its failures and the line-2 slack table that the kill trace records, and
-``_status`` gives any term its status again on demand.
+assuming it.  A positive slack meets every bound but the generator's, so an
+audit examines only the non-zero terms with slack <= 0 and the line-2 term
+at j*, in table order.  A term that misses its bound fails the audit with
+one line naming its row (line, a, j).  The statuses are not stored: an audit
+returns its failures and the line-2 slack table that the kill trace records,
+and ``_status`` gives any term its status again on demand.
 
 Three audits package the three elimination arguments: ``audit_good`` (one
 congruence at an n with vFall = 0, generator at degree n - b - 1),
@@ -283,16 +288,26 @@ def _build_table(p: int, n: int) -> TermTable:
     b, eps = divmod(n, p)
     v_fall = fall_valuation(p, n)
     j0 = (max(p, n) + 1) // 2
+    modulus = p * p
     prefactor = binom((b + 1) * p, n + 1) * (n + 1) * math.factorial(b)
+    # a line-1 coefficient is column(j) * (-1)^a C(eps, a) / a, and the
+    # a-factor is a p-unit (a <= eps < p): one valuation per column
+    columns = []
+    for j in range(j0, n):
+        sign = -1 if (j + b + 1) % 2 else 1
+        column = binom(n, j) * sign * prefactor * stirling2(n - j, b)
+        columns.append(_build_term(p, v_fall, 0, 1, j, column))
     rows: list[tuple[CongruenceTerm, ...]] = []
     for a in range(1, eps + 1):
-        base = binom(eps, a) * prefactor
-        row = []
-        for j in range(j0, n):
-            sign = -1 if (a + j + b + 1) % 2 else 1
-            coeff = Fraction(binom(n, j) * sign * base * stirling2(n - j, b), a)
-            row.append(_build_term(p, v_fall, a, 1, j, coeff))
-        rows.append(tuple(row))
+        unit = (-1 if a % 2 else 1) * binom(eps, a)
+        unit_mod = unit * pow(a, -1, modulus) % modulus
+        rows.append(tuple(
+            CongruenceTerm(
+                a=a, line=1, j=col.j, coeff=Fraction(col.coeff * unit, a), slack=col.slack,
+                unit_residue=None if col.slack is None else col.unit_residue * unit_mod % modulus,
+            )
+            for col in columns
+        ))
     consts = _star_constants(p, n, b, eps)
     row = []
     for j in range(j0 - 1, n):
@@ -385,9 +400,11 @@ def _audit(
     terms = master_terms(params)
     term_failures = []
     generator = False
+    # a positive slack meets every bound but the generator's, so only the
+    # other terms can fail
     for term in terms:
         slack = term.slack
-        if slack is None:
+        if slack is None or (slack > 0 and (term.line == 1 or term.j != target_j)):
             continue
         status = _status(term, target_j, params.ceil_half_r, residual_degrees, must_die)
         if status == DEAD:

@@ -26,7 +26,12 @@ r >= i(p+1) - 1) has two halves:
 
 The power-of-X claim in (b) is sometimes phrased as a *largest* power where
 the divisibility argument (theta^i is divisible by X^i) supports *smallest*;
-the check verifies the min-degree statement.
+the check verifies the min-degree statement.  It does not multiply the
+summand out: with k = r - i(p+1) + 1 it computes the coefficients from
+C(k, s) (-lam)^(k-s) and the non-zero entries of theta^i / Y, lowest
+X-degree first, and stops at the first non-zero one.  ``shallow_summand``
+forms the full product; ``verify shallow`` keeps it as the oracle for that
+scan.
 """
 
 from __future__ import annotations
@@ -210,6 +215,27 @@ def shallow_summand(p: int, r: int, i: int, lam: int) -> HPoly:
     return linear_form_power(p, 1, -lam, k) * _theta_power(p, i).div_y()
 
 
+def _summand_min_x(p: int, k: int, entries: list[tuple[int, int]], lam: int) -> int:
+    """The lowest X-degree of (X - lam Y)^k * g, scanned lowest first.
+
+    ``entries`` are the non-zero (t, c_t) of g = sum c_t X^t Y^(deg g - t),
+    lowest t first.  The X^d coefficient is the sum of
+    C(k, d - t) (-lam)^(k - d + t) c_t over d - k <= t <= d; no degree below
+    the lowest t can carry one.
+    """
+    for d in range(entries[0][0], k + entries[-1][0] + 1):
+        total = 0
+        for t, c in entries:
+            s = d - t
+            if s < 0:
+                break
+            if s <= k:
+                total += comb(k, s) * pow(-lam, k - s, p) * c
+        if total % p:
+            return d
+    raise ValueError("min_x_degree undefined on the zero polynomial")
+
+
 def pure_y_defect(p: int, r: int, lam: int) -> int:
     """Coefficient of Y^r after acting with (0 1; 1 -lam) on f = X^(p-1)Y^(r-p+1) - Y^r.
 
@@ -261,10 +287,11 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
     if unit % p == 0:
         failures.append(f"f_{i} has no unit at X^{i - 1}Y^{r - i + 1}")
 
+    # theta^i / Y, the second factor of every summand
+    entries = [(t, c) for t, c in enumerate(_theta_power(p, i).div_y().coeffs) if c]
     min_degrees = []
     for lam in range(p):
-        s = shallow_summand(p, r, i, lam)
-        md = s.min_x_degree()
+        md = _summand_min_x(p, k, entries, lam)
         min_degrees.append((lam, md))
         if md < i:
             failures.append(f"summand at lam = {lam} has X-degree {md} < {i}")

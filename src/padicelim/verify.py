@@ -15,7 +15,7 @@ from fractions import Fraction
 from padicelim.combinat import binom_mod_p2, lucas_mod_p, stirling2, stirling2_def, stirling_lucas_check
 from padicelim.congruence import inequality_suite, make_params, master_terms, star_full, star_mod_p2
 from padicelim.exactnum import INF, ValP, harmonic, rational_mod, vp
-from padicelim.fp_poly import pure_y_defect, shallow_kill_check
+from padicelim.fp_poly import pure_y_defect, shallow_kill_check, shallow_summand
 from padicelim.lambda_solver import lambda_closed, solve_lambda, verify_lambda
 
 __all__ = [
@@ -123,7 +123,11 @@ def verify_lambda_sweep(primes: tuple[int, ...] = (5, 7, 11, 13)) -> VerifyResul
 
 
 def verify_shallow(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
-    """All certificates for i <= r/p, i(p+1)-1 <= r <= p^2-p-1, plus the r = p-1 defect."""
+    """All certificates for i <= r/p, i(p+1)-1 <= r <= p^2-p-1, plus the r = p-1 defect.
+
+    Each summand's lowest X-degree, which the certificate scans lowest
+    first, is checked again against the fully multiplied-out product.
+    """
     res = VerifyResult("shallow", primes)
     for p in primes:
         for r in range(p, p * p - p):
@@ -134,6 +138,13 @@ def verify_shallow(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
                 res.failures.extend(
                     f"p={p}, r={r}, i={i}: {msg}" for msg in report.failures
                 )
+                # the full product is the oracle for the lowest-first scan
+                for lam, md in report.summand_min_x:
+                    full = shallow_summand(p, r, i, lam).min_x_degree()
+                    if full != md:
+                        res.failures.append(
+                            f"p={p}, r={r}, i={i}: scanned X-degree {md} at lam = {lam}, product has {full}"
+                        )
                 res.checked += 1
         defect = pure_y_defect(p, p - 1, 0)
         if defect == 0:

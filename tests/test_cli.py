@@ -176,7 +176,7 @@ class TestSweep:
 
     def test_empty_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--p-range", "5:5", "--r-range", "100:200")
-        assert code == 2 and "empty" in err
+        assert code == 2 and err == "error: sweep range is empty\n"
 
     def test_table_rows_and_footer(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--p-range", "5:7")
@@ -298,6 +298,14 @@ class TestInvariantsUnderOptimization:
             }
             problems += [f"{path.name}: {name} is public but unlisted" for name in sorted(public - listed)]
         assert problems == []
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+        code = "import sys, padicelim.cli; print('concurrent.futures' in sys.modules)"
+        argv = [sys.executable, "-c", code]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     def test_predict_under_python_O(self):
         env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}

@@ -177,6 +177,18 @@ class TestShallowKillCheck:
         for lam in range(1, 5):
             assert pure_y_defect(5, 4, lam) == 0
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_lowest_first_scan_matches_full_product(self, p):
+        checked = 0
+        for r in range(p, p * p - p):
+            for i in range(1, r // p + 1):
+                if r < i * (p + 1) - 1:
+                    continue
+                for lam, md in shallow_kill_check(p, r, i).summand_min_x:
+                    assert md == shallow_summand(p, r, i, lam).min_x_degree(), (r, i, lam)
+                    checked += 1
+        assert checked > 0
+
     def test_small_sweep_p5(self):
         for r in range(5, 20):
             for i in range(1, r // 5 + 1):
