@@ -400,8 +400,8 @@ def _audit(
     terms = master_terms(params)
     term_failures = []
     generator = False
-    # a positive slack meets every bound but the generator's, so only the
-    # other terms can fail
+    # a positive slack meets every bound but the generator's, so only terms
+    # with slack <= 0 and the line-2 term at the target can fail
     for term in terms:
         slack = term.slack
         if slack is None or (slack > 0 and (term.line == 1 or term.j != target_j)):
