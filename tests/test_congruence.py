@@ -199,6 +199,18 @@ class TestMasterTerms:
         master_terms(make_params(7, 18, 15, -10))
         assert {p for p, _n in congruence._TABLES} == {7}
 
+    def test_a_miss_builds_from_the_lowest_degree_to_the_block_end(self):
+        congruence._TABLES.clear()
+        # at p = 7 the lowest admissible degree is 5, and 13 ends its block at 16
+        master_terms(make_params(7, 18, 13, -10))
+        assert sorted(congruence._TABLES) == [(7, m) for m in range(5, 17)]
+        built = dict(congruence._TABLES)
+        master_terms(make_params(7, 14, 9, -8))
+        assert congruence._TABLES == built
+        # the block of 41 would end at 44, past the largest admissible r = 41
+        master_terms(make_params(7, 41, 41, -21))
+        assert sorted(congruence._TABLES) == [(7, m) for m in range(5, 42)]
+
     def test_weak_mode_rejected(self):
         params = make_params(5, 8, 7, -3, mode="weak")
         with pytest.raises(VLBoundError):
