@@ -15,6 +15,7 @@ import padicelim
 from padicelim import cli
 from padicelim.cli import emit_report, main
 from padicelim.eliminator import predict, run_elimination, trace_from_dict
+from padicelim.verify import VerifyResult
 
 PACKAGE_DIR = Path(padicelim.__file__).parent
 
@@ -244,6 +245,66 @@ class TestSweep:
             capsys, "sweep", "--p-range", "5:5", "--emit", "json", "--jobs", "2"
         )
         assert json.loads(serial) == json.loads(parallel)
+
+
+class TestGoldenOutput:
+    """The exact bytes, per stream, and the exit code of the human tables."""
+
+    def test_congruence_table(self, capsys):
+        assert run_cli(capsys, "congruence", "--p", "5", "--r", "8", "--n", "7") == (
+            0,
+            "p = 5  r = 8  n = 7  b = 1  eps = 2  vFall = 0  vL = -9/2  x = 3/2\n"
+            "line   a    j  slack   total  coeff\n"
+            "   1   1    4      2       2  -25200\n"
+            "   1   1    5      1       0  15120\n"
+            "   1   1    6      1      -1  -5040\n"
+            "   1   2    4      2       2  6300\n"
+            "   1   2    5      1       0  -3780\n"
+            "   1   2    6      1      -1  1260\n"
+            "   2   0    3      1       2  20860\n"
+            "   2   0    4      1       1  -21140\n"
+            "   2   0    5      0      -1  12768\n"
+            "   2   0    6      1      -1  -4270\n",
+            "",
+        )
+
+    def test_lambda_table_with_observed_deviations(self, capsys):
+        deviations = [(0, 0), (0, 1)] + [(a, j) for a in (1, 2, 3) for j in range(4)]
+        assert run_cli(capsys, "lambda", "--p", "5", "--b", "0", "--n", "3") == (
+            0,
+            "lambda family for p = 5, b = 0, n = 3\n"
+            "  lambda_0 = -4\n"
+            "  lambda_1 = 15\n"
+            "  lambda_2 = -20\n"
+            "  lambda_3 = 10\n"
+            "  lambda_5 = -1\n"
+            "bullets: 1 True, 2 False (observed), 3 True, 4 True\n"
+            + "".join(f"  observed deviation at (a = {a}, j = {j})\n" for a, j in deviations),
+            "",
+        )
+
+    def test_verify_table(self, capsys):
+        assert run_cli(capsys, "verify", "lucas2", "--p", "5") == (
+            0,
+            "verify lucas2: primes (5,), 325 checks\n"
+            "  observed: p=5: 225 pairs took the digit-formula path\n"
+            "  PASS\n",
+            "",
+        )
+
+    def test_failed_verify_sends_fail_lines_to_stderr_and_exits_1(self, capsys, monkeypatch):
+        def failing(primes=(5, 7)):
+            return VerifyResult("lucas2", primes, 3, ["first wrong", "second wrong"], ["seen"])
+
+        monkeypatch.setitem(cli.VERIFIERS, "lucas2", failing)
+        assert run_cli(capsys, "verify", "lucas2") == (
+            1,
+            "verify lucas2: primes (5, 7), 3 checks\n  observed: seen\n  FAIL\n",
+            "  FAIL: first wrong\n  FAIL: second wrong\n",
+        )
+        code, out, err = run_cli(capsys, "verify", "lucas2", "--p", "5", "--emit", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["failures"] == ["first wrong", "second wrong"]
 
 
 class TestUsage:
