@@ -11,9 +11,10 @@ Subcommands:
     predict          elimination plus the reduction label
     sweep            predictions for every theorem-range (p, r) in a prime range
 
-Exit codes: 0 all checks pass, 1 a verification or audit failed, 2 invalid
-input.  Rationals cross the boundary as exact "a/b" text.  Machine formats
-(json, tsv) never use the unicode omega; the human table may.
+Exit codes: 0 all checks pass, 1 a verification or audit failed (or the
+reader of stdout has gone), 2 invalid input.  Rationals cross the boundary
+as exact "a/b" text.  Machine formats (json, tsv) never use the unicode
+omega; the human table may.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from padicelim.errors import (
 )
 from padicelim.exactnum import as_rational, check_prime, is_prime
 from padicelim.lambda_solver import solve_lambda, verify_lambda
-from padicelim.verify import VERIFIERS
+from padicelim.verify import VERIFIERS, VerifyResult
 
 __all__ = ["main", "emit_report"]
 
@@ -70,36 +71,83 @@ def _trace_rows(trace: KillTrace) -> list[str]:
     return rows
 
 
+def _prediction_rows(res: ReductionResult) -> list[str]:
+    return _trace_rows(res.trace) + [
+        f"prediction: ind ω₂^{res.exponent}  "
+        f"(residue {res.irreducibility_residue} mod p-1 avoids {res.excluded_residues})"
+    ]
+
+
+def _sweep_rows(dicts: list[dict]) -> list[str]:
+    rows = [f"p = {d['p']:>3}  r = {d['r']:>3}  c = {d['c']}  {d['prediction']['label']}" for d in dicts]
+    rows.append(f"{len(dicts)} predictions, all with exponent r + 1")
+    return rows
+
+
+def _verify_rows(res: VerifyResult) -> list[str]:
+    # main sends the FAIL lines to stderr
+    rows = [f"verify {res.name}: primes {res.primes}, {res.checked} checks"]
+    rows += [f"  observed: {note}" for note in res.observations]
+    rows.append(f"  {'PASS' if res.passed else 'FAIL'}")
+    return rows
+
+
+class _LambdaFamily(dict):
+    """The JSON form of ``padicelim lambda``; its type selects its table."""
+
+
+def _lambda_rows(data: _LambdaFamily) -> list[str]:
+    rows = [f"lambda family for p = {data['p']}, b = {data['b']}, n = {data['n']}"]
+    rows += [f"  lambda_{i} = {value}" for i, value in data["entries"].items()]
+    bullets = data["bullets"]
+    rows.append(
+        f"bullets: 1 {bullets['1']}, 2 {bullets['2']} ({bullets['2_mode']}), "
+        f"3 {bullets['3']}, 4 {bullets['4']}"
+    )
+    rows += [f"  observed deviation at (a = {a}, j = {j})" for a, j in bullets["2_deviations"]]
+    return rows
+
+
+class _TermTable(dict):
+    """The JSON form of ``padicelim congruence``; its type selects its table."""
+
+
+def _term_rows(data: _TermTable) -> list[str]:
+    rows = [
+        f"p = {data['p']}  r = {data['r']}  n = {data['n']}  b = {data['b']}  "
+        f"eps = {data['eps']}  vFall = {data['vFall']}  vL = {data['vL']}  x = {data['x']}",
+        f"{'line':>4} {'a':>3} {'j':>4} {'slack':>6} {'total':>7}  coeff",
+    ]
+    rows += [
+        f"{t['line']:>4} {t['a']:>3} {t['j']:>4} {t['slack']:>6} {t['total_val']:>7}  {t['coeff']}"
+        for t in data["terms"]
+    ]
+    return rows
+
+
+# the human table of each output type; a sweep is a list
+_TABLE_ROWS = {
+    KillTrace: _trace_rows, ReductionResult: _prediction_rows, list: _sweep_rows,
+    VerifyResult: _verify_rows, _LambdaFamily: _lambda_rows, _TermTable: _term_rows,
+}
+
+
 def emit_report(obj, fmt: str = "table") -> str:
     """Render one CLI output in one format.
 
-    ``obj`` is a KillTrace, a ReductionResult, a sweep (a list of
-    ``ReductionResult.to_dict()`` forms, as the workers return them) or,
-    for json only, any other object with ``to_dict()`` or plain JSON data.
-    tsv is defined for a prediction and a sweep.
+    ``obj`` is what a subcommand returns: a KillTrace, a ReductionResult, a
+    sweep (a list of ``ReductionResult.to_dict()`` forms, as the workers
+    return them), a VerifyResult, or the JSON form of a lambda family or a
+    term table.  json also takes any object with ``to_dict()`` and plain
+    JSON data; tsv is defined for a prediction and a sweep.
     """
     if fmt == "json":
         data = obj.to_dict() if hasattr(obj, "to_dict") else obj
         return json.dumps(data, indent=2, sort_keys=True)
-    if isinstance(obj, KillTrace):
-        return "\n".join(_trace_rows(obj))
-    if isinstance(obj, ReductionResult):
-        if fmt == "table":
-            rows = _trace_rows(obj.trace)
-            rows.append(
-                f"prediction: ind ω₂^{obj.exponent}  "
-                f"(residue {obj.irreducibility_residue} mod p-1 avoids {obj.excluded_residues})"
-            )
-            return "\n".join(rows)
-        obj = [obj.to_dict()]
     if fmt == "tsv":
-        return "\n".join(["\t".join(_TSV_COLUMNS)] + [_tsv_row(d) for d in obj])
-    rows = [
-        f"p = {d['p']:>3}  r = {d['r']:>3}  c = {d['c']}  {d['prediction']['label']}"
-        for d in obj
-    ]
-    rows.append(f"{len(obj)} predictions, all with exponent r + 1")
-    return "\n".join(rows)
+        dicts = [obj.to_dict()] if isinstance(obj, ReductionResult) else obj
+        return "\n".join(["\t".join(_TSV_COLUMNS)] + [_tsv_row(d) for d in dicts])
+    return "\n".join(_TABLE_ROWS[type(obj)](obj))
 
 
 # ----------------------------- helpers -----------------------------
@@ -144,111 +192,57 @@ def _predict_item(args: tuple[int, int]) -> dict:
     return predict(p, r).to_dict()
 
 
-# ----------------------------- subcommands -----------------------------
+# ------------- subcommands: each returns its output and whether it passed -------------
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> tuple[VerifyResult, bool]:
+    # the lemmas are stated for primes p >= 5; a smaller p would pass vacuously
+    primes = tuple(check_prime(p, minimum=5) for p in ns.p or ())
+    for k, p in enumerate(primes):
+        if p in primes[:k]:
+            raise MalformedInputError(f"p = {p} is repeated")
     verifier = VERIFIERS[ns.lemma]
-    if ns.p:
-        # the lemmas are stated for primes p >= 5; a smaller p would pass vacuously
-        result = verifier(primes=tuple(check_prime(p, minimum=5) for p in ns.p))
-    else:
-        result = verifier()
-    if ns.emit == "json":
-        print(emit_report(result, "json"))
-    else:
-        print(f"verify {result.name}: primes {result.primes}, {result.checked} checks")
-        for note in result.observations:
-            print(f"  observed: {note}")
-        for failure in result.failures:
-            print(f"  FAIL: {failure}", file=sys.stderr)
-        print(f"  {'PASS' if result.passed else 'FAIL'}")
-    return EXIT_OK if result.passed else EXIT_FAILED
+    result = verifier(primes=primes) if primes else verifier()
+    return result, result.passed
 
 
-def _cmd_lambda(ns: argparse.Namespace) -> int:
+def _cmd_lambda(ns: argparse.Namespace) -> tuple[_LambdaFamily, bool]:
     vec = solve_lambda(ns.p, ns.b, ns.n)
     report = verify_lambda(vec)
-    if ns.emit == "json":
-        payload = {
-            "p": vec.p,
-            "b": vec.b,
-            "n": vec.n,
-            "entries": {str(i): vec[i] for i in vec.index_set},
-            "bullets": {
-                "1": report.bullet1,
-                "2": report.bullet2,
-                "2_mode": report.bullet2_mode,
-                "2_deviations": [list(d) for d in report.bullet2_deviations],
-                "3": report.bullet3,
-                "4": report.bullet4,
-            },
-            "passed": report.passed,
-        }
-        print(emit_report(payload, "json"))
-    else:
-        print(f"lambda family for p = {vec.p}, b = {vec.b}, n = {vec.n}")
-        for i in vec.index_set:
-            print(f"  lambda_{i} = {vec[i]}")
-        print(
-            f"bullets: 1 {report.bullet1}, 2 {report.bullet2} ({report.bullet2_mode}), "
-            f"3 {report.bullet3}, 4 {report.bullet4}"
-        )
-        for a, j in report.bullet2_deviations:
-            print(f"  observed deviation at (a = {a}, j = {j})")
-    return EXIT_OK if report.passed else EXIT_FAILED
+    entries = {str(i): vec[i] for i in vec.index_set}
+    bullets = {
+        "1": report.bullet1, "2": report.bullet2, "2_mode": report.bullet2_mode,
+        "2_deviations": [list(d) for d in report.bullet2_deviations],
+        "3": report.bullet3, "4": report.bullet4,
+    }
+    family = _LambdaFamily(p=vec.p, b=vec.b, n=vec.n, entries=entries, bullets=bullets, passed=report.passed)
+    return family, report.passed
 
 
-def _cmd_congruence(ns: argparse.Namespace) -> int:
+def _cmd_congruence(ns: argparse.Namespace) -> tuple[_TermTable, bool]:
     vL = as_rational(ns.vL) if ns.vL is not None else Fraction(-(ns.r + 1), 2)
-    params = make_params(ns.p, ns.r, ns.n, vL, mode="strict")
-    terms = master_terms(params)
-    if ns.emit == "json":
-        payload = {
-            "p": params.p,
-            "r": params.r,
-            "n": params.n,
-            "b": params.b,
-            "eps": params.eps,
-            "vFall": params.v_fall,
-            "vL": str(params.vL),
-            "x": str(params.x),
-            "terms": [
-                {
-                    "line": t.line,
-                    "a": t.a,
-                    "j": t.j,
-                    "coeff": str(t.coeff),
-                    "total_val": str(t.total_val(params.r)),
-                    "slack": t.slack_text,
-                }
-                for t in terms
-            ],
-        }
-        print(emit_report(payload, "json"))
-    else:
-        print(
-            f"p = {params.p}  r = {params.r}  n = {params.n}  b = {params.b}  "
-            f"eps = {params.eps}  vFall = {params.v_fall}  vL = {params.vL}  x = {params.x}"
-        )
-        print(f"{'line':>4} {'a':>3} {'j':>4} {'slack':>6} {'total':>7}  coeff")
-        for t in terms:
-            print(f"{t.line:>4} {t.a:>3} {t.j:>4} {t.slack_text:>6} {str(t.total_val(params.r)):>7}  {t.coeff}")
-    return EXIT_OK
+    params = make_params(ns.p, ns.r, ns.n, vL)
+    terms = [
+        {"line": t.line, "a": t.a, "j": t.j, "coeff": str(t.coeff),
+         "total_val": str(t.total_val(params.r)), "slack": t.slack_text}
+        for t in master_terms(params)
+    ]
+    table = _TermTable(
+        p=params.p, r=params.r, n=params.n, b=params.b, eps=params.eps,
+        vFall=params.v_fall, vL=str(params.vL), x=str(params.x), terms=terms,
+    )
+    return table, True
 
 
-def _cmd_eliminate(ns: argparse.Namespace) -> int:
+def _cmd_eliminate(ns: argparse.Namespace) -> tuple[KillTrace, bool]:
     vL = as_rational(ns.vL) if ns.vL is not None else None
-    trace = run_elimination(ns.p, ns.r, vL)
-    print(emit_report(trace, ns.emit))
-    return EXIT_OK
+    return run_elimination(ns.p, ns.r, vL), True
 
 
-def _cmd_predict(ns: argparse.Namespace) -> int:
-    print(emit_report(predict(ns.p, ns.r), ns.emit))
-    return EXIT_OK
+def _cmd_predict(ns: argparse.Namespace) -> tuple[ReductionResult, bool]:
+    return predict(ns.p, ns.r), True
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> int:
+def _cmd_sweep(ns: argparse.Namespace) -> tuple[list[dict], bool]:
     p_lo, p_hi = ns.p_range
     work: list[tuple[int, int]] = []
     for p in range(max(p_lo, 5), p_hi + 1):
@@ -267,11 +261,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            dicts = list(pool.map(_predict_item, work))
-    else:
-        dicts = [_predict_item(item) for item in work]
-    print(emit_report(dicts, ns.emit))
-    return EXIT_OK
+            return list(pool.map(_predict_item, work)), True
+    return [_predict_item(item) for item in work], True
 
 
 # ----------------------------- parser wiring -----------------------------
@@ -364,13 +355,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return ns.func(ns)
-    except EliminationIncompleteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        result, passed = ns.func(ns)
+        text = emit_report(result, ns.emit)
     except PadicElimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_FAILED if isinstance(exc, EliminationIncompleteError) else EXIT_USAGE
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILED
+    if ns.emit == "table" and isinstance(result, VerifyResult):
+        sys.stderr.write("".join(f"  FAIL: {failure}\n" for failure in result.failures))
+    return EXIT_OK if passed else EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 Fix a prime p >= 5, an exponent r with p <= r <= p^2 - p - 1, a degree n
 with r/2 + b + 1 <= n <= r (b = floor(n/p), eps = n - bp) and a valuation
-vL = v_p(L) with vL < r/2 - n (strict mode) or <= (weak mode).  Writing
-vFall = v_p([n]_{b+1}) and x = r/2 - n - vFall - vL, the congruence
-expresses zero as a sum of locally polynomial terms
+vL = v_p(L) with vL < r/2 - n.  Writing vFall = v_p([n]_{b+1}) and
+x = r/2 - n - vFall - vL, the congruence expresses zero as a sum of locally
+polynomial terms
 
     p^(x + n - j) * C * L * (z - a)^j  on  a + pZ_p,
 
@@ -122,7 +122,6 @@ class CongruenceParams:
     r: int
     n: int
     vL: Fraction
-    mode: str  # "strict" | "weak"
     b: int
     eps: int
     v_fall: int
@@ -138,17 +137,9 @@ def fall_valuation(p: int, n: int) -> int:
     return vp_int(falling_factorial(n, n // p + 1), p)
 
 
-def make_params(
-    p: int, r: int, n: int, vL: Fraction | int | str, mode: str = "strict"
-) -> CongruenceParams:
-    """Validate the hypotheses and compute b, eps, vFall and x.
-
-    Each violated hypothesis raises its own error class: InvalidPrimeError,
-    InvalidRangeError (r), WindowError (n), DigitError (b), VLBoundError.
-    """
+def _check_window(p: int, r: int, n: int) -> tuple[int, int, int]:
+    """Validate p, r and the window of n (the hypotheses without vL); return b, eps and vFall."""
     check_prime(p, minimum=5)
-    if mode not in ("strict", "weak"):
-        raise ValueError(f"mode must be 'strict' or 'weak', got {mode!r}")
     if not (p <= r <= p * p - p - 1):
         raise InvalidRangeError(f"r = {r} outside [{p}, {p * p - p - 1}]")
     if n < 0 or n > r:
@@ -158,19 +149,26 @@ def make_params(
         raise DigitError(f"b = {b} exceeds p - 2 = {p - 2}")
     if 2 * n < r + 2 * b + 2:
         raise WindowError(f"n = {n} violates n >= r/2 + b + 1 = {Fraction(r, 2) + b + 1}")
+    v_fall = fall_valuation(p, n)
+    # consequences of the hypotheses; with vL < r/2 - n they give x > -vFall >= -1
+    if not (v_fall <= 1 and n - v_fall > Fraction(r, 2)):
+        raise AssertionError(f"vFall = {v_fall}: need vFall <= 1 and n - vFall > r/2")
+    return b, eps, v_fall
+
+
+def make_params(p: int, r: int, n: int, vL: Fraction | int | str) -> CongruenceParams:
+    """Validate the hypotheses, vL < r/2 - n among them, and compute b, eps, vFall and x.
+
+    Each violated hypothesis raises its own error class: InvalidPrimeError,
+    InvalidRangeError (r), WindowError (n), DigitError (b), VLBoundError.
+    """
+    b, eps, v_fall = _check_window(p, r, n)
     vL = Fraction(vL)
     bound = Fraction(r, 2) - n
-    if mode == "strict":
-        if not vL < bound:
-            raise VLBoundError(f"strict mode needs vL < r/2 - n = {bound}, got {vL}")
-    elif not vL <= bound:
-        raise VLBoundError(f"weak mode needs vL <= r/2 - n = {bound}, got {vL}")
-    v_fall = fall_valuation(p, n)
+    if not vL < bound:
+        raise VLBoundError(f"strict mode needs vL < r/2 - n = {bound}, got {vL}")
     x = Fraction(r, 2) - n - v_fall - vL
-    # consequences of the hypotheses; cf. the bound x >= -vFall >= -1
-    if not (x >= -v_fall >= -1 and n - v_fall > Fraction(r, 2)):
-        raise AssertionError(f"x = {x}, vFall = {v_fall}: need x >= -vFall >= -1, n - vFall > r/2")
-    return CongruenceParams(p=p, r=r, n=n, vL=vL, mode=mode, b=b, eps=eps, v_fall=v_fall, x=x)
+    return CongruenceParams(p=p, r=r, n=n, vL=vL, b=b, eps=eps, v_fall=v_fall, x=x)
 
 
 # --------------------------------------------------------------------------
@@ -327,8 +325,6 @@ def _build_table(p: int, n: int) -> TermTable:
 
 def master_terms(params: CongruenceParams) -> tuple[CongruenceTerm, ...]:
     """All terms of the congruence, line 1 then line 2, ordered by (a, j)."""
-    if params.mode != "strict":
-        raise VLBoundError("the master congruence requires strict-mode parameters")
     p, n = params.p, params.n
     table = _TABLES.get((p, n))
     if table is None:
@@ -447,7 +443,7 @@ def _audit(
 
 def audit_good(p: int, r: int, n: int, vL: Fraction | int | str) -> KillAudit:
     """Single-congruence kill at an n with vFall = 0: target j* = n - b - 1."""
-    params = make_params(p, r, n, vL, mode="strict")
+    params = make_params(p, r, n, vL)
     if params.v_fall != 0:
         raise NotGoodCandidateError(
             f"v_p([{n}]_{params.b + 1}) = {params.v_fall} != 0: n is not a good candidate"
@@ -461,7 +457,7 @@ def audit_bad(p: int, r: int, vL: Fraction | int | str) -> KillAudit:
     if not (2 * p + 4 <= r <= 3 * p - 1):
         raise InvalidRangeError(f"r = {r} outside [{2 * p + 4}, {3 * p - 1}]")
     n = 2 * p + 1
-    params = make_params(p, r, n, vL, mode="strict")
+    params = make_params(p, r, n, vL)
     if params.v_fall != 1 or params.b != 2:
         raise AssertionError(f"n = {n} needs vFall = 1 and b = 2, got {params.v_fall} and {params.b}")
     failures = []
@@ -494,13 +490,13 @@ def audit_ugly(p: int, r: int, vL: Fraction | int | str, c: int) -> KillAudit:
         )
 
     n1 = c * p + c
-    params1 = make_params(p, r, n1, vL, mode="strict")
+    params1 = make_params(p, r, n1, vL)
     if params1.v_fall != 1 or params1.b != c:
         raise AssertionError(f"n = {n1} needs vFall = 1 and b = {c}, got {params1.v_fall} and {params1.b}")
     phase1 = _audit("ugly-phase1", params1, c * p - 1, residual_degrees=frozenset({c * p}))
 
     n2 = c * p + c + 1
-    params2 = make_params(p, r, n2, vL, mode="strict")
+    params2 = make_params(p, r, n2, vL)
     if params2.v_fall != 0 or params2.b != c:
         raise AssertionError(f"n = {n2} needs vFall = 0 and b = {c}, got {params2.v_fall} and {params2.b}")
     failures2 = []
@@ -580,8 +576,7 @@ def inequality_suite(p: int, r: int, n: int) -> InequalityReport:
     (geometric left side versus affine right side).  Comparisons involving
     r/2 clear the half by doubling exponents and squaring the right side.
     """
-    params = make_params(p, r, n, Fraction(r, 2) - n, mode="weak")
-    b, v_fall = params.b, params.v_fall
+    b, _eps, v_fall = _check_window(p, r, n)
     families: list[FamilyResult] = []
 
     # tail bound for the Taylor expansion near the singular point:

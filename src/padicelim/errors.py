@@ -44,7 +44,7 @@ class DigitError(PadicElimError):
 
 
 class VLBoundError(PadicElimError):
-    """v_p(L) violates the required bound for the chosen mode."""
+    """v_p(L) violates the bound that a congruence or a kill method requires."""
 
 
 class InvalidRangeError(PadicElimError):

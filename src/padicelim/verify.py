@@ -172,7 +172,7 @@ def verify_star(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:
     for p in primes:
         mod2 = p * p
         for r, n, b in _admissible_rn(p):
-            params = make_params(p, r, n, Fraction(r, 2) - n - 1, mode="strict")
+            params = make_params(p, r, n, Fraction(r, 2) - n - 1)
             eps = params.eps
             fact_b1 = math.factorial(b + 1)
             ph_eps = p * harmonic(eps)
@@ -204,7 +204,7 @@ def verify_star(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:
 
 
 def verify_inequalities(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
-    """Every inequality family over all weak-mode admissible (p, r, n)."""
+    """Every inequality family over all admissible (p, r, n)."""
     res = VerifyResult("inequalities", primes)
     for p in primes:
         for r, n, _b in _admissible_rn(p):
@@ -237,7 +237,7 @@ def verify_vl_independence(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:
         for r, n, _b in _admissible_rn(p):
             bound = Fraction(r, 2) - n
             for vL in (bound - 1, bound - Fraction(7, 2)):
-                params = make_params(p, r, n, vL, mode="strict")
+                params = make_params(p, r, n, vL)
                 if any(t.total_val(r) != _uncancelled_val(params, t) for t in master_terms(params)):
                     res.failures.append(f"p={p}, r={r}, n={n}: total valuations depend on vL")
                     break

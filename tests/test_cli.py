@@ -118,6 +118,12 @@ class TestVerify:
         assert err.startswith("error: p = ") and err.endswith("is not a prime >= 5\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv", [["lucas2", "--p", "5", "--p", "5"], ["star", "--p", "7", "--p", "5", "--p", "7"]]
+    )
+    def test_verify_rejects_a_repeated_p(self, capsys, argv):
+        assert run_cli(capsys, "verify", *argv) == (2, "", f"error: p = {argv[-1]} is repeated\n")
+
 
 class TestLambdaCommand:
     def test_table(self, capsys):
@@ -316,6 +322,29 @@ class TestUsage:
         with pytest.raises(ValueError, match="internal bug"):
             main(["predict", "--p", "7", "--r", "10"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--p-range", "5:13", "--emit", "json"],
+            ["congruence", "--p", "11", "--r", "30", "--n", "30"],
+            ["predict", "--p", "5", "--r", "8"],
+        ],
+    )
+    def test_closed_stdout_exits_1_with_nothing_on_stderr(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        # a buffered stdout, as by default, so a short output fails only at the flush
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(PACKAGE_DIR.parent)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "padicelim", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
+
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 
@@ -359,6 +388,21 @@ class TestInvariantsUnderOptimization:
             }
             problems += [f"{path.name}: {name} is public but unlisted" for name in sorted(public - listed)]
         assert problems == []
+
+    def test_only_main_prints_to_stdout(self):
+        # one render path: a subcommand returns its output, main prints it
+        stdout_calls, emit_reads = [], []
+        for top in ast.parse((PACKAGE_DIR / "cli.py").read_text()).body:
+            name = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = ast.unparse(node.func)
+                    files = [ast.unparse(k.value) for k in node.keywords if k.arg == "file"]
+                    if (func == "print" and files in ([], ["sys.stdout"])) or func == "sys.stdout.write":
+                        stdout_calls.append(name)
+                if name.startswith("_cmd_") and isinstance(node, ast.Attribute) and node.attr == "emit":
+                    emit_reads.append(name)
+        assert (stdout_calls, emit_reads) == (["main"], [])
 
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}

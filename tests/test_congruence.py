@@ -40,12 +40,12 @@ from padicelim.exactnum import InvalidPrimeError, harmonic, rational_mod, vp
 
 class TestMakeParams:
     def test_example_n7(self):
-        params = make_params(5, 8, 7, -5, mode="strict")
+        params = make_params(5, 8, 7, -5)
         assert (params.b, params.eps, params.v_fall) == (1, 2, 0)
         assert params.x == Fraction(4) - 7 - 0 + 5 == 2
 
     def test_example_n6(self):
-        params = make_params(5, 8, 6, -5, mode="strict")
+        params = make_params(5, 8, 6, -5)
         assert params.v_fall == 1 and params.x == 2
 
     def test_window_error(self):
@@ -60,11 +60,7 @@ class TestMakeParams:
         with pytest.raises(InvalidRangeError):
             make_params(5, 20, 12, -9)  # r > p^2 - p - 1
         with pytest.raises(VLBoundError):
-            make_params(5, 8, 7, -3, mode="strict")  # needs < -3
-        # weak mode admits equality
-        assert make_params(5, 8, 7, -3, mode="weak").mode == "weak"
-        with pytest.raises(VLBoundError):
-            make_params(5, 8, 7, Fraction(-5, 2), mode="weak")
+            make_params(5, 8, 7, -3)  # needs < -3
 
     def test_digit_error_unreachable_via_valid_r(self):
         # n <= r <= p^2 - p - 1 keeps b <= p - 2; force it via a bad pair
@@ -210,11 +206,6 @@ class TestMasterTerms:
         # the block of 41 would end at 44, past the largest admissible r = 41
         master_terms(make_params(7, 41, 41, -21))
         assert sorted(congruence._TABLES) == [(7, m) for m in range(5, 42)]
-
-    def test_weak_mode_rejected(self):
-        params = make_params(5, 8, 7, -3, mode="weak")
-        with pytest.raises(VLBoundError):
-            master_terms(params)
 
     def test_zero_terms_at_b0(self):
         # b = 0 makes every line-1 coefficient vanish ({m brace 0} = 0)
