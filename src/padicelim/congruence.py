@@ -32,7 +32,11 @@ their order; the low degrees are small (at p = 31 the degrees below 47 hold
 16% of the terms).  On line 1
 the factor (-1)^a C(eps, a)/a is a p-unit (a <= eps < p), so every a shares
 the slack of its column j: the table values each column once and derives
-each a's coefficient and unit residue from it.
+each a's coefficient and unit residue from it.  A term keeps its exact
+coefficient as an integer numerator and denominator, never as a Fraction:
+on line 1 the column numerator times (-1)^a C(eps, a) over a, on line 2
+the star numerator over the denominator of pH_eps.  The Fraction is formed
+only when a reader asks for ``coeff``.
 
 An audit instantiates the congruence at one n, aims at a target degree j*,
 gives each non-zero term a status and checks the one slack bound that the
@@ -49,10 +53,16 @@ external lattice criteria are not re-proved here); the audits re-derive
 every divisibility fact they rely on by exact arithmetic instead of
 assuming it.  A positive slack meets every bound but the generator's, so an
 audit examines only the non-zero terms with slack <= 0 and the line-2 term
-at j*, in table order.  A term that misses its bound fails the audit with
-one line naming its row (line, a, j).  The statuses are not stored: an audit
-returns its failures and the line-2 slack table that the kill trace records,
-and ``_status`` gives any term its status again on demand.
+at j*, in table order.  When a table is stored it is indexed: the terms
+that can fail (non-zero, slack <= 0) in table order, and the line-2
+(j, slack) pairs.  Both are derived from the stored rows, so whatever
+changes a row changes them too.  An audit reads the index, not the whole
+table: it checks the indexed terms inside the window of r and the line-2
+term at j*, and slices the pairs for its slack table, so its cost follows
+the few terms that can fail.  A term that misses its bound fails the audit
+with one line naming its row (line, a, j).  The statuses are not stored: an
+audit returns its failures and the line-2 slack table that the kill trace
+records, and ``_status`` gives any term its status again on demand.
 
 Three audits package the three elimination arguments: ``audit_good`` (one
 congruence at an n with vFall = 0, generator at degree n - b - 1),
@@ -166,7 +176,7 @@ def make_params(p: int, r: int, n: int, vL: Fraction | int | str) -> CongruenceP
     vL = Fraction(vL)
     bound = Fraction(r, 2) - n
     if not vL < bound:
-        raise VLBoundError(f"strict mode needs vL < r/2 - n = {bound}, got {vL}")
+        raise VLBoundError(f"vL must be < r/2 - n = {bound}, got {vL}")
     x = Fraction(r, 2) - n - v_fall - vL
     return CongruenceParams(p=p, r=r, n=n, vL=vL, b=b, eps=eps, v_fall=v_fall, x=x)
 
@@ -229,19 +239,28 @@ class CongruenceTerm:
     """One summand p^(x+n-j) * coeff * L * (z - a)^j on a + pZ_p.
 
     ``a`` = 0 means support pZ_p (line 2).  A term depends on (p, n) but not
-    on r or vL.  ``slack`` is the integer v_p(coeff) - vFall, or None when
-    the coefficient vanishes identically; the total valuation is derived
-    from r by :meth:`total_val`.  ``unit_residue`` is the residue mod p^2
-    of coeff / p^(v_p(coeff)).  Terms are shared: :func:`master_terms`
-    returns them from a per-(p, n) table that holds one prime at a time.
+    on r or vL.  The exact coefficient is kept as the integers ``num`` and
+    ``den`` (den > 0, the fraction not necessarily in lowest terms);
+    ``coeff`` forms the Fraction when read.  ``slack`` is the integer
+    v_p(coeff) - vFall, or None when the coefficient vanishes identically;
+    the total valuation is derived from r by :meth:`total_val`.
+    ``unit_residue`` is the residue mod p^2 of coeff / p^(v_p(coeff)).
+    Terms are shared: :func:`master_terms` returns them from a per-(p, n)
+    table that holds one prime at a time.
     """
 
     a: int
     line: int
     j: int
-    coeff: Rational
+    num: int
+    den: int
     slack: int | None
     unit_residue: int | None
+
+    @property
+    def coeff(self) -> Rational:
+        """The exact coefficient num/den."""
+        return Fraction(self.num, self.den)
 
     def total_val(self, r: int) -> ValP:
         """x + (n - j) + vL + v_p(coeff) = r/2 - j + slack; +infinity if coeff = 0."""
@@ -255,34 +274,41 @@ class CongruenceTerm:
         return "inf" if self.slack is None else str(self.slack)
 
 
-def _build_term(p: int, v_fall: int, a: int, line: int, j: int, coeff: Rational) -> CongruenceTerm:
-    if coeff == 0:
-        return CongruenceTerm(a=a, line=line, j=j, coeff=coeff, slack=None, unit_residue=None)
-    num, den = coeff.numerator, coeff.denominator
-    v_c = vp_int(num, p) - vp_int(den, p)
-    # strip the p-part; the reduced fraction carries p in at most one place
-    if v_c > 0:
-        num //= p**v_c
-    elif v_c < 0:
-        den //= p**-v_c
+def _build_term(p: int, v_fall: int, a: int, line: int, j: int, num: int, den: int) -> CongruenceTerm:
+    if num == 0:
+        return CongruenceTerm(a, line, j, num, den, None, None)
+    v_num, v_den = vp_int(num, p), vp_int(den, p)
     modulus = p * p
-    unit_residue = num % modulus
+    unit_residue = num // p**v_num % modulus
     if den != 1:
-        unit_residue = unit_residue * pow(den % modulus, -1, modulus) % modulus
-    return CongruenceTerm(
-        a=a, line=line, j=j, coeff=coeff, slack=v_c - v_fall, unit_residue=unit_residue
-    )
+        unit_residue = unit_residue * pow(den // p**v_den % modulus, -1, modulus) % modulus
+    return CongruenceTerm(a, line, j, num, den, v_num - v_den - v_fall, unit_residue)
 
 
-TermTable = tuple[int, tuple[tuple[CongruenceTerm, ...], ...]]
+@dataclass(frozen=True)
+class _Table:
+    """The terms of one (p, n) congruence and the index an audit reads.
+
+    ``rows`` holds one row per a = 1..eps (line 1, degrees j0..n-1), then
+    the line-2 row (degrees j0-1..n-1).  ``weak`` lists the non-zero terms
+    with slack <= 0 in table order, each with the largest ceil(r/2) whose
+    window holds it; ``slacks`` pairs each line-2 degree with its slack
+    text.  Both are derived from ``rows`` when the table is stored.
+    """
+
+    j0: int
+    rows: tuple[tuple[CongruenceTerm, ...], ...]
+    weak: tuple[tuple[int, CongruenceTerm], ...]
+    slacks: tuple[tuple[int, str], ...]
+
 
 # the term tables of one prime, keyed by (p, n); cleared when p changes
-_TABLES: dict[tuple[int, int], TermTable] = {}
+_TABLES: dict[tuple[int, int], _Table] = {}
 # a miss builds tables up to the end of its block of this many degrees
 _TABLE_BLOCK = 4
 
 
-def _build_table(p: int, n: int) -> TermTable:
+def _build_table(p: int, n: int) -> tuple[int, tuple[tuple[CongruenceTerm, ...], ...]]:
     """Every term of the (p, n) congruence that an admissible r can ask for.
 
     Returns (j0, rows): one row per a = 1..eps (line 1, degrees j0..n-1),
@@ -300,14 +326,14 @@ def _build_table(p: int, n: int) -> TermTable:
     for j in range(j0, n):
         sign = -1 if (j + b + 1) % 2 else 1
         column = binom(n, j) * sign * prefactor * stirling2(n - j, b)
-        columns.append(_build_term(p, v_fall, 0, 1, j, column))
+        columns.append(_build_term(p, v_fall, 0, 1, j, column, 1))
     rows: list[tuple[CongruenceTerm, ...]] = []
     for a in range(1, eps + 1):
         unit = (-1 if a % 2 else 1) * binom(eps, a)
         unit_mod = unit * pow(a, -1, modulus) % modulus
         rows.append(tuple(
             CongruenceTerm(
-                a, 1, col.j, Fraction(col.coeff * unit, a), col.slack,
+                a, 1, col.j, col.num * unit, a, col.slack,
                 None if col.slack is None else col.unit_residue * unit_mod % modulus,
             )
             for col in columns
@@ -317,14 +343,24 @@ def _build_table(p: int, n: int) -> TermTable:
     row = []
     for j in range(j0 - 1, n):
         sign = -1 if (n - j) % 2 else 1
-        coeff = Fraction(binom(n, j) * sign * _star_numerator(n, b, j, consts), ph_den)
-        row.append(_build_term(p, v_fall, 0, 2, j, coeff))
+        num = binom(n, j) * sign * _star_numerator(n, b, j, consts)
+        row.append(_build_term(p, v_fall, 0, 2, j, num, ph_den))
     rows.append(tuple(row))
     return j0, tuple(rows)
 
 
-def master_terms(params: CongruenceParams) -> tuple[CongruenceTerm, ...]:
-    """All terms of the congruence, line 1 then line 2, ordered by (a, j)."""
+def _index(j0: int, rows: tuple[tuple[CongruenceTerm, ...], ...]) -> _Table:
+    """The table of ``rows`` with its index of the terms that can fail an audit."""
+    weak = tuple(
+        (t.j + 1 if t.line == 2 else t.j, t)
+        for row in rows for t in row
+        if t.slack is not None and t.slack <= 0
+    )
+    return _Table(j0, rows, weak, tuple((t.j, t.slack_text) for t in rows[-1]))
+
+
+def _table(params: CongruenceParams) -> tuple[_Table, int]:
+    """The (p, n) table of ``params`` and where the window of r starts in its rows."""
     p, n = params.p, params.n
     table = _TABLES.get((p, n))
     if table is None:
@@ -336,13 +372,22 @@ def master_terms(params: CongruenceParams) -> tuple[CongruenceTerm, ...]:
         top = min(-(-n // _TABLE_BLOCK) * _TABLE_BLOCK, p * p - p - 1)
         for m in range((p + 3) // 2, top + 1):
             if (p, m) not in _TABLES:
-                _TABLES[(p, m)] = _build_table(p, m)
+                _TABLES[(p, m)] = _index(*_build_table(p, m))
         table = _TABLES[(p, n)]
-    j0, rows = table
-    start = params.ceil_half_r - j0
+    start = params.ceil_half_r - table.j0
     if start < 0:
         raise WindowError(f"r = {params.r} is below max(p, n) = {max(params.p, params.n)}")
-    return tuple(term for row in rows for term in row[start:])
+    return table, start
+
+
+def master_terms(params: CongruenceParams) -> tuple[CongruenceTerm, ...]:
+    """All terms of the congruence, line 1 then line 2, ordered by (a, j).
+
+    The terms are sliced from the shared (p, n) table; audits read that
+    table's index instead, so this serves the term listings and checks.
+    """
+    table, start = _table(params)
+    return tuple(term for row in table.rows for term in row[start:])
 
 
 # --------------------------------------------------------------------------
@@ -406,17 +451,28 @@ def _audit(
     residual_degrees: frozenset[int] = frozenset(),
     must_die: frozenset[int] = frozenset(),
 ) -> KillAudit:
-    """Audit one congruence against ``target_j``; the method's own ``failures`` follow the terms'."""
-    terms = master_terms(params)
+    """Audit one congruence against ``target_j``; the method's own ``failures`` follow the terms'.
+
+    A positive slack meets every bound but the generator's, so the audit
+    checks only the table's indexed terms (non-zero, slack <= 0) inside the
+    window of r, plus the line-2 term at the target, in table order; it
+    never walks the whole table.  ``slack_table`` is a slice of the table's
+    line-2 slack pairs.
+    """
+    table, start = _table(params)
+    ceil_half = params.ceil_half_r
+    terms = [t for last, t in table.weak if ceil_half <= last]
+    # the line-2 term at the target is checked whatever its slack; a
+    # positive one is not indexed, so it takes its place in table order
+    line2 = table.rows[-1]
+    k = target_j - table.j0 + 1
+    if start <= k < len(line2) and line2[k].slack is not None and line2[k].slack > 0:
+        terms.insert(sum(1 for t in terms if t.line == 1 or t.j < target_j), line2[k])
     term_failures = []
     generator = False
-    # a positive slack meets every bound but the generator's, so only terms
-    # with slack <= 0 and the line-2 term at the target can fail
     for term in terms:
         slack = term.slack
-        if slack is None or (slack > 0 and (term.line == 1 or term.j != target_j)):
-            continue
-        status = _status(term, target_j, params.ceil_half_r, residual_degrees, must_die)
+        status = _status(term, target_j, ceil_half, residual_degrees, must_die)
         if status == DEAD:
             ok = slack > 0
         elif status == GENERATOR:
@@ -436,7 +492,7 @@ def _audit(
         witness_n=(params.n,),
         target_j=target_j,
         target_i=params.r - target_j,
-        slack_table=tuple((t.j, t.slack_text) for t in terms if t.line == 2),
+        slack_table=table.slacks[start:],
         failures=tuple(term_failures) + tuple(failures),
     )
 

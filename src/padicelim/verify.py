@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from padicelim.combinat import binom_mod_p2, lucas_mod_p, stirling2, stirling2_def, stirling_lucas_check
 from padicelim.congruence import inequality_suite, make_params, master_terms, star_full, star_mod_p2
-from padicelim.exactnum import INF, ValP, harmonic, rational_mod, vp
+from padicelim.exactnum import INF, ValP, harmonic, rational_mod, vp_int
 from padicelim.fp_poly import pure_y_defect, shallow_kill_check, shallow_summand
 from padicelim.lambda_solver import lambda_closed, solve_lambda, verify_lambda
 
@@ -220,9 +220,10 @@ def verify_inequalities(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
 
 def _uncancelled_val(params, term) -> ValP:
     """x + (n - j) + vL + v_p(C), with no cancellation of vL; +infinity if C = 0."""
-    if term.coeff == 0:
+    if term.num == 0:
         return INF
-    return ValP(params.x + (params.n - term.j) + params.vL + vp(term.coeff, params.p))
+    v_c = vp_int(term.num, params.p) - vp_int(term.den, params.p)
+    return ValP(params.x + (params.n - term.j) + params.vL + v_c)
 
 
 def verify_vl_independence(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, formats, round trips, determinism."""
 
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -161,6 +162,12 @@ class TestCongruenceCommand:
         assert slack[(2, 0, 5)] == "0" and slack[(2, 0, 6)] == "1"
 
 
+    def test_vl_at_the_bound_exits_2(self, capsys):
+        assert run_cli(capsys, "congruence", "--p", "5", "--r", "8", "--n", "7", "--vL", "-3") == (
+            2, "", "error: vL must be < r/2 - n = -3, got -3\n"
+        )
+
+
 class TestSweep:
     def test_tsv_exponents(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--p-range", "5:7", "--emit", "tsv")
@@ -255,6 +262,15 @@ class TestSweep:
 
 class TestGoldenOutput:
     """The exact bytes, per stream, and the exit code of the human tables."""
+
+    def test_sweep_json_digest(self, capsys, monkeypatch):
+        # the kill traces and predictions of every theorem-range (p, r) for p <= 31
+        monkeypatch.delenv("PADICELIM_JOBS", raising=False)
+        code, out, err = run_cli(capsys, "sweep", "--p-range", "5:31", "--emit", "json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3bfadc6fbea98b6ff65be6043ace2c51200faf471b4eeaaf735c8229d54b2d61"
+        )
 
     def test_congruence_table(self, capsys):
         assert run_cli(capsys, "congruence", "--p", "5", "--r", "8", "--n", "7") == (

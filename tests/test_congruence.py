@@ -35,6 +35,7 @@ from padicelim.errors import (
     WindowError,
 )
 from padicelim.combinat import stirling2
+from padicelim.eliminator import run_elimination, theorem_r_values
 from padicelim.exactnum import InvalidPrimeError, harmonic, rational_mod, vp
 
 
@@ -313,7 +314,7 @@ class TestAuditUgly:
         assert _statuses(make_params(5, 8, 7, -5), 5, must_die=(4,))[(2, 0, 4)] == DEAD
         assert audit_ugly(5, 8, -5, 1).passed  # builds the (5, 6) and (5, 7) term tables
         with monkeypatch.context() as m:
-            _mutated_master_terms(m, 7, (2, 0, 4), slack=0)
+            _mutated_table(m, 7, (2, 0, 4), slack=0)
             failures = audit_ugly(5, 8, -5, 1).failures
         assert failures == ("term (line 2, a=0, j=4) has slack 0, needs > 0 (dead)",)
         # C(7, 4) = 35 supplies the p; a unit in its place breaks the certificate
@@ -432,20 +433,102 @@ class TestInequalities:
 _FORBIDDEN_SLACK = {DEAD: 0, GENERATOR: 1, RESIDUAL: -1, DEEPER: -1, BELOW: -1}
 
 
-def _mutated_master_terms(monkeypatch, n, key, **changes):
-    """Make master_terms apply ``changes`` to the (line, a, j) term of the degree-n congruence."""
-    original = congruence.master_terms
+def _mutated_table(monkeypatch, n, key, **changes):
+    """Give the degree-n term table ``changes`` in its (line, a, j) term, in a fresh table store.
 
-    def mutated(params):
-        terms = original(params)
-        if params.n != n:
-            return terms
-        return tuple(
-            dataclasses.replace(t, **changes) if (t.line, t.a, t.j) == key else t
-            for t in terms
+    The mutated term reaches both ``master_terms`` and the audits' index.
+    """
+    original = congruence._build_table
+
+    def mutated(p, m):
+        j0, rows = original(p, m)
+        if m != n:
+            return j0, rows
+        return j0, tuple(
+            tuple(dataclasses.replace(t, **changes) if (t.line, t.a, t.j) == key else t for t in row)
+            for row in rows
         )
 
-    monkeypatch.setattr(congruence, "master_terms", mutated)
+    monkeypatch.setattr(congruence, "_build_table", mutated)
+    monkeypatch.setattr(congruence, "_TABLES", {})
+
+
+def _reference_audit(
+    method, params, target_j, failures=(), residual_degrees=frozenset(), must_die=frozenset()
+):
+    """(failures, slack_table) of an audit by a full walk of ``master_terms``.
+
+    The reference for the indexed audit: every term of the congruence is
+    visited, those with a zero coefficient or with a positive slack (save
+    the line-2 term at the target) are skipped, and the rest go through the
+    status ladder.
+    """
+    terms = master_terms(params)
+    term_failures = []
+    generator = False
+    for term in terms:
+        slack = term.slack
+        if slack is None or (slack > 0 and (term.line == 1 or term.j != target_j)):
+            continue
+        status = congruence._status(term, target_j, params.ceil_half_r, residual_degrees, must_die)
+        if status == DEAD:
+            ok = slack > 0
+        elif status == GENERATOR:
+            ok = generator = slack == 0 and term.unit_residue % params.p != 0
+        else:
+            ok = slack >= 0
+        if not ok:
+            term_failures.append(
+                f"term (line {term.line}, a={term.a}, j={term.j}) has slack {term.slack_text}, "
+                f"needs {congruence._NEEDS[status]} ({status})"
+            )
+    if not generator:
+        term_failures.append(f"no generator found at degree {target_j}")
+    slack_table = tuple((t.j, t.slack_text) for t in terms if t.line == 2)
+    return tuple(term_failures) + tuple(failures), slack_table
+
+
+def _recorded_audits(monkeypatch):
+    """Record every ``_audit`` call as (args, kwargs, audit) in the returned list."""
+    calls = []
+    original = congruence._audit
+
+    def recording(*args, **kwargs):
+        audit = original(*args, **kwargs)
+        calls.append((args, kwargs, audit))
+        return audit
+
+    monkeypatch.setattr(congruence, "_audit", recording)
+    return calls
+
+
+def _assert_matches_reference(calls):
+    assert calls
+    for args, kwargs, audit in calls:
+        expected = _reference_audit(*args, **kwargs)
+        assert (audit.failures, audit.slack_table) == expected, (args[0], args[1], args[2:])
+
+
+class TestAuditIndexOracle:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_every_elimination_audit_matches_the_full_walk(self, monkeypatch, p):
+        calls = _recorded_audits(monkeypatch)
+        for r in theorem_r_values(p):
+            run_elimination(p, r)
+        _assert_matches_reference(calls)
+
+    def test_a_failing_generator_keeps_its_place_in_table_order(self, monkeypatch):
+        # audit_good(5, 8, 7, -5) targets degree 5: its generator loses slack 0
+        # and the dead line-2 term above it gains slack 0, so both fail
+        _mutated_table(monkeypatch, 7, (2, 0, 5), slack=1)
+        _mutated_table(monkeypatch, 7, (2, 0, 6), slack=0)
+        calls = _recorded_audits(monkeypatch)
+        assert audit_good(5, 8, 7, -5).failures == (
+            "term (line 2, a=0, j=5) has slack 1, needs 0 with a unit residue (generator)",
+            "term (line 2, a=0, j=6) has slack 0, needs > 0 (dead)",
+            "no generator found at degree 5",
+        )
+        _assert_matches_reference(calls)
 
 
 class TestAuditFailurePaths:
@@ -470,8 +553,10 @@ class TestAuditFailurePaths:
             statuses = _statuses(make_params(p, r, n, vL), target_j, residual, must_die)
             for key, status in statuses.items():
                 with monkeypatch.context() as m:
-                    _mutated_master_terms(m, n, key, slack=_FORBIDDEN_SLACK[status])
+                    _mutated_table(m, n, key, slack=_FORBIDDEN_SLACK[status])
+                    calls = _recorded_audits(m)
                     failed = run()
+                    _assert_matches_reference(calls)
                 row = f"term (line {key[0]}, a={key[1]}, j={key[2]})"
                 assert not failed.passed, (n, key)
                 assert any(f.startswith(row) for f in failed.failures), (n, key, failed.failures)
@@ -480,8 +565,11 @@ class TestAuditFailurePaths:
 
     def test_generator_needs_a_unit_residue(self, monkeypatch):
         # the generator of audit_good(5, 8, 7, -5) keeps slack 0, its residue becomes 0 mod p
-        _mutated_master_terms(monkeypatch, 7, (2, 0, 5), unit_residue=5)
+        _mutated_table(monkeypatch, 7, (2, 0, 5), unit_residue=5)
         assert audit_good(5, 8, 7, -5).failures == (
             "term (line 2, a=0, j=5) has slack 0, needs 0 with a unit residue (generator)",
             "no generator found at degree 5",
         )
+        calls = _recorded_audits(monkeypatch)
+        audit_good(5, 8, 7, -5)
+        _assert_matches_reference(calls)

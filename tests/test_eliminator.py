@@ -125,18 +125,19 @@ class TestRunElimination:
     def test_failed_audit_raises_with_term_rows(self, monkeypatch):
         n = good_candidates(7, 12)[0]
         target_j = n - n // 7 - 1
-        original = congruence.master_terms
+        original = congruence._build_table
 
-        def mutated(params):
-            terms = original(params)
-            if params.n != n:
-                return terms
-            return tuple(
-                dataclasses.replace(t, slack=1) if (t.line, t.j) == (2, target_j) else t
-                for t in terms
+        def mutated(p, m):
+            j0, rows = original(p, m)
+            if m != n:
+                return j0, rows
+            return j0, tuple(
+                tuple(dataclasses.replace(t, slack=1) if (t.line, t.j) == (2, target_j) else t for t in row)
+                for row in rows
             )
 
-        monkeypatch.setattr(congruence, "master_terms", mutated)
+        monkeypatch.setattr(congruence, "_build_table", mutated)
+        monkeypatch.setattr(congruence, "_TABLES", {})
         with pytest.raises(EliminationIncompleteError) as info:
             run_elimination(7, 12)
         assert str(info.value) == (
