@@ -161,7 +161,6 @@ class TestCongruenceCommand:
         slack = {(t["line"], t["a"], t["j"]): t["slack"] for t in data["terms"]}
         assert slack[(2, 0, 5)] == "0" and slack[(2, 0, 6)] == "1"
 
-
     def test_vl_at_the_bound_exits_2(self, capsys):
         assert run_cli(capsys, "congruence", "--p", "5", "--r", "8", "--n", "7", "--vL", "-3") == (
             2, "", "error: vL must be < r/2 - n = -3, got -3\n"
