@@ -173,17 +173,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _job_count(requested: int | None) -> int:
-    """Workers for a sweep: --jobs, else $PADICELIM_JOBS, else 1.
+def _job_count(requested: int) -> int:
+    """Workers for a sweep: --jobs, capped at the CPU count.
 
-    Capped at the CPU count: each worker rebuilds its own per-(p, n) term
-    tables, so workers beyond the cores only add CPU time.
+    Each worker rebuilds its own per-(p, n) term tables, so workers beyond
+    the cores only add CPU time.
     """
-    if requested is None:
-        try:
-            requested = _positive_int(os.environ.get("PADICELIM_JOBS", "1"))
-        except argparse.ArgumentTypeError as exc:
-            raise MalformedInputError(f"PADICELIM_JOBS: {exc}") from None
     return min(requested, os.cpu_count() or 1)
 
 
@@ -316,8 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-range", type=_int_range, required=True, help="inclusive prime range A:B")
     sp.add_argument("--r-range", type=_int_range, default=None, help="optional restriction A:B on r")
     sp.add_argument(
-        "--jobs", type=_positive_int, default=None,
-        help="parallel workers, at most the CPU count (default $PADICELIM_JOBS or 1)",
+        "--jobs", type=_positive_int, default=1,
+        help="parallel workers, at most the CPU count (default 1)",
     )
     _add_emit(sp)
     sp.set_defaults(func=_cmd_sweep)

@@ -108,6 +108,7 @@ __all__ = [
     "CongruenceTerm",
     "KillAudit",
     "fall_valuation",
+    "window_degrees",
     "make_params",
     "star_full",
     "star_mod_p2",
@@ -145,6 +146,11 @@ class CongruenceParams:
 def fall_valuation(p: int, n: int) -> int:
     """vFall = v_p([n]_{b+1}), the valuation of n(n-1)...(n-b) for b = floor(n/p)."""
     return vp_int(falling_factorial(n, n // p + 1), p)
+
+
+def window_degrees(p: int, r: int) -> tuple[int, ...]:
+    """The n <= r in the window n >= r/2 + b + 1, b = floor(n/p), in increasing order."""
+    return tuple(n for n in range(r // 2 + 1, r + 1) if 2 * n >= r + 2 * (n // p) + 2)
 
 
 def _check_window(p: int, r: int, n: int) -> tuple[int, int, int]:

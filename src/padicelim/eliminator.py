@@ -17,8 +17,9 @@ good kills already cover every deeper index.
 
 The surviving index is mapped to the label ind omega2^(r+1) through a pure
 lookup guarded by the non-congruence conditions r - 2c != 1, p - 2 mod
-p - 1; no representation theory is computed.  r = 2p - 1 fails the guard,
-which is why no prediction is emitted there.
+p - 1; no representation theory is computed.  Over [p+3, 2p-1] u
+[2p+4, 3p-1] only r = 2p - 1 fails the guard, so ``predict`` checks it as
+that one value and emits no prediction there.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from padicelim.congruence import audit_bad, audit_good, audit_ugly, fall_valuation
+from padicelim.congruence import audit_bad, audit_good, audit_ugly, fall_valuation, window_degrees
 from padicelim.errors import (
     EliminationIncompleteError,
     InvalidRangeError,
@@ -151,14 +152,7 @@ class ReductionResult:
 
 def good_candidates(p: int, r: int) -> tuple[int, ...]:
     """All n <= r in the window n >= r/2 + b + 1 with v_p([n]_{b+1}) = 0."""
-    out = []
-    for n in range(r // 2 + 1, r + 1):
-        b = n // p
-        if 2 * n < r + 2 * b + 2:
-            continue
-        if fall_valuation(p, n) == 0:
-            out.append(n)
-    return tuple(out)
+    return tuple(n for n in window_degrees(p, r) if fall_valuation(p, n) == 0)
 
 
 def _accepted_r(p: int, r: int) -> bool:
@@ -265,12 +259,6 @@ def predict(p: int, r: int) -> ReductionResult:
         raise EliminationIncompleteError(
             f"survivor {trace.survivor} differs from c = {c}"
         )
-    residue = (r - 2 * c) % (p - 1)
-    if residue in (1 % (p - 1), (p - 2) % (p - 1)):
-        raise PredictionUnavailableError(
-            f"prediction unavailable: r - 2c = {r - 2 * c} is congruent to "
-            f"{residue} mod p - 1"
-        )
     return ReductionResult(
         p=p,
         r=r,
@@ -278,7 +266,7 @@ def predict(p: int, r: int) -> ReductionResult:
         weight=r + 2,
         exponent=r + 1,
         label=f"ind omega2^{r + 1}",
-        irreducibility_residue=residue,
+        irreducibility_residue=(r - 2 * c) % (p - 1),
         excluded_residues=(1, p - 2),
         trace=trace,
     )

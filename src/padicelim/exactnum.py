@@ -7,8 +7,8 @@ inequality, and both are decided exactly.
 
 Valuations are values of type :class:`ValP`: either a rational number or the
 distinguished +infinity (the valuation of zero).  Half-integer valuations
-arise from composite expressions such as r/2 - n - v_p(L); comparisons
-against thresholds like r/2 - j therefore stay within ValP.
+arise from composite expressions such as r/2 - n - v_p(L).  A ValP is only
+compared for equality and printed; thresholds are decided on integer slacks.
 """
 
 from __future__ import annotations
@@ -64,9 +64,8 @@ def check_prime(p: int, minimum: int = 2) -> int:
 class ValP:
     """A p-adic valuation value: an exact rational or +infinity.
 
-    Instances are immutable.  Ordering and addition treat INF as absorbing,
-    so checks like ``term.total_val(r) > threshold`` are defined even for
-    terms whose coefficient vanishes identically.
+    Instances are immutable.  They compare equal to a ValP, an int or a
+    Fraction of the same value; INF equals only itself.
     """
 
     __slots__ = ("_value",)
@@ -78,82 +77,12 @@ class ValP:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ValP is immutable")
 
-    @property
-    def is_infinite(self) -> bool:
-        return self._value is None
-
-    @property
-    def value(self) -> Fraction:
-        if self._value is None:
-            raise ValueError("+infinity has no finite value")
-        return self._value
-
     def __eq__(self, other) -> bool:
         if isinstance(other, ValP):
             return self._value == other._value
         if isinstance(other, (int, Fraction)):
             return self._value is not None and self._value == other
         return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, ValP):
-            if self._value is None:
-                return False
-            if other._value is None:
-                return True
-            return self._value < other._value
-        if self._value is None:
-            return False
-        return self._value < other
-
-    def __le__(self, other) -> bool:
-        if isinstance(other, ValP):
-            if other._value is None:
-                return True
-            if self._value is None:
-                return False
-            return self._value <= other._value
-        if self._value is None:
-            return False
-        return self._value <= other
-
-    def __gt__(self, other) -> bool:
-        if isinstance(other, ValP):
-            if self._value is None:
-                return other._value is not None
-            if other._value is None:
-                return False
-            return self._value > other._value
-        return self._value is None or self._value > other
-
-    def __ge__(self, other) -> bool:
-        if isinstance(other, ValP):
-            if self._value is None:
-                return True
-            if other._value is None:
-                return False
-            return self._value >= other._value
-        return self._value is None or self._value >= other
-
-    def __add__(self, other) -> "ValP":
-        if isinstance(other, ValP):
-            if self._value is None or other._value is None:
-                return INF
-            return ValP(self._value + other._value)
-        if self._value is None:
-            return INF
-        return ValP(self._value + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ValP":
-        if isinstance(other, ValP):
-            if other._value is None:
-                raise ValueError("cannot subtract +infinity")
-            other = other._value
-        if self._value is None:
-            return INF
-        return ValP(self._value - other)
 
     def __hash__(self) -> int:
         return hash(self._value)
@@ -166,7 +95,6 @@ class ValP:
 
 
 INF = ValP(None)
-ValP.INF = INF
 
 
 def vp_int(n: int, p: int) -> int:

@@ -133,13 +133,6 @@ class HPoly:
         if self.p != other.p:
             raise ValueError("mixed characteristics")
 
-    def __str__(self) -> str:
-        d = self.degree
-        parts = [
-            f"{c}*X^{j}*Y^{d - j}" for j, c in enumerate(self.coeffs) if c
-        ]
-        return " + ".join(parts) if parts else "0"
-
 
 def linear_form_power(p: int, a: int, b: int, e: int) -> HPoly:
     """(aX + bY)^e expanded by the binomial theorem: X^j has C(e, j) a^j b^(e-j)."""

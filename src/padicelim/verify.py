@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from padicelim.combinat import binom_mod_p2, lucas_mod_p, stirling2, stirling2_def, stirling_lucas_check
-from padicelim.congruence import inequality_suite, make_params, master_terms, star_full, star_mod_p2
+from padicelim.congruence import inequality_suite, make_params, master_terms, star_full, star_mod_p2, window_degrees
 from padicelim.exactnum import INF, ValP, harmonic, rational_mod, vp_int
 from padicelim.fp_poly import pure_y_defect, shallow_kill_check, shallow_summand
 from padicelim.lambda_solver import lambda_closed, solve_lambda, verify_lambda
@@ -159,11 +159,8 @@ def verify_shallow(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
 
 def _admissible_rn(p: int):
     for r in range(p, p * p - p):
-        for n in range(r // 2 + 1, r + 1):
-            b = n // p
-            if b > p - 2 or 2 * n < r + 2 * b + 2:
-                continue
-            yield r, n, b
+        for n in window_degrees(p, r):
+            yield r, n, n // p
 
 
 def verify_star(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:

@@ -233,21 +233,10 @@ class TestSweep:
         assert code == 2 and out == ""
         assert f"argument --jobs: expected an integer >= 1, got '{jobs}'" in err
 
-    @pytest.mark.parametrize("env", ["0", "x"])
-    def test_bad_jobs_environment_exits_2_with_one_line(self, capsys, monkeypatch, env):
-        monkeypatch.setenv("PADICELIM_JOBS", env)
-        code, out, err = run_cli(capsys, "sweep", "--p-range", "5:5")
-        assert code == 2 and out == ""
-        assert err == f"error: PADICELIM_JOBS: expected an integer >= 1, got '{env}'\n"
-
     def test_job_count_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("PADICELIM_JOBS", "64")
-        assert cli._job_count(None) == 2
         assert cli._job_count(8) == 2
         assert cli._job_count(1) == 1
-        monkeypatch.delenv("PADICELIM_JOBS")
-        assert cli._job_count(None) == 1
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli._job_count(4) == 1
 
@@ -262,9 +251,8 @@ class TestSweep:
 class TestGoldenOutput:
     """The exact bytes, per stream, and the exit code of the human tables."""
 
-    def test_sweep_json_digest(self, capsys, monkeypatch):
+    def test_sweep_json_digest(self, capsys):
         # the kill traces and predictions of every theorem-range (p, r) for p <= 31
-        monkeypatch.delenv("PADICELIM_JOBS", raising=False)
         code, out, err = run_cli(capsys, "sweep", "--p-range", "5:31", "--emit", "json")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == (

@@ -38,14 +38,6 @@ COMMANDS = {
 }
 
 
-@pytest.fixture(scope="module", autouse=True)
-def serial_sweeps():
-    # a sweep without --jobs reads PADICELIM_JOBS
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("PADICELIM_JOBS", "1")
-        yield
-
-
 @st.composite
 def argvs(draw):
     cmd = draw(st.sampled_from(sorted(COMMANDS) * 3 + ["nothing"]))

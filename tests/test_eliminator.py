@@ -20,7 +20,7 @@ from padicelim.errors import (
     PredictionUnavailableError,
     VLBoundError,
 )
-from padicelim.exactnum import InvalidPrimeError
+from padicelim.exactnum import InvalidPrimeError, is_prime
 
 
 def trace_summary(trace):
@@ -166,6 +166,14 @@ class TestPredict:
     def test_r_2p_minus_1_unavailable(self):
         with pytest.raises(PredictionUnavailableError, match="r = 2p-1"):
             predict(5, 9)
+
+    def test_guard_fails_only_at_r_2p_minus_1(self):
+        # pure arithmetic, no elimination: over [p+3, 2p-1] u [2p+4, 3p-1]
+        # r - 2c is 1 or p - 2 mod p - 1 exactly when r = 2p - 1
+        for p in filter(is_prime, range(5, 102)):
+            for r in [*range(p + 3, 2 * p), *range(2 * p + 4, 3 * p)]:
+                blocked = (r - 2 * (r // p)) % (p - 1) in (1, p - 2)
+                assert blocked == (r == 2 * p - 1), (p, r)
 
     def test_gap_ranges_rejected(self):
         for r in (10, 11, 12, 13):  # [2p, 2p+3] for p = 5

@@ -145,24 +145,11 @@ class TestHarmonic:
 
 
 class TestValP:
-    def test_infinity_absorbs(self):
-        assert INF > 10**9
-        assert INF + 5 is not None and (INF + 5).is_infinite
-        assert INF >= INF and not INF > INF
-        assert ValP(3) < INF <= INF
-
-    def test_ordering_against_numbers(self):
-        v = ValP(Fraction(1, 2))
-        assert 0 < v < 1 and v <= Fraction(1, 2) and v >= 0
-        assert sorted([INF, ValP(2), ValP(-1)])[0] == -1
-
-    def test_arithmetic(self):
-        assert ValP(Fraction(3, 2)) + ValP(Fraction(1, 2)) == 2
-        assert ValP(5) - 2 == 3
-        with pytest.raises(ValueError):
-            ValP(1) - INF
-        with pytest.raises(ValueError):
-            INF.value
+    def test_equality(self):
+        assert INF == INF
+        assert INF != 0 and INF != ValP(0)
+        assert ValP(Fraction(1, 2)) == Fraction(1, 2)
+        assert ValP(2) == 2 and ValP(2) != ValP(3)
 
     def test_immutable_and_hashable(self):
         v = ValP(2)
