@@ -22,17 +22,19 @@ The total valuation of a term is x + (n - j) + vL + v_p(C), which collapses
 to (r/2 - j - vFall) + v_p(C): it does not depend on vL.  The *slack* of a
 term is its total valuation minus the filtration threshold r/2 - j, i.e.
 v_p(C) - vFall, an integer (None when C vanishes).  Neither C nor the slack
-depends on r, so the terms of one (p, n) are built once, as a table over
-every degree j an admissible r can ask for; :func:`master_terms` slices it
-at ceil(r/2), and a term derives its total valuation from r on demand.  The
+depends on r, so the coefficients of one (p, n) are valued once, as a table
+over every degree j an admissible r can ask for; :func:`master_terms` reads
+it from ceil(r/2), and a term derives its total valuation from r on demand.  The
 tables of one prime are kept and dropped when the prime changes.  A missing
 table is built with every missing degree below it and the rest of its block
 of four degrees, so few requests of a process pay for building, whatever
 their order; the low degrees are small (at p = 31 the degrees below 47 hold
 16% of the terms).  On line 1
 the factor (-1)^a C(eps, a)/a is a p-unit (a <= eps < p), so every a shares
-the slack of its column j: the table values each column once and derives
-each a's coefficient and unit residue from it.  A term keeps its exact
+the slack of its column j: the table stores and values each column once,
+with one factor per a, and forms a line-1 term only when it is read (by
+:func:`master_terms`, and by the index for the columns with slack <= 0).
+The line-2 terms are stored.  A term keeps its exact
 coefficient as an integer numerator and denominator, never as a Fraction:
 on line 1 the column numerator times (-1)^a C(eps, a) over a, on line 2
 the star numerator over the denominator of pH_eps.  The Fraction is formed
@@ -83,7 +85,6 @@ from fractions import Fraction
 
 from padicelim.combinat import stirling2
 from padicelim.errors import (
-    DigitError,
     InvalidDegreeError,
     InvalidRangeError,
     NotGoodCandidateError,
@@ -160,9 +161,8 @@ def _check_window(p: int, r: int, n: int) -> tuple[int, int, int]:
         raise InvalidRangeError(f"r = {r} outside [{p}, {p * p - p - 1}]")
     if n < 0 or n > r:
         raise WindowError(f"n = {n} outside [ceil(r/2 + b + 1), {r}]")
+    # n <= r <= p^2 - p - 1 keeps b <= p - 2
     b, eps = divmod(n, p)
-    if b > p - 2:
-        raise DigitError(f"b = {b} exceeds p - 2 = {p - 2}")
     if 2 * n < r + 2 * b + 2:
         raise WindowError(f"n = {n} violates n >= r/2 + b + 1 = {Fraction(r, 2) + b + 1}")
     v_fall = fall_valuation(p, n)
@@ -176,7 +176,7 @@ def make_params(p: int, r: int, n: int, vL: Fraction | int | str) -> CongruenceP
     """Validate the hypotheses, vL < r/2 - n among them, and compute b, eps, vFall and x.
 
     Each violated hypothesis raises its own error class: InvalidPrimeError,
-    InvalidRangeError (r), WindowError (n), DigitError (b), VLBoundError.
+    InvalidRangeError (r), WindowError (n), VLBoundError.
     """
     b, eps, v_fall = _check_window(p, r, n)
     vL = Fraction(vL)
@@ -251,8 +251,9 @@ class CongruenceTerm:
     v_p(coeff) - vFall, or None when the coefficient vanishes identically;
     the total valuation is derived from r by :meth:`total_val`.
     ``unit_residue`` is the residue mod p^2 of coeff / p^(v_p(coeff)).
-    Terms are shared: :func:`master_terms` returns them from a per-(p, n)
-    table that holds one prime at a time.
+    :func:`master_terms` forms them from a per-(p, n) table that holds one
+    prime at a time: the line-2 terms are the table's own, the line-1 terms
+    are formed anew on each call from the table's columns.
     """
 
     a: int
@@ -291,19 +292,27 @@ def _build_term(p: int, v_fall: int, a: int, line: int, j: int, num: int, den: i
     return CongruenceTerm(a, line, j, num, den, v_num - v_den - v_fall, unit_residue)
 
 
+# a line-1 row: the a-factor (-1)^a C(eps, a), its residue over a mod p^2,
+# and the columns (degrees j0..n-1) it scales
+_Row = tuple[int, int, tuple[CongruenceTerm, ...]]
+
+
 @dataclass(frozen=True)
 class _Table:
     """The terms of one (p, n) congruence and the index an audit reads.
 
-    ``rows`` holds one row per a = 1..eps (line 1, degrees j0..n-1), then
-    the line-2 row (degrees j0-1..n-1).  ``weak`` lists the non-zero terms
-    with slack <= 0 in table order, each with the largest ceil(r/2) whose
-    window holds it; ``slacks`` pairs each line-2 degree with its slack
-    text.  Both are derived from ``rows`` when the table is stored.
+    Line 1 is stored by column: ``line1`` holds one row per a = 1..eps, and
+    every row scales the one tuple of columns (degrees j0..n-1) by its
+    a-factor; :func:`_line1_terms` forms a row's terms when they are read.
+    ``line2`` holds the line-2 terms (degrees j0-1..n-1).  ``weak`` lists the
+    non-zero terms with slack <= 0 in table order, each with the largest
+    ceil(r/2) whose window holds it; ``slacks`` pairs each line-2 degree with
+    its slack text.  Both are derived from the rows when the table is stored.
     """
 
     j0: int
-    rows: tuple[tuple[CongruenceTerm, ...], ...]
+    line1: tuple[_Row, ...]
+    line2: tuple[CongruenceTerm, ...]
     weak: tuple[tuple[int, CongruenceTerm], ...]
     slacks: tuple[tuple[int, str], ...]
 
@@ -314,12 +323,12 @@ _TABLES: dict[tuple[int, int], _Table] = {}
 _TABLE_BLOCK = 4
 
 
-def _build_table(p: int, n: int) -> tuple[int, tuple[tuple[CongruenceTerm, ...], ...]]:
+def _build_table(p: int, n: int) -> tuple[int, tuple[_Row, ...], tuple[CongruenceTerm, ...]]:
     """Every term of the (p, n) congruence that an admissible r can ask for.
 
-    Returns (j0, rows): one row per a = 1..eps (line 1, degrees j0..n-1),
-    then the line-2 row (degrees j0-1..n-1).  Admissible r has r >= p and
-    r >= n, so ceil(r/2) >= j0 = ceil(max(p, n)/2).
+    Returns (j0, line1, line2): one row per a = 1..eps over the line-1
+    columns (degrees j0..n-1), then the line-2 terms (degrees j0-1..n-1).
+    Admissible r has r >= p and r >= n, so ceil(r/2) >= j0 = ceil(max(p, n)/2).
     """
     b, eps = divmod(n, p)
     v_fall = fall_valuation(p, n)
@@ -333,36 +342,50 @@ def _build_table(p: int, n: int) -> tuple[int, tuple[tuple[CongruenceTerm, ...],
         sign = -1 if (j + b + 1) % 2 else 1
         column = binom(n, j) * sign * prefactor * stirling2(n - j, b)
         columns.append(_build_term(p, v_fall, 0, 1, j, column, 1))
-    rows: list[tuple[CongruenceTerm, ...]] = []
+    shared = tuple(columns)
+    line1 = []
     for a in range(1, eps + 1):
         unit = (-1 if a % 2 else 1) * binom(eps, a)
-        unit_mod = unit * pow(a, -1, modulus) % modulus
-        rows.append(tuple(
-            CongruenceTerm(
-                a, 1, col.j, col.num * unit, a, col.slack,
-                None if col.slack is None else col.unit_residue * unit_mod % modulus,
-            )
-            for col in columns
-        ))
+        line1.append((unit, unit * pow(a, -1, modulus) % modulus, shared))
     consts = _star_constants(p, n, b, eps)
     ph_den = consts[2]
-    row = []
+    line2 = []
     for j in range(j0 - 1, n):
         sign = -1 if (n - j) % 2 else 1
         num = binom(n, j) * sign * _star_numerator(n, b, j, consts)
-        row.append(_build_term(p, v_fall, 0, 2, j, num, ph_den))
-    rows.append(tuple(row))
-    return j0, tuple(rows)
+        line2.append(_build_term(p, v_fall, 0, 2, j, num, ph_den))
+    return j0, tuple(line1), tuple(line2)
 
 
-def _index(j0: int, rows: tuple[tuple[CongruenceTerm, ...], ...]) -> _Table:
-    """The table of ``rows`` with its index of the terms that can fail an audit."""
-    weak = tuple(
-        (t.j + 1 if t.line == 2 else t.j, t)
-        for row in rows for t in row
-        if t.slack is not None and t.slack <= 0
-    )
-    return _Table(j0, rows, weak, tuple((t.j, t.slack_text) for t in rows[-1]))
+def _line1_terms(
+    p: int, a: int, unit: int, unit_mod: int, columns: Sequence[CongruenceTerm]
+) -> list[CongruenceTerm]:
+    """The line-1 terms of row ``a`` at ``columns``: each column scaled by the a-factor ``unit``."""
+    modulus = p * p
+    return [
+        CongruenceTerm(
+            a, 1, col.j, col.num * unit, a, col.slack,
+            None if col.slack is None else col.unit_residue * unit_mod % modulus,
+        )
+        for col in columns
+    ]
+
+
+def _index(p: int, j0: int, line1: tuple[_Row, ...], line2: tuple[CongruenceTerm, ...]) -> _Table:
+    """The table of these rows with its index of the terms that can fail an audit.
+
+    An a-factor is a p-unit, so a line-1 term can fail only where its
+    column's slack is <= 0: only those columns are formed into terms.
+    """
+    weak = [
+        (t.j, t)
+        for a, (unit, unit_mod, columns) in enumerate(line1, 1)
+        for t in _line1_terms(
+            p, a, unit, unit_mod, [c for c in columns if c.slack is not None and c.slack <= 0]
+        )
+    ]
+    weak += [(t.j + 1, t) for t in line2 if t.slack is not None and t.slack <= 0]
+    return _Table(j0, line1, line2, tuple(weak), tuple((t.j, t.slack_text) for t in line2))
 
 
 def _table(params: CongruenceParams) -> tuple[_Table, int]:
@@ -378,7 +401,7 @@ def _table(params: CongruenceParams) -> tuple[_Table, int]:
         top = min(-(-n // _TABLE_BLOCK) * _TABLE_BLOCK, p * p - p - 1)
         for m in range((p + 3) // 2, top + 1):
             if (p, m) not in _TABLES:
-                _TABLES[(p, m)] = _index(*_build_table(p, m))
+                _TABLES[(p, m)] = _index(p, *_build_table(p, m))
         table = _TABLES[(p, n)]
     start = params.ceil_half_r - table.j0
     if start < 0:
@@ -389,11 +412,17 @@ def _table(params: CongruenceParams) -> tuple[_Table, int]:
 def master_terms(params: CongruenceParams) -> tuple[CongruenceTerm, ...]:
     """All terms of the congruence, line 1 then line 2, ordered by (a, j).
 
-    The terms are sliced from the shared (p, n) table; audits read that
+    The line-1 terms are formed from the shared (p, n) table's columns on
+    each call, and the line-2 terms are sliced from it; audits read that
     table's index instead, so this serves the term listings and checks.
     """
     table, start = _table(params)
-    return tuple(term for row in table.rows for term in row[start:])
+    line1 = [
+        t
+        for a, (unit, unit_mod, columns) in enumerate(table.line1, 1)
+        for t in _line1_terms(params.p, a, unit, unit_mod, columns[start:])
+    ]
+    return (*line1, *table.line2[start:])
 
 
 # --------------------------------------------------------------------------
@@ -470,7 +499,7 @@ def _audit(
     terms = [t for last, t in table.weak if ceil_half <= last]
     # the line-2 term at the target is checked whatever its slack; a
     # positive one is not indexed, so it takes its place in table order
-    line2 = table.rows[-1]
+    line2 = table.line2
     k = target_j - table.j0 + 1
     if start <= k < len(line2) and line2[k].slack is not None and line2[k].slack > 0:
         terms.insert(sum(1 for t in terms if t.line == 1 or t.j < target_j), line2[k])

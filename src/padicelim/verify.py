@@ -228,15 +228,17 @@ def verify_vl_independence(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:
 
     For each vL the sum x + (n - j) + vL + v_p(C) is formed from that vL's
     own parameters and compared with the term's total_val(r), which never
-    sees vL: agreement under both choices is the vL independence.
+    sees vL: agreement under both choices is the vL independence.  The terms
+    depend on (p, n) and ceil(r/2) only, so both choices read one list.
     """
     res = VerifyResult("vl-independence", primes)
     for p in primes:
         for r, n, _b in _admissible_rn(p):
             bound = Fraction(r, 2) - n
-            for vL in (bound - 1, bound - Fraction(7, 2)):
-                params = make_params(p, r, n, vL)
-                if any(t.total_val(r) != _uncancelled_val(params, t) for t in master_terms(params)):
+            choices = [make_params(p, r, n, vL) for vL in (bound - 1, bound - Fraction(7, 2))]
+            terms = master_terms(choices[0])
+            for params in choices:
+                if any(t.total_val(r) != _uncancelled_val(params, t) for t in terms):
                     res.failures.append(f"p={p}, r={r}, n={n}: total valuations depend on vL")
                     break
             res.checked += 1

@@ -27,7 +27,6 @@ from padicelim.congruence import (
     star_mod_p2,
 )
 from padicelim.errors import (
-    DigitError,
     InvalidDegreeError,
     InvalidRangeError,
     NotGoodCandidateError,
@@ -36,7 +35,7 @@ from padicelim.errors import (
 )
 from padicelim.combinat import stirling2
 from padicelim.eliminator import run_elimination, theorem_r_values
-from padicelim.exactnum import InvalidPrimeError, harmonic, rational_mod, vp
+from padicelim.exactnum import InvalidPrimeError, harmonic, is_prime, rational_mod, vp
 
 
 class TestMakeParams:
@@ -63,10 +62,16 @@ class TestMakeParams:
         with pytest.raises(VLBoundError):
             make_params(5, 8, 7, -3)  # needs < -3
 
-    def test_digit_error_unreachable_via_valid_r(self):
-        # n <= r <= p^2 - p - 1 keeps b <= p - 2; force it via a bad pair
-        with pytest.raises((DigitError, WindowError)):
+    def test_n_above_r_is_a_window_error(self):
+        with pytest.raises(WindowError):
             make_params(5, 19, 20, -20)
+
+    def test_admissible_degrees_keep_b_at_most_p_minus_2(self):
+        # every admissible n has n <= r, and n = r is admissible, so the
+        # largest b at r is r // p; it stays <= p - 2 up to r = p^2 - p - 1
+        for p in filter(is_prime, range(5, 102)):
+            for r in range(p, p * p - p):
+                assert 2 * r >= r + 2 * (r // p) + 2 and r // p <= p - 2, (p, r)
 
     def test_consequences_hold(self):
         params = make_params(7, 18, 15, -10)
@@ -190,6 +195,15 @@ class TestMasterTerms:
                         for t in master_terms(make_params(p, r, n, Fraction(r, 2) - n - 1))
                     ]
                     assert got == self._closed_form_terms(p, r, n, oracle_cache), (p, r, n)
+
+    @pytest.mark.parametrize("r, n", [(200, 180), (300, 250)])
+    def test_formed_terms_match_closed_forms_at_p101(self, r, n):
+        # b = 1 and b = 2, with 79 and 48 line-1 rows formed from the columns
+        params = make_params(101, r, n, Fraction(r, 2) - n - 1)
+        terms = master_terms(params)
+        got = [(t.line, t.a, t.j, t.coeff, t.slack, t.unit_residue) for t in terms]
+        assert got == self._closed_form_terms(101, r, n, {})
+        assert master_terms(params) == terms
 
     def test_tables_held_for_one_prime(self):
         master_terms(make_params(5, 8, 7, -5))
@@ -433,21 +447,30 @@ class TestInequalities:
 _FORBIDDEN_SLACK = {DEAD: 0, GENERATOR: 1, RESIDUAL: -1, DEEPER: -1, BELOW: -1}
 
 
+def _replaced(terms, j, changes):
+    return tuple(dataclasses.replace(t, **changes) if t.j == j else t for t in terms)
+
+
 def _mutated_table(monkeypatch, n, key, **changes):
     """Give the degree-n term table ``changes`` in its (line, a, j) term, in a fresh table store.
 
+    A line-1 term takes its slack from its column, so row a gets its own
+    copy of the columns with column j changed: only the (a, j) term moves.
     The mutated term reaches both ``master_terms`` and the audits' index.
     """
     original = congruence._build_table
+    line, a, j = key
+    if line == 1:
+        assert set(changes) == {"slack"}, "a line-1 term is mutated through its column's slack"
 
     def mutated(p, m):
-        j0, rows = original(p, m)
-        if m != n:
-            return j0, rows
-        return j0, tuple(
-            tuple(dataclasses.replace(t, **changes) if (t.line, t.a, t.j) == key else t for t in row)
-            for row in rows
-        )
+        j0, line1, line2 = original(p, m)
+        if m == n and line == 2:
+            line2 = _replaced(line2, j, changes)
+        elif m == n:
+            unit, unit_mod, columns = line1[a - 1]
+            line1 = (*line1[: a - 1], (unit, unit_mod, _replaced(columns, j, changes)), *line1[a:])
+        return j0, line1, line2
 
     monkeypatch.setattr(congruence, "_build_table", mutated)
     monkeypatch.setattr(congruence, "_TABLES", {})
