@@ -24,21 +24,19 @@ term is its total valuation minus the filtration threshold r/2 - j, i.e.
 v_p(C) - vFall, an integer (None when C vanishes).  Neither C nor the slack
 depends on r, so the coefficients of one (p, n) are valued once, as a table
 over every degree j an admissible r can ask for; :func:`master_terms` reads
-it from ceil(r/2), and a term derives its total valuation from r on demand.  The
-tables of one prime are kept and dropped when the prime changes.  A missing
-table is built with every missing degree below it and the rest of its block
-of four degrees, so few requests of a process pay for building, whatever
-their order; the low degrees are small (at p = 31 the degrees below 47 hold
-16% of the terms).  On line 1
-the factor (-1)^a C(eps, a)/a is a p-unit (a <= eps < p), so every a shares
-the slack of its column j: the table stores and values each column once,
-with one factor per a, and forms a line-1 term only when it is read (by
-:func:`master_terms`, and by the index for the columns with slack <= 0).
-The line-2 terms are stored.  A term keeps its exact
-coefficient as an integer numerator and denominator, never as a Fraction:
-on line 1 the column numerator times (-1)^a C(eps, a) over a, on line 2
-the star numerator over the denominator of pH_eps.  The Fraction is formed
-only when a reader asks for ``coeff``.
+it from ceil(r/2), and a term derives its total valuation from r on demand.
+The tables of one prime are kept and dropped when the prime changes.  A
+missing table is built with every missing degree below it and the rest of
+its block of four degrees, so few requests of a process pay for building,
+whatever their order; the low degrees are small (at p = 31 the degrees
+below 47 hold 16% of the terms).  On line 1 the factor (-1)^a C(eps, a)/a
+is a p-unit (a <= eps < p), so every a shares the slack of its column j:
+the table stores and values each column once, with one factor per a, and
+only :func:`master_terms` forms line-1 terms.  The line-2 terms are stored.
+A term keeps its exact coefficient as an integer numerator and denominator,
+never as a Fraction: on line 1 the column numerator times (-1)^a C(eps, a)
+over a, on line 2 the star numerator over the denominator of pH_eps.  The
+Fraction is formed only when a reader asks for ``coeff``.
 
 An audit instantiates the congruence at one n, aims at a target degree j*,
 gives each non-zero term a status and checks the one slack bound that the
@@ -55,16 +53,13 @@ external lattice criteria are not re-proved here); the audits re-derive
 every divisibility fact they rely on by exact arithmetic instead of
 assuming it.  A positive slack meets every bound but the generator's, so an
 audit examines only the non-zero terms with slack <= 0 and the line-2 term
-at j*, in table order.  When a table is stored it is indexed: the terms
-that can fail (non-zero, slack <= 0) in table order, and the line-2
-(j, slack) pairs.  Both are derived from the stored rows, so whatever
-changes a row changes them too.  An audit reads the index, not the whole
-table: it checks the indexed terms inside the window of r and the line-2
-term at j*, and slices the pairs for its slack table, so its cost follows
-the few terms that can fail.  A term that misses its bound fails the audit
-with one line naming its row (line, a, j).  The statuses are not stored: an
-audit returns its failures and the line-2 slack table that the kill trace
-records, and ``_status`` gives any term its status again on demand.
+at j*, in table order, and it reads them off the table: each line-1 column
+with slack <= 0 inside the window of r once (its terms at every a share its
+slack and status), then the window's line-2 terms in degree order.  A term
+that misses its bound fails the audit with one line naming its row (line,
+a, j).  The statuses are not stored: an audit returns its failures and the
+line-2 slack table that the kill trace records, and ``_status`` gives any
+term its status again on demand.
 
 Three audits package the three elimination arguments: ``audit_good`` (one
 congruence at an n with vFall = 0, generator at degree n - b - 1),
@@ -80,7 +75,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from padicelim.combinat import stirling2
@@ -251,9 +246,9 @@ class CongruenceTerm:
     v_p(coeff) - vFall, or None when the coefficient vanishes identically;
     the total valuation is derived from r by :meth:`total_val`.
     ``unit_residue`` is the residue mod p^2 of coeff / p^(v_p(coeff)).
-    :func:`master_terms` forms them from a per-(p, n) table that holds one
-    prime at a time: the line-2 terms are the table's own, the line-1 terms
-    are formed anew on each call from the table's columns.
+    A per-(p, n) table holds the line-2 terms and the line-1 columns (terms
+    with a = 0 and line 1, before the a-factor); :func:`master_terms` forms
+    the line-1 terms from them on each call.
     """
 
     a: int
@@ -292,29 +287,29 @@ def _build_term(p: int, v_fall: int, a: int, line: int, j: int, num: int, den: i
     return CongruenceTerm(a, line, j, num, den, v_num - v_den - v_fall, unit_residue)
 
 
-# a line-1 row: the a-factor (-1)^a C(eps, a), its residue over a mod p^2,
-# and the columns (degrees j0..n-1) it scales
-_Row = tuple[int, int, tuple[CongruenceTerm, ...]]
-
-
 @dataclass(frozen=True)
 class _Table:
-    """The terms of one (p, n) congruence and the index an audit reads.
+    """The terms of one (p, n) congruence, stored as an audit reads them.
 
-    Line 1 is stored by column: ``line1`` holds one row per a = 1..eps, and
-    every row scales the one tuple of columns (degrees j0..n-1) by its
-    a-factor; :func:`_line1_terms` forms a row's terms when they are read.
-    ``line2`` holds the line-2 terms (degrees j0-1..n-1).  ``weak`` lists the
-    non-zero terms with slack <= 0 in table order, each with the largest
-    ceil(r/2) whose window holds it; ``slacks`` pairs each line-2 degree with
-    its slack text.  Both are derived from the rows when the table is stored.
+    ``columns`` holds the line-1 columns (degrees j0..n-1) once, ``factors``
+    one pair (unit, unit mod p^2 over a) per a = 1..eps with unit = (-1)^a
+    C(eps, a), and term (a, j) is column j scaled by factor a, with the
+    column's slack.  ``line2`` holds the line-2 terms (degrees j0-1..n-1).
+    Derived on creation: ``weak_columns``, the non-zero columns with slack
+    <= 0, and ``slacks``, each line-2 degree with its slack text.
     """
 
     j0: int
-    line1: tuple[_Row, ...]
+    columns: tuple[CongruenceTerm, ...]
+    factors: tuple[tuple[int, int], ...]
     line2: tuple[CongruenceTerm, ...]
-    weak: tuple[tuple[int, CongruenceTerm], ...]
-    slacks: tuple[tuple[int, str], ...]
+    weak_columns: tuple[CongruenceTerm, ...] = field(init=False)
+    slacks: tuple[tuple[int, str], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        weak = tuple(c for c in self.columns if c.slack is not None and c.slack <= 0)
+        object.__setattr__(self, "weak_columns", weak)
+        object.__setattr__(self, "slacks", tuple((t.j, t.slack_text) for t in self.line2))
 
 
 # the term tables of one prime, keyed by (p, n); cleared when p changes
@@ -323,11 +318,9 @@ _TABLES: dict[tuple[int, int], _Table] = {}
 _TABLE_BLOCK = 4
 
 
-def _build_table(p: int, n: int) -> tuple[int, tuple[_Row, ...], tuple[CongruenceTerm, ...]]:
+def _build_table(p: int, n: int) -> _Table:
     """Every term of the (p, n) congruence that an admissible r can ask for.
 
-    Returns (j0, line1, line2): one row per a = 1..eps over the line-1
-    columns (degrees j0..n-1), then the line-2 terms (degrees j0-1..n-1).
     Admissible r has r >= p and r >= n, so ceil(r/2) >= j0 = ceil(max(p, n)/2).
     """
     b, eps = divmod(n, p)
@@ -342,11 +335,10 @@ def _build_table(p: int, n: int) -> tuple[int, tuple[_Row, ...], tuple[Congruenc
         sign = -1 if (j + b + 1) % 2 else 1
         column = binom(n, j) * sign * prefactor * stirling2(n - j, b)
         columns.append(_build_term(p, v_fall, 0, 1, j, column, 1))
-    shared = tuple(columns)
-    line1 = []
+    factors = []
     for a in range(1, eps + 1):
         unit = (-1 if a % 2 else 1) * binom(eps, a)
-        line1.append((unit, unit * pow(a, -1, modulus) % modulus, shared))
+        factors.append((unit, unit * pow(a, -1, modulus) % modulus))
     consts = _star_constants(p, n, b, eps)
     ph_den = consts[2]
     line2 = []
@@ -354,42 +346,11 @@ def _build_table(p: int, n: int) -> tuple[int, tuple[_Row, ...], tuple[Congruenc
         sign = -1 if (n - j) % 2 else 1
         num = binom(n, j) * sign * _star_numerator(n, b, j, consts)
         line2.append(_build_term(p, v_fall, 0, 2, j, num, ph_den))
-    return j0, tuple(line1), tuple(line2)
-
-
-def _line1_terms(
-    p: int, a: int, unit: int, unit_mod: int, columns: Sequence[CongruenceTerm]
-) -> list[CongruenceTerm]:
-    """The line-1 terms of row ``a`` at ``columns``: each column scaled by the a-factor ``unit``."""
-    modulus = p * p
-    return [
-        CongruenceTerm(
-            a, 1, col.j, col.num * unit, a, col.slack,
-            None if col.slack is None else col.unit_residue * unit_mod % modulus,
-        )
-        for col in columns
-    ]
-
-
-def _index(p: int, j0: int, line1: tuple[_Row, ...], line2: tuple[CongruenceTerm, ...]) -> _Table:
-    """The table of these rows with its index of the terms that can fail an audit.
-
-    An a-factor is a p-unit, so a line-1 term can fail only where its
-    column's slack is <= 0: only those columns are formed into terms.
-    """
-    weak = [
-        (t.j, t)
-        for a, (unit, unit_mod, columns) in enumerate(line1, 1)
-        for t in _line1_terms(
-            p, a, unit, unit_mod, [c for c in columns if c.slack is not None and c.slack <= 0]
-        )
-    ]
-    weak += [(t.j + 1, t) for t in line2 if t.slack is not None and t.slack <= 0]
-    return _Table(j0, line1, line2, tuple(weak), tuple((t.j, t.slack_text) for t in line2))
+    return _Table(j0, tuple(columns), tuple(factors), tuple(line2))
 
 
 def _table(params: CongruenceParams) -> tuple[_Table, int]:
-    """The (p, n) table of ``params`` and where the window of r starts in its rows."""
+    """The (p, n) table of ``params`` and where the window of r starts in its columns."""
     p, n = params.p, params.n
     table = _TABLES.get((p, n))
     if table is None:
@@ -401,7 +362,7 @@ def _table(params: CongruenceParams) -> tuple[_Table, int]:
         top = min(-(-n // _TABLE_BLOCK) * _TABLE_BLOCK, p * p - p - 1)
         for m in range((p + 3) // 2, top + 1):
             if (p, m) not in _TABLES:
-                _TABLES[(p, m)] = _index(p, *_build_table(p, m))
+                _TABLES[(p, m)] = _build_table(p, m)
         table = _TABLES[(p, n)]
     start = params.ceil_half_r - table.j0
     if start < 0:
@@ -412,15 +373,20 @@ def _table(params: CongruenceParams) -> tuple[_Table, int]:
 def master_terms(params: CongruenceParams) -> tuple[CongruenceTerm, ...]:
     """All terms of the congruence, line 1 then line 2, ordered by (a, j).
 
-    The line-1 terms are formed from the shared (p, n) table's columns on
-    each call, and the line-2 terms are sliced from it; audits read that
-    table's index instead, so this serves the term listings and checks.
+    The only place a line-1 term is formed: each of the shared (p, n)
+    table's columns in the window, scaled by each a-factor.  The line-2
+    terms are sliced from the table.  Audits read the table directly; this
+    serves the term listings and checks.
     """
     table, start = _table(params)
+    modulus = params.p * params.p
     line1 = [
-        t
-        for a, (unit, unit_mod, columns) in enumerate(table.line1, 1)
-        for t in _line1_terms(params.p, a, unit, unit_mod, columns[start:])
+        CongruenceTerm(
+            a, 1, col.j, col.num * unit, a, col.slack,
+            None if col.slack is None else col.unit_residue * unit_mod % modulus,
+        )
+        for a, (unit, unit_mod) in enumerate(table.factors, 1)
+        for col in table.columns[start:]
     ]
     return (*line1, *table.line2[start:])
 
@@ -478,6 +444,14 @@ def _status(
     return DEEPER if j >= ceil_half else BELOW
 
 
+def _failure_row(line: int, a: int, term: CongruenceTerm, status: str) -> str:
+    """The failure text of the (line, a, term.j) term, whose slack misses what ``status`` needs."""
+    return (
+        f"term (line {line}, a={a}, j={term.j}) has slack {term.slack_text}, "
+        f"needs {_NEEDS[status]} ({status})"
+    )
+
+
 def _audit(
     method: str,
     params: CongruenceParams,
@@ -489,24 +463,29 @@ def _audit(
     """Audit one congruence against ``target_j``; the method's own ``failures`` follow the terms'.
 
     A positive slack meets every bound but the generator's, so the audit
-    checks only the table's indexed terms (non-zero, slack <= 0) inside the
-    window of r, plus the line-2 term at the target, in table order; it
-    never walks the whole table.  ``slack_table`` is a slice of the table's
-    line-2 slack pairs.
+    checks each weak column inside the window of r once (a failing one fails
+    its line-1 term at every a, a-major), then the window's line-2 terms with
+    slack <= 0 or at the target, in degree order.  ``slack_table`` is a slice
+    of the table's line-2 slack pairs.
     """
     table, start = _table(params)
     ceil_half = params.ceil_half_r
-    terms = [t for last, t in table.weak if ceil_half <= last]
-    # the line-2 term at the target is checked whatever its slack; a
-    # positive one is not indexed, so it takes its place in table order
-    line2 = table.line2
-    k = target_j - table.j0 + 1
-    if start <= k < len(line2) and line2[k].slack is not None and line2[k].slack > 0:
-        terms.insert(sum(1 for t in terms if t.line == 1 or t.j < target_j), line2[k])
-    term_failures = []
+    failing = []
+    for column in table.weak_columns:
+        if column.j >= ceil_half:  # a line-1 status is never the generator
+            status = _status(column, target_j, ceil_half, residual_degrees, must_die)
+            if not (column.slack > 0 if status == DEAD else column.slack >= 0):
+                failing.append((column, status))
+    term_failures = [
+        _failure_row(1, a, column, status)
+        for a in range(1, len(table.factors) + 1)
+        for column, status in failing
+    ]
     generator = False
-    for term in terms:
+    for term in table.line2[start:]:
         slack = term.slack
+        if slack is None or (slack > 0 and term.j != target_j):
+            continue
         status = _status(term, target_j, ceil_half, residual_degrees, must_die)
         if status == DEAD:
             ok = slack > 0
@@ -516,10 +495,7 @@ def _audit(
         else:
             ok = slack >= 0
         if not ok:
-            term_failures.append(
-                f"term (line {term.line}, a={term.a}, j={term.j}) has slack {term.slack_text}, "
-                f"needs {_NEEDS[status]} ({status})"
-            )
+            term_failures.append(_failure_row(2, 0, term, status))
     if not generator:
         term_failures.append(f"no generator found at degree {target_j}")
     return KillAudit(

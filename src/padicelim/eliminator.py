@@ -255,10 +255,6 @@ def predict(p: int, r: int) -> ReductionResult:
         )
     trace = run_elimination(p, r)
     c = r // p
-    if trace.survivor != c:
-        raise EliminationIncompleteError(
-            f"survivor {trace.survivor} differs from c = {c}"
-        )
     return ReductionResult(
         p=p,
         r=r,

@@ -4,7 +4,6 @@ The worked numbers for (p, r, n) = (5, 8, 7) are frozen from exact desk
 evaluation: star_5 = 608, star_6 = 610, with residues 8 and 10 mod 25.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -323,12 +322,12 @@ class TestAuditUgly:
         statuses = _statuses(make_params(5, 14, 12, -8), audit.target_j, residual=(10,))
         assert list(statuses.values()).count(RESIDUAL) == 3  # a = 0, 1, 2 at degree cp = 10
 
-    def test_phase2_forces_cp_minus_1_dead(self, monkeypatch):
+    def test_phase2_forces_cp_minus_1_dead(self, monkeypatch, mutate_table):
         # phase two: n = cp + c + 1 = 7, target cp = 5, degree cp - 1 = 4 forced dead
         assert _statuses(make_params(5, 8, 7, -5), 5, must_die=(4,))[(2, 0, 4)] == DEAD
         assert audit_ugly(5, 8, -5, 1).passed  # builds the (5, 6) and (5, 7) term tables
         with monkeypatch.context() as m:
-            _mutated_table(m, 7, (2, 0, 4), slack=0)
+            mutate_table(m, 7, (2, 0, 4), slack=0)
             failures = audit_ugly(5, 8, -5, 1).failures
         assert failures == ("term (line 2, a=0, j=4) has slack 0, needs > 0 (dead)",)
         # C(7, 4) = 35 supplies the p; a unit in its place breaks the certificate
@@ -447,42 +446,13 @@ class TestInequalities:
 _FORBIDDEN_SLACK = {DEAD: 0, GENERATOR: 1, RESIDUAL: -1, DEEPER: -1, BELOW: -1}
 
 
-def _replaced(terms, j, changes):
-    return tuple(dataclasses.replace(t, **changes) if t.j == j else t for t in terms)
-
-
-def _mutated_table(monkeypatch, n, key, **changes):
-    """Give the degree-n term table ``changes`` in its (line, a, j) term, in a fresh table store.
-
-    A line-1 term takes its slack from its column, so row a gets its own
-    copy of the columns with column j changed: only the (a, j) term moves.
-    The mutated term reaches both ``master_terms`` and the audits' index.
-    """
-    original = congruence._build_table
-    line, a, j = key
-    if line == 1:
-        assert set(changes) == {"slack"}, "a line-1 term is mutated through its column's slack"
-
-    def mutated(p, m):
-        j0, line1, line2 = original(p, m)
-        if m == n and line == 2:
-            line2 = _replaced(line2, j, changes)
-        elif m == n:
-            unit, unit_mod, columns = line1[a - 1]
-            line1 = (*line1[: a - 1], (unit, unit_mod, _replaced(columns, j, changes)), *line1[a:])
-        return j0, line1, line2
-
-    monkeypatch.setattr(congruence, "_build_table", mutated)
-    monkeypatch.setattr(congruence, "_TABLES", {})
-
-
 def _reference_audit(
     method, params, target_j, failures=(), residual_degrees=frozenset(), must_die=frozenset()
 ):
     """(failures, slack_table) of an audit by a full walk of ``master_terms``.
 
-    The reference for the indexed audit: every term of the congruence is
-    visited, those with a zero coefficient or with a positive slack (save
+    The reference for the audit that reads the table: every term of the
+    congruence is visited, those with a zero coefficient or with a positive slack (save
     the line-2 term at the target) are skipped, and the rest go through the
     status ladder.
     """
@@ -540,16 +510,29 @@ class TestAuditIndexOracle:
             run_elimination(p, r)
         _assert_matches_reference(calls)
 
-    def test_a_failing_generator_keeps_its_place_in_table_order(self, monkeypatch):
+    def test_a_failing_generator_keeps_its_place_in_table_order(self, monkeypatch, mutate_table):
         # audit_good(5, 8, 7, -5) targets degree 5: its generator loses slack 0
         # and the dead line-2 term above it gains slack 0, so both fail
-        _mutated_table(monkeypatch, 7, (2, 0, 5), slack=1)
-        _mutated_table(monkeypatch, 7, (2, 0, 6), slack=0)
+        mutate_table(monkeypatch, 7, (2, 0, 5), slack=1)
+        mutate_table(monkeypatch, 7, (2, 0, 6), slack=0)
         calls = _recorded_audits(monkeypatch)
         assert audit_good(5, 8, 7, -5).failures == (
             "term (line 2, a=0, j=5) has slack 1, needs 0 with a unit residue (generator)",
             "term (line 2, a=0, j=6) has slack 0, needs > 0 (dead)",
             "no generator found at degree 5",
+        )
+        _assert_matches_reference(calls)
+
+    def test_failing_line1_columns_fail_every_a_in_a_major_order(self, monkeypatch, mutate_table):
+        # audit_good(7, 12, 11, -7) targets degree 9 with eps = 4; columns 7 and
+        # 8 lie below it, so with slack -1 each fails its term at a = 1..4
+        mutate_table(monkeypatch, 11, (1, 1, 7), slack=-1)
+        mutate_table(monkeypatch, 11, (1, 1, 8), slack=-1)
+        calls = _recorded_audits(monkeypatch)
+        assert audit_good(7, 12, 11, -7).failures == tuple(
+            f"term (line 1, a={a}, j={j}) has slack -1, needs >= 0 (deeper-integral)"
+            for a in range(1, 5)
+            for j in (7, 8)
         )
         _assert_matches_reference(calls)
 
@@ -568,7 +551,7 @@ class TestAuditFailurePaths:
     }
 
     @pytest.mark.parametrize("method", sorted(AUDITS))
-    def test_forbidden_slack_fails_with_term_row(self, monkeypatch, method):
+    def test_forbidden_slack_fails_with_term_row(self, monkeypatch, mutate_table, method):
         run, (p, r, vL), phases = self.AUDITS[method]
         assert run().passed
         mutated = 0
@@ -576,7 +559,7 @@ class TestAuditFailurePaths:
             statuses = _statuses(make_params(p, r, n, vL), target_j, residual, must_die)
             for key, status in statuses.items():
                 with monkeypatch.context() as m:
-                    _mutated_table(m, n, key, slack=_FORBIDDEN_SLACK[status])
+                    mutate_table(m, n, key, slack=_FORBIDDEN_SLACK[status])
                     calls = _recorded_audits(m)
                     failed = run()
                     _assert_matches_reference(calls)
@@ -586,9 +569,9 @@ class TestAuditFailurePaths:
                 mutated += 1
         assert mutated >= 10
 
-    def test_generator_needs_a_unit_residue(self, monkeypatch):
+    def test_generator_needs_a_unit_residue(self, monkeypatch, mutate_table):
         # the generator of audit_good(5, 8, 7, -5) keeps slack 0, its residue becomes 0 mod p
-        _mutated_table(monkeypatch, 7, (2, 0, 5), unit_residue=5)
+        mutate_table(monkeypatch, 7, (2, 0, 5), unit_residue=5)
         assert audit_good(5, 8, 7, -5).failures == (
             "term (line 2, a=0, j=5) has slack 0, needs 0 with a unit residue (generator)",
             "no generator found at degree 5",

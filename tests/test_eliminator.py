@@ -1,12 +1,11 @@
 """Elimination engine: full traces, predictions, round trip."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from padicelim import congruence, eliminator
+from padicelim import eliminator
 from padicelim.eliminator import (
     good_candidates,
     predict,
@@ -122,19 +121,10 @@ class TestRunElimination:
                 for n in good_candidates(p, r):
                     assert r - (n - n // p - 1) != c
 
-    def test_failed_audit_raises_with_term_rows(self, monkeypatch):
+    def test_failed_audit_raises_with_term_rows(self, monkeypatch, mutate_table):
         n = good_candidates(7, 12)[0]
         target_j = n - n // 7 - 1
-        original = congruence._build_table
-
-        def mutated(p, m):
-            j0, line1, line2 = original(p, m)
-            if m != n:
-                return j0, line1, line2
-            return j0, line1, tuple(dataclasses.replace(t, slack=1) if t.j == target_j else t for t in line2)
-
-        monkeypatch.setattr(congruence, "_build_table", mutated)
-        monkeypatch.setattr(congruence, "_TABLES", {})
+        mutate_table(monkeypatch, n, (2, 0, target_j), slack=1)
         with pytest.raises(EliminationIncompleteError) as info:
             run_elimination(7, 12)
         assert str(info.value) == (
