@@ -8,7 +8,4 @@ and the elimination engine that combines them into a kill trace ending in a
 reduction label ind omega2^(r+1).
 """
 
-from padicelim.exactnum import Rational, ValP
-
-__all__ = ["Rational", "ValP"]
 __version__ = "0.1.0"

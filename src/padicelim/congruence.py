@@ -113,7 +113,6 @@ __all__ = [
     "audit_bad",
     "audit_ugly",
     "FamilyResult",
-    "InequalityReport",
     "inequality_suite",
 ]
 
@@ -154,12 +153,12 @@ def _check_window(p: int, r: int, n: int) -> tuple[int, int, int]:
     check_prime(p, minimum=5)
     if not (p <= r <= p * p - p - 1):
         raise InvalidRangeError(f"r = {r} outside [{p}, {p * p - p - 1}]")
-    if n < 0 or n > r:
-        raise WindowError(f"n = {n} outside [ceil(r/2 + b + 1), {r}]")
+    # n >= r/2 + b + 1 with b = floor(n/p): 2n - 2b never falls as n grows,
+    # so the window is the interval [window_degrees(p, r)[0], r]
+    if not (0 <= n <= r and 2 * n >= r + 2 * (n // p) + 2):
+        raise WindowError(f"n = {n} outside the window [{window_degrees(p, r)[0]}, {r}]")
     # n <= r <= p^2 - p - 1 keeps b <= p - 2
     b, eps = divmod(n, p)
-    if 2 * n < r + 2 * b + 2:
-        raise WindowError(f"n = {n} violates n >= r/2 + b + 1 = {Fraction(r, 2) + b + 1}")
     v_fall = fall_valuation(p, n)
     # consequences of the hypotheses; with vL < r/2 - n they give x > -vFall >= -1
     if not (v_fall <= 1 and n - v_fall > Fraction(r, 2)):
@@ -407,6 +406,7 @@ _NEEDS = {DEAD: "> 0", GENERATOR: "0 with a unit residue", RESIDUAL: ">= 0", DEE
 class KillAudit:
     """The audited elimination of one sub-quotient index.
 
+    ``target_i`` is the killed index, r - j* for the target degree j*.
     ``witness_n`` holds the degree(s) n the congruence was instantiated at:
     one entry for the single-congruence methods, two for the two-phase one,
     whose ``failures`` are those of both congruences.  ``slack_table`` pairs
@@ -416,7 +416,6 @@ class KillAudit:
 
     method: str
     witness_n: tuple[int, ...]
-    target_j: int
     target_i: int
     slack_table: tuple[tuple[int, str], ...]
     failures: tuple[str, ...]
@@ -501,7 +500,6 @@ def _audit(
     return KillAudit(
         method=method,
         witness_n=(params.n,),
-        target_j=target_j,
         target_i=params.r - target_j,
         slack_table=table.slacks[start:],
         failures=tuple(term_failures) + tuple(failures),
@@ -584,19 +582,6 @@ class FamilyResult:
     name: str
     passed: bool
     witness: tuple[tuple[str, str], ...]
-    observations: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    p: int
-    r: int
-    n: int
-    families: tuple[FamilyResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(f.passed for f in self.families)
 
 
 def _ilog(m: int, p: int) -> int:
@@ -635,8 +620,8 @@ def _geometric_step_ok(p: int, exponent2: int) -> bool:
     return p >= 2 and exponent2 >= 0
 
 
-def inequality_suite(p: int, r: int, n: int) -> InequalityReport:
-    """Exact verification of the four inequality families for one (p, r, n).
+def inequality_suite(p: int, r: int, n: int) -> tuple[FamilyResult, ...]:
+    """Exact verification of the four inequality families for one (p, r, n), one result each.
 
     Every family is an infinite family in a shift l >= 1; each is certified
     by an exact base case plus the discrete form of the growth argument
@@ -668,12 +653,11 @@ def inequality_suite(p: int, r: int, n: int) -> InequalityReport:
     # weakened through n - r/2 >= b + 1 to 2(b + l) - vFall > (n-1+l)/(p-1).
     # The further shortcut that bounds vFall by 1 and lands on
     # 2b + 1 > n/(p - 1) loses too much exactly at b = 0, n = p - 1, where
-    # vFall = 0; the forms with vFall retained hold everywhere, so those are
-    # asserted and the shortcut's outcome is only recorded.
+    # vFall = 0 (tests/test_congruence.py::TestInequalities checks that edge);
+    # the forms with vFall retained hold everywhere, so those are asserted.
     pre_base = (2 * n - r - v_fall) * (p - 1) > n
     window_base = (2 * (b + 1) - v_fall) * (p - 1) > n
     slope_ok = 2 * (p - 1) - 1 > 0
-    shortcut = (2 * b + 1) * (p - 1) > n
     families.append(
         FamilyResult(
             name="telescoping-pzp",
@@ -681,10 +665,6 @@ def inequality_suite(p: int, r: int, n: int) -> InequalityReport:
             witness=(
                 ("window base", f"(2(b+1)-vFall)(p-1) = {(2 * (b + 1) - v_fall) * (p - 1)} > n = {n}"),
                 ("pre-reduction base", f"(2n-r-vFall)(p-1) = {(2 * n - r - v_fall) * (p - 1)} > n = {n}"),
-            ),
-            observations=(
-                f"printed shortcut (2b+1)(p-1) = {(2 * b + 1) * (p - 1)} > n = {n}: "
-                f"{'holds' if shortcut else 'fails (b = 0 edge; vFall-retained form asserted instead)'}",
             ),
         )
     )
@@ -730,4 +710,4 @@ def inequality_suite(p: int, r: int, n: int) -> InequalityReport:
         )
     )
 
-    return InequalityReport(p=p, r=r, n=n, families=tuple(families))
+    return tuple(families)

@@ -70,13 +70,6 @@ class KillTrace:
     vL: Fraction
     entries: tuple[SubquotientEntry, ...]
 
-    @property
-    def survivor(self) -> int:
-        for e in self.entries:
-            if e.status == "survivor":
-                return e.i
-        raise EliminationIncompleteError("trace has no survivor")
-
     def to_dict(self) -> dict:
         return {
             "p": self.p,
@@ -130,7 +123,6 @@ class ReductionResult:
     p: int
     r: int
     survivor: int
-    weight: int
     exponent: int
     label: str
     irreducibility_residue: int
@@ -259,7 +251,6 @@ def predict(p: int, r: int) -> ReductionResult:
         p=p,
         r=r,
         survivor=c,
-        weight=r + 2,
         exponent=r + 1,
         label=f"ind omega2^{r + 1}",
         irreducibility_residue=(r - 2 * c) % (p - 1),

@@ -49,7 +49,6 @@ __all__ = [
     "theta",
     "linear_form_power",
     "act",
-    "mat_mul",
     "shallow_summand",
     "pure_y_defect",
     "ShallowReport",
@@ -159,15 +158,6 @@ def _theta_power(p: int, i: int) -> HPoly:
     return theta(p).power(i)
 
 
-def mat_mul(m1: Matrix2, m2: Matrix2) -> Matrix2:
-    (a1, b1), (c1, d1) = m1
-    (a2, b2), (c2, d2) = m2
-    return (
-        (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2),
-        (c1 * a2 + d1 * c2, c1 * b2 + d1 * d2),
-    )
-
-
 def _lin_mul(coeffs: list[int], x_coef: int, y_coef: int, p: int) -> list[int]:
     """Multiply a coefficient list by the linear form x_coef*X + y_coef*Y."""
     out = [0] * (len(coeffs) + 1)
@@ -246,16 +236,12 @@ def pure_y_defect(p: int, r: int, lam: int) -> int:
 class ShallowReport:
     """Evidence that the sub-quotient indexed by i - 1 vanishes.
 
-    ``generator_unit`` is the X^(i-1) Y^(r-i+1) coefficient of f_i;
-    ``summand_min_x`` maps lam to the minimal X-degree of its summand.
+    ``summand_min_x`` pairs each lam with the minimal X-degree of its
+    summand.  ``failures`` names each missing unit, low summand degree and
+    surviving pure Y^r coefficient (checked at i = 1).
     """
 
-    p: int
-    r: int
-    i: int
-    generator_unit: int
     summand_min_x: tuple[tuple[int, int], ...]
-    pure_y_defects: tuple[int, ...] | None
     failures: tuple[str, ...]
 
     @property
@@ -289,19 +275,9 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
         if md < i:
             failures.append(f"summand at lam = {lam} has X-degree {md} < {i}")
 
-    defects: tuple[int, ...] | None = None
     if i == 1 and r >= p:
-        defects = tuple(pure_y_defect(p, r, lam) for lam in range(p))
-        for lam, defect in enumerate(defects):
-            if defect != 0:
+        for lam in range(p):
+            if pure_y_defect(p, r, lam) != 0:
                 failures.append(f"pure Y^r coefficient survives at lam = {lam}")
 
-    return ShallowReport(
-        p=p,
-        r=r,
-        i=i,
-        generator_unit=unit,
-        summand_min_x=tuple(min_degrees),
-        pure_y_defects=defects,
-        failures=tuple(failures),
-    )
+    return ShallowReport(summand_min_x=tuple(min_degrees), failures=tuple(failures))

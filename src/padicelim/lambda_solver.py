@@ -105,16 +105,13 @@ def lambda_closed(p: int, b: int, n: int, i: int) -> Rational:
 
 @dataclass(frozen=True)
 class BulletReport:
-    """Per-bullet outcome of verifying a LambdaVector.
+    """Per-bullet outcome of verifying a LambdaVector (which holds p, b and n).
 
     ``bullet2_mode`` is "asserted" for b >= 1 and "observed" for b = 0,
     where the mod-p^2 class congruence is known to fail; observed failures
     land in ``bullet2_deviations`` without flipping ``passed``.
     """
 
-    p: int
-    b: int
-    n: int
     bullet1: bool
     bullet2: bool
     bullet2_mode: str
@@ -175,9 +172,6 @@ def verify_lambda(v: LambdaVector) -> BulletReport:
             failures.append(f"bullet 4 fails at i = {i}")
 
     return BulletReport(
-        p=p,
-        b=b,
-        n=n,
         bullet1=bullet1,
         bullet2=bullet2,
         bullet2_mode=bullet2_mode,

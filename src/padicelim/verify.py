@@ -205,8 +205,7 @@ def verify_inequalities(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
     res = VerifyResult("inequalities", primes)
     for p in primes:
         for r, n, _b in _admissible_rn(p):
-            report = inequality_suite(p, r, n)
-            for fam in report.families:
+            for fam in inequality_suite(p, r, n):
                 if not fam.passed:
                     res.failures.append(
                         f"p={p}, r={r}, n={n}: family {fam.name} fails ({dict(fam.witness)})"

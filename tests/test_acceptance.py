@@ -173,10 +173,9 @@ def test_criterion_7_inequality_suites():
     checked = 0
     for p in (5, 7, 11):
         for r, n, _b in admissible_rn(p):
-            rep = inequality_suite(p, r, n)
             checked += 1
-            if not rep.passed:
-                bad = [f.name for f in rep.families if not f.passed]
+            bad = [f.name for f in inequality_suite(p, r, n) if not f.passed]
+            if bad:
                 failures.append(f"(p={p}, r={r}, n={n}): {bad}")
     report("7 (inequality suites)", failures, checked)
 

@@ -19,6 +19,7 @@ from padicelim.eliminator import predict, run_elimination, trace_from_dict
 from padicelim.verify import VerifyResult
 
 PACKAGE_DIR = Path(padicelim.__file__).parent
+BENCH_DIR = PACKAGE_DIR.parents[1] / "perfbench"
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +165,13 @@ class TestCongruenceCommand:
     def test_vl_at_the_bound_exits_2(self, capsys):
         assert run_cli(capsys, "congruence", "--p", "5", "--r", "8", "--n", "7", "--vL", "-3") == (
             2, "", "error: vL must be < r/2 - n = -3, got -3\n"
+        )
+
+    @pytest.mark.parametrize("n", [-3, 3, 7, 13])
+    def test_n_outside_the_window_exits_2(self, capsys, n):
+        # at p = 7, r = 12 the window n >= r/2 + b + 1, n <= r is [8, 12]
+        assert run_cli(capsys, "congruence", "--p", "7", "--r", "12", "--n", str(n)) == (
+            2, "", f"error: n = {n} outside the window [8, 12]\n"
         )
 
 
@@ -391,6 +399,41 @@ class TestInvariantsUnderOptimization:
             }
             problems += [f"{path.name}: {name} is public but unlisted" for name in sorted(public - listed)]
         assert problems == []
+
+    def test_every_listed_name_has_a_reader(self):
+        # a listed name is read by another module's import, by its own
+        # module, or by the benchmark; exactnum.vp is the tests' reference
+        # valuation
+        trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+        imported = {
+            (node.module, alias.name)
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        bench = "\n".join(path.read_text() for path in sorted(BENCH_DIR.rglob("*.py")))
+        unread = []
+        for stem, tree in trees.items():
+            module = "padicelim" if stem == "__init__" else f"padicelim.{stem}"
+            loads = {
+                node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            listed = [
+                name
+                for node in tree.body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+                for name in ast.literal_eval(node.value)
+            ]
+            unread += [
+                f"{module}.{name}"
+                for name in listed
+                if (module, name) not in imported
+                and name not in loads
+                and not re.search(rf"\b{name}\b", bench)
+            ]
+        assert unread == ["padicelim.exactnum.vp"]
 
     def test_only_main_prints_to_stdout(self):
         # one render path: a subcommand returns its output, main prints it

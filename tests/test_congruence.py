@@ -19,6 +19,7 @@ from padicelim.congruence import (
     audit_bad,
     audit_good,
     audit_ugly,
+    fall_valuation,
     inequality_suite,
     make_params,
     master_terms,
@@ -251,9 +252,9 @@ def _line2_slacks(params):
 class TestAuditGood:
     def test_kills_i3_via_n7(self):
         audit = audit_good(5, 8, 7, -5)
-        assert audit.passed and audit.target_j == 5 and audit.target_i == 3
+        assert audit.passed and audit.target_i == 3  # target degree j* = r - i* = 5
         params = make_params(5, 8, 7, -5)
-        assert _statuses(params, audit.target_j)[(2, 0, 5)] == GENERATOR
+        assert _statuses(params, params.r - audit.target_i)[(2, 0, 5)] == GENERATOR
         assert _terms(params)[(2, 0, 5)].slack == 0
         assert audit.slack_table == _line2_slacks(params)
 
@@ -266,7 +267,7 @@ class TestAuditGood:
             audit_good(5, 8, 6, -5)
 
     def test_disposition_statuses(self):
-        statuses = _statuses(make_params(5, 8, 7, -5), audit_good(5, 8, 7, -5).target_j)
+        statuses = _statuses(make_params(5, 8, 7, -5), 8 - audit_good(5, 8, 7, -5).target_i)
         assert statuses[(2, 0, 5)] == GENERATOR
         assert statuses[(2, 0, 6)] == DEAD
         assert statuses[(2, 0, 4)] == DEEPER
@@ -278,9 +279,9 @@ class TestAuditBad:
     def test_kills_i6_at_p5_r14(self):
         audit = audit_bad(5, 14, -8)
         assert audit.passed
-        assert audit.witness_n == (11,) and audit.target_j == 8 and audit.target_i == 6
+        assert audit.witness_n == (11,) and audit.target_i == 6  # j* = 8
         params = make_params(5, 14, 11, -8)
-        assert _statuses(params, audit.target_j)[(2, 0, 8)] == GENERATOR
+        assert _statuses(params, params.r - audit.target_i)[(2, 0, 8)] == GENERATOR
         generator = _terms(params)[(2, 0, 8)]
         assert generator.slack == 0 and generator.unit_residue % 5 != 0
 
@@ -308,10 +309,10 @@ class TestAuditUgly:
     def test_p5_r8_c1(self):
         audit = audit_ugly(5, 8, -5, 1)
         assert audit.passed
-        assert audit.witness_n == (6, 7) and audit.target_j == 4 and audit.target_i == 4
+        assert audit.witness_n == (6, 7) and audit.target_i == 4  # j* = 4
         # phase one: n = cp + c = 6 leaves a residual family at degree cp = 5
         params1 = make_params(5, 8, 6, -5)
-        statuses = _statuses(params1, audit.target_j, residual=(5,))
+        statuses = _statuses(params1, params1.r - audit.target_i, residual=(5,))
         # one line-1 term (a = 1) and one line-2 term
         assert {(line, j) for (line, _a, j), s in statuses.items() if s == RESIDUAL} == {(1, 5), (2, 5)}
         assert audit.slack_table == _line2_slacks(params1)
@@ -319,7 +320,7 @@ class TestAuditUgly:
     def test_p5_r14_c2(self):
         audit = audit_ugly(5, 14, -8, 2)
         assert audit.passed and audit.target_i == 5 and audit.witness_n == (12, 13)
-        statuses = _statuses(make_params(5, 14, 12, -8), audit.target_j, residual=(10,))
+        statuses = _statuses(make_params(5, 14, 12, -8), 14 - audit.target_i, residual=(10,))
         assert list(statuses.values()).count(RESIDUAL) == 3  # a = 0, 1, 2 at degree cp = 10
 
     def test_phase2_forces_cp_minus_1_dead(self, monkeypatch, mutate_table):
@@ -406,29 +407,33 @@ class TestLambdaCrossChecks:
                     assert rational_mod(coeff, p * p) == exact % (p * p), (p, r, n, a, j)
 
 
+def _printed_shortcut(p, n):
+    """The paper's printed shortcut for the telescoping-pzp family: (2b+1)(p-1) > n."""
+    return (2 * (n // p) + 1) * (p - 1) > n
+
+
 class TestInequalities:
     def test_example_5_8_6(self):
-        report = inequality_suite(5, 8, 6)
-        assert report.passed
-        by_name = {f.name: f for f in report.families}
+        families = inequality_suite(5, 8, 6)
+        assert all(f.passed for f in families)
+        by_name = {f.name: f for f in families}
         # base power 5^(2(n - r/2) - vFall + 1) = 5^4 against n + 1 = 7
         assert ("base", "5^4 > 7") == by_name["telescoping-zp"].witness[0]
-        pzp = by_name["telescoping-pzp"]
         # the printed shortcut 2b + 1 > n/(p - 1), i.e. 12 > 6, holds here
-        assert "(2b+1)(p-1) = 12 > n = 6: holds" in pzp.observations[0]
+        assert _printed_shortcut(5, 6)
 
     def test_pzp_shortcut_edge_at_b0(self):
-        # at b = 0, n = p - 1 the printed shortcut fails while the
-        # vFall-retained base cases (and the family itself) hold
-        report = inequality_suite(7, 7, 6)
-        assert report.passed
-        pzp = {f.name: f for f in report.families}["telescoping-pzp"]
-        assert "fails" in pzp.observations[0]
+        # at b = 0, n = p - 1 (where vFall = 0) the printed shortcut fails
+        # while the vFall-retained base cases (and the family itself) hold
+        families = inequality_suite(7, 7, 6)
+        assert all(f.passed for f in families)
+        assert "telescoping-pzp" in {f.name for f in families}
+        assert fall_valuation(7, 6) == 0 and not _printed_shortcut(7, 6)
 
     def test_example_5_8_7(self):
-        report = inequality_suite(5, 8, 7)
-        assert report.passed
-        by_name = {f.name: f for f in report.families}
+        families = inequality_suite(5, 8, 7)
+        assert all(f.passed for f in families)
+        by_name = {f.name: f for f in families}
         # qp-zp base: 5^(r/2 - v_p(r!)) = 5^3 = 125 > r + 1 = 9
         assert "(8 - 2*1)/2" in by_name["qp-zp"].witness[0][1]
 
@@ -439,7 +444,7 @@ class TestInequalities:
                 b = n // p
                 if b > p - 2 or 2 * n < r + 2 * b + 2:
                     continue
-                assert inequality_suite(p, r, n).passed, (p, r, n)
+                assert all(f.passed for f in inequality_suite(p, r, n)), (p, r, n)
 
 
 # the first slack each status forbids

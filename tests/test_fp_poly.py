@@ -9,17 +9,27 @@ import random
 
 import pytest
 
+from padicelim import fp_poly
 from padicelim.errors import InvalidRangeError, NotPolynomialError
 from padicelim.fp_poly import (
     HPoly,
     act,
     linear_form_power,
-    mat_mul,
     pure_y_defect,
     shallow_kill_check,
     shallow_summand,
     theta,
 )
+
+
+def mat_mul(m1, m2):
+    """The 2x2 matrix product m1 m2."""
+    (a1, b1), (c1, d1) = m1
+    (a2, b2), (c2, d2) = m2
+    return (
+        (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2),
+        (c1 * a2 + d1 * c2, c1 * b2 + d1 * d2),
+    )
 
 
 class TestHPoly:
@@ -151,17 +161,22 @@ class TestShallowSummand:
 
 class TestShallowKillCheck:
     def test_p5_r8_i1(self):
-        report = shallow_kill_check(5, 8, 1)
-        assert report.passed
-        # f_1 = -X^4 Y^4 + Y^8: unit coefficient 1 at Y^8
-        assert report.generator_unit == 1
-        assert report.pure_y_defects == (0,) * 5
+        assert shallow_kill_check(5, 8, 1).passed
+        # f_1 = Y^3 (-theta) / X = -X^4 Y^4 + Y^8: unit coefficient 1 at Y^8
+        f_1 = -theta(5).div_x().mul_y(3)
+        assert f_1 == HPoly(5, (1, 0, 0, 0, -1, 0, 0, 0, 0)) and f_1.coeff(0) == 1
+        assert tuple(pure_y_defect(5, 8, lam) for lam in range(5)) == (0,) * 5
 
-    def test_p5_r14_i2(self):
+    def test_p5_r14_i2(self, monkeypatch):
         report = shallow_kill_check(5, 14, 2)
         assert report.passed
         assert all(md >= 2 for _lam, md in report.summand_min_x)
-        assert report.pure_y_defects is None
+        # the pure Y^r check runs at i = 1 only
+        monkeypatch.setattr(fp_poly, "pure_y_defect", lambda p, r, lam: 1)
+        assert shallow_kill_check(5, 14, 2).passed
+        assert shallow_kill_check(5, 14, 1).failures == tuple(
+            f"pure Y^r coefficient survives at lam = {lam}" for lam in range(5)
+        )
 
     def test_range_errors(self):
         with pytest.raises(InvalidRangeError):
