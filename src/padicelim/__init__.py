@@ -7,5 +7,3 @@ computations over F_p, a master congruence with exact valuation bookkeeping,
 and the elimination engine that combines them into a kill trace ending in a
 reduction label ind omega2^(r+1).
 """
-
-__version__ = "0.1.0"

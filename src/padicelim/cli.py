@@ -29,6 +29,7 @@ from padicelim.congruence import make_params, master_terms
 from padicelim.eliminator import (
     KillTrace,
     ReductionResult,
+    SubquotientEntry,
     predict,
     run_elimination,
     theorem_r_values,
@@ -52,14 +53,69 @@ EXIT_USAGE = 2
 
 # ----------------------------- rendering -----------------------------
 
-# one TSV row per prediction, read off its to_dict() form with the
-# "prediction" block merged in
+# the TSV header; _tsv_row gives one prediction's values in this order
 _TSV_COLUMNS = ("p", "r", "c", "vL", "exponent", "label")
 
 
-def _tsv_row(data: dict) -> str:
-    flat = {**data, **data["prediction"]}
-    return "\t".join(str(flat[col]) for col in _TSV_COLUMNS)
+def _tsv_row(res: ReductionResult) -> str:
+    t = res.trace
+    return "\t".join(map(str, (t.p, t.r, t.c, t.vL, res.exponent, res.label)))
+
+
+# json.dumps's own string encoder (ensure_ascii)
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON list or object from its rendered items, closed at indent ``pad``."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _entry_json(e: SubquotientEntry, pad: str) -> str:
+    q = pad + "  "
+    qq = q + "  "
+    method = "null" if e.method is None else _json_str(e.method)
+    witness = "null" if e.witness_n is None else _json_block([f"{qq}{n}" for n in e.witness_n], q)
+    if e.slack_table is None:
+        slack = "null"
+    else:
+        # sort_keys order, the degrees as strings: "10" comes before "9".  The
+        # lines sort in that order since '"' sorts before '-' and every digit
+        lines = sorted([f'{qq}"{j}": {_json_str(s)}' for j, s in e.slack_table])
+        slack = _json_block(lines, q, "{}")
+    return (
+        f'{pad}{{\n{q}"i": {e.i},\n{q}"j": {e.j},\n{q}"method": {method},\n'
+        f'{q}"slack_table": {slack},\n{q}"status": {_json_str(e.status)},\n'
+        f'{q}"witness_n": {witness}\n{pad}}}'
+    )
+
+
+def _report_json(obj: KillTrace | ReductionResult, pad: str = "") -> str:
+    """The JSON of a trace or a prediction, starting at indent ``pad``.
+
+    The text equals ``pad + json.dumps(obj.to_dict(), indent=2,
+    sort_keys=True)`` with every further line indented by ``pad``, without
+    building the dict or running the pure-Python indented encoder.
+    """
+    trace = obj.trace if isinstance(obj, ReductionResult) else obj
+    q = pad + "  "
+    rows = [f'{q}"c": {trace.c}', f'{q}"p": {trace.p}']
+    if isinstance(obj, ReductionResult):
+        qq, qqq = q + "  ", q + "    "
+        excluded = _json_block([f"{qqq}  {k}" for k in obj.excluded_residues], qqq)
+        rows.append(
+            f'{q}"prediction": {{\n{qq}"exponent": {obj.exponent},\n'
+            f'{qq}"irreducibility": {{\n{qqq}"excluded": {excluded},\n'
+            f'{qqq}"residue": {obj.irreducibility_residue}\n{qq}}},\n'
+            f'{qq}"label": {_json_str(obj.label)}\n{q}}}'
+        )
+    entries = _json_block([_entry_json(e, q + "  ") for e in trace.entries], q)
+    rows += [
+        f'{q}"r": {trace.r}', f'{q}"subquotients": {entries}', f'{q}"vL": {_json_str(str(trace.vL))}',
+    ]
+    return pad + _json_block(rows, pad, "{}")
 
 
 def _trace_rows(trace: KillTrace) -> list[str]:
@@ -78,9 +134,12 @@ def _prediction_rows(res: ReductionResult) -> list[str]:
     ]
 
 
-def _sweep_rows(dicts: list[dict]) -> list[str]:
-    rows = [f"p = {d['p']:>3}  r = {d['r']:>3}  c = {d['c']}  {d['prediction']['label']}" for d in dicts]
-    rows.append(f"{len(dicts)} predictions, all with exponent r + 1")
+def _sweep_rows(results: list[ReductionResult]) -> list[str]:
+    rows = [
+        f"p = {res.trace.p:>3}  r = {res.trace.r:>3}  c = {res.trace.c}  {res.label}"
+        for res in results
+    ]
+    rows.append(f"{len(results)} predictions, all with exponent r + 1")
     return rows
 
 
@@ -136,17 +195,21 @@ def emit_report(obj, fmt: str = "table") -> str:
     """Render one CLI output in one format.
 
     ``obj`` is what a subcommand returns: a KillTrace, a ReductionResult, a
-    sweep (a list of ``ReductionResult.to_dict()`` forms, as the workers
-    return them), a VerifyResult, or the JSON form of a lambda family or a
-    term table.  json also takes any object with ``to_dict()`` and plain
-    JSON data; tsv is defined for a prediction and a sweep.
+    sweep (a list of ReductionResults), a VerifyResult, or the JSON form of
+    a lambda family or a term table.  json renders traces, predictions and
+    sweeps with ``_report_json`` and the rest with ``json.dumps``; tsv is
+    defined for a prediction and a sweep.
     """
     if fmt == "json":
-        data = obj.to_dict() if hasattr(obj, "to_dict") else obj
+        if isinstance(obj, list):
+            return _json_block([_report_json(res, "  ") for res in obj], "")
+        if isinstance(obj, (KillTrace, ReductionResult)):
+            return _report_json(obj)
+        data = obj.to_dict() if isinstance(obj, VerifyResult) else obj
         return json.dumps(data, indent=2, sort_keys=True)
     if fmt == "tsv":
-        dicts = [obj.to_dict()] if isinstance(obj, ReductionResult) else obj
-        return "\n".join(["\t".join(_TSV_COLUMNS)] + [_tsv_row(d) for d in dicts])
+        results = [obj] if isinstance(obj, ReductionResult) else obj
+        return "\n".join(["\t".join(_TSV_COLUMNS)] + [_tsv_row(res) for res in results])
     return "\n".join(_TABLE_ROWS[type(obj)](obj))
 
 
@@ -180,11 +243,6 @@ def _job_count(requested: int) -> int:
     the cores only add CPU time.
     """
     return min(requested, os.cpu_count() or 1)
-
-
-def _predict_item(args: tuple[int, int]) -> dict:
-    p, r = args
-    return predict(p, r).to_dict()
 
 
 # ------------- subcommands: each returns its output and whether it passed -------------
@@ -237,9 +295,10 @@ def _cmd_predict(ns: argparse.Namespace) -> tuple[ReductionResult, bool]:
     return predict(ns.p, ns.r), True
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> tuple[list[dict], bool]:
+def _cmd_sweep(ns: argparse.Namespace) -> tuple[list[ReductionResult], bool]:
     p_lo, p_hi = ns.p_range
-    work: list[tuple[int, int]] = []
+    ps: list[int] = []
+    rs: list[int] = []
     for p in range(max(p_lo, 5), p_hi + 1):
         if not is_prime(p):
             continue
@@ -247,8 +306,9 @@ def _cmd_sweep(ns: argparse.Namespace) -> tuple[list[dict], bool]:
         if ns.r_range:
             r_lo, r_hi = ns.r_range
             r_values = tuple(r for r in r_values if r_lo <= r <= r_hi)
-        work.extend((p, r) for r in r_values)
-    if not work:
+        ps += [p] * len(r_values)
+        rs += r_values
+    if not ps:
         raise InvalidRangeError("sweep range is empty")
     jobs = _job_count(ns.jobs)
     if jobs > 1:
@@ -256,8 +316,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> tuple[list[dict], bool]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_predict_item, work)), True
-    return [_predict_item(item) for item in work], True
+            return list(pool.map(predict, ps, rs)), True
+    return list(map(predict, ps, rs)), True
 
 
 # ----------------------------- parser wiring -----------------------------

@@ -120,8 +120,6 @@ def trace_from_dict(data: dict) -> KillTrace:
 class ReductionResult:
     """The predicted reduction: label ind omega2^(r+1) plus the guard data."""
 
-    p: int
-    r: int
     survivor: int
     exponent: int
     label: str
@@ -248,8 +246,6 @@ def predict(p: int, r: int) -> ReductionResult:
     trace = run_elimination(p, r)
     c = r // p
     return ReductionResult(
-        p=p,
-        r=r,
         survivor=c,
         exponent=r + 1,
         label=f"ind omega2^{r + 1}",

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,16 @@ import pytest
 import padicelim
 from padicelim import cli
 from padicelim.cli import emit_report, main
-from padicelim.eliminator import predict, run_elimination, trace_from_dict
+from padicelim.eliminator import (
+    KillTrace,
+    ReductionResult,
+    SubquotientEntry,
+    predict,
+    run_elimination,
+    theorem_r_values,
+    trace_from_dict,
+)
+from padicelim.exactnum import is_prime
 from padicelim.verify import VerifyResult
 
 PACKAGE_DIR = Path(padicelim.__file__).parent
@@ -249,15 +259,63 @@ class TestSweep:
         assert cli._job_count(4) == 1
 
     def test_parallel_matches_serial(self, capsys):
-        _, serial, _ = run_cli(capsys, "sweep", "--p-range", "5:5", "--emit", "json")
-        _, parallel, _ = run_cli(
-            capsys, "sweep", "--p-range", "5:5", "--emit", "json", "--jobs", "2"
+        for fmt in ("json", "tsv", "table"):
+            serial = run_cli(capsys, "sweep", "--p-range", "5:7", "--emit", fmt)
+            parallel = run_cli(capsys, "sweep", "--p-range", "5:7", "--emit", fmt, "--jobs", "2")
+            assert serial[0] == 0 and parallel == serial, fmt
+
+
+def reference_json(data) -> str:
+    """The JSON text of a trace, prediction or sweep, as json.dumps writes it."""
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+class TestJsonRenderer:
+    """emit_report's trace, prediction and sweep JSON equals json.dumps of to_dict()."""
+
+    @pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+    def test_every_theorem_range_prediction(self, p):
+        results = [predict(p, r) for r in theorem_r_values(p)]
+        for res in results:
+            assert emit_report(res, "json") == reference_json(res.to_dict()), res.trace.r
+            assert emit_report(res.trace, "json") == reference_json(res.trace.to_dict()), res.trace.r
+        assert emit_report(results, "json") == reference_json([res.to_dict() for res in results])
+
+    def test_edge_shapes(self):
+        trace = KillTrace(p=7, r=12, c=1, vL=Fraction(-27, 4), entries=(
+            SubquotientEntry(0, 12, "killed", "good", (9, 10), ()),
+            SubquotientEntry(1, 11, "survivor", None, None, None),
+            SubquotientEntry(2, 10, "killed", "ugly", (10,), ((9, "1"), (10, "0"))),
+        ))
+        res = ReductionResult(
+            survivor=1, exponent=13, label="ind omega2^13", irreducibility_residue=4,
+            excluded_residues=(1, 5), trace=trace,
         )
-        assert json.loads(serial) == json.loads(parallel)
+        text = emit_report(trace, "json")
+        assert text == reference_json(trace.to_dict())
+        assert emit_report(res, "json") == reference_json(res.to_dict())
+        assert emit_report([res, res], "json") == reference_json([res.to_dict()] * 2)
+        # the slack degrees sort as strings
+        assert text.index('"10": "0"') < text.index('"9": "1"')
 
 
 class TestGoldenOutput:
     """The exact bytes, per stream, and the exit code of the human tables."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["predict", "--p", "31", "--r", "80"],
+             "3091c2c363481e63da140905e4d0ce7f49832a50085c67d218a9c131e4dc1ef9"),
+            (["eliminate", "--p", "13", "--r", "20", "--vL", "-37/3"],
+             "fde6d7385dc5d0be463afaf6ee90ad6b91f3f757538d994313330dd1d4e79dab"),
+        ],
+    )
+    def test_top_level_json_digest(self, capsys, argv, digest):
+        # one trace or prediction rendered at the top level, not nested in a sweep
+        code, out, err = run_cli(capsys, *argv, "--emit", "json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_sweep_json_digest(self, capsys):
         # the kill traces and predictions of every theorem-range (p, r) for p <= 31

@@ -1,17 +1,20 @@
-"""A fuzz of the CLI entry point: every argv exits 0, 1 or 2, and no exception escapes."""
+"""Fuzzes of the CLI: every argv exits 0, 1 or 2 with no exception, and trace JSON matches json.dumps."""
 
 import contextlib
 import io
+import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-from padicelim.cli import main  # noqa: E402
+from padicelim.cli import emit_report, main  # noqa: E402
+from padicelim.eliminator import run_elimination, theorem_r_values  # noqa: E402
 from padicelim.verify import VERIFIERS  # noqa: E402
 
 # While pytest collects, hypothesis caches the constants it finds in local
@@ -63,3 +66,21 @@ def test_main_exits_0_1_or_2(argv):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def eliminations(draw):
+    """(p, r, vL) with r in the elimination's range and vL < -r/2 of denominator > 2."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    r = draw(st.sampled_from(theorem_r_values(p) + (2 * p - 1,)))
+    den = draw(st.integers(3, 12))
+    vL = Fraction(-r * den // 2 - draw(st.integers(0, 60)), den)
+    assume(vL < Fraction(-r, 2) and vL.denominator > 2)
+    return p, r, vL
+
+
+@settings(max_examples=40, database=None, derandomize=True, deadline=None)
+@given(args=eliminations())
+def test_trace_json_matches_json_dumps(args):
+    trace = run_elimination(*args)
+    assert emit_report(trace, "json") == json.dumps(trace.to_dict(), indent=2, sort_keys=True)
