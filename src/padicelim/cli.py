@@ -239,10 +239,16 @@ def _positive_int(text: str) -> int:
 def _job_count(requested: int) -> int:
     """Workers for a sweep: --jobs, capped at the CPU count.
 
-    Each worker rebuilds its own per-(p, n) term tables, so workers beyond
-    the cores only add CPU time.
+    A worker takes one whole prime per task, so it builds the (p, n) term
+    tables of its own primes only; workers beyond the cores only add CPU
+    time.
     """
     return min(requested, os.cpu_count() or 1)
+
+
+def _predict_prime(p: int, r_values: tuple[int, ...]) -> list[ReductionResult]:
+    """The predictions of one prime at each r in turn: one sweep task."""
+    return [predict(p, r) for r in r_values]
 
 
 # ------------- subcommands: each returns its output and whether it passed -------------
@@ -261,7 +267,7 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[VerifyResult, bool]:
 def _cmd_lambda(ns: argparse.Namespace) -> tuple[_LambdaFamily, bool]:
     vec = solve_lambda(ns.p, ns.b, ns.n)
     report = verify_lambda(vec)
-    entries = {str(i): vec[i] for i in vec.index_set}
+    entries = {str(i): vec.entries[i] for i in vec.index_set}
     bullets = {
         "1": report.bullet1, "2": report.bullet2, "2_mode": report.bullet2_mode,
         "2_deviations": [list(d) for d in report.bullet2_deviations],
@@ -297,27 +303,32 @@ def _cmd_predict(ns: argparse.Namespace) -> tuple[ReductionResult, bool]:
 
 def _cmd_sweep(ns: argparse.Namespace) -> tuple[list[ReductionResult], bool]:
     p_lo, p_hi = ns.p_range
+    # one task per prime, largest first: the cost grows about as p^4, so
+    # the last task a worker takes is a small one
     ps: list[int] = []
-    rs: list[int] = []
-    for p in range(max(p_lo, 5), p_hi + 1):
+    rs: list[tuple[int, ...]] = []
+    for p in range(p_hi, max(p_lo, 5) - 1, -1):
         if not is_prime(p):
             continue
         r_values = theorem_r_values(p)
         if ns.r_range:
             r_lo, r_hi = ns.r_range
             r_values = tuple(r for r in r_values if r_lo <= r <= r_hi)
-        ps += [p] * len(r_values)
-        rs += r_values
+        if r_values:
+            ps.append(p)
+            rs.append(r_values)
     if not ps:
         raise InvalidRangeError("sweep range is empty")
-    jobs = _job_count(ns.jobs)
+    jobs = min(_job_count(ns.jobs), len(ps))
     if jobs > 1:
         # import here: a pool is only needed for a parallel sweep
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(predict, ps, rs)), True
-    return list(map(predict, ps, rs)), True
+            chunks = list(pool.map(_predict_prime, ps, rs))
+    else:
+        chunks = list(map(_predict_prime, ps, rs))
+    return [res for chunk in reversed(chunks) for res in chunk], True
 
 
 # ----------------------------- parser wiring -----------------------------

@@ -33,10 +33,11 @@ below 47 hold 16% of the terms).  On line 1 the factor (-1)^a C(eps, a)/a
 is a p-unit (a <= eps < p), so every a shares the slack of its column j:
 the table stores and values each column once, with one factor per a, and
 only :func:`master_terms` forms line-1 terms.  The line-2 terms are stored.
-A term keeps its exact coefficient as an integer numerator and denominator,
-never as a Fraction: on line 1 the column numerator times (-1)^a C(eps, a)
-over a, on line 2 the star numerator over the denominator of pH_eps.  The
-Fraction is formed only when a reader asks for ``coeff``.
+Terms, tables and audit results are named tuples.  A term keeps its exact
+coefficient as an integer numerator and denominator, never as a Fraction:
+on line 1 the column numerator times (-1)^a C(eps, a) over a, on line 2
+the star numerator over the denominator of pH_eps.  The Fraction is formed
+only when a reader asks for ``coeff``.
 
 An audit instantiates the congruence at one n, aims at a target degree j*,
 gives each non-zero term a status and checks the one slack bound that the
@@ -75,8 +76,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from padicelim.combinat import stirling2
 from padicelim.errors import (
@@ -120,8 +121,7 @@ __all__ = [
 # --------------------------------------------------------------------------
 # parameters
 
-@dataclass(frozen=True)
-class CongruenceParams:
+class CongruenceParams(NamedTuple):
     """Validated congruence parameters with all derived quantities."""
 
     p: int
@@ -234,8 +234,7 @@ def star_mod_p2(params: CongruenceParams, j: int) -> int:
 # --------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True, slots=True)
-class CongruenceTerm:
+class CongruenceTerm(NamedTuple):
     """One summand p^(x+n-j) * coeff * L * (z - a)^j on a + pZ_p.
 
     ``a`` = 0 means support pZ_p (line 2).  A term depends on (p, n) but not
@@ -247,7 +246,8 @@ class CongruenceTerm:
     ``unit_residue`` is the residue mod p^2 of coeff / p^(v_p(coeff)).
     A per-(p, n) table holds the line-2 terms and the line-1 columns (terms
     with a = 0 and line 1, before the a-factor); :func:`master_terms` forms
-    the line-1 terms from them on each call.
+    the line-1 terms from them on each call.  A named tuple, so forming one
+    costs a tuple, not a frozen object's per-field set-up.
     """
 
     a: int
@@ -286,29 +286,36 @@ def _build_term(p: int, v_fall: int, a: int, line: int, j: int, num: int, den: i
     return CongruenceTerm(a, line, j, num, den, v_num - v_den - v_fall, unit_residue)
 
 
-@dataclass(frozen=True)
-class _Table:
+class _Table(NamedTuple):
     """The terms of one (p, n) congruence, stored as an audit reads them.
 
     ``columns`` holds the line-1 columns (degrees j0..n-1) once, ``factors``
     one pair (unit, unit mod p^2 over a) per a = 1..eps with unit = (-1)^a
     C(eps, a), and term (a, j) is column j scaled by factor a, with the
     column's slack.  ``line2`` holds the line-2 terms (degrees j0-1..n-1).
-    Derived on creation: ``weak_columns``, the non-zero columns with slack
-    <= 0, and ``slacks``, each line-2 degree with its slack text.
+    ``weak_columns``, the non-zero columns with slack <= 0, and ``slacks``,
+    each line-2 degree with its slack text, are derived from those: build a
+    table with :meth:`of`, which keeps the four in step with the two.
     """
 
     j0: int
     columns: tuple[CongruenceTerm, ...]
     factors: tuple[tuple[int, int], ...]
     line2: tuple[CongruenceTerm, ...]
-    weak_columns: tuple[CongruenceTerm, ...] = field(init=False)
-    slacks: tuple[tuple[int, str], ...] = field(init=False)
+    weak_columns: tuple[CongruenceTerm, ...]
+    slacks: tuple[tuple[int, str], ...]
 
-    def __post_init__(self) -> None:
-        weak = tuple(c for c in self.columns if c.slack is not None and c.slack <= 0)
-        object.__setattr__(self, "weak_columns", weak)
-        object.__setattr__(self, "slacks", tuple((t.j, t.slack_text) for t in self.line2))
+    @classmethod
+    def of(
+        cls,
+        j0: int,
+        columns: tuple[CongruenceTerm, ...],
+        factors: tuple[tuple[int, int], ...],
+        line2: tuple[CongruenceTerm, ...],
+    ) -> _Table:
+        """The table of these columns, factors and line-2 terms, with its derived fields."""
+        weak = tuple(c for c in columns if c.slack is not None and c.slack <= 0)
+        return cls(j0, columns, factors, line2, weak, tuple((t.j, t.slack_text) for t in line2))
 
 
 # the term tables of one prime, keyed by (p, n); cleared when p changes
@@ -345,7 +352,7 @@ def _build_table(p: int, n: int) -> _Table:
         sign = -1 if (n - j) % 2 else 1
         num = binom(n, j) * sign * _star_numerator(n, b, j, consts)
         line2.append(_build_term(p, v_fall, 0, 2, j, num, ph_den))
-    return _Table(j0, tuple(columns), tuple(factors), tuple(line2))
+    return _Table.of(j0, tuple(columns), tuple(factors), tuple(line2))
 
 
 def _table(params: CongruenceParams) -> tuple[_Table, int]:
@@ -402,8 +409,7 @@ RESIDUAL = "residual"
 _NEEDS = {DEAD: "> 0", GENERATOR: "0 with a unit residue", RESIDUAL: ">= 0", DEEPER: ">= 0", BELOW: ">= 0"}
 
 
-@dataclass(frozen=True)
-class KillAudit:
+class KillAudit(NamedTuple):
     """The audited elimination of one sub-quotient index.
 
     ``target_i`` is the killed index, r - j* for the target degree j*.
@@ -569,16 +575,15 @@ def audit_ugly(p: int, r: int, vL: Fraction | int | str, c: int) -> KillAudit:
         failures2.append(f"C({n2}, {c * p - 1}) is a p-unit; residual certificate fails")
     phase2 = _audit("ugly-phase2", params2, c * p, failures2, must_die=frozenset({c * p - 1}))
 
-    return replace(
-        phase1, method="ugly", witness_n=(n1, n2), failures=phase1.failures + phase2.failures
+    return phase1._replace(
+        method="ugly", witness_n=(n1, n2), failures=phase1.failures + phase2.failures
     )
 
 
 # --------------------------------------------------------------------------
 # inequality families
 
-@dataclass(frozen=True)
-class FamilyResult:
+class FamilyResult(NamedTuple):
     name: str
     passed: bool
     witness: tuple[tuple[str, str], ...]

@@ -24,8 +24,8 @@ that one value and emits no prediction there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from padicelim.congruence import audit_bad, audit_good, audit_ugly, fall_valuation, window_degrees
 from padicelim.errors import (
@@ -48,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubquotientEntry:
+class SubquotientEntry(NamedTuple):
     """One row of the kill trace: what happened to F at index i."""
 
     i: int
@@ -60,8 +59,7 @@ class SubquotientEntry:
     slack_table: tuple[tuple[int, str], ...] | None
 
 
-@dataclass(frozen=True)
-class KillTrace:
+class KillTrace(NamedTuple):
     """The full elimination record for one (p, r, vL)."""
 
     p: int
@@ -116,8 +114,7 @@ def trace_from_dict(data: dict) -> KillTrace:
     )
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """The predicted reduction: label ind omega2^(r+1) plus the guard data."""
 
     survivor: int

@@ -36,9 +36,9 @@ scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from padicelim.errors import InvalidRangeError, NotPolynomialError
 from padicelim.exactnum import check_prime
@@ -57,18 +57,35 @@ __all__ = [
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
-@dataclass(frozen=True)
 class HPoly:
-    """Homogeneous polynomial; coeffs[j] multiplies X^j Y^(degree - j)."""
+    """Homogeneous polynomial; coeffs[j] multiplies X^j Y^(degree - j).
 
-    p: int
-    coeffs: tuple[int, ...]
+    Immutable, with equality and hashing by value.  A slotted class, not a
+    tuple: a tuple base would give it tuple ``+``, ``len`` and iteration.
+    """
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if not self.coeffs:
+    __slots__ = ("p", "coeffs")
+
+    def __init__(self, p: int, coeffs: tuple[int, ...]):
+        check_prime(p)
+        if not coeffs:
             raise ValueError("coefficient sequence must have length degree + 1 >= 1")
-        object.__setattr__(self, "coeffs", tuple(c % self.p for c in self.coeffs))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", tuple(c % p for c in coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HPoly is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not HPoly:
+            return NotImplemented
+        return self.p == other.p and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"HPoly(p={self.p}, coeffs={self.coeffs})"
 
     @property
     def degree(self) -> int:
@@ -232,8 +249,7 @@ def pure_y_defect(p: int, r: int, lam: int) -> int:
     return (pow(-lam, r - p + 1, p) - pow(-lam, r, p)) % p
 
 
-@dataclass(frozen=True)
-class ShallowReport:
+class ShallowReport(NamedTuple):
     """Evidence that the sub-quotient indexed by i - 1 vanishes.
 
     ``summand_min_x`` pairs each lam with the minimal X-degree of its

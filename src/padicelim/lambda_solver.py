@@ -33,8 +33,8 @@ agree entry-wise, exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from padicelim.errors import DigitError, WindowError
 from padicelim.exactnum import Rational, binom, check_prime
@@ -50,14 +50,20 @@ def _check_window(p: int, b: int, n: int) -> None:
         raise WindowError(f"n = {n} outside [{b * p}, {(b + 1) * p - 1}]")
 
 
-@dataclass(frozen=True)
 class LambdaVector:
-    """The solved family: entries[i] is lambda_i for i in {0..n} + {(b+1)p}."""
+    """The solved family: entries[i] is lambda_i for i in {0..n} + {(b+1)p}.
 
-    p: int
-    b: int
-    n: int
-    entries: dict[int, int]
+    A slotted class, not a tuple: on a tuple ``vec[i]`` would silently read
+    a field, not lambda_i.
+    """
+
+    __slots__ = ("p", "b", "n", "entries")
+
+    def __init__(self, p: int, b: int, n: int, entries: dict[int, int]):
+        self.p = p
+        self.b = b
+        self.n = n
+        self.entries = entries
 
     @property
     def top_node(self) -> int:
@@ -66,9 +72,6 @@ class LambdaVector:
     @property
     def index_set(self) -> tuple[int, ...]:
         return tuple(range(self.n + 1)) + (self.top_node,)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
 
 
 def solve_lambda(p: int, b: int, n: int) -> LambdaVector:
@@ -103,8 +106,7 @@ def lambda_closed(p: int, b: int, n: int, i: int) -> Rational:
     return Fraction(sign * y * binom(y - 1, n) * binom(n, i), y - i)
 
 
-@dataclass(frozen=True)
-class BulletReport:
+class BulletReport(NamedTuple):
     """Per-bullet outcome of verifying a LambdaVector (which holds p, b and n).
 
     ``bullet2_mode`` is "asserted" for b >= 1 and "observed" for b = 0,
@@ -118,7 +120,7 @@ class BulletReport:
     bullet2_deviations: tuple[tuple[int, int], ...]  # (a, j) pairs
     bullet3: bool
     bullet4: bool
-    failures: tuple[str, ...] = field(default=())
+    failures: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
@@ -134,7 +136,7 @@ def verify_lambda(v: LambdaVector) -> BulletReport:
     # over a are the bullet-1 sums (powers built incrementally, 0^0 = 1)
     class_sums = [[0] * (n + 1) for _ in range(p)]
     for i in v.index_set:
-        lam_i = v[i]
+        lam_i = v.entries[i]
         row = class_sums[i % p]
         pw = 1
         for j in range(n + 1):
@@ -164,10 +166,10 @@ def verify_lambda(v: LambdaVector) -> BulletReport:
         if i % p == 0:
             k = i // p
             sign = -1 if (b - k) % 2 else 1
-            if (v[i] - sign * binom(b + 1, k)) % p != 0:
+            if (v.entries[i] - sign * binom(b + 1, k)) % p != 0:
                 bullet3 = False
                 failures.append(f"bullet 3 fails at i = {i}")
-        elif v[i] % p != 0:
+        elif v.entries[i] % p != 0:
             bullet4 = False
             failures.append(f"bullet 4 fails at i = {i}")
 

@@ -9,7 +9,6 @@ congruence at b = 0, without failing the sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from padicelim.combinat import binom_mod_p2, lucas_mod_p, stirling2, stirling2_def, stirling_lucas_check
@@ -31,13 +30,24 @@ __all__ = [
 ]
 
 
-@dataclass
 class VerifyResult:
-    name: str
-    primes: tuple[int, ...]
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-    observations: list[str] = field(default_factory=list)
+    """One lemma sweep's outcome; the sweep counts ``checked`` and appends as it goes."""
+
+    __slots__ = ("name", "primes", "checked", "failures", "observations")
+
+    def __init__(
+        self,
+        name: str,
+        primes: tuple[int, ...],
+        checked: int = 0,
+        failures: list[str] | None = None,
+        observations: list[str] | None = None,
+    ):
+        self.name = name
+        self.primes = primes
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.observations = [] if observations is None else observations
 
     @property
     def passed(self) -> bool:
@@ -104,10 +114,10 @@ def verify_lambda_sweep(primes: tuple[int, ...] = (5, 7, 11, 13)) -> VerifyResul
             for n in range(b * p, (b + 1) * p):
                 vec = solve_lambda(p, b, n)
                 for i in range(n + 1):
-                    if Fraction(vec[i]) != lambda_closed(p, b, n, i):
+                    if Fraction(vec.entries[i]) != lambda_closed(p, b, n, i):
                         res.failures.append(f"p={p}, b={b}, n={n}: solve != closed at i={i}")
                 report = verify_lambda(vec)
-                if vec[(b + 1) * p] != -1:
+                if vec.entries[(b + 1) * p] != -1:
                     res.failures.append(f"p={p}, b={b}, n={n}: top entry is not -1")
                 res.failures.extend(
                     f"p={p}, b={b}, n={n}: {msg}" for msg in report.failures

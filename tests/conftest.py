@@ -1,21 +1,22 @@
 """Shared fixtures: a (p, n) term table with one term or column changed."""
 
-import dataclasses
-
 import pytest
 
 from padicelim import congruence
 
 
 def _replaced(terms, j, changes):
-    return tuple(dataclasses.replace(t, **changes) if t.j == j else t for t in terms)
+    return tuple(t._replace(**changes) if t.j == j else t for t in terms)
 
 
 def _mutate_table(monkeypatch, n, key, **changes):
     """Give the degree-n term table ``changes`` in its (line, a, j) term, in a fresh table store.
 
     A line-1 term is its column j scaled by a p-unit a-factor, so a line-1
-    key changes column j, and the term moves at every a with it.  The change
+    key changes column j, and the term moves at every a with it.  The
+    tampered table is built by ``_Table.of``, as ``_build_table`` builds
+    every table, so its weak columns and slack pairs follow the change: a
+    plain ``_replace`` of the table would leave them stale.  The change
     reaches both ``master_terms`` and the audits.  Calls stack: each wraps
     the table builder that the one before it installed.
     """
@@ -23,13 +24,17 @@ def _mutate_table(monkeypatch, n, key, **changes):
     line, _a, j = key
     if line == 1:
         assert set(changes) == {"slack"}, "a line-1 term is mutated through its column's slack"
-    name = "columns" if line == 1 else "line2"
 
     def mutated(p, m):
         table = original(p, m)
         if m != n:
             return table
-        return dataclasses.replace(table, **{name: _replaced(getattr(table, name), j, changes)})
+        columns, line2 = table.columns, table.line2
+        if line == 1:
+            columns = _replaced(columns, j, changes)
+        else:
+            line2 = _replaced(line2, j, changes)
+        return congruence._Table.of(table.j0, columns, table.factors, line2)
 
     monkeypatch.setattr(congruence, "_build_table", mutated)
     monkeypatch.setattr(congruence, "_TABLES", {})

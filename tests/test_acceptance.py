@@ -93,7 +93,7 @@ def test_criterion_4_lambda_lemma():
             for n in range(b * p, (b + 1) * p):
                 vec = solve_lambda(p, b, n)
                 for i in range(n + 1):
-                    if Fraction(vec[i]) != lambda_closed(p, b, n, i):
+                    if Fraction(vec.entries[i]) != lambda_closed(p, b, n, i):
                         failures.append(f"(p={p}, b={b}, n={n}): solve != closed at i={i}")
                 rep = verify_lambda(vec)
                 if not (rep.bullet1 and rep.bullet3 and rep.bullet4):
@@ -105,7 +105,7 @@ def test_criterion_4_lambda_lemma():
                 checked += 1
     # the stated b = 0 counterexample must reproduce exactly
     v = solve_lambda(5, 0, 3)
-    if v[1] != 15 or v[1] % 25 == 0:
+    if v.entries[1] != 15 or v.entries[1] % 25 == 0:
         failures.append("b = 0 counterexample (p=5, n=3, lambda_1 = 15) not reproduced")
     if not deviation_seen:
         failures.append("no b = 0 deviation observed anywhere")

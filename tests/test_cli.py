@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -264,6 +265,15 @@ class TestSweep:
             parallel = run_cli(capsys, "sweep", "--p-range", "5:7", "--emit", fmt, "--jobs", "2")
             assert serial[0] == 0 and parallel == serial, fmt
 
+    def test_prediction_is_one_tsv_row_and_pickles_whole(self):
+        # a ReductionResult is a tuple, but it renders as one prediction,
+        # and a parallel sweep's workers send it back by pickle
+        res = predict(11, 15)
+        assert emit_report(res, "tsv").splitlines()[1:] == ["11\t15\t1\t-8\t16\tind omega2^16"]
+        back = pickle.loads(pickle.dumps(res))
+        assert type(back) is ReductionResult and type(back.trace) is KillTrace
+        assert back == res and emit_report(back, "json") == emit_report(res, "json")
+
 
 def reference_json(data) -> str:
     """The JSON text of a trace, prediction or sweep, as json.dumps writes it."""
@@ -309,10 +319,13 @@ class TestGoldenOutput:
              "3091c2c363481e63da140905e4d0ce7f49832a50085c67d218a9c131e4dc1ef9"),
             (["eliminate", "--p", "13", "--r", "20", "--vL", "-37/3"],
              "fde6d7385dc5d0be463afaf6ee90ad6b91f3f757538d994313330dd1d4e79dab"),
+            (["sweep", "--p-range", "11:11", "--r-range", "15:15"],
+             "3bf351e78967f7d8c18886af5beb052910d702e534c1b9dbdab09f8db6118cd6"),
         ],
     )
     def test_top_level_json_digest(self, capsys, argv, digest):
-        # one trace or prediction rendered at the top level, not nested in a sweep
+        # a trace or a prediction rendered at the top level, and a sweep of
+        # one: the records are tuples, and a list of one is still a sweep
         code, out, err = run_cli(capsys, *argv, "--emit", "json")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -515,6 +528,18 @@ class TestInvariantsUnderOptimization:
         done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
+
+    def test_cold_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        # every CLI request pays for its imports; inspect comes with dataclasses
+        code = (
+            "import padicelim.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+        )
+        argv = [sys.executable, "-S", "-c", code]
+        env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_predict_under_python_O(self):
         env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}

@@ -364,7 +364,7 @@ class TestLambdaCrossChecks:
     def test_star_from_lambda_power_sum_worked_example(self):
         params = make_params(5, 8, 7, -5)
         vec = self._lambda_entries(5, 7)
-        s = sum(vec[i] * (i // 5) ** 2 for i in vec.index_set if i % 5 == 0)
+        s = sum(vec.entries[i] * (i // 5) ** 2 for i in vec.index_set if i % 5 == 0)
         assert s == 1508  # lambda_5 * 1 + lambda_10 * 4 = 1512 - 4
         assert s % 25 == rational_mod(star_full(params, 5), 25) == 8
 
@@ -379,7 +379,7 @@ class TestLambdaCrossChecks:
                 vec = self._lambda_entries(p, n)
                 nodes = [i for i in vec.index_set if i % p == 0]
                 for j in range((r + 1) // 2 - 1, n):
-                    lam_sum = sum(vec[i] * (i // p) ** (n - j) for i in nodes)
+                    lam_sum = sum(vec.entries[i] * (i // p) ** (n - j) for i in nodes)
                     assert rational_mod(star_full(params, j), p * p) == lam_sum % (p * p), (
                         p, r, n, j,
                     )
@@ -398,7 +398,7 @@ class TestLambdaCrossChecks:
                 }
                 for (a, j), coeff in coeffs.items():
                     raw = sum(
-                        vec[i] * (a - i) ** (n - j)
+                        vec.entries[i] * (a - i) ** (n - j)
                         for i in vec.index_set
                         if i % p == a
                     )

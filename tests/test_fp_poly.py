@@ -62,6 +62,19 @@ class TestHPoly:
         f = HPoly(5, (2, 3))
         assert f.mul_y(1) == HPoly(5, (2, 3, 0))
 
+    def test_value_equality_hash_and_immutability(self):
+        f = HPoly(5, (7, -1))
+        assert f == HPoly(5, (2, 4)) and hash(f) == hash(HPoly(5, (2, 4)))
+        assert f != HPoly(7, (2, 4)) and f != HPoly(5, (2, 4, 0))
+        # not a tuple: no tuple equality, concatenation or length
+        assert f != (5, (2, 4))
+        with pytest.raises(TypeError):
+            f + f
+        with pytest.raises(TypeError):
+            len(f)
+        with pytest.raises(AttributeError):
+            f.coeffs = (1,)
+
 
 class TestTheta:
     def test_shape(self):

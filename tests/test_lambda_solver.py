@@ -12,15 +12,15 @@ from padicelim.lambda_solver import lambda_closed, solve_lambda, verify_lambda
 class TestSolve:
     def test_p5_b0_n3(self):
         v = solve_lambda(5, 0, 3)
-        assert [v[i] for i in (0, 1, 2, 3, 5)] == [-4, 15, -20, 10, -1]
+        assert [v.entries[i] for i in (0, 1, 2, 3, 5)] == [-4, 15, -20, 10, -1]
 
     def test_p5_b1_n6(self):
         v = solve_lambda(5, 1, 6)
-        assert v[0] == 84 and v[5] == -1008 and v[10] == -1
+        assert v.entries[0] == 84 and v.entries[5] == -1008 and v.entries[10] == -1
 
     def test_top_entry_is_minus_one(self):
         for p, b, n in [(5, 0, 0), (5, 3, 17), (7, 5, 40), (11, 1, 16)]:
-            assert solve_lambda(p, b, n)[(b + 1) * p] == -1
+            assert solve_lambda(p, b, n).entries[(b + 1) * p] == -1
 
     def test_errors(self):
         with pytest.raises(WindowError):
@@ -45,23 +45,23 @@ class TestClosedForm:
             for n in range(b * p, (b + 1) * p):
                 v = solve_lambda(p, b, n)
                 for i in range(n + 1):
-                    assert Fraction(v[i]) == lambda_closed(p, b, n, i), (p, b, n, i)
+                    assert Fraction(v.entries[i]) == lambda_closed(p, b, n, i), (p, b, n, i)
 
 
 class TestBullets:
     def test_class_sum_example(self):
         v = solve_lambda(5, 1, 6)
         # residue class a = 1 at j = 0: lambda_1 + lambda_6 = -560 + 210
-        assert v[1] == -560 and v[6] == 210
-        assert (v[1] + v[6]) % 25 == 0
+        assert v.entries[1] == -560 and v.entries[6] == 210
+        assert (v.entries[1] + v.entries[6]) % 25 == 0
 
     def test_mod_p_value_example(self):
         v = solve_lambda(5, 1, 6)
-        assert v[5] % 5 == 2  # (-1)^0 C(2, 1)
+        assert v.entries[5] % 5 == 2  # (-1)^0 C(2, 1)
 
     def test_b0_deviation_reproduced(self):
         v = solve_lambda(5, 0, 3)
-        assert v[1] == 15 and v[1] % 25 != 0
+        assert v.entries[1] == 15 and v.entries[1] % 25 != 0
         report = verify_lambda(v)
         assert report.bullet2_mode == "observed"
         assert not report.bullet2
@@ -93,6 +93,6 @@ class TestBullets:
         # the solve returns integers outright; the closed form reduces to them
         v = solve_lambda(7, 2, 17)
         for i in v.index_set:
-            assert isinstance(v[i], int)
+            assert isinstance(v.entries[i], int)
             closed = lambda_closed(7, 2, 17, i) if i <= 17 else Fraction(-1)
             assert closed.denominator == 1
