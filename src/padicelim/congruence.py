@@ -246,8 +246,8 @@ class CongruenceTerm(NamedTuple):
     ``unit_residue`` is the residue mod p^2 of coeff / p^(v_p(coeff)).
     A per-(p, n) table holds the line-2 terms and the line-1 columns (terms
     with a = 0 and line 1, before the a-factor); :func:`master_terms` forms
-    the line-1 terms from them on each call.  A named tuple, so forming one
-    costs a tuple, not a frozen object's per-field set-up.
+    the line-1 terms from them on each call, which is why a term is a bare
+    named tuple.
     """
 
     a: int
