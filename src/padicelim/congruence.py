@@ -67,7 +67,16 @@ congruence at an n with vFall = 0, generator at degree n - b - 1),
 ``audit_bad`` (n = 2p + 1, vFall = 1) and ``audit_ugly`` (two congruences,
 n = cp + c with vFall = 1 leaving a residual family at degree cp, then
 n = cp + c + 1 with vFall = 0 certifying the residual sits on deeper
-sub-quotients; the audit fails if either phase does).  ``inequality_suite``
+sub-quotients; the audit fails if either phase does).  A good audit has no
+residual or must-die degrees, so each term's bound depends only on its line
+and degree, never on r: r only moves the start of the window.  Each (p, n)
+table therefore carries its good verdict (the highest degree on each line
+whose term misses its bound, and whether the generator is there), and
+``audit_good`` compares r's window start with it; only a failing good audit,
+and every bad and ugly one, walks the table as described above.  The audits
+check the hypotheses of :func:`make_params` with integer comparisons and
+the same errors, and build no CongruenceParams: vL is compared through its
+numerator and denominator.  ``inequality_suite``
 verifies, exactly, the arithmetic inequality families that the supporting
 lemmas reduce to.
 """
@@ -93,7 +102,6 @@ from padicelim.exactnum import (
     ValP,
     binom,
     check_prime,
-    falling_factorial,
     harmonic,
     rational_mod,
     vp_factorial,
@@ -139,8 +147,14 @@ class CongruenceParams(NamedTuple):
 
 
 def fall_valuation(p: int, n: int) -> int:
-    """vFall = v_p([n]_{b+1}), the valuation of n(n-1)...(n-b) for b = floor(n/p)."""
-    return vp_int(falling_factorial(n, n // p + 1), p)
+    """vFall = v_p([n]_{b+1}), the valuation of n(n-1)...(n-b) for b = floor(n/p), 1 <= n < p^2.
+
+    No factor reaches p^2, so each multiple of p among n - b, ..., n adds
+    exactly one p: vFall counts them.
+    """
+    if not 1 <= n < p * p:
+        raise WindowError(f"n = {n} outside [1, {p * p - 1}], where vFall has its closed form")
+    return n // p - (n - n // p - 1) // p
 
 
 def window_degrees(p: int, r: int) -> tuple[int, ...]:
@@ -161,9 +175,29 @@ def _check_window(p: int, r: int, n: int) -> tuple[int, int, int]:
     b, eps = divmod(n, p)
     v_fall = fall_valuation(p, n)
     # consequences of the hypotheses; with vL < r/2 - n they give x > -vFall >= -1
-    if not (v_fall <= 1 and n - v_fall > Fraction(r, 2)):
+    if not (v_fall <= 1 and 2 * (n - v_fall) > r):
         raise AssertionError(f"vFall = {v_fall}: need vFall <= 1 and n - vFall > r/2")
     return b, eps, v_fall
+
+
+def _below(vL: Fraction | int | str, r: int, n: int) -> bool:
+    """Whether vL < r/2 - n, compared in integers: 2 num(vL) < (r - 2n) den(vL).
+
+    An int or a Fraction is read as it is; anything else (a str) is parsed
+    by Fraction, as :func:`make_params` parses it.
+    """
+    try:
+        num, den = vL.numerator, vL.denominator
+    except AttributeError:
+        vL = Fraction(vL)
+        num, den = vL.numerator, vL.denominator
+    return 2 * num < (r - 2 * n) * den
+
+
+def _check_vl(r: int, n: int, vL: Fraction | int | str) -> None:
+    """Raise VLBoundError unless vL < r/2 - n."""
+    if not _below(vL, r, n):
+        raise VLBoundError(f"vL must be < r/2 - n = {Fraction(r, 2) - n}, got {Fraction(vL)}")
 
 
 def make_params(p: int, r: int, n: int, vL: Fraction | int | str) -> CongruenceParams:
@@ -174,9 +208,7 @@ def make_params(p: int, r: int, n: int, vL: Fraction | int | str) -> CongruenceP
     """
     b, eps, v_fall = _check_window(p, r, n)
     vL = Fraction(vL)
-    bound = Fraction(r, 2) - n
-    if not vL < bound:
-        raise VLBoundError(f"vL must be < r/2 - n = {bound}, got {vL}")
+    _check_vl(r, n, vL)
     x = Fraction(r, 2) - n - v_fall - vL
     return CongruenceParams(p=p, r=r, n=n, vL=vL, b=b, eps=eps, v_fall=v_fall, x=x)
 
@@ -294,8 +326,17 @@ class _Table(NamedTuple):
     C(eps, a), and term (a, j) is column j scaled by factor a, with the
     column's slack.  ``line2`` holds the line-2 terms (degrees j0-1..n-1).
     ``weak_columns``, the non-zero columns with slack <= 0, and ``slacks``,
-    each line-2 degree with its slack text, are derived from those: build a
-    table with :meth:`of`, which keeps the four in step with the two.
+    each line-2 degree with its slack text, are derived from those, and so
+    is the good verdict.  A good audit (target t = n - b - 1, no residual or
+    must-die degrees) gives each term a bound that depends on its line and
+    degree only: slack > 0 above t and on line 1 at t, the generator rule on
+    line 2 at t, slack >= 0 below t.  ``good_miss1`` and ``good_miss2`` are
+    the highest line-1 and line-2 degrees (other than t) whose term misses
+    that bound, -1 if none does, and ``good_generator`` says whether the
+    line-2 term at t is a generator.  So a good audit at r passes exactly
+    when its window starts above both misses and the generator is there.
+    Build a table with :meth:`of`, which keeps the derived fields in step
+    with the stored ones.
     """
 
     j0: int
@@ -304,18 +345,36 @@ class _Table(NamedTuple):
     line2: tuple[CongruenceTerm, ...]
     weak_columns: tuple[CongruenceTerm, ...]
     slacks: tuple[tuple[int, str], ...]
+    good_miss1: int
+    good_miss2: int
+    good_generator: bool
 
     @classmethod
     def of(
         cls,
+        p: int,
+        n: int,
         j0: int,
         columns: tuple[CongruenceTerm, ...],
         factors: tuple[tuple[int, int], ...],
         line2: tuple[CongruenceTerm, ...],
     ) -> _Table:
-        """The table of these columns, factors and line-2 terms, with its derived fields."""
+        """The (p, n) table of these columns, factors and line-2 terms, with its derived fields."""
         weak = tuple(c for c in columns if c.slack is not None and c.slack <= 0)
-        return cls(j0, columns, factors, line2, weak, tuple((t.j, t.slack_text) for t in line2))
+        target = n - n // p - 1
+        miss1 = max((c.j for c in weak if c.slack < 0 or c.j >= target), default=-1)
+        miss2 = max(
+            (
+                t.j for t in line2
+                if t.slack is not None and t.j != target and (t.slack <= 0 if t.j > target else t.slack < 0)
+            ),
+            default=-1,
+        )
+        generator = any(
+            t.j == target and t.slack == 0 and t.unit_residue % p != 0 for t in line2
+        )
+        slacks = tuple((t.j, t.slack_text) for t in line2)
+        return cls(j0, columns, factors, line2, weak, slacks, miss1, miss2, generator)
 
 
 # the term tables of one prime, keyed by (p, n); cleared when p changes
@@ -352,12 +411,11 @@ def _build_table(p: int, n: int) -> _Table:
         sign = -1 if (n - j) % 2 else 1
         num = binom(n, j) * sign * _star_numerator(n, b, j, consts)
         line2.append(_build_term(p, v_fall, 0, 2, j, num, ph_den))
-    return _Table.of(j0, tuple(columns), tuple(factors), tuple(line2))
+    return _Table.of(p, n, j0, tuple(columns), tuple(factors), tuple(line2))
 
 
-def _table(params: CongruenceParams) -> tuple[_Table, int]:
-    """The (p, n) table of ``params`` and where the window of r starts in its columns."""
-    p, n = params.p, params.n
+def _table(p: int, r: int, n: int) -> tuple[_Table, int]:
+    """The (p, n) table and where the window of r starts in its columns."""
     table = _TABLES.get((p, n))
     if table is None:
         if _TABLES and next(iter(_TABLES))[0] != p:
@@ -370,9 +428,9 @@ def _table(params: CongruenceParams) -> tuple[_Table, int]:
             if (p, m) not in _TABLES:
                 _TABLES[(p, m)] = _build_table(p, m)
         table = _TABLES[(p, n)]
-    start = params.ceil_half_r - table.j0
+    start = (r + 1) // 2 - table.j0
     if start < 0:
-        raise WindowError(f"r = {params.r} is below max(p, n) = {max(params.p, params.n)}")
+        raise WindowError(f"r = {r} is below max(p, n) = {max(p, n)}")
     return table, start
 
 
@@ -384,7 +442,7 @@ def master_terms(params: CongruenceParams) -> tuple[CongruenceTerm, ...]:
     terms are sliced from the table.  Audits read the table directly; this
     serves the term listings and checks.
     """
-    table, start = _table(params)
+    table, start = _table(params.p, params.r, params.n)
     modulus = params.p * params.p
     line1 = [
         CongruenceTerm(
@@ -459,22 +517,24 @@ def _failure_row(line: int, a: int, term: CongruenceTerm, status: str) -> str:
 
 def _audit(
     method: str,
-    params: CongruenceParams,
+    p: int,
+    r: int,
+    n: int,
     target_j: int,
     failures: Sequence[str] = (),
     residual_degrees: frozenset[int] = frozenset(),
     must_die: frozenset[int] = frozenset(),
 ) -> KillAudit:
-    """Audit one congruence against ``target_j``; the method's own ``failures`` follow the terms'.
+    """Audit the (p, r, n) congruence against ``target_j``; the method's own ``failures`` follow the terms'.
 
     A positive slack meets every bound but the generator's, so the audit
     checks each weak column inside the window of r once (a failing one fails
     its line-1 term at every a, a-major), then the window's line-2 terms with
     slack <= 0 or at the target, in degree order.  ``slack_table`` is a slice
-    of the table's line-2 slack pairs.
+    of the table's line-2 slack pairs.  The caller has checked the hypotheses.
     """
-    table, start = _table(params)
-    ceil_half = params.ceil_half_r
+    table, start = _table(p, r, n)
+    ceil_half = (r + 1) // 2
     failing = []
     for column in table.weak_columns:
         if column.j >= ceil_half:  # a line-1 status is never the generator
@@ -496,7 +556,7 @@ def _audit(
             ok = slack > 0
         elif status == GENERATOR:
             # line 2 has one term per degree, so this branch runs at most once
-            ok = generator = slack == 0 and term.unit_residue % params.p != 0
+            ok = generator = slack == 0 and term.unit_residue % p != 0
         else:
             ok = slack >= 0
         if not ok:
@@ -505,21 +565,32 @@ def _audit(
         term_failures.append(f"no generator found at degree {target_j}")
     return KillAudit(
         method=method,
-        witness_n=(params.n,),
-        target_i=params.r - target_j,
+        witness_n=(n,),
+        target_i=r - target_j,
         slack_table=table.slacks[start:],
         failures=tuple(term_failures) + tuple(failures),
     )
 
 
 def audit_good(p: int, r: int, n: int, vL: Fraction | int | str) -> KillAudit:
-    """Single-congruence kill at an n with vFall = 0: target j* = n - b - 1."""
-    params = make_params(p, r, n, vL)
-    if params.v_fall != 0:
+    """Single-congruence kill at an n with vFall = 0: target j* = n - b - 1.
+
+    The (p, n) table carries the good verdict, so a passing audit compares
+    r's window start with it and walks no term; a failing one walks the
+    table with :func:`_audit` for its failure rows.
+    """
+    b, _eps, v_fall = _check_window(p, r, n)
+    _check_vl(r, n, vL)
+    if v_fall != 0:
         raise NotGoodCandidateError(
-            f"v_p([{n}]_{params.b + 1}) = {params.v_fall} != 0: n is not a good candidate"
+            f"v_p([{n}]_{b + 1}) = {v_fall} != 0: n is not a good candidate"
         )
-    return _audit("good", params, n - params.b - 1)
+    target_j = n - b - 1
+    table, start = _table(p, r, n)
+    ceil_half = (r + 1) // 2
+    if table.good_miss1 < ceil_half and table.good_miss2 < ceil_half - 1 and table.good_generator:
+        return KillAudit("good", (n,), r - target_j, table.slacks[start:], ())
+    return _audit("good", p, r, n, target_j)
 
 
 def audit_bad(p: int, r: int, vL: Fraction | int | str) -> KillAudit:
@@ -528,15 +599,16 @@ def audit_bad(p: int, r: int, vL: Fraction | int | str) -> KillAudit:
     if not (2 * p + 4 <= r <= 3 * p - 1):
         raise InvalidRangeError(f"r = {r} outside [{2 * p + 4}, {3 * p - 1}]")
     n = 2 * p + 1
-    params = make_params(p, r, n, vL)
-    if params.v_fall != 1 or params.b != 2:
-        raise AssertionError(f"n = {n} needs vFall = 1 and b = 2, got {params.v_fall} and {params.b}")
+    b, _eps, v_fall = _check_window(p, r, n)
+    _check_vl(r, n, vL)
+    if v_fall != 1 or b != 2:
+        raise AssertionError(f"n = {n} needs vFall = 1 and b = 2, got {v_fall} and {b}")
     failures = []
     # only at r = 2p + 4 does degree p + 1 enter the window, as its
     # below-range edge; the Stirling values at t = p vanish mod p and rescue it
-    if r == 2 * p + 4 and (stirling2(p, params.b) % p != 0 or stirling2(p, params.b + 1) % p != 0):
+    if r == 2 * p + 4 and (stirling2(p, b) % p != 0 or stirling2(p, b + 1) % p != 0):
         failures.append(f"stirling rescue fails at j = {p + 1}")
-    return _audit("bad", params, 2 * p - 2, failures)
+    return _audit("bad", p, r, n, 2 * p - 2, failures)
 
 
 def audit_ugly(p: int, r: int, vL: Fraction | int | str, c: int) -> KillAudit:
@@ -554,26 +626,26 @@ def audit_ugly(p: int, r: int, vL: Fraction | int | str, c: int) -> KillAudit:
         raise InvalidRangeError(f"c = {c} must be 1 or 2")
     if not (c * p + c + 2 <= r <= (c + 1) * p - 1):
         raise InvalidRangeError(f"r = {r} outside [{c * p + c + 2}, {(c + 1) * p - 1}]")
-    vL = Fraction(vL)
-    if not vL < Fraction(r, 2) - (c * p + c + 1):
+    # vL < r/2 - (cp + c + 1) is each phase's own bound on vL, or implies it
+    if not _below(vL, r, c * p + c + 1):
         raise VLBoundError(
             f"ugly method needs vL < r/2 - (cp + c + 1) = {Fraction(r, 2) - (c * p + c + 1)}"
         )
 
     n1 = c * p + c
-    params1 = make_params(p, r, n1, vL)
-    if params1.v_fall != 1 or params1.b != c:
-        raise AssertionError(f"n = {n1} needs vFall = 1 and b = {c}, got {params1.v_fall} and {params1.b}")
-    phase1 = _audit("ugly-phase1", params1, c * p - 1, residual_degrees=frozenset({c * p}))
+    b1, _eps1, v_fall1 = _check_window(p, r, n1)
+    if v_fall1 != 1 or b1 != c:
+        raise AssertionError(f"n = {n1} needs vFall = 1 and b = {c}, got {v_fall1} and {b1}")
+    phase1 = _audit("ugly-phase1", p, r, n1, c * p - 1, residual_degrees=frozenset({c * p}))
 
     n2 = c * p + c + 1
-    params2 = make_params(p, r, n2, vL)
-    if params2.v_fall != 0 or params2.b != c:
-        raise AssertionError(f"n = {n2} needs vFall = 0 and b = {c}, got {params2.v_fall} and {params2.b}")
+    b2, _eps2, v_fall2 = _check_window(p, r, n2)
+    if v_fall2 != 0 or b2 != c:
+        raise AssertionError(f"n = {n2} needs vFall = 0 and b = {c}, got {v_fall2} and {b2}")
     failures2 = []
     if binom(n2, c * p - 1) % p != 0:
         failures2.append(f"C({n2}, {c * p - 1}) is a p-unit; residual certificate fails")
-    phase2 = _audit("ugly-phase2", params2, c * p, failures2, must_die=frozenset({c * p - 1}))
+    phase2 = _audit("ugly-phase2", p, r, n2, c * p, failures2, must_die=frozenset({c * p - 1}))
 
     return phase1._replace(
         method="ugly", witness_n=(n1, n2), failures=phase1.failures + phase2.failures

@@ -30,7 +30,6 @@ __all__ = [
     "vp_int",
     "vp",
     "vp_factorial",
-    "falling_factorial",
     "binom",
     "harmonic",
     "rational_mod",
@@ -129,20 +128,6 @@ def vp_factorial(n: int, p: int) -> int:
         total += n // q
         q *= p
     return total
-
-
-def falling_factorial(n: int, m: int) -> int:
-    """n (n - 1) ... (n - m + 1); the empty product (m = 0) is 1.
-
-    n may be negative: the product formula is total even though only
-    nonnegative n occurs downstream.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    out = 1
-    for k in range(m):
-        out *= n - k
-    return out
 
 
 def binom(n: int, k: int) -> int:

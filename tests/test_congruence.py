@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicelim import congruence
+from padicelim import congruence, eliminator
 from padicelim.congruence import (
     BELOW,
     DEAD,
@@ -25,6 +25,7 @@ from padicelim.congruence import (
     master_terms,
     star_full,
     star_mod_p2,
+    window_degrees,
 )
 from padicelim.errors import (
     InvalidDegreeError,
@@ -34,8 +35,8 @@ from padicelim.errors import (
     WindowError,
 )
 from padicelim.combinat import stirling2
-from padicelim.eliminator import run_elimination, theorem_r_values
-from padicelim.exactnum import InvalidPrimeError, harmonic, is_prime, rational_mod, vp
+from padicelim.eliminator import good_candidates, run_elimination, theorem_r_values
+from padicelim.exactnum import InvalidPrimeError, harmonic, is_prime, rational_mod, vp, vp_int
 
 
 class TestMakeParams:
@@ -77,6 +78,69 @@ class TestMakeParams:
         params = make_params(7, 18, 15, -10)
         assert params.x >= -params.v_fall >= -1
         assert params.n - params.v_fall > Fraction(params.r, 2)
+
+
+class TestFallValuation:
+    def test_closed_form_matches_the_falling_factorial(self):
+        # n < p^2: each multiple of p among n - b, ..., n adds exactly one p
+        checked = 0
+        for p in filter(is_prime, range(2, 32)):
+            for n in range(1, p * p - p):
+                b = n // p
+                assert fall_valuation(p, n) == vp_int(math.prod(range(n - b, n + 1)), p), (p, n)
+                checked += 1
+        assert checked == 3187
+
+    @pytest.mark.parametrize("n", [-1, 0, 49, 50])
+    def test_rejects_n_outside_the_closed_form(self, n):
+        with pytest.raises(WindowError, match=rf"n = {n} outside \[1, 48\]"):
+            fall_valuation(7, n)
+
+
+class TestAuditErrors:
+    """The audits check make_params' hypotheses in integers, with its error classes and messages."""
+
+    CASES = [
+        (audit_good, (6, 8, 7, -5), InvalidPrimeError, "p = 6 is not a prime >= 5"),
+        (audit_good, (5, 20, 12, -9), InvalidRangeError, "r = 20 outside [5, 19]"),
+        (audit_good, (5, 8, 5, -5), WindowError, "n = 5 outside the window [6, 8]"),
+        (audit_good, (5, 8, 9, -5), WindowError, "n = 9 outside the window [6, 8]"),
+        (audit_good, (5, 8, 7, -3), VLBoundError, "vL must be < r/2 - n = -3, got -3"),
+        (audit_good, (5, 8, 7, "-3"), VLBoundError, "vL must be < r/2 - n = -3, got -3"),
+        (audit_good, (5, 8, 7, Fraction(-3)), VLBoundError, "vL must be < r/2 - n = -3, got -3"),
+        (audit_good, (5, 9, 7, "-5/2"), VLBoundError, "vL must be < r/2 - n = -5/2, got -5/2"),
+        (audit_good, (5, 9, 7, Fraction(-5, 2)), VLBoundError, "vL must be < r/2 - n = -5/2, got -5/2"),
+        (audit_good, (7, 13, 12, "-7/2"), VLBoundError, "vL must be < r/2 - n = -11/2, got -7/2"),
+        (audit_good, (5, 8, 6, -5), NotGoodCandidateError, "v_p([6]_2) = 1 != 0: n is not a good candidate"),
+        # the vL bound is checked before the good candidate
+        (audit_good, (5, 8, 6, -2), VLBoundError, "vL must be < r/2 - n = -2, got -2"),
+        (audit_good, (5, 8, 7, "x"), ValueError, "Invalid literal for Fraction: 'x'"),
+        (audit_bad, (6, 14, -8), InvalidPrimeError, "p = 6 is not a prime >= 5"),
+        (audit_bad, (5, 13, -8), InvalidRangeError, "r = 13 outside [14, 14]"),
+        (audit_bad, (5, 14, -4), VLBoundError, "vL must be < r/2 - n = -4, got -4"),
+        (audit_bad, (5, 14, "-7/2"), VLBoundError, "vL must be < r/2 - n = -4, got -7/2"),
+        (audit_bad, (7, 19, Fraction(-11, 2)), VLBoundError, "vL must be < r/2 - n = -11/2, got -11/2"),
+        (audit_ugly, (6, 8, -5, 1), InvalidPrimeError, "p = 6 is not a prime >= 5"),
+        (audit_ugly, (5, 8, -5, 3), InvalidRangeError, "c = 3 must be 1 or 2"),
+        (audit_ugly, (5, 7, -5, 1), InvalidRangeError, "r = 7 outside [8, 9]"),
+        (audit_ugly, (5, 8, -3, 1), VLBoundError, "ugly method needs vL < r/2 - (cp + c + 1) = -3"),
+        (audit_ugly, (5, 8, "-5/2", 1), VLBoundError, "ugly method needs vL < r/2 - (cp + c + 1) = -3"),
+        (audit_ugly, (7, 13, Fraction(-8), 1), WindowError, "n = 8 outside the window [9, 13]"),
+    ]
+
+    @pytest.mark.parametrize("audit, args, error, message", CASES)
+    def test_error_class_and_message(self, audit, args, error, message):
+        with pytest.raises(error) as caught:
+            audit(*args)
+        assert type(caught.value) is error and str(caught.value) == message
+
+    @pytest.mark.parametrize("vL", [-5, "-9/2", Fraction(-9, 2), "-21/5"])
+    def test_vl_types_below_the_bound_give_one_audit(self, vL):
+        # the bounds: r/2 - n = -3 at (5, 8, 7), -3 for the ugly kill at r = 8,
+        # and -4 at the bad n = 11 of r = 14
+        assert audit_good(5, 8, 7, vL) == audit_good(5, 8, 7, Fraction(-8))
+        assert audit_ugly(5, 8, vL, 1) == audit_ugly(5, 8, Fraction(-8), 1)
+        assert audit_bad(5, 14, vL) == audit_bad(5, 14, Fraction(-8))
 
 
 class TestStar:
@@ -452,27 +516,28 @@ _FORBIDDEN_SLACK = {DEAD: 0, GENERATOR: 1, RESIDUAL: -1, DEEPER: -1, BELOW: -1}
 
 
 def _reference_audit(
-    method, params, target_j, failures=(), residual_degrees=frozenset(), must_die=frozenset()
+    method, p, r, n, target_j, failures=(), residual_degrees=frozenset(), must_die=frozenset()
 ):
-    """(failures, slack_table) of an audit by a full walk of ``master_terms``.
+    """(failures, slack_table) of an audit of the (p, r, n) congruence by a full walk of ``master_terms``.
 
-    The reference for the audit that reads the table: every term of the
+    The reference for the audits that read the table: every term of the
     congruence is visited, those with a zero coefficient or with a positive slack (save
     the line-2 term at the target) are skipped, and the rest go through the
-    status ladder.
+    status ladder.  The terms do not depend on vL, so any admissible vL will do.
     """
-    terms = master_terms(params)
+    terms = master_terms(make_params(p, r, n, Fraction(r, 2) - n - 1))
+    ceil_half = (r + 1) // 2
     term_failures = []
     generator = False
     for term in terms:
         slack = term.slack
         if slack is None or (slack > 0 and (term.line == 1 or term.j != target_j)):
             continue
-        status = congruence._status(term, target_j, params.ceil_half_r, residual_degrees, must_die)
+        status = congruence._status(term, target_j, ceil_half, residual_degrees, must_die)
         if status == DEAD:
             ok = slack > 0
         elif status == GENERATOR:
-            ok = generator = slack == 0 and term.unit_residue % params.p != 0
+            ok = generator = slack == 0 and term.unit_residue % p != 0
         else:
             ok = slack >= 0
         if not ok:
@@ -486,17 +551,34 @@ def _reference_audit(
     return tuple(term_failures) + tuple(failures), slack_table
 
 
-def _recorded_audits(monkeypatch):
-    """Record every ``_audit`` call as (args, kwargs, audit) in the returned list."""
-    calls = []
-    original = congruence._audit
+def _good_reference(p, r, n):
+    """The ``_reference_audit`` arguments of the good audit at (p, r, n)."""
+    return ("good", p, r, n, n - n // p - 1)
 
-    def recording(*args, **kwargs):
-        audit = original(*args, **kwargs)
+
+def _recorded_audits(monkeypatch):
+    """Record every ``_audit`` call and every good audit as (reference args, kwargs, audit).
+
+    A passing good audit reads the table's verdict and never reaches
+    ``_audit``, so ``audit_good`` is recorded as well, in ``congruence`` and
+    in ``eliminator``, which imports it by name.
+    """
+    calls = []
+    walk, good = congruence._audit, congruence.audit_good
+
+    def recording_walk(*args, **kwargs):
+        audit = walk(*args, **kwargs)
         calls.append((args, kwargs, audit))
         return audit
 
-    monkeypatch.setattr(congruence, "_audit", recording)
+    def recording_good(p, r, n, vL):
+        audit = good(p, r, n, vL)
+        calls.append((_good_reference(p, r, n), {}, audit))
+        return audit
+
+    monkeypatch.setattr(congruence, "_audit", recording_walk)
+    monkeypatch.setattr(congruence, "audit_good", recording_good)
+    monkeypatch.setattr(eliminator, "audit_good", recording_good)
     return calls
 
 
@@ -504,7 +586,7 @@ def _assert_matches_reference(calls):
     assert calls
     for args, kwargs, audit in calls:
         expected = _reference_audit(*args, **kwargs)
-        assert (audit.failures, audit.slack_table) == expected, (args[0], args[1], args[2:])
+        assert (audit.failures, audit.slack_table) == expected, args
 
 
 class TestAuditIndexOracle:
@@ -513,7 +595,45 @@ class TestAuditIndexOracle:
         calls = _recorded_audits(monkeypatch)
         for r in theorem_r_values(p):
             run_elimination(p, r)
+        assert {args[0] for args, _kwargs, _audit in calls} == {"good", "bad", "ugly-phase1", "ugly-phase2"}
         _assert_matches_reference(calls)
+
+    @pytest.mark.parametrize("p, count", [(5, 31), (7, 166), (11, 1295)])
+    def test_every_admissible_good_audit_matches_the_full_walk(self, p, count):
+        # every admissible r, not only the theorem range, at vL = r/2 - n - 1
+        audits = 0
+        for r in range(p, p * p - p):
+            for n in window_degrees(p, r):
+                if fall_valuation(p, n) == 0:
+                    audit = audit_good(p, r, n, Fraction(r, 2) - n - 1)
+                    expected = _reference_audit(*_good_reference(p, r, n))
+                    assert (audit.failures, audit.slack_table) == expected, (p, r, n)
+                    assert audit.passed, (p, r, n)
+                    audits += 1
+        assert audits == count
+
+    def test_a_passing_good_audit_walks_no_term_and_builds_no_fraction(self, monkeypatch):
+        p = 11
+        expected = {}
+        for r in theorem_r_values(p):
+            for n in good_candidates(p, r):
+                expected[r, n] = audit_good(p, r, n, Fraction(-(r + 1), 2))  # builds the tables
+
+        class NoFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("a Fraction was built")
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a term was walked")
+
+        monkeypatch.setattr(congruence, "Fraction", NoFraction)
+        monkeypatch.setattr(congruence, "_audit", no_walk)
+        monkeypatch.setattr(congruence, "_status", no_walk)
+        monkeypatch.setattr(congruence, "master_terms", no_walk)
+        for (r, n), audit in expected.items():
+            assert audit.passed
+            assert audit_good(p, r, n, Fraction(-(r + 1), 2)) == audit
+            assert audit_good(p, r, n, -r) == audit
 
     def test_a_failing_generator_keeps_its_place_in_table_order(self, monkeypatch, mutate_table):
         # audit_good(5, 8, 7, -5) targets degree 5: its generator loses slack 0
@@ -540,6 +660,29 @@ class TestAuditIndexOracle:
             for j in (7, 8)
         )
         _assert_matches_reference(calls)
+
+
+class TestGoodVerdictWindowEdge:
+    """A term that misses its good bound fails exactly the r whose window holds its degree.
+
+    At p = 7 the good n = 11 (b = 1, target degree 9) lies in the window of
+    r = 11..18, where ceil(r/2) runs 6, 6, 7, 7, 8, 8, 9, 9: a line-1
+    column j is in r's window when j >= ceil(r/2), a line-2 term of degree j
+    when j >= ceil(r/2) - 1.
+    """
+
+    @pytest.mark.parametrize("line, j", [(2, 6), (2, 7), (1, 7), (1, 8)])
+    def test_verdict_flips_where_the_window_starts(self, monkeypatch, mutate_table, line, j):
+        mutate_table(monkeypatch, 11, (line, 1 if line == 1 else 0, j), slack=-1)
+        verdicts = {}
+        for r in range(11, 19):
+            audit = audit_good(7, r, 11, Fraction(r, 2) - 12)
+            assert (audit.failures, audit.slack_table) == _reference_audit(*_good_reference(7, r, 11)), r
+            verdicts[r] = audit.passed
+        edge = 2 * j if line == 1 else 2 * j + 2  # the largest r whose window holds degree j
+        assert verdicts == {r: r > edge for r in range(11, 19)}
+        rows = audit_good(7, edge, 11, -7).failures
+        assert rows[0].startswith(f"term (line {line}, a={1 if line == 1 else 0}, j={j}) has slack -1")
 
 
 class TestAuditFailurePaths:

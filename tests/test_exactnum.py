@@ -1,8 +1,7 @@
 """Arithmetic substrate tests.
 
 Oracles here are deliberately primitive: valuations are checked by stripping
-factors off exactly computed integers, binomials against Pascal's rule, and
-falling factorials against binom * m!.
+factors off exactly computed integers, and binomials against Pascal's rule.
 """
 
 import math
@@ -17,7 +16,6 @@ from padicelim.exactnum import (
     ValP,
     as_rational,
     binom,
-    falling_factorial,
     harmonic,
     is_prime,
     rational_mod,
@@ -93,22 +91,6 @@ class TestVpFactorial:
     def test_composite_p_rejected(self):
         with pytest.raises(InvalidPrimeError):
             vp_factorial(10, 8)
-
-
-class TestFallingFactorial:
-    def test_examples(self):
-        assert falling_factorial(7, 2) == 42
-        assert falling_factorial(5, 0) == 1
-        assert falling_factorial(-3, 0) == 1
-        assert falling_factorial(5, 6) == 0
-
-    def test_matches_binom_times_factorial(self):
-        for n in range(0, 201, 7):
-            for m in range(n + 1):
-                assert falling_factorial(n, m) == binom(n, m) * math.factorial(m)
-
-    def test_negative_n_total(self):
-        assert falling_factorial(-2, 3) == (-2) * (-3) * (-4)
 
 
 class TestBinom:
