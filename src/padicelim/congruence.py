@@ -39,9 +39,9 @@ on line 1 the column numerator times (-1)^a C(eps, a) over a, on line 2
 the star numerator over the denominator of pH_eps.  The Fraction is formed
 only when a reader asks for ``coeff``.
 
-An audit instantiates the congruence at one n, aims at a target degree j*,
-gives each non-zero term a status and checks the one slack bound that the
-status needs:
+An audit instantiates the congruence at one n, aims at its target degree
+j* = n - b - 1, gives each non-zero term a status and checks the one slack
+bound that the status needs:
 
     dead             slack > 0              forced dead, above j*, or line 1 at j*
     generator        slack 0, unit residue  line 2 at j*
@@ -63,22 +63,23 @@ line-2 slack table that the kill trace records, and ``_status`` gives any
 term its status again on demand.
 
 Three audits package the three elimination arguments: ``audit_good`` (one
-congruence at an n with vFall = 0, generator at degree n - b - 1),
-``audit_bad`` (n = 2p + 1, vFall = 1) and ``audit_ugly`` (two congruences,
-n = cp + c with vFall = 1 leaving a residual family at degree cp, then
-n = cp + c + 1 with vFall = 0 certifying the residual sits on deeper
-sub-quotients; the audit fails if either phase does).  A good audit has no
-residual or must-die degrees, so each term's bound depends only on its line
-and degree, never on r: r only moves the start of the window.  Each (p, n)
-table therefore carries its good verdict (the highest degree on each line
-whose term misses its bound, and whether the generator is there), and
-``audit_good`` compares r's window start with it; only a failing good audit,
-and every bad and ugly one, walks the table as described above.  The audits
-check the hypotheses of :func:`make_params` with integer comparisons and
-the same errors, and build no CongruenceParams: vL is compared through its
-numerator and denominator.  ``inequality_suite``
-verifies, exactly, the arithmetic inequality families that the supporting
-lemmas reduce to.
+congruence at an n with vFall = 0), ``audit_bad`` (n = 2p + 1, vFall = 1,
+target 2p - 2) and ``audit_ugly`` (two congruences, n = cp + c with
+vFall = 1 and target cp - 1, leaving a residual family at degree cp, then
+n = cp + c + 1 with vFall = 0 and target cp, certifying the residual sits
+on deeper sub-quotients; the audit fails if either phase does).  An audit
+without a residual or must-die degree gives each term a bound that depends
+only on its line and degree, never on r: r only moves the start of the
+window.  Each (p, n) table therefore carries its verdict (the highest
+degree on each line whose term misses its bound, and whether the generator
+is there), and a good or bad audit compares r's window start with it.  A
+failing audit walks the table as described above, and so do both ugly
+phases: phase one's residual family at cp is a miss for the verdict, and
+phase two forces cp - 1 dead.  The audits check the hypotheses of
+:func:`make_params` with integer comparisons and the same errors, and build
+no CongruenceParams: vL is compared through its numerator and denominator.
+``inequality_suite`` verifies, exactly, the arithmetic inequality families
+that the supporting lemmas reduce to.
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ from padicelim.exactnum import (
     INF,
     Rational,
     ValP,
+    as_rational,
     binom,
     check_prime,
     harmonic,
@@ -183,21 +185,18 @@ def _check_window(p: int, r: int, n: int) -> tuple[int, int, int]:
 def _below(vL: Fraction | int | str, r: int, n: int) -> bool:
     """Whether vL < r/2 - n, compared in integers: 2 num(vL) < (r - 2n) den(vL).
 
-    An int or a Fraction is read as it is; anything else (a str) is parsed
-    by Fraction, as :func:`make_params` parses it.
+    An int or a Fraction is read as it is; anything else goes through
+    :func:`as_rational`, which takes a rational literal and rejects the rest.
     """
-    try:
-        num, den = vL.numerator, vL.denominator
-    except AttributeError:
-        vL = Fraction(vL)
-        num, den = vL.numerator, vL.denominator
-    return 2 * num < (r - 2 * n) * den
+    if not isinstance(vL, (int, Fraction)):
+        vL = as_rational(vL)
+    return 2 * vL.numerator < (r - 2 * n) * vL.denominator
 
 
 def _check_vl(r: int, n: int, vL: Fraction | int | str) -> None:
     """Raise VLBoundError unless vL < r/2 - n."""
     if not _below(vL, r, n):
-        raise VLBoundError(f"vL must be < r/2 - n = {Fraction(r, 2) - n}, got {Fraction(vL)}")
+        raise VLBoundError(f"vL must be < r/2 - n = {Fraction(r, 2) - n}, got {as_rational(vL)}")
 
 
 def make_params(p: int, r: int, n: int, vL: Fraction | int | str) -> CongruenceParams:
@@ -207,7 +206,7 @@ def make_params(p: int, r: int, n: int, vL: Fraction | int | str) -> CongruenceP
     InvalidRangeError (r), WindowError (n), VLBoundError.
     """
     b, eps, v_fall = _check_window(p, r, n)
-    vL = Fraction(vL)
+    vL = as_rational(vL)
     _check_vl(r, n, vL)
     x = Fraction(r, 2) - n - v_fall - vL
     return CongruenceParams(p=p, r=r, n=n, vL=vL, b=b, eps=eps, v_fall=v_fall, x=x)
@@ -325,29 +324,30 @@ class _Table(NamedTuple):
     one pair (unit, unit mod p^2 over a) per a = 1..eps with unit = (-1)^a
     C(eps, a), and term (a, j) is column j scaled by factor a, with the
     column's slack.  ``line2`` holds the line-2 terms (degrees j0-1..n-1).
+    ``target``, the degree t = n - b - 1 that every audit of n aims at,
     ``weak_columns``, the non-zero columns with slack <= 0, and ``slacks``,
     each line-2 degree with its slack text, are derived from those, and so
-    is the good verdict.  A good audit (target t = n - b - 1, no residual or
-    must-die degrees) gives each term a bound that depends on its line and
-    degree only: slack > 0 above t and on line 1 at t, the generator rule on
-    line 2 at t, slack >= 0 below t.  ``good_miss1`` and ``good_miss2`` are
-    the highest line-1 and line-2 degrees (other than t) whose term misses
-    that bound, -1 if none does, and ``good_generator`` says whether the
-    line-2 term at t is a generator.  So a good audit at r passes exactly
-    when its window starts above both misses and the generator is there.
-    Build a table with :meth:`of`, which keeps the derived fields in step
-    with the stored ones.
+    is the verdict.  An audit without residual or must-die degrees gives
+    each term a bound that depends on its line and degree only: slack > 0
+    above t and on line 1 at t, the generator rule on line 2 at t,
+    slack >= 0 below t.  ``miss1`` and ``miss2`` are the highest line-1 and
+    line-2 degrees (other than t) whose term misses that bound, -1 if none
+    does, and ``generator`` says whether the line-2 term at t is a
+    generator.  So such an audit at r passes exactly when its window starts
+    above both misses and the generator is there.  Build a table with
+    :meth:`of`, which keeps the derived fields in step with the stored ones.
     """
 
     j0: int
     columns: tuple[CongruenceTerm, ...]
     factors: tuple[tuple[int, int], ...]
     line2: tuple[CongruenceTerm, ...]
+    target: int
     weak_columns: tuple[CongruenceTerm, ...]
     slacks: tuple[tuple[int, str], ...]
-    good_miss1: int
-    good_miss2: int
-    good_generator: bool
+    miss1: int
+    miss2: int
+    generator: bool
 
     @classmethod
     def of(
@@ -374,7 +374,7 @@ class _Table(NamedTuple):
             t.j == target and t.slack == 0 and t.unit_residue % p != 0 for t in line2
         )
         slacks = tuple((t.j, t.slack_text) for t in line2)
-        return cls(j0, columns, factors, line2, weak, slacks, miss1, miss2, generator)
+        return cls(j0, columns, factors, line2, target, weak, slacks, miss1, miss2, generator)
 
 
 # the term tables of one prime, keyed by (p, n); cleared when p changes
@@ -493,15 +493,15 @@ def _status(
     term: CongruenceTerm,
     target_j: int,
     ceil_half: int,
-    residual_degrees: frozenset[int],
-    must_die: frozenset[int],
+    residual: int | None,
+    must_die: int | None,
 ) -> str:
     """The status of a non-zero term in an audit aimed at degree ``target_j``."""
     j = term.j
-    if j in must_die:
+    if j == must_die:
         return DEAD
     if j > target_j:
-        return RESIDUAL if j in residual_degrees else DEAD
+        return RESIDUAL if j == residual else DEAD
     if j == target_j:
         return GENERATOR if term.line == 2 else DEAD
     return DEEPER if j >= ceil_half else BELOW
@@ -520,25 +520,31 @@ def _audit(
     p: int,
     r: int,
     n: int,
-    target_j: int,
     failures: Sequence[str] = (),
-    residual_degrees: frozenset[int] = frozenset(),
-    must_die: frozenset[int] = frozenset(),
+    residual: int | None = None,
+    must_die: int | None = None,
 ) -> KillAudit:
-    """Audit the (p, r, n) congruence against ``target_j``; the method's own ``failures`` follow the terms'.
+    """Audit the (p, r, n) congruence against its target n - b - 1; the method's own ``failures`` follow the terms'.
 
-    A positive slack meets every bound but the generator's, so the audit
-    checks each weak column inside the window of r once (a failing one fails
-    its line-1 term at every a, a-major), then the window's line-2 terms with
-    slack <= 0 or at the target, in degree order.  ``slack_table`` is a slice
-    of the table's line-2 slack pairs.  The caller has checked the hypotheses.
+    With no must-die degree and no method failure, a passing verdict of the
+    table decides the audit and no term is read (a residual degree only
+    relaxes a bound, from > 0 to >= 0).  Otherwise the audit walks the
+    table: a positive slack meets every bound but the generator's, so it
+    checks each weak column inside the window of r once (a failing one
+    fails its line-1 term at every a, a-major), then the window's line-2
+    terms with slack <= 0 or at the target, in degree order.
+    ``slack_table`` is a slice of the table's line-2 slack pairs.  The
+    caller has checked the hypotheses.
     """
     table, start = _table(p, r, n)
-    ceil_half = (r + 1) // 2
+    target_j, ceil_half = table.target, (r + 1) // 2
+    verdict = table.miss1 < ceil_half and table.miss2 < ceil_half - 1 and table.generator
+    if verdict and must_die is None and not failures:
+        return KillAudit(method, (n,), r - target_j, table.slacks[start:], ())
     failing = []
     for column in table.weak_columns:
         if column.j >= ceil_half:  # a line-1 status is never the generator
-            status = _status(column, target_j, ceil_half, residual_degrees, must_die)
+            status = _status(column, target_j, ceil_half, residual, must_die)
             if not (column.slack > 0 if status == DEAD else column.slack >= 0):
                 failing.append((column, status))
     term_failures = [
@@ -551,7 +557,7 @@ def _audit(
         slack = term.slack
         if slack is None or (slack > 0 and term.j != target_j):
             continue
-        status = _status(term, target_j, ceil_half, residual_degrees, must_die)
+        status = _status(term, target_j, ceil_half, residual, must_die)
         if status == DEAD:
             ok = slack > 0
         elif status == GENERATOR:
@@ -563,63 +569,46 @@ def _audit(
             term_failures.append(_failure_row(2, 0, term, status))
     if not generator:
         term_failures.append(f"no generator found at degree {target_j}")
-    return KillAudit(
-        method=method,
-        witness_n=(n,),
-        target_i=r - target_j,
-        slack_table=table.slacks[start:],
-        failures=tuple(term_failures) + tuple(failures),
-    )
+    return KillAudit(method, (n,), r - target_j, table.slacks[start:], (*term_failures, *failures))
 
 
 def audit_good(p: int, r: int, n: int, vL: Fraction | int | str) -> KillAudit:
-    """Single-congruence kill at an n with vFall = 0: target j* = n - b - 1.
-
-    The (p, n) table carries the good verdict, so a passing audit compares
-    r's window start with it and walks no term; a failing one walks the
-    table with :func:`_audit` for its failure rows.
-    """
+    """Single-congruence kill at an n with vFall = 0: target j* = n - b - 1."""
     b, _eps, v_fall = _check_window(p, r, n)
     _check_vl(r, n, vL)
     if v_fall != 0:
         raise NotGoodCandidateError(
             f"v_p([{n}]_{b + 1}) = {v_fall} != 0: n is not a good candidate"
         )
-    target_j = n - b - 1
-    table, start = _table(p, r, n)
-    ceil_half = (r + 1) // 2
-    if table.good_miss1 < ceil_half and table.good_miss2 < ceil_half - 1 and table.good_generator:
-        return KillAudit("good", (n,), r - target_j, table.slacks[start:], ())
-    return _audit("good", p, r, n, target_j)
+    return _audit("good", p, r, n)
 
 
 def audit_bad(p: int, r: int, vL: Fraction | int | str) -> KillAudit:
-    """The n = 2p + 1 kill (vFall = 1): target j* = 2p - 2, i* = r - 2p + 2."""
+    """The n = 2p + 1 kill (b = 2, vFall = 1): target j* = 2p - 2, i* = r - 2p + 2."""
     check_prime(p, minimum=5)
     if not (2 * p + 4 <= r <= 3 * p - 1):
         raise InvalidRangeError(f"r = {r} outside [{2 * p + 4}, {3 * p - 1}]")
+    # r <= 3p - 1 <= 4p - 4 keeps n = 2p + 1 in the window: n >= r/2 + b + 1
     n = 2 * p + 1
-    b, _eps, v_fall = _check_window(p, r, n)
     _check_vl(r, n, vL)
-    if v_fall != 1 or b != 2:
-        raise AssertionError(f"n = {n} needs vFall = 1 and b = 2, got {v_fall} and {b}")
     failures = []
     # only at r = 2p + 4 does degree p + 1 enter the window, as its
     # below-range edge; the Stirling values at t = p vanish mod p and rescue it
-    if r == 2 * p + 4 and (stirling2(p, b) % p != 0 or stirling2(p, b + 1) % p != 0):
+    if r == 2 * p + 4 and (stirling2(p, 2) % p != 0 or stirling2(p, 3) % p != 0):
         failures.append(f"stirling rescue fails at j = {p + 1}")
-    return _audit("bad", p, r, n, 2 * p - 2, failures)
+    return _audit("bad", p, r, n, failures)
 
 
 def audit_ugly(p: int, r: int, vL: Fraction | int | str, c: int) -> KillAudit:
     """Two-phase kill of j* = cp - 1 (i* = r - cp + 1) for c in {1, 2}.
 
-    Phase one instantiates the congruence at n = cp + c (vFall = 1); the
-    degree-cp terms of both lines survive as an integral residual family.
-    Phase two reapplies it at n = cp + c + 1 (vFall = 0), where the
-    degree-cp term is a generator and the degree-(cp - 1) term is forced
-    dead (the binomial C(cp+c+1, cp-1) is divisible by p); this certifies
-    that the residual is supported on sub-quotients deeper than the target.
+    Phase one instantiates the congruence at n = cp + c (b = c, vFall = 1,
+    target cp - 1); the degree-cp terms of both lines survive as an integral
+    residual family.  Phase two reapplies it at n = cp + c + 1 (b = c,
+    vFall = 0, target cp), where the degree-cp term is a generator and the
+    degree-(cp - 1) term is forced dead (the binomial C(cp+c+1, cp-1) is
+    divisible by p); this certifies that the residual is supported on
+    sub-quotients deeper than the target.
     """
     check_prime(p, minimum=5)
     if c not in (1, 2):
@@ -633,19 +622,15 @@ def audit_ugly(p: int, r: int, vL: Fraction | int | str, c: int) -> KillAudit:
         )
 
     n1 = c * p + c
-    b1, _eps1, v_fall1 = _check_window(p, r, n1)
-    if v_fall1 != 1 or b1 != c:
-        raise AssertionError(f"n = {n1} needs vFall = 1 and b = {c}, got {v_fall1} and {b1}")
-    phase1 = _audit("ugly-phase1", p, r, n1, c * p - 1, residual_degrees=frozenset({c * p}))
+    # the window is an interval ending at r > n1 + 1, so it holds n1 + 1 with n1
+    _check_window(p, r, n1)
+    phase1 = _audit("ugly-phase1", p, r, n1, residual=c * p)
 
-    n2 = c * p + c + 1
-    b2, _eps2, v_fall2 = _check_window(p, r, n2)
-    if v_fall2 != 0 or b2 != c:
-        raise AssertionError(f"n = {n2} needs vFall = 0 and b = {c}, got {v_fall2} and {b2}")
+    n2 = n1 + 1
     failures2 = []
     if binom(n2, c * p - 1) % p != 0:
         failures2.append(f"C({n2}, {c * p - 1}) is a p-unit; residual certificate fails")
-    phase2 = _audit("ugly-phase2", p, r, n2, c * p, failures2, must_die=frozenset({c * p - 1}))
+    phase2 = _audit("ugly-phase2", p, r, n2, failures2, must_die=c * p - 1)
 
     return phase1._replace(
         method="ugly", witness_n=(n1, n2), failures=phase1.failures + phase2.failures

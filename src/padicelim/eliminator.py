@@ -156,10 +156,7 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
         raise InvalidRangeError(
             f"r = {r} outside [{p + 3}, {2 * p - 1}] u [{2 * p + 4}, {3 * p - 1}]"
         )
-    if vL is None:
-        vL = Fraction(-(r + 1), 2)
-    else:
-        vL = as_rational(vL)
+    vL = Fraction(-(r + 1), 2) if vL is None else as_rational(vL)
     if not vL < Fraction(-r, 2):
         raise VLBoundError(f"vL = {vL} must be < -r/2 = {Fraction(-r, 2)}")
 
@@ -183,8 +180,6 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
                                     witness_n=witness, slack_table=slack_table)
 
     for i in range(c):
-        if r < (i + 1) * (p + 1) - 1:
-            raise EliminationIncompleteError(f"shallow bound fails at i = {i}")
         report = shallow_kill_check(p, r, i + 1)
         if not report.passed:
             raise EliminationIncompleteError(

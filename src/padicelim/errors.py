@@ -32,7 +32,7 @@ class InvalidPrimeError(PadicElimError):
 
 
 class MalformedInputError(PadicElimError):
-    """Text from the command line or the environment does not parse as its value."""
+    """An input is not an exact value: unparsable text, or a value of another type (a float)."""
 
 
 class WindowError(PadicElimError):

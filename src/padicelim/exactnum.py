@@ -174,10 +174,13 @@ def rational_mod(q: Fraction | int, modulus: int) -> int:
 def as_rational(text: str | int | Fraction) -> Fraction:
     """Parse an exact rational literal ("a/b" or "a"); no decimals.
 
-    Text that is not such a literal raises MalformedInputError.
+    An int or a Fraction is taken as it is; any other value that is not
+    such a literal (a float among them) raises MalformedInputError.
     """
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
+    if not isinstance(text, str):
+        raise MalformedInputError(f"rational literal expected (got {text!r})")
     text = text.strip()
     try:
         value = Fraction(text)

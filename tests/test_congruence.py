@@ -30,6 +30,7 @@ from padicelim.congruence import (
 from padicelim.errors import (
     InvalidDegreeError,
     InvalidRangeError,
+    MalformedInputError,
     NotGoodCandidateError,
     VLBoundError,
     WindowError,
@@ -97,9 +98,42 @@ class TestFallValuation:
             fall_valuation(7, n)
 
 
+class TestFixedDegrees:
+    """The identities of the bad and ugly degrees, which their audits take as given, for 5 <= p < 400."""
+
+    PRIMES = tuple(filter(is_prime, range(5, 400)))
+
+    def test_bad_and_ugly_degrees_have_their_b_vfall_and_target(self):
+        for p in self.PRIMES:
+            # (n, b, vFall, target n - b - 1)
+            cases = [(2 * p + 1, 2, 1, 2 * p - 2)]
+            for c in (1, 2):
+                cases += [(c * p + c, c, 1, c * p - 1), (c * p + c + 1, c, 0, c * p)]
+            for n, b, v_fall, target in cases:
+                assert (n // p, fall_valuation(p, n), n - n // p - 1) == (b, v_fall, target), (p, n)
+
+    def test_the_range_of_r_keeps_the_unchecked_degrees_in_the_window(self):
+        # audit_bad checks no window for n = 2p + 1, and audit_ugly none for
+        # n = cp + c + 1 once n = cp + c passes its own
+        for p in self.PRIMES:
+            for r in range(2 * p + 4, 3 * p):
+                assert congruence._check_window(p, r, 2 * p + 1) == (2, 1, 1), (p, r)
+            for c in (1, 2):
+                for r in range(c * p + c + 2, (c + 1) * p):
+                    if 2 * (c * p + c) >= r + 2 * c + 2:
+                        assert congruence._check_window(p, r, c * p + c + 1) == (c, c + 1, 0), (p, r)
+
+    def test_every_accepted_r_meets_the_shallow_bound(self):
+        # run_elimination certifies i = 1..c with c = r // p, each needing r >= i(p + 1) - 1
+        for p in self.PRIMES:
+            for r in filter(lambda r: eliminator._accepted_r(p, r), range(p, 3 * p)):
+                assert r // p * (p + 1) - 1 <= r <= p * p - p - 1, (p, r)
+
+
 class TestAuditErrors:
     """The audits check make_params' hypotheses in integers, with its error classes and messages."""
 
+    DECIMAL = "rational literal expected (got '-4.5'); decimals are not accepted"
     CASES = [
         (audit_good, (6, 8, 7, -5), InvalidPrimeError, "p = 6 is not a prime >= 5"),
         (audit_good, (5, 20, 12, -9), InvalidRangeError, "r = 20 outside [5, 19]"),
@@ -114,7 +148,7 @@ class TestAuditErrors:
         (audit_good, (5, 8, 6, -5), NotGoodCandidateError, "v_p([6]_2) = 1 != 0: n is not a good candidate"),
         # the vL bound is checked before the good candidate
         (audit_good, (5, 8, 6, -2), VLBoundError, "vL must be < r/2 - n = -2, got -2"),
-        (audit_good, (5, 8, 7, "x"), ValueError, "Invalid literal for Fraction: 'x'"),
+        (audit_good, (5, 8, 7, "x"), MalformedInputError, "rational literal expected (got 'x')"),
         (audit_bad, (6, 14, -8), InvalidPrimeError, "p = 6 is not a prime >= 5"),
         (audit_bad, (5, 13, -8), InvalidRangeError, "r = 13 outside [14, 14]"),
         (audit_bad, (5, 14, -4), VLBoundError, "vL must be < r/2 - n = -4, got -4"),
@@ -126,6 +160,14 @@ class TestAuditErrors:
         (audit_ugly, (5, 8, -3, 1), VLBoundError, "ugly method needs vL < r/2 - (cp + c + 1) = -3"),
         (audit_ugly, (5, 8, "-5/2", 1), VLBoundError, "ugly method needs vL < r/2 - (cp + c + 1) = -3"),
         (audit_ugly, (7, 13, Fraction(-8), 1), WindowError, "n = 8 outside the window [9, 13]"),
+        # no floating point: a float or a decimal vL is refused, as the CLI refuses it
+        (audit_good, (5, 8, 7, -4.5), MalformedInputError, "rational literal expected (got -4.5)"),
+        (audit_good, (5, 8, 7, "-4.5"), MalformedInputError, DECIMAL),
+        (make_params, (5, 8, 7, -4.5), MalformedInputError, "rational literal expected (got -4.5)"),
+        (make_params, (5, 8, 7, "-4.5"), MalformedInputError, DECIMAL),
+        (audit_bad, (5, 14, -8.0), MalformedInputError, "rational literal expected (got -8.0)"),
+        (audit_ugly, (5, 8, "-5.5", 1), MalformedInputError,
+         "rational literal expected (got '-5.5'); decimals are not accepted"),
     ]
 
     @pytest.mark.parametrize("audit, args, error, message", CASES)
@@ -294,12 +336,11 @@ class TestMasterTerms:
                 assert t.coeff == 0 and t.slack is None
 
 
-def _statuses(params, target_j, residual=(), must_die=()):
-    """(line, a, j) -> status of each non-zero term of the congruence ``params``."""
+def _statuses(params, residual=None, must_die=None):
+    """(line, a, j) -> status of each non-zero term of the congruence ``params``, aimed at n - b - 1."""
+    target_j = params.n - params.b - 1
     return {
-        (t.line, t.a, t.j): congruence._status(
-            t, target_j, params.ceil_half_r, frozenset(residual), frozenset(must_die)
-        )
+        (t.line, t.a, t.j): congruence._status(t, target_j, params.ceil_half_r, residual, must_die)
         for t in master_terms(params)
         if t.slack is not None
     }
@@ -318,7 +359,7 @@ class TestAuditGood:
         audit = audit_good(5, 8, 7, -5)
         assert audit.passed and audit.target_i == 3  # target degree j* = r - i* = 5
         params = make_params(5, 8, 7, -5)
-        assert _statuses(params, params.r - audit.target_i)[(2, 0, 5)] == GENERATOR
+        assert _statuses(params)[(2, 0, 5)] == GENERATOR
         assert _terms(params)[(2, 0, 5)].slack == 0
         assert audit.slack_table == _line2_slacks(params)
 
@@ -331,7 +372,7 @@ class TestAuditGood:
             audit_good(5, 8, 6, -5)
 
     def test_disposition_statuses(self):
-        statuses = _statuses(make_params(5, 8, 7, -5), 8 - audit_good(5, 8, 7, -5).target_i)
+        statuses = _statuses(make_params(5, 8, 7, -5))
         assert statuses[(2, 0, 5)] == GENERATOR
         assert statuses[(2, 0, 6)] == DEAD
         assert statuses[(2, 0, 4)] == DEEPER
@@ -345,13 +386,13 @@ class TestAuditBad:
         assert audit.passed
         assert audit.witness_n == (11,) and audit.target_i == 6  # j* = 8
         params = make_params(5, 14, 11, -8)
-        assert _statuses(params, params.r - audit.target_i)[(2, 0, 8)] == GENERATOR
+        assert _statuses(params)[(2, 0, 8)] == GENERATOR
         generator = _terms(params)[(2, 0, 8)]
         assert generator.slack == 0 and generator.unit_residue % 5 != 0
 
     def test_rescue_note_at_r_2p_plus_4(self, monkeypatch):
         # the j = p + 1 = 6 term is the below-range edge at r = 2p + 4
-        assert _statuses(make_params(5, 14, 11, -8), 8)[(2, 0, 6)] == BELOW
+        assert _statuses(make_params(5, 14, 11, -8))[(2, 0, 6)] == BELOW
         assert audit_bad(5, 14, -8).passed  # builds the (5, 11) term table
         # {5 brace 2} = 15 vanishes mod p; a unit in its place breaks the rescue
         stirling2 = congruence.stirling2
@@ -376,7 +417,7 @@ class TestAuditUgly:
         assert audit.witness_n == (6, 7) and audit.target_i == 4  # j* = 4
         # phase one: n = cp + c = 6 leaves a residual family at degree cp = 5
         params1 = make_params(5, 8, 6, -5)
-        statuses = _statuses(params1, params1.r - audit.target_i, residual=(5,))
+        statuses = _statuses(params1, residual=5)
         # one line-1 term (a = 1) and one line-2 term
         assert {(line, j) for (line, _a, j), s in statuses.items() if s == RESIDUAL} == {(1, 5), (2, 5)}
         assert audit.slack_table == _line2_slacks(params1)
@@ -384,12 +425,12 @@ class TestAuditUgly:
     def test_p5_r14_c2(self):
         audit = audit_ugly(5, 14, -8, 2)
         assert audit.passed and audit.target_i == 5 and audit.witness_n == (12, 13)
-        statuses = _statuses(make_params(5, 14, 12, -8), 14 - audit.target_i, residual=(10,))
+        statuses = _statuses(make_params(5, 14, 12, -8), residual=10)
         assert list(statuses.values()).count(RESIDUAL) == 3  # a = 0, 1, 2 at degree cp = 10
 
     def test_phase2_forces_cp_minus_1_dead(self, monkeypatch, mutate_table):
         # phase two: n = cp + c + 1 = 7, target cp = 5, degree cp - 1 = 4 forced dead
-        assert _statuses(make_params(5, 8, 7, -5), 5, must_die=(4,))[(2, 0, 4)] == DEAD
+        assert _statuses(make_params(5, 8, 7, -5), must_die=4)[(2, 0, 4)] == DEAD
         assert audit_ugly(5, 8, -5, 1).passed  # builds the (5, 6) and (5, 7) term tables
         with monkeypatch.context() as m:
             mutate_table(m, 7, (2, 0, 4), slack=0)
@@ -515,17 +556,17 @@ class TestInequalities:
 _FORBIDDEN_SLACK = {DEAD: 0, GENERATOR: 1, RESIDUAL: -1, DEEPER: -1, BELOW: -1}
 
 
-def _reference_audit(
-    method, p, r, n, target_j, failures=(), residual_degrees=frozenset(), must_die=frozenset()
-):
+def _reference_audit(method, p, r, n, failures=(), residual=None, must_die=None):
     """(failures, slack_table) of an audit of the (p, r, n) congruence by a full walk of ``master_terms``.
 
-    The reference for the audits that read the table: every term of the
-    congruence is visited, those with a zero coefficient or with a positive slack (save
-    the line-2 term at the target) are skipped, and the rest go through the
-    status ladder.  The terms do not depend on vL, so any admissible vL will do.
+    The reference for the audits that read the table or its verdict: every
+    term of the congruence is visited, those with a zero coefficient or with
+    a positive slack (save the line-2 term at the target n - b - 1) are
+    skipped, and the rest go through the status ladder.  The terms do not
+    depend on vL, so any admissible vL will do.
     """
     terms = master_terms(make_params(p, r, n, Fraction(r, 2) - n - 1))
+    target_j = n - n // p - 1
     ceil_half = (r + 1) // 2
     term_failures = []
     generator = False
@@ -533,7 +574,7 @@ def _reference_audit(
         slack = term.slack
         if slack is None or (slack > 0 and (term.line == 1 or term.j != target_j)):
             continue
-        status = congruence._status(term, target_j, ceil_half, residual_degrees, must_die)
+        status = congruence._status(term, target_j, ceil_half, residual, must_die)
         if status == DEAD:
             ok = slack > 0
         elif status == GENERATOR:
@@ -551,34 +592,17 @@ def _reference_audit(
     return tuple(term_failures) + tuple(failures), slack_table
 
 
-def _good_reference(p, r, n):
-    """The ``_reference_audit`` arguments of the good audit at (p, r, n)."""
-    return ("good", p, r, n, n - n // p - 1)
-
-
 def _recorded_audits(monkeypatch):
-    """Record every ``_audit`` call and every good audit as (reference args, kwargs, audit).
-
-    A passing good audit reads the table's verdict and never reaches
-    ``_audit``, so ``audit_good`` is recorded as well, in ``congruence`` and
-    in ``eliminator``, which imports it by name.
-    """
+    """Record every ``_audit`` call, the one entry of every audit, as (args, kwargs, audit)."""
     calls = []
-    walk, good = congruence._audit, congruence.audit_good
+    entry = congruence._audit
 
-    def recording_walk(*args, **kwargs):
-        audit = walk(*args, **kwargs)
+    def recording(*args, **kwargs):
+        audit = entry(*args, **kwargs)
         calls.append((args, kwargs, audit))
         return audit
 
-    def recording_good(p, r, n, vL):
-        audit = good(p, r, n, vL)
-        calls.append((_good_reference(p, r, n), {}, audit))
-        return audit
-
-    monkeypatch.setattr(congruence, "_audit", recording_walk)
-    monkeypatch.setattr(congruence, "audit_good", recording_good)
-    monkeypatch.setattr(eliminator, "audit_good", recording_good)
+    monkeypatch.setattr(congruence, "_audit", recording)
     return calls
 
 
@@ -606,18 +630,21 @@ class TestAuditIndexOracle:
             for n in window_degrees(p, r):
                 if fall_valuation(p, n) == 0:
                     audit = audit_good(p, r, n, Fraction(r, 2) - n - 1)
-                    expected = _reference_audit(*_good_reference(p, r, n))
+                    expected = _reference_audit("good", p, r, n)
                     assert (audit.failures, audit.slack_table) == expected, (p, r, n)
                     assert audit.passed, (p, r, n)
                     audits += 1
         assert audits == count
 
-    def test_a_passing_good_audit_walks_no_term_and_builds_no_fraction(self, monkeypatch):
+    def test_passing_good_and_bad_audits_walk_no_term_and_build_no_fraction(self, monkeypatch):
         p = 11
         expected = {}
-        for r in theorem_r_values(p):
+        for r in theorem_r_values(p):  # builds the tables
             for n in good_candidates(p, r):
-                expected[r, n] = audit_good(p, r, n, Fraction(-(r + 1), 2))  # builds the tables
+                expected[audit_good, (p, r, n)] = audit_good(p, r, n, Fraction(-(r + 1), 2))
+            if r // p == 2:
+                expected[audit_bad, (p, r)] = audit_bad(p, r, Fraction(-(r + 1), 2))
+        assert {audit.method for audit in expected.values()} == {"good", "bad"}
 
         class NoFraction(Fraction):
             def __new__(cls, *args, **kwargs):
@@ -627,13 +654,13 @@ class TestAuditIndexOracle:
             raise AssertionError("a term was walked")
 
         monkeypatch.setattr(congruence, "Fraction", NoFraction)
-        monkeypatch.setattr(congruence, "_audit", no_walk)
         monkeypatch.setattr(congruence, "_status", no_walk)
         monkeypatch.setattr(congruence, "master_terms", no_walk)
-        for (r, n), audit in expected.items():
+        for (audit_at, args), audit in expected.items():
+            r = args[1]
             assert audit.passed
-            assert audit_good(p, r, n, Fraction(-(r + 1), 2)) == audit
-            assert audit_good(p, r, n, -r) == audit
+            assert audit_at(*args, Fraction(-(r + 1), 2)) == audit
+            assert audit_at(*args, -r) == audit
 
     def test_a_failing_generator_keeps_its_place_in_table_order(self, monkeypatch, mutate_table):
         # audit_good(5, 8, 7, -5) targets degree 5: its generator loses slack 0
@@ -677,7 +704,7 @@ class TestGoodVerdictWindowEdge:
         verdicts = {}
         for r in range(11, 19):
             audit = audit_good(7, r, 11, Fraction(r, 2) - 12)
-            assert (audit.failures, audit.slack_table) == _reference_audit(*_good_reference(7, r, 11)), r
+            assert (audit.failures, audit.slack_table) == _reference_audit("good", 7, r, 11), r
             verdicts[r] = audit.passed
         edge = 2 * j if line == 1 else 2 * j + 2  # the largest r whose window holds degree j
         assert verdicts == {r: r > edge for r in range(11, 19)}
@@ -688,14 +715,11 @@ class TestGoodVerdictWindowEdge:
 class TestAuditFailurePaths:
     """Every non-zero term of a passing audit, given a slack its status forbids, fails it."""
 
-    # each audit's (p, r, vL), and its congruences as
-    # (n, target j, residual degrees, must-die degrees)
+    # each audit's (p, r, vL), and its congruences as (n, residual degree, must-die degree)
     AUDITS = {
-        "good": (lambda: audit_good(7, 12, 11, -7), (7, 12, -7), [(11, 9, (), ())]),
-        "bad": (lambda: audit_bad(7, 18, -10), (7, 18, -10), [(15, 12, (), ())]),
-        "ugly": (
-            lambda: audit_ugly(7, 12, -7, 1), (7, 12, -7), [(8, 6, (7,), ()), (9, 7, (), (6,))]
-        ),
+        "good": (lambda: audit_good(7, 12, 11, -7), (7, 12, -7), [(11, None, None)]),
+        "bad": (lambda: audit_bad(7, 18, -10), (7, 18, -10), [(15, None, None)]),
+        "ugly": (lambda: audit_ugly(7, 12, -7, 1), (7, 12, -7), [(8, 7, None), (9, None, 6)]),
     }
 
     @pytest.mark.parametrize("method", sorted(AUDITS))
@@ -703,8 +727,8 @@ class TestAuditFailurePaths:
         run, (p, r, vL), phases = self.AUDITS[method]
         assert run().passed
         mutated = 0
-        for n, target_j, residual, must_die in phases:
-            statuses = _statuses(make_params(p, r, n, vL), target_j, residual, must_die)
+        for n, residual, must_die in phases:
+            statuses = _statuses(make_params(p, r, n, vL), residual, must_die)
             for key, status in statuses.items():
                 with monkeypatch.context() as m:
                     mutate_table(m, n, key, slack=_FORBIDDEN_SLACK[status])

@@ -16,6 +16,7 @@ from padicelim.eliminator import (
 from padicelim.errors import (
     EliminationIncompleteError,
     InvalidRangeError,
+    MalformedInputError,
     PredictionUnavailableError,
     VLBoundError,
 )
@@ -107,6 +108,15 @@ class TestRunElimination:
         assert run_elimination(5, 8, "-13/2").vL == Fraction(-13, 2)
         with pytest.raises(VLBoundError):
             run_elimination(5, 8, -4)  # not < -r/2
+
+    @pytest.mark.parametrize("vL, message", [
+        (-4.5, "rational literal expected (got -4.5)"),
+        ("-4.5", "rational literal expected (got '-4.5'); decimals are not accepted"),
+    ], ids=["float", "decimal-text"])
+    def test_float_and_decimal_vl_rejected(self, vL, message):
+        with pytest.raises(MalformedInputError) as caught:
+            run_elimination(5, 8, vL)
+        assert str(caught.value) == message
 
     def test_range_errors(self):
         with pytest.raises(InvalidRangeError):

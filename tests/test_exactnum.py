@@ -6,10 +6,12 @@ factors off exactly computed integers, and binomials against Pascal's rule.
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from padicelim.errors import MalformedInputError
 from padicelim.exactnum import (
     INF,
     InvalidPrimeError,
@@ -165,3 +167,7 @@ class TestAsRational:
             as_rational("4.5")
         with pytest.raises(ValueError):
             as_rational("1e-3")
+        # a value that is neither an int, a Fraction nor text
+        for value in (4.5, -4.0, Decimal("4.5")):
+            with pytest.raises(MalformedInputError, match=r"rational literal expected \(got "):
+                as_rational(value)
