@@ -524,7 +524,7 @@ def _audit(
     residual: int | None = None,
     must_die: int | None = None,
 ) -> KillAudit:
-    """Audit the (p, r, n) congruence against its target n - b - 1; the method's own ``failures`` follow the terms'.
+    """Audit the (p, r, n) congruence against n - b - 1; the method's own ``failures`` follow the terms'.
 
     With no must-die degree and no method failure, a passing verdict of the
     table decides the audit and no term is read (a residual degree only
