@@ -34,6 +34,7 @@ __all__ = [
     "Mod2Residue",
     "binom_mod_p2",
     "stirling2",
+    "stirling2_column",
     "stirling2_def",
     "stirling_lucas_check",
 ]
@@ -65,6 +66,12 @@ def stirling2(t: int, s: int) -> int:
                         + _STIRLING_CACHE[(tt - 1, ss - 1)]
                     )
     return _STIRLING_CACHE[key]
+
+
+def stirling2_column(s: int, t_max: int) -> list[int]:
+    """[{t brace s} for t = 0..t_max], read from the cache after one fill."""
+    stirling2(t_max, 0)  # fills every row up to t_max
+    return [_STIRLING_CACHE.get((t, s), 0) for t in range(t_max + 1)]
 
 
 def stirling2_def(t: int, s: int) -> int:

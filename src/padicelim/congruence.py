@@ -33,6 +33,9 @@ below 47 hold 16% of the terms).  On line 1 the factor (-1)^a C(eps, a)/a
 is a p-unit (a <= eps < p), so every a shares the slack of its column j:
 the table stores and values each column once, with one factor per a, and
 only :func:`master_terms` forms line-1 terms.  The line-2 terms are stored.
+A table is built in one pass over its degrees: each exact numerator carries
+C(n, j) and (b+1)^(n-j) from the degree before and reads its Stirling values
+from one fill of the cache, and is then valued by exact division by p.
 Terms, tables and audit results are named tuples.  A term keeps its exact
 coefficient as an integer numerator and denominator, never as a Fraction:
 on line 1 the column numerator times (-1)^a C(eps, a) over a, on line 2
@@ -89,7 +92,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
-from padicelim.combinat import stirling2
+from padicelim.combinat import stirling2, stirling2_column
 from padicelim.errors import (
     InvalidDegreeError,
     InvalidRangeError,
@@ -175,11 +178,9 @@ def _check_window(p: int, r: int, n: int) -> tuple[int, int, int]:
         raise WindowError(f"n = {n} outside the window [{window_degrees(p, r)[0]}, {r}]")
     # n <= r <= p^2 - p - 1 keeps b <= p - 2
     b, eps = divmod(n, p)
-    v_fall = fall_valuation(p, n)
-    # consequences of the hypotheses; with vL < r/2 - n they give x > -vFall >= -1
-    if not (v_fall <= 1 and 2 * (n - v_fall) > r):
-        raise AssertionError(f"vFall = {v_fall}: need vFall <= 1 and n - vFall > r/2")
-    return b, eps, v_fall
+    # the hypotheses give vFall <= 1 and n - vFall > r/2, so with
+    # vL < r/2 - n, x > -vFall >= -1 (tests/test_congruence.py checks both)
+    return b, eps, fall_valuation(p, n)
 
 
 def _below(vL: Fraction | int | str, r: int, n: int) -> bool:
@@ -306,17 +307,6 @@ class CongruenceTerm(NamedTuple):
         return "inf" if self.slack is None else str(self.slack)
 
 
-def _build_term(p: int, v_fall: int, a: int, line: int, j: int, num: int, den: int) -> CongruenceTerm:
-    if num == 0:
-        return CongruenceTerm(a, line, j, num, den, None, None)
-    v_num, v_den = vp_int(num, p), vp_int(den, p)
-    modulus = p * p
-    unit_residue = num // p**v_num % modulus
-    if den != 1:
-        unit_residue = unit_residue * pow(den // p**v_den % modulus, -1, modulus) % modulus
-    return CongruenceTerm(a, line, j, num, den, v_num - v_den - v_fall, unit_residue)
-
-
 class _Table(NamedTuple):
     """The terms of one (p, n) congruence, stored as an audit reads them.
 
@@ -384,34 +374,72 @@ _TABLE_BLOCK = 4
 
 
 def _build_table(p: int, n: int) -> _Table:
-    """Every term of the (p, n) congruence that an admissible r can ask for.
+    """Every term of the (p, n) congruence that an admissible r can ask for, in one pass.
 
     Admissible r has r >= p and r >= n, so ceil(r/2) >= j0 = ceil(max(p, n)/2).
+    One loop walks the degrees j = n - m down from n - 1 and forms both
+    lines' exact integer numerators, carrying (-1)^m C(n, m) and (b+1)^m from
+    the degree before and reading {m brace b} and {m brace b+1} from one fill of
+    the Stirling cache; the line-2 numerator is the closed form of
+    :func:`star_full` times C(n, j) (-1)^m.  A second loop per line values
+    each numerator by exact division by p and reduces its unit part mod p^2;
+    the denominator of pH_eps is valued and inverted once per table.
+    :meth:`_Table.of` derives the rest.
     """
     b, eps = divmod(n, p)
+    b1 = b + 1
     v_fall = fall_valuation(p, n)
     j0 = (max(p, n) + 1) // 2
     modulus = p * p
-    prefactor = binom((b + 1) * p, n + 1) * (n + 1) * math.factorial(b)
-    # a line-1 coefficient is column(j) * (-1)^a C(eps, a) / a, and the
-    # a-factor is a p-unit (a <= eps < p): one valuation per column
-    columns = []
-    for j in range(j0, n):
-        sign = -1 if (j + b + 1) % 2 else 1
-        column = binom(n, j) * sign * prefactor * stirling2(n - j, b)
-        columns.append(_build_term(p, v_fall, 0, 1, j, column, 1))
-    factors = []
+    # the line-1 a-factors (-1)^a C(eps, a), each with its residue over a
+    factors, unit = [], 1
     for a in range(1, eps + 1):
-        unit = (-1 if a % 2 else 1) * binom(eps, a)
+        unit = -unit * (eps - a + 1) // a
         factors.append((unit, unit * pow(a, -1, modulus) % modulus))
-    consts = _star_constants(p, n, b, eps)
-    ph_den = consts[2]
-    line2 = []
-    for j in range(j0 - 1, n):
-        sign = -1 if (n - j) % 2 else 1
-        num = binom(n, j) * sign * _star_numerator(n, b, j, consts)
-        line2.append(_build_term(p, v_fall, 0, 2, j, num, ph_den))
-    return _Table.of(p, n, j0, tuple(columns), tuple(factors), tuple(line2))
+    # line 1 runs over m = 1..top - 1 and line 2 over m = 1..top
+    top = n - j0 + 1
+    # a column is C(n, j) (-1)^(j+b+1) C(b1 p, n+1) (n+1) b! {m brace b}, its
+    # sign (-1)^(n+b+1) here and (-1)^m on the carried binomial
+    prefactor = binom(b1 * p, n + 1) * (n + 1) * math.factorial(b) * (-1 if (n + b + 1) % 2 else 1)
+    stirling_b = stirling2_column(b, top)
+    # star_j times ph_den, as in _star_numerator: lead_den ({m brace b1} b1! - b1^m)
+    #   + lead_num ({m+1 brace b1} b1! - b1^(m+1)) - b1^m ph_den
+    fact_b1, ph_num, ph_den, lead = _star_constants(p, n, b, eps)
+    stirling_b1 = [s * fact_b1 for s in stirling2_column(b1, top + 1)]
+    if b1 % 2:
+        lead = -lead
+    lead_den, lead_num = lead * ph_den, lead * ph_num
+    nums1, nums2 = [], []
+    signed_binom, power = 1, 1  # (-1)^m C(n, m) and b1^m
+    for m in range(1, top + 1):
+        signed_binom = -signed_binom * (n - m + 1) // m
+        power *= b1
+        star = (
+            lead_den * (stirling_b1[m] - power)
+            + lead_num * (stirling_b1[m + 1] - power * b1)
+            - power * ph_den
+        )
+        nums2.append(signed_binom * star)
+        if m < top:
+            nums1.append(signed_binom * prefactor * stirling_b[m])
+    v_den = vp_int(ph_den, p)
+    den_inverse = pow(ph_den // p**v_den % modulus, -1, modulus)
+    lines = []
+    for line, nums, den, shift, inverse in (
+        (1, nums1, 1, v_fall, 1),
+        (2, nums2, ph_den, v_fall + v_den, den_inverse),
+    ):
+        terms = []
+        for j, num in enumerate(reversed(nums), n - len(nums)):
+            if not num:
+                terms.append(CongruenceTerm(0, line, j, 0, den, None, None))
+                continue
+            v, unit = 0, num
+            while not unit % p:
+                v, unit = v + 1, unit // p
+            terms.append(CongruenceTerm(0, line, j, num, den, v - shift, unit * inverse % modulus))
+        lines.append(tuple(terms))
+    return _Table.of(p, n, j0, lines[0], tuple(factors), lines[1])
 
 
 def _table(p: int, r: int, n: int) -> tuple[_Table, int]:

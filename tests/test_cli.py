@@ -338,6 +338,29 @@ class TestGoldenOutput:
             "3bfadc6fbea98b6ff65be6043ace2c51200faf471b4eeaaf735c8229d54b2d61"
         )
 
+    def test_sweep_json_digest_to_41(self, capsys):
+        # every term table of nine primes
+        code, out, err = run_cli(capsys, "sweep", "--p-range", "5:41", "--emit", "json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f1a85bc198642e06ee056d616bc111d5f02e92209ee92f97da96cbcc8fce6f9c"
+        )
+
+    @pytest.mark.skipif(
+        not os.environ.get("PADICELIM_LONG_TESTS"),
+        reason="about 10 s and 180 MB of output; set PADICELIM_LONG_TESTS=1 to run",
+    )
+    def test_sweep_json_digest_to_101(self):
+        # streamed from a child process, so this process never holds the output
+        env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+        argv = [sys.executable, "-m", "padicelim", "sweep", "--p-range", "5:101", "--jobs", "2", "--emit", "json"]
+        digest = hashlib.sha256()
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, env=env) as child:
+            for chunk in iter(lambda: child.stdout.read(1 << 20), b""):
+                digest.update(chunk)
+            assert child.wait(timeout=60) == 0
+        assert digest.hexdigest() == "1c2c8f724a7516d7bf877849cfbfacb108c636123657dd4b5655d428fa669d00"
+
     def test_congruence_table(self, capsys):
         assert run_cli(capsys, "congruence", "--p", "5", "--r", "8", "--n", "7") == (
             0,

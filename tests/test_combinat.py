@@ -8,10 +8,12 @@ import math
 
 import pytest
 
+from padicelim import combinat
 from padicelim.combinat import (
     binom_mod_p2,
     lucas_mod_p,
     stirling2,
+    stirling2_column,
     stirling2_def,
     stirling_lucas_check,
 )
@@ -72,6 +74,13 @@ class TestStirling:
         for t in range(61):
             for s in range(t + 1):
                 assert stirling2(t, s) == stirling2_def(t, s)
+
+    def test_column_from_an_empty_cache(self, monkeypatch):
+        # the first read fills rows 0..10; a column past every row is zero
+        monkeypatch.setattr(combinat, "_STIRLING_CACHE", {(0, 0): 1})
+        for s in (0, 1, 3, 10, 12):
+            assert stirling2_column(s, 10) == [stirling2_def(t, s) for t in range(11)], s
+        assert stirling2_column(0, 0) == [1]
 
     def test_definition_sum_divisibility_guard(self):
         # {t brace s} times s! is the alternating sum; divisibility is exact

@@ -80,6 +80,17 @@ class TestMakeParams:
         assert params.x >= -params.v_fall >= -1
         assert params.n - params.v_fall > Fraction(params.r, 2)
 
+    def test_every_admissible_degree_has_vfall_at_most_1_and_n_minus_vfall_above_half_r(self):
+        # the hypotheses imply both, so _check_window does not test them
+        checked = 0
+        for p in filter(is_prime, range(5, 30)):
+            for r in range(p, p * p - p):
+                for n in window_degrees(p, r):
+                    v_fall = fall_valuation(p, n)
+                    assert v_fall <= 1 and 2 * (n - v_fall) > r, (p, r, n)
+                    checked += 1
+        assert checked == 273124
+
 
 class TestFallValuation:
     def test_closed_form_matches_the_falling_factorial(self):
@@ -310,6 +321,20 @@ class TestMasterTerms:
         got = [(t.line, t.a, t.j, t.coeff, t.slack, t.unit_residue) for t in terms]
         assert got == self._closed_form_terms(101, r, n, {})
         assert master_terms(params) == terms
+
+    def test_every_table_of_the_p23_theorem_range_matches_closed_forms(self):
+        # a theorem-range r <= 3p - 1 builds the degrees 13..68; r = max(p, n)
+        # starts the window at the table's first degree, so each is read whole
+        p = 23
+        for n in range((p + 3) // 2, 3 * p):
+            r = max(p, n)
+            got = [
+                (t.line, t.a, t.j, t.coeff, t.slack, t.unit_residue)
+                for t in master_terms(make_params(p, r, n, Fraction(r, 2) - n - 1))
+            ]
+            assert got == self._closed_form_terms(p, r, n, {}), n
+            if n < p:  # b = 0: every line-1 column vanishes
+                assert {row[3:] for row in got if row[0] == 1} == {(0, None, None)}, n
 
     def test_tables_held_for_one_prime(self):
         master_terms(make_params(5, 8, 7, -5))
