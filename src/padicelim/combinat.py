@@ -19,6 +19,7 @@ result so property tests can score the lemma path separately.
 
 from __future__ import annotations
 
+from operator import add, mul
 from typing import NamedTuple
 
 from padicelim.exactnum import (
@@ -39,7 +40,17 @@ __all__ = [
     "stirling_lucas_check",
 ]
 
-_STIRLING_CACHE: dict[tuple[int, int], int] = {(0, 0): 1}
+_STIRLING_ROWS: list[list[int]] = [[1]]  # complete rows {t brace 0..t}, t = 0, 1, ...
+
+
+def _fill_stirling_rows(t: int) -> list[list[int]]:
+    """Extend the cached rows through row t, each new row from the last one."""
+    rows = _STIRLING_ROWS
+    for tt in range(len(rows), t + 1):
+        prev = rows[-1]
+        # {tt brace s} = s {tt-1 brace s} + {tt-1 brace s-1} for 0 < s < tt
+        rows.append([0, *map(add, map(mul, range(1, tt), prev[1:]), prev), 1])
+    return rows
 
 
 def stirling2(t: int, s: int) -> int:
@@ -48,30 +59,13 @@ def stirling2(t: int, s: int) -> int:
         raise ValueError("t must be nonnegative")
     if s < 0 or s > t:
         return 0
-    key = (t, s)
-    cached = _STIRLING_CACHE.get(key)
-    if cached is not None:
-        return cached
-    # fill row by row so lookups never recurse deeply
-    for tt in range(1, t + 1):
-        for ss in range(0, tt + 1):
-            if (tt, ss) not in _STIRLING_CACHE:
-                if ss == 0:
-                    _STIRLING_CACHE[(tt, ss)] = 0
-                elif ss == tt:
-                    _STIRLING_CACHE[(tt, ss)] = 1
-                else:
-                    _STIRLING_CACHE[(tt, ss)] = (
-                        ss * _STIRLING_CACHE[(tt - 1, ss)]
-                        + _STIRLING_CACHE[(tt - 1, ss - 1)]
-                    )
-    return _STIRLING_CACHE[key]
+    return _fill_stirling_rows(t)[t][s]
 
 
 def stirling2_column(s: int, t_max: int) -> list[int]:
     """[{t brace s} for t = 0..t_max], read from the cache after one fill."""
-    stirling2(t_max, 0)  # fills every row up to t_max
-    return [_STIRLING_CACHE.get((t, s), 0) for t in range(t_max + 1)]
+    rows = _fill_stirling_rows(t_max)
+    return [rows[t][s] if 0 <= s <= t else 0 for t in range(t_max + 1)]
 
 
 def stirling2_def(t: int, s: int) -> int:

@@ -299,7 +299,7 @@ class CongruenceTerm(NamedTuple):
         """x + (n - j) + vL + v_p(coeff) = r/2 - j + slack; +infinity if coeff = 0."""
         if self.slack is None:
             return INF
-        return ValP(Fraction(r, 2) - self.j + self.slack)
+        return ValP(Fraction(r - 2 * (self.j - self.slack), 2))
 
     @property
     def slack_text(self) -> str:

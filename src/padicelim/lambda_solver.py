@@ -22,7 +22,10 @@ Two independent computations are provided.  ``solve_lambda`` solves the
 moment system exactly and fraction-free: the power equations are reduced by
 the unitriangular change of basis from monomials i^j to binomial moments
 C(i, m) (an integer row reduction, pivots all 1), after which the system is
-triangular and back-substitution stays in the integers.  ``lambda_closed``
+triangular and back-substitution stays in the integers.  It runs by whole
+rows: the Pascal rows are built once per call, each from the one before,
+and each solved lambda_i leaves the right-hand side in one row operation,
+so no binomial is evaluated on its own.  ``lambda_closed``
 evaluates the product formula
 
     lambda_i = (-1)^(n-i) ((b+1)p / ((b+1)p - i)) C((b+1)p - 1, n) C(n, i)
@@ -34,6 +37,8 @@ agree entry-wise, exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby, repeat
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from padicelim.errors import DigitError, WindowError
@@ -81,17 +86,22 @@ def solve_lambda(p: int, b: int, n: int) -> LambdaVector:
     sum_{i=0}^{n} lambda_i i^j = y^j (y = (b+1)p) for 0 <= j <= n.  Row
     reduction by the unitriangular monomial-to-binomial change of basis
     turns this into the triangular system sum_i lambda_i C(i, m) = C(y, m),
-    solved from m = n downward in pure integer arithmetic.
+    solved from i = n downward in pure integer arithmetic: lambda_i is the
+    m = i entry of the right-hand side, and lambda_i C(i, 0..i-1) is then
+    subtracted from the entries below it in one step.
     """
     _check_window(p, b, n)
     y = (b + 1) * p
+    rows = [[1]]  # Pascal rows C(i, 0..i), each from the one before
+    for _ in range(y):
+        row = rows[-1]
+        rows.append([1, *map(add, row, row[1:]), 1])
+    rhs = rows[y][: n + 1]
     lam = [0] * (n + 1)
-    for m in range(n, -1, -1):
-        acc = binom(y, m)
-        for i in range(m + 1, n + 1):
-            acc -= lam[i] * binom(i, m)
-        lam[m] = acc  # pivot C(m, m) = 1
-    entries = {i: lam[i] for i in range(n + 1)}
+    for i in range(n, -1, -1):
+        lam_i = lam[i] = rhs.pop()  # pivot C(i, i) = 1
+        rhs = list(map(sub, rhs, map(mul, repeat(lam_i, i), rows[i])))
+    entries = dict(enumerate(lam))
     entries[y] = -1
     return LambdaVector(p=p, b=b, n=n, entries=entries)
 
@@ -132,29 +142,33 @@ def verify_lambda(v: LambdaVector) -> BulletReport:
     p, b, n = v.p, v.b, v.n
     failures: list[str] = []
 
-    # one pass accumulates the per-residue-class moment sums; their totals
-    # over a are the bullet-1 sums (powers built incrementally, 0^0 = 1)
-    class_sums = [[0] * (n + 1) for _ in range(p)]
-    for i in v.index_set:
-        lam_i = v.entries[i]
-        row = class_sums[i % p]
-        pw = 1
-        for j in range(n + 1):
-            row[j] += lam_i * pw
-            pw *= i
-
+    # The index set is ordered by residue class once, so each class is one
+    # slice.  w holds lambda_i i^j for the current j (0^0 = 1) and steps to
+    # j + 1 by multiplying each entry by its node i; the class sums are the
+    # slice sums and their total is the bullet-1 power moment.
+    nodes = sorted(v.index_set, key=lambda i: i % p)
+    classes: list[tuple[int, slice]] = []
+    lo = 0
+    for a, members in groupby(nodes, lambda i: i % p):
+        hi = lo + len(list(members))
+        classes.append((a, slice(lo, hi)))
+        lo = hi
+    w = [v.entries[i] for i in nodes]
     bullet1 = True
-    for j in range(n + 1):
-        if sum(class_sums[a][j] for a in range(p)) != 0:
-            bullet1 = False
-            failures.append(f"bullet 1 fails at j = {j}")
-
     mod2 = p * p
     deviations: list[tuple[int, int]] = []
-    for a in range(p):
-        for j in range(n + 1):
-            if class_sums[a][j] % mod2 != 0:
+    for j in range(n + 1):
+        total = 0
+        for a, cls in classes:
+            class_sum = sum(w[cls])
+            total += class_sum
+            if class_sum % mod2:
                 deviations.append((a, j))
+        if total:
+            bullet1 = False
+            failures.append(f"bullet 1 fails at j = {j}")
+        w = list(map(mul, w, nodes))
+    deviations.sort()  # a-major, as the class congruence is stated
     bullet2_mode = "asserted" if b >= 1 else "observed"
     bullet2 = not deviations
     if deviations and b >= 1:

@@ -114,7 +114,7 @@ def verify_lambda_sweep(primes: tuple[int, ...] = (5, 7, 11, 13)) -> VerifyResul
             for n in range(b * p, (b + 1) * p):
                 vec = solve_lambda(p, b, n)
                 for i in range(n + 1):
-                    if Fraction(vec.entries[i]) != lambda_closed(p, b, n, i):
+                    if lambda_closed(p, b, n, i) != vec.entries[i]:
                         res.failures.append(f"p={p}, b={b}, n={n}: solve != closed at i={i}")
                 report = verify_lambda(vec)
                 if vec.entries[(b + 1) * p] != -1:
@@ -229,7 +229,7 @@ def _uncancelled_val(params, term) -> ValP:
     if term.num == 0:
         return INF
     v_c = vp_int(term.num, params.p) - vp_int(term.den, params.p)
-    return ValP(params.x + (params.n - term.j) + params.vL + v_c)
+    return ValP(params.x + (params.n - term.j + v_c) + params.vL)
 
 
 def verify_vl_independence(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:

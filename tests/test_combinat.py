@@ -77,10 +77,20 @@ class TestStirling:
 
     def test_column_from_an_empty_cache(self, monkeypatch):
         # the first read fills rows 0..10; a column past every row is zero
-        monkeypatch.setattr(combinat, "_STIRLING_CACHE", {(0, 0): 1})
+        monkeypatch.setattr(combinat, "_STIRLING_ROWS", [[1]])
         for s in (0, 1, 3, 10, 12):
             assert stirling2_column(s, 10) == [stirling2_def(t, s) for t in range(11)], s
         assert stirling2_column(0, 0) == [1]
+
+    def test_rows_grow_from_the_last_one(self, monkeypatch):
+        # a fill to row 40, a read below it, then a column that extends to 60
+        monkeypatch.setattr(combinat, "_STIRLING_ROWS", [[1]])
+        assert [stirling2(40, s) for s in range(41)] == [stirling2_def(40, s) for s in range(41)]
+        assert len(combinat._STIRLING_ROWS) == 41
+        assert [stirling2(3, s) for s in range(4)] == [0, 1, 3, 1]
+        assert len(combinat._STIRLING_ROWS) == 41
+        assert stirling2_column(7, 60) == [stirling2_def(t, 7) for t in range(61)]
+        assert combinat._STIRLING_ROWS == [[stirling2_def(t, s) for s in range(t + 1)] for t in range(61)]
 
     def test_definition_sum_divisibility_guard(self):
         # {t brace s} times s! is the alternating sum; divisibility is exact

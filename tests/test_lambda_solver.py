@@ -1,12 +1,48 @@
 """Coefficient family: triangular solve vs product formula, four bullets."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from padicelim.errors import DigitError, WindowError
 from padicelim.exactnum import InvalidPrimeError, binom
-from padicelim.lambda_solver import lambda_closed, solve_lambda, verify_lambda
+from padicelim.lambda_solver import BulletReport, LambdaVector, lambda_closed, solve_lambda, verify_lambda
+
+
+def _reference_verify(v: LambdaVector) -> BulletReport:
+    """The four bullets by one step per (i, j) pair: the oracle for verify_lambda."""
+    p, b, n = v.p, v.b, v.n
+    failures: list[str] = []
+    class_sums = [[0] * (n + 1) for _ in range(p)]
+    for i in v.index_set:
+        row = class_sums[i % p]
+        pw = 1
+        for j in range(n + 1):
+            row[j] += v.entries[i] * pw
+            pw *= i
+    bullet1 = True
+    for j in range(n + 1):
+        if sum(class_sums[a][j] for a in range(p)) != 0:
+            bullet1 = False
+            failures.append(f"bullet 1 fails at j = {j}")
+    deviations = [(a, j) for a in range(p) for j in range(n + 1) if class_sums[a][j] % (p * p)]
+    if deviations and b >= 1:
+        failures.append(f"bullet 2 fails at (a, j) = {deviations[0]}")
+    bullet3 = bullet4 = True
+    for i in v.index_set:
+        if i % p == 0:
+            k = i // p
+            if (v.entries[i] - (-1) ** ((b - k) % 2) * binom(b + 1, k)) % p:
+                bullet3 = False
+                failures.append(f"bullet 3 fails at i = {i}")
+        elif v.entries[i] % p:
+            bullet4 = False
+            failures.append(f"bullet 4 fails at i = {i}")
+    return BulletReport(
+        bullet1, not deviations, "asserted" if b >= 1 else "observed",
+        tuple(deviations), bullet3, bullet4, tuple(failures),
+    )
 
 
 class TestSolve:
@@ -88,6 +124,44 @@ class TestBullets:
                 first = (-1) ** ((b - k) % 2) * binom(b + 1, k)
                 second = (-1) ** ((b * p - i) % 2) * binom(y, i)
                 assert (first - second) % p == 0, (p, b, i)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_matches_reference_everywhere(self, p):
+        for b in range(p - 1):
+            for n in range(b * p, (b + 1) * p):
+                v = solve_lambda(p, b, n)
+                assert verify_lambda(v) == _reference_verify(v), (p, b, n)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_mutations_match_reference(self, p):
+        # one entry moved by 1, p or p^2: each bullet's failure rows, in order
+        rng = random.Random(p)
+        for b in range(p - 1):
+            for n in (b * p, (b + 1) * p - 1):
+                for delta in (1, p, p * p):
+                    v = solve_lambda(p, b, n)
+                    v.entries[rng.choice(v.index_set)] += delta
+                    report = verify_lambda(v)
+                    assert report == _reference_verify(v), (p, b, n, delta)
+                    assert not report.passed and not report.bullet1
+
+    def test_deviations_are_a_major(self):
+        v = solve_lambda(5, 1, 6)
+        v.entries[2] += 5  # class a = 2
+        v.entries[6] += 5  # class a = 1
+        report = verify_lambda(v)
+        assert report.bullet2_deviations == tuple((a, j) for a in (1, 2) for j in range(7))
+        assert report.failures == (
+            *(f"bullet 1 fails at j = {j}" for j in range(7)),
+            "bullet 2 fails at (a, j) = (1, 0)",
+        )
+        assert report.bullet3 and report.bullet4
+
+    @pytest.mark.parametrize("b", [0, 1, 15])
+    def test_solver_matches_closed_form_at_p17_top_n(self, b):
+        n = (b + 1) * 17 - 1
+        v = solve_lambda(17, b, n)
+        assert all(lambda_closed(17, b, n, i) == v.entries[i] for i in range(n + 1))
 
     def test_integrality_witness(self):
         # the solve returns integers outright; the closed form reduces to them
