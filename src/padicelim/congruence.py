@@ -55,15 +55,15 @@ bound that the status needs:
 These thresholds are the package's single integrality axiom pair (the
 external lattice criteria are not re-proved here); the audits re-derive
 every divisibility fact they rely on by exact arithmetic instead of
-assuming it.  A positive slack meets every bound but the generator's, so an
-audit examines only the non-zero terms with slack <= 0 and the line-2 term
-at j*, in table order, and it reads them off the table: each line-1 column
-with slack <= 0 inside the window of r once (its terms at every a share its
-slack and status), then the window's line-2 terms in degree order.  A term
-that misses its bound fails the audit with one line naming its row (line,
-a, j).  The statuses are not stored: an audit returns its failures and the
-line-2 slack table that the kill trace records, and ``_status`` gives any
-term its status again on demand.
+assuming it.  ``_meets`` is the one place that says which slack each
+status needs.  A positive slack meets every bound but the generator's, so
+an audit's misses, the non-zero terms that fail their bound, lie among the
+terms with slack <= 0 and the line-2 term at j*; ``_misses`` lists them,
+line 1 then line 2, by degree, a line-1 column standing for its terms at
+every a.  Each miss fails the audit with one line naming its row (line, a,
+j).  The statuses are not stored: an audit returns its failures and the
+line-2 slack table of the kill trace, and ``_status`` gives a term its
+status on demand.
 
 Three audits package the three elimination arguments: ``audit_good`` (one
 congruence at an n with vFall = 0), ``audit_bad`` (n = 2p + 1, vFall = 1,
@@ -72,15 +72,15 @@ vFall = 1 and target cp - 1, leaving a residual family at degree cp, then
 n = cp + c + 1 with vFall = 0 and target cp, certifying the residual sits
 on deeper sub-quotients; the audit fails if either phase does).  An audit
 without a residual or must-die degree gives each term a bound that depends
-only on its line and degree, never on r: r only moves the start of the
-window.  Each (p, n) table therefore carries its verdict (the highest
-degree on each line whose term misses its bound, and whether the generator
-is there), and a good or bad audit compares r's window start with it.  A
-failing audit walks the table as described above, and so do both ugly
-phases: phase one's residual family at cp is a miss for the verdict, and
-phase two forces cp - 1 dead.  The audits check the hypotheses of
-:func:`make_params` with integer comparisons and the same errors, and build
-no CongruenceParams: vL is compared through its numerator and denominator.
+only on its line and degree, never on r (below-range and deeper-integral
+both need >= 0): r only moves the start of the window.  Each (p, n) table
+therefore keeps the misses of such an audit over all its degrees, and a
+good or bad audit at r fails on exactly those inside r's window.  The ugly
+phases move bounds (phase one carries a residual family at cp, phase two
+forces cp - 1 dead), so each lists the misses of r's window itself.  The
+audits check the hypotheses of :func:`make_params` with integer comparisons
+and the same errors, and build no CongruenceParams: vL is compared through
+its numerator and denominator.
 ``inequality_suite`` verifies, exactly, the arithmetic inequality families
 that the supporting lemmas reduce to.
 """
@@ -314,18 +314,12 @@ class _Table(NamedTuple):
     one pair (unit, unit mod p^2 over a) per a = 1..eps with unit = (-1)^a
     C(eps, a), and term (a, j) is column j scaled by factor a, with the
     column's slack.  ``line2`` holds the line-2 terms (degrees j0-1..n-1).
-    ``target``, the degree t = n - b - 1 that every audit of n aims at,
-    ``weak_columns``, the non-zero columns with slack <= 0, and ``slacks``,
-    each line-2 degree with its slack text, are derived from those, and so
-    is the verdict.  An audit without residual or must-die degrees gives
-    each term a bound that depends on its line and degree only: slack > 0
-    above t and on line 1 at t, the generator rule on line 2 at t,
-    slack >= 0 below t.  ``miss1`` and ``miss2`` are the highest line-1 and
-    line-2 degrees (other than t) whose term misses that bound, -1 if none
-    does, and ``generator`` says whether the line-2 term at t is a
-    generator.  So such an audit at r passes exactly when its window starts
-    above both misses and the generator is there.  Build a table with
-    :meth:`of`, which keeps the derived fields in step with the stored ones.
+    ``target`` is the degree t = n - b - 1 that every audit of n aims at,
+    ``slacks`` pairs each line-2 degree with its slack text, ``misses`` holds
+    the misses of an audit with no residual or must-die degree over the whole
+    table, and ``generator`` says whether the line-2 term at t is a
+    generator.  Build a table with :meth:`of`, which keeps these derived
+    fields in step with the stored ones.
     """
 
     j0: int
@@ -333,10 +327,8 @@ class _Table(NamedTuple):
     factors: tuple[tuple[int, int], ...]
     line2: tuple[CongruenceTerm, ...]
     target: int
-    weak_columns: tuple[CongruenceTerm, ...]
     slacks: tuple[tuple[int, str], ...]
-    miss1: int
-    miss2: int
+    misses: tuple[CongruenceTerm, ...]
     generator: bool
 
     @classmethod
@@ -350,21 +342,11 @@ class _Table(NamedTuple):
         line2: tuple[CongruenceTerm, ...],
     ) -> _Table:
         """The (p, n) table of these columns, factors and line-2 terms, with its derived fields."""
-        weak = tuple(c for c in columns if c.slack is not None and c.slack <= 0)
         target = n - n // p - 1
-        miss1 = max((c.j for c in weak if c.slack < 0 or c.j >= target), default=-1)
-        miss2 = max(
-            (
-                t.j for t in line2
-                if t.slack is not None and t.j != target and (t.slack <= 0 if t.j > target else t.slack < 0)
-            ),
-            default=-1,
-        )
-        generator = any(
-            t.j == target and t.slack == 0 and t.unit_residue % p != 0 for t in line2
-        )
+        misses = tuple(_misses(p, columns, line2, target, None, None))
+        generator = _meets(line2[target - j0 + 1], GENERATOR, p)
         slacks = tuple((t.j, t.slack_text) for t in line2)
-        return cls(j0, columns, factors, line2, target, weak, slacks, miss1, miss2, generator)
+        return cls(j0, columns, factors, line2, target, slacks, misses, generator)
 
 
 # the term tables of one prime, keyed by (p, n); cleared when p changes
@@ -535,10 +517,42 @@ def _status(
     return DEEPER if j >= ceil_half else BELOW
 
 
-def _failure_row(line: int, a: int, term: CongruenceTerm, status: str) -> str:
-    """The failure text of the (line, a, term.j) term, whose slack misses what ``status`` needs."""
+def _meets(term: CongruenceTerm, status: str, p: int) -> bool:
+    """Whether a non-zero term's slack meets what ``status`` needs; a zero term is no generator."""
+    if status == DEAD:
+        return term.slack > 0
+    if status == GENERATOR:
+        return term.slack == 0 and term.unit_residue % p != 0
+    return term.slack >= 0
+
+
+def _misses(
+    p: int,
+    columns: Sequence[CongruenceTerm],
+    line2: Sequence[CongruenceTerm],
+    target: int,
+    residual: int | None,
+    must_die: int | None,
+) -> list[CongruenceTerm]:
+    """The non-zero terms that miss their bound in an audit aimed at ``target``: line 1, then line 2, by degree.
+
+    Only the terms with slack <= 0 and the line-2 term at the target are
+    read.  Below the target every status needs slack >= 0, so ceil(r/2) does
+    not matter here.
+    """
+    return [
+        term
+        for term in (*columns, *line2)
+        if term.slack is not None
+        and (term.slack <= 0 or (term.j == target and term.line == 2))
+        and not _meets(term, _status(term, target, 0, residual, must_die), p)
+    ]
+
+
+def _failure_row(a: int, term: CongruenceTerm, status: str) -> str:
+    """The failure text of the (term.line, a, term.j) term, whose slack misses what ``status`` needs."""
     return (
-        f"term (line {line}, a={a}, j={term.j}) has slack {term.slack_text}, "
+        f"term (line {term.line}, a={a}, j={term.j}) has slack {term.slack_text}, "
         f"needs {_NEEDS[status]} ({status})"
     )
 
@@ -554,50 +568,34 @@ def _audit(
 ) -> KillAudit:
     """Audit the (p, r, n) congruence against n - b - 1; the method's own ``failures`` follow the terms'.
 
-    With no must-die degree and no method failure, a passing verdict of the
-    table decides the audit and no term is read (a residual degree only
-    relaxes a bound, from > 0 to >= 0).  Otherwise the audit walks the
-    table: a positive slack meets every bound but the generator's, so it
-    checks each weak column inside the window of r once (a failing one
-    fails its line-1 term at every a, a-major), then the window's line-2
-    terms with slack <= 0 or at the target, in degree order.
-    ``slack_table`` is a slice of the table's line-2 slack pairs.  The
-    caller has checked the hypotheses.
+    Without a residual or must-die degree the misses at r are the table's
+    inside r's window; an ugly phase finds its misses in the window itself.
+    A must-die degree lies below the target, so the generator is the table's.
+    With no miss and the generator present no term is read; otherwise each
+    line-1 miss fails its term at every a (a-major), then each line-2 miss,
+    then a missing generator.  ``slack_table`` is a slice of the table's
+    line-2 slack pairs.  The caller has checked the hypotheses.
     """
     table, start = _table(p, r, n)
-    target_j, ceil_half = table.target, (r + 1) // 2
-    verdict = table.miss1 < ceil_half and table.miss2 < ceil_half - 1 and table.generator
-    if verdict and must_die is None and not failures:
-        return KillAudit(method, (n,), r - target_j, table.slacks[start:], ())
-    failing = []
-    for column in table.weak_columns:
-        if column.j >= ceil_half:  # a line-1 status is never the generator
-            status = _status(column, target_j, ceil_half, residual, must_die)
-            if not (column.slack > 0 if status == DEAD else column.slack >= 0):
-                failing.append((column, status))
-    term_failures = [
-        _failure_row(1, a, column, status)
-        for a in range(1, len(table.factors) + 1)
-        for column, status in failing
-    ]
-    generator = False
-    for term in table.line2[start:]:
-        slack = term.slack
-        if slack is None or (slack > 0 and term.j != target_j):
-            continue
-        status = _status(term, target_j, ceil_half, residual, must_die)
-        if status == DEAD:
-            ok = slack > 0
-        elif status == GENERATOR:
-            # line 2 has one term per degree, so this branch runs at most once
-            ok = generator = slack == 0 and term.unit_residue % p != 0
-        else:
-            ok = slack >= 0
-        if not ok:
-            term_failures.append(_failure_row(2, 0, term, status))
-    if not generator:
-        term_failures.append(f"no generator found at degree {target_j}")
-    return KillAudit(method, (n,), r - target_j, table.slacks[start:], (*term_failures, *failures))
+    target, ceil_half = table.target, (r + 1) // 2
+    if residual is None and must_die is None:
+        # inside the window: j >= ceil(r/2) on line 1, j >= ceil(r/2) - 1 on line 2
+        misses = [t for t in table.misses if t.j + t.line > ceil_half]
+    else:
+        misses = _misses(p, table.columns[start:], table.line2[start:], target, residual, must_die)
+    if misses or not table.generator:
+        rows = [(t, _status(t, target, ceil_half, residual, must_die)) for t in misses]
+        term_failures = [
+            _failure_row(a, t, status)
+            for a in range(1, len(table.factors) + 1)
+            for t, status in rows
+            if t.line == 1
+        ]
+        term_failures += [_failure_row(0, t, status) for t, status in rows if t.line == 2]
+        if not table.generator:
+            term_failures.append(f"no generator found at degree {target}")
+        failures = (*term_failures, *failures)
+    return KillAudit(method, (n,), r - target, table.slacks[start:], tuple(failures))
 
 
 def audit_good(p: int, r: int, n: int, vL: Fraction | int | str) -> KillAudit:

@@ -25,8 +25,8 @@ C(i, m) (an integer row reduction, pivots all 1), after which the system is
 triangular and back-substitution stays in the integers.  It runs by whole
 rows: the Pascal rows are built once per call, each from the one before,
 and each solved lambda_i leaves the right-hand side in one row operation,
-so no binomial is evaluated on its own.  ``lambda_closed``
-evaluates the product formula
+so no binomial is evaluated on its own.  ``lambda_closed`` evaluates the
+whole family from the product formula
 
     lambda_i = (-1)^(n-i) ((b+1)p / ((b+1)p - i)) C((b+1)p - 1, n) C(n, i)
 
@@ -106,14 +106,20 @@ def solve_lambda(p: int, b: int, n: int) -> LambdaVector:
     return LambdaVector(p=p, b=b, n=n, entries=entries)
 
 
-def lambda_closed(p: int, b: int, n: int, i: int) -> Rational:
-    """The product-formula value of lambda_i for 0 <= i <= n."""
+def lambda_closed(p: int, b: int, n: int) -> tuple[Rational, ...]:
+    """The product-formula values of lambda_0, ..., lambda_n, indexed by i.
+
+    The window is checked and C((b+1)p - 1, n) computed once per family;
+    each (-1)^(n-i) C(n, i) is carried from i - 1.
+    """
     _check_window(p, b, n)
-    if not (0 <= i <= n):
-        raise WindowError(f"i = {i} outside [0, {n}]")
     y = (b + 1) * p
-    sign = -1 if (n - i) % 2 else 1
-    return Fraction(sign * y * binom(y - 1, n) * binom(n, i), y - i)
+    numerator = (-1) ** n * y * binom(y - 1, n)  # at i = 0
+    values = [Fraction(numerator, y)]
+    for i in range(1, n + 1):
+        numerator = -numerator * (n - i + 1) // i
+        values.append(Fraction(numerator, y - i))
+    return tuple(values)
 
 
 class BulletReport(NamedTuple):

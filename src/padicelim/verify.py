@@ -113,8 +113,8 @@ def verify_lambda_sweep(primes: tuple[int, ...] = (5, 7, 11, 13)) -> VerifyResul
         for b in range(p - 1):
             for n in range(b * p, (b + 1) * p):
                 vec = solve_lambda(p, b, n)
-                for i in range(n + 1):
-                    if lambda_closed(p, b, n, i) != vec.entries[i]:
+                for i, closed in enumerate(lambda_closed(p, b, n)):
+                    if closed != vec.entries[i]:
                         res.failures.append(f"p={p}, b={b}, n={n}: solve != closed at i={i}")
                 report = verify_lambda(vec)
                 if vec.entries[(b + 1) * p] != -1:

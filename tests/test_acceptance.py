@@ -92,8 +92,8 @@ def test_criterion_4_lambda_lemma():
         for b in range(p - 1):
             for n in range(b * p, (b + 1) * p):
                 vec = solve_lambda(p, b, n)
-                for i in range(n + 1):
-                    if Fraction(vec.entries[i]) != lambda_closed(p, b, n, i):
+                for i, closed in enumerate(lambda_closed(p, b, n)):
+                    if Fraction(vec.entries[i]) != closed:
                         failures.append(f"(p={p}, b={b}, n={n}): solve != closed at i={i}")
                 rep = verify_lambda(vec)
                 if not (rep.bullet1 and rep.bullet3 and rep.bullet4):

@@ -680,6 +680,8 @@ class TestAuditIndexOracle:
 
         monkeypatch.setattr(congruence, "Fraction", NoFraction)
         monkeypatch.setattr(congruence, "_status", no_walk)
+        monkeypatch.setattr(congruence, "_misses", no_walk)
+        monkeypatch.setattr(congruence, "_meets", no_walk)
         monkeypatch.setattr(congruence, "master_terms", no_walk)
         for (audit_at, args), audit in expected.items():
             r = args[1]
@@ -776,3 +778,12 @@ class TestAuditFailurePaths:
         calls = _recorded_audits(monkeypatch)
         audit_good(5, 8, 7, -5)
         _assert_matches_reference(calls)
+
+
+def test_a_zero_coefficient_at_the_target_fails_only_for_want_of_a_generator(monkeypatch, mutate_table):
+    # the line-2 coefficient of audit_good(5, 8, 7, -5) at its target degree 5
+    # vanishes: a zero term is no miss, so no term row names it
+    mutate_table(monkeypatch, 7, (2, 0, 5), num=0, slack=None, unit_residue=None)
+    calls = _recorded_audits(monkeypatch)
+    assert audit_good(5, 8, 7, -5).failures == ("no generator found at degree 5",)
+    _assert_matches_reference(calls)
