@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import compress
 
 from padicelim.congruence import make_params, master_terms
 from padicelim.eliminator import (
@@ -73,7 +74,46 @@ def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def _entry_json(e: SubquotientEntry, pad: str) -> str:
+# the line-2 slack lines of the (p, n) tables rendered so far, for one prime:
+# the pairs, their lines (unindented) in pair order and in sort_keys order,
+# and each sorted line's place in the pairs, found when a shorter window
+# first asks; cleared when p changes
+_SLACK_LINES: dict[tuple[int, int | None], list] = {}
+
+
+def _slack_json(p: int, n: int | None, pairs: tuple[tuple[int, str], ...], pad: str) -> str:
+    """The JSON object of a kill's slack pairs, closed at indent ``pad``.
+
+    A kill's pairs are the suffix of its (p, n) table's that r's window
+    holds, so the lines of the longest pairs rendered for (p, n) serve every
+    shorter suffix: the kill keeps the lines from its first pair on, and no
+    line is formatted or sorted again.  The lines are reused only after a
+    check that they end with these very pairs; other pairs, such as a
+    hand-built trace's, are rendered afresh and replace them.  A (p, n)
+    rendered once, as in a one-shot request, costs what it did before.
+    """
+    if not pairs:
+        return "{}"
+    cached = _SLACK_LINES.get((p, n))
+    start = len(cached[0]) - len(pairs) if cached else -1
+    if start < 0 or cached[0][start:] != pairs:
+        if _SLACK_LINES and next(iter(_SLACK_LINES))[0] != p:
+            _SLACK_LINES.clear()
+        texts = [f'"{j}": {_json_str(s)}' for j, s in pairs]
+        # sort_keys order, the degrees as strings: "10" comes before "9".  The
+        # lines sort in that order since '"' sorts before '-' and every digit
+        cached = _SLACK_LINES[(p, n)] = [pairs, texts, sorted(texts), None]
+        start = 0
+    _pairs, texts, lines, places = cached
+    if start:
+        if places is None:
+            places = cached[3] = sorted(range(len(texts)), key=texts.__getitem__)
+        lines = compress(lines, map(start.__le__, places))
+    q = pad + "  "
+    return f"{{\n{q}" + f",\n{q}".join(lines) + f"\n{pad}}}"
+
+
+def _entry_json(e: SubquotientEntry, p: int, pad: str) -> str:
     q = pad + "  "
     qq = q + "  "
     method = "null" if e.method is None else _json_str(e.method)
@@ -81,10 +121,9 @@ def _entry_json(e: SubquotientEntry, pad: str) -> str:
     if e.slack_table is None:
         slack = "null"
     else:
-        # sort_keys order, the degrees as strings: "10" comes before "9".  The
-        # lines sort in that order since '"' sorts before '-' and every digit
-        lines = sorted([f'{qq}"{j}": {_json_str(s)}' for j, s in e.slack_table])
-        slack = _json_block(lines, q, "{}")
+        # the table of every method's kill is (p, n) for its first n; any key
+        # is safe, since the lines are checked against the pairs
+        slack = _slack_json(p, e.witness_n[0] if e.witness_n else None, e.slack_table, q)
     return (
         f'{pad}{{\n{q}"i": {e.i},\n{q}"j": {e.j},\n{q}"method": {method},\n'
         f'{q}"slack_table": {slack},\n{q}"status": {_json_str(e.status)},\n'
@@ -97,7 +136,8 @@ def _report_json(obj: KillTrace | ReductionResult, pad: str = "") -> str:
 
     The text equals ``pad + json.dumps(obj.to_dict(), indent=2,
     sort_keys=True)`` with every further line indented by ``pad``, without
-    building the dict or running the pure-Python indented encoder.
+    building the dict or running the pure-Python indented encoder.  A slack
+    table's lines come from :func:`_slack_json`, formatted once per (p, n).
     """
     trace = obj.trace if isinstance(obj, ReductionResult) else obj
     q = pad + "  "
@@ -111,7 +151,7 @@ def _report_json(obj: KillTrace | ReductionResult, pad: str = "") -> str:
             f'{qqq}"residue": {obj.irreducibility_residue}\n{qq}}},\n'
             f'{qq}"label": {_json_str(obj.label)}\n{q}}}'
         )
-    entries = _json_block([_entry_json(e, q + "  ") for e in trace.entries], q)
+    entries = _json_block([_entry_json(e, trace.p, q + "  ") for e in trace.entries], q)
     rows += [
         f'{q}"r": {trace.r}', f'{q}"subquotients": {entries}', f'{q}"vL": {_json_str(str(trace.vL))}',
     ]

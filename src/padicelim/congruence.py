@@ -579,8 +579,9 @@ def _audit(
     table, start = _table(p, r, n)
     target, ceil_half = table.target, (r + 1) // 2
     if residual is None and must_die is None:
-        # inside the window: j >= ceil(r/2) on line 1, j >= ceil(r/2) - 1 on line 2
-        misses = [t for t in table.misses if t.j + t.line > ceil_half]
+        # inside the window: j >= ceil(r/2) on line 1, j >= ceil(r/2) - 1 on line 2;
+        # most tables have no miss, and an empty tuple skips the comprehension
+        misses = table.misses and [t for t in table.misses if t.j + t.line > ceil_half]
     else:
         misses = _misses(p, table.columns[start:], table.line2[start:], target, residual, must_die)
     if misses or not table.generator:

@@ -27,11 +27,18 @@ r >= i(p+1) - 1) has two halves:
 The power-of-X claim in (b) is sometimes phrased as a *largest* power where
 the divisibility argument (theta^i is divisible by X^i) supports *smallest*;
 the check verifies the min-degree statement.  It does not multiply the
-summand out: with k = r - i(p+1) + 1 it computes the coefficients from
-C(k, s) (-lam)^(k-s) and the non-zero entries of theta^i / Y, lowest
-X-degree first, and stops at the first non-zero one.  ``shallow_summand``
-forms the full product; ``verify shallow`` keeps it as the oracle for that
-scan.
+summand out, and what it reads of theta^i it reads once per (p, i), since
+none of it depends on r: f_i's coefficient at X^(i-1), and the lowest entry
+c X^t of theta^i / Y.  With k = r - i(p+1) + 1, (X - lam Y)^k carries that
+entry to (-lam)^k c X^t, below every other product.  For 1 <= lam < p this
+is a unit of F_p whenever c is, so those summands have lowest X-degree t at
+every r; the lam = 0 summand is X^k theta^i / Y, of lowest X-degree k + t.
+Per r the check compares these degrees with i, words its failures, and at
+i = 1 reads the pure Y^r coefficient at every lam.  Were c not a unit, it
+would scan each summand instead: the coefficients from C(k, s) (-lam)^(k-s)
+and the non-zero entries of theta^i / Y, lowest X-degree first, up to the
+first non-zero one.  ``shallow_summand`` forms the full product; ``verify
+shallow`` keeps it as the oracle for every reported degree.
 """
 
 from __future__ import annotations
@@ -215,7 +222,24 @@ def shallow_summand(p: int, r: int, i: int, lam: int) -> HPoly:
     return linear_form_power(p, 1, -lam, k) * _theta_power(p, i).div_y()
 
 
-def _summand_min_x(p: int, k: int, entries: list[tuple[int, int]], lam: int) -> int:
+@lru_cache(maxsize=None)
+def _shallow_facts(p: int, i: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...] | None]:
+    """What the certificate for i reads of theta^i; none of it depends on r.
+
+    f_i's coefficient at X^(i-1), which Y^k and the sign of f_i leave a unit
+    or zero; the non-zero entries (t, c_t) of theta^i / Y, lowest t first;
+    and each lam = 1..p-1 paired with the lowest X-degree t of its summand,
+    or None when the lowest entry c X^t is not a unit, so that (-lam)^k c
+    need not be one either.
+    """
+    power = _theta_power(p, i)
+    entries = tuple((t, c) for t, c in enumerate(power.div_y().coeffs) if c)
+    t, c = entries[0]
+    lowest = tuple((lam, t) for lam in range(1, p)) if c % p else None
+    return power.div_x().coeff(i - 1), entries, lowest
+
+
+def _summand_min_x(p: int, k: int, entries: tuple[tuple[int, int], ...], lam: int) -> int:
     """The lowest X-degree of (X - lam Y)^k * g, scanned lowest first.
 
     ``entries`` are the non-zero (t, c_t) of g = sum c_t X^t Y^(deg g - t),
@@ -254,7 +278,9 @@ class ShallowReport(NamedTuple):
 
     ``summand_min_x`` pairs each lam with the minimal X-degree of its
     summand.  ``failures`` names each missing unit, low summand degree and
-    surviving pure Y^r coefficient (checked at i = 1).
+    surviving pure Y^r coefficient (checked at i = 1).  The unit of f_i and
+    the lowest entry of theta^i / Y are read once per (p, i); each r checks
+    them against its own degrees and words its own failures.
     """
 
     summand_min_x: tuple[tuple[int, int], ...]
@@ -275,25 +301,21 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
     failures: list[str] = []
 
     k = r - i * (p + 1) + 1
-    f_i = _theta_power(p, i).div_x().mul_y(k)
-    if i % 2:
-        f_i = -f_i
-    unit = f_i.coeff(i - 1)
+    unit, entries, lowest = _shallow_facts(p, i)
     if unit % p == 0:
         failures.append(f"f_{i} has no unit at X^{i - 1}Y^{r - i + 1}")
 
-    # theta^i / Y, the second factor of every summand
-    entries = [(t, c) for t, c in enumerate(_theta_power(p, i).div_y().coeffs) if c]
-    min_degrees = []
-    for lam in range(p):
-        md = _summand_min_x(p, k, entries, lam)
-        min_degrees.append((lam, md))
-        if md < i:
-            failures.append(f"summand at lam = {lam} has X-degree {md} < {i}")
+    if lowest is None:
+        # the lowest entry of theta^i / Y is not a unit: scan every summand
+        min_degrees = tuple((lam, _summand_min_x(p, k, entries, lam)) for lam in range(p))
+    else:
+        # at lam = 0 the summand is X^k theta^i / Y
+        min_degrees = ((0, k + entries[0][0]), *lowest)
+    failures += [f"summand at lam = {lam} has X-degree {md} < {i}" for lam, md in min_degrees if md < i]
 
     if i == 1 and r >= p:
         for lam in range(p):
             if pure_y_defect(p, r, lam) != 0:
                 failures.append(f"pure Y^r coefficient survives at lam = {lam}")
 
-    return ShallowReport(summand_min_x=tuple(min_degrees), failures=tuple(failures))
+    return ShallowReport(summand_min_x=min_degrees, failures=tuple(failures))

@@ -292,21 +292,70 @@ class TestJsonRenderer:
         assert emit_report(results, "json") == reference_json([res.to_dict() for res in results])
 
     def test_edge_shapes(self):
-        trace = KillTrace(p=7, r=12, c=1, vL=Fraction(-27, 4), entries=(
-            SubquotientEntry(0, 12, "killed", "good", (9, 10), ()),
-            SubquotientEntry(1, 11, "survivor", None, None, None),
-            SubquotientEntry(2, 10, "killed", "ugly", (10,), ((9, "1"), (10, "0"))),
-        ))
-        res = ReductionResult(
-            survivor=1, exponent=13, label="ind omega2^13", irreducibility_residue=4,
-            excluded_residues=(1, 5), trace=trace,
-        )
-        text = emit_report(trace, "json")
-        assert text == reference_json(trace.to_dict())
+        res = hand_built()
+        text = emit_report(res.trace, "json")
+        assert text == reference_json(res.trace.to_dict())
         assert emit_report(res, "json") == reference_json(res.to_dict())
         assert emit_report([res, res], "json") == reference_json([res.to_dict()] * 2)
         # the slack degrees sort as strings
         assert text.index('"10": "0"') < text.index('"9": "1"')
+
+
+def hand_built() -> ReductionResult:
+    """A prediction no engine run gives: an empty slack table, a two-entry one, a survivor between."""
+    trace = KillTrace(p=7, r=12, c=1, vL=Fraction(-27, 4), entries=(
+        SubquotientEntry(0, 12, "killed", "good", (9, 10), ()),
+        SubquotientEntry(1, 11, "survivor", None, None, None),
+        SubquotientEntry(2, 10, "killed", "ugly", (10,), ((9, "1"), (10, "0"))),
+    ))
+    return ReductionResult(
+        survivor=1, exponent=13, label="ind omega2^13", irreducibility_residue=4,
+        excluded_residues=(1, 5), trace=trace,
+    )
+
+
+class TestSlackLines:
+    """A slack table is read from the lines of its (p, n) table rendered before, and never stale ones."""
+
+    @pytest.fixture(autouse=True)
+    def no_lines_yet(self, monkeypatch):
+        monkeypatch.setattr(cli, "_SLACK_LINES", {})
+
+    def test_high_then_low_then_high_r(self):
+        # at p = 13 the windows of r = 24 and 38 are suffixes of those of
+        # r = 16 and 30 at the shared degrees n (15, 16 and 21..30)
+        results = [predict(13, r) for r in (24, 16, 24, 38, 30, 38)]
+        for res in results:
+            assert emit_report(res, "json") == reference_json(res.to_dict()), res.trace.r
+        short, long = (
+            next(e.slack_table for e in res.trace.entries if e.witness_n == (15,)) for res in results[:2]
+        )
+        assert cli._SLACK_LINES[(13, 15)][0] == long and long[len(long) - len(short):] == short != long
+        # inside a sweep list, at its indent, with the lines of the
+        # last prime cleared by the next
+        cli._SLACK_LINES.clear()
+        results += [predict(11, 17), *results[:3]]
+        assert emit_report(results, "json") == reference_json([res.to_dict() for res in results])
+
+    def test_mutated_slack_after_a_clean_render(self, monkeypatch, mutate_table):
+        clean = predict(13, 20)
+        clean_text = emit_report(clean, "json")
+        kill = next(e for e in clean.trace.entries if e.method == "good")
+        j, slack = next((j, int(s)) for j, s in kill.slack_table if j != kill.j and s not in ("0", "inf"))
+        mutate_table(monkeypatch, kill.witness_n[0], (2, 0, j), slack=slack + 5)
+        mutated = predict(13, 20)
+        text = emit_report(mutated, "json")
+        assert text == reference_json(mutated.to_dict())
+        assert f'"{j}": "{slack + 5}"' in text and text != clean_text
+
+    def test_hand_built_trace_after_real_traces(self):
+        real = [predict(7, r) for r in (10, 11, 12)]
+        # a real kill's pairs with their last slack edited, and the hand-built prediction
+        kill = next(e for e in real[2].trace.entries if e.witness_n == (10,))
+        edited = kill._replace(slack_table=(*kill.slack_table[:-1], (kill.slack_table[-1][0], "7")))
+        edited = real[2].trace._replace(entries=(edited,))
+        for obj in (*real, hand_built(), edited, *real):
+            assert emit_report(obj, "json") == reference_json(obj.to_dict())
 
 
 class TestGoldenOutput:

@@ -5,12 +5,16 @@ formulas; they pin the representation (index = X power) and the action
 convention at the same time.
 """
 
+import os
 import random
+from math import comb
 
 import pytest
 
 from padicelim import fp_poly
+from padicelim.eliminator import theorem_r_values
 from padicelim.errors import InvalidRangeError, NotPolynomialError
+from padicelim.exactnum import is_prime
 from padicelim.fp_poly import (
     HPoly,
     act,
@@ -223,3 +227,157 @@ class TestShallowKillCheck:
                 if r < i * 6 - 1:
                     continue
                 assert shallow_kill_check(5, r, i).passed, (r, i)
+
+
+def _scan_min_x(p, k, entries, lam):
+    """The lowest X-degree of (X - lam Y)^k * g, scanned lowest first, as the certificate once did.
+
+    The one change: a term whose power of lam is 0 skips its binomial,
+    which leaves every sum the same.
+    """
+    for d in range(entries[0][0], k + entries[-1][0] + 1):
+        total = 0
+        for t, c in entries:
+            s = d - t
+            if s < 0:
+                break
+            if s <= k:
+                power = pow(-lam, k - s, p)
+                if power:
+                    total += comb(k, s) * power * c
+        if total % p:
+            return d
+    raise ValueError("min_x_degree undefined on the zero polynomial")
+
+
+def scanned_report(p, r, i):
+    """The certificate as it was before its r-independent facts were read once per (p, i).
+
+    It builds f_i and scans every lam's summand at each r; it reads theta^i
+    and the pure Y^r defect through the module, so a patch reaches both.
+    """
+    failures = []
+    k = r - i * (p + 1) + 1
+    f_i = fp_poly._theta_power(p, i).div_x().mul_y(k)
+    if i % 2:
+        f_i = -f_i
+    if f_i.coeff(i - 1) % p == 0:
+        failures.append(f"f_{i} has no unit at X^{i - 1}Y^{r - i + 1}")
+    entries = [(t, c) for t, c in enumerate(fp_poly._theta_power(p, i).div_y().coeffs) if c]
+    min_degrees = []
+    for lam in range(p):
+        md = _scan_min_x(p, k, entries, lam)
+        min_degrees.append((lam, md))
+        if md < i:
+            failures.append(f"summand at lam = {lam} has X-degree {md} < {i}")
+    if i == 1 and r >= p:
+        for lam in range(p):
+            if fp_poly.pure_y_defect(p, r, lam) != 0:
+                failures.append(f"pure Y^r coefficient survives at lam = {lam}")
+    return tuple(min_degrees), tuple(failures)
+
+
+def every_check(p):
+    """Every (r, i) the certificate accepts at p: i >= 1 and i(p+1) - 1 <= r <= p^2 - p - 1."""
+    return [(r, i) for i in range(1, p) for r in range(i * (p + 1) - 1, p * p - p)]
+
+
+def edge_checks(p):
+    """The theorem range and r in [2p, 2p+5] u [3p, 3p+5], at every i <= r // p."""
+    rs = {*theorem_r_values(p), *range(2 * p, 2 * p + 6), *range(3 * p, 3 * p + 6)}
+    return [
+        (r, i) for r in sorted(rs) if r <= p * p - p - 1
+        for i in range(1, r // p + 1) if r >= i * (p + 1) - 1
+    ]
+
+
+@pytest.fixture
+def fresh_facts():
+    """The per-(p, i) facts cleared before and after, so no patched theta^i leaks between tests."""
+    fp_poly._shallow_facts.cache_clear()
+    yield
+    fp_poly._shallow_facts.cache_clear()
+
+
+class _Unreduced(HPoly):
+    """A theta^i whose coefficients stay unreduced, so an entry of theta^i / Y can be 0 mod p."""
+
+    def __init__(self, p, coeffs):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    def div_y(self):
+        return _Unreduced(self.p, self.coeffs[:-1])
+
+
+def _patched(power, i, value, unreduced=False):
+    """``power`` with its X^i coefficient set to ``value``."""
+    coeffs = list(power.coeffs)
+    coeffs[i] = value
+    return (_Unreduced if unreduced else HPoly)(power.p, tuple(coeffs))
+
+
+class TestCertificateMatchesTheScan:
+    """The facts read once per (p, i) give every report the per-r scan gave."""
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+    def test_every_check(self, p, fresh_facts):
+        for r, i in every_check(p):
+            assert tuple(shallow_kill_check(p, r, i)) == scanned_report(p, r, i), (r, i)
+
+    @pytest.mark.skipif(
+        not os.environ.get("PADICELIM_LONG_TESTS"),
+        reason="about 3 s; set PADICELIM_LONG_TESTS=1 to run",
+    )
+    @pytest.mark.parametrize("p", [19, 23])
+    def test_every_check_long(self, p, fresh_facts):
+        for r, i in every_check(p):
+            assert tuple(shallow_kill_check(p, r, i)) == scanned_report(p, r, i), (r, i)
+
+    @pytest.mark.parametrize("p", [p for p in range(5, 62) if is_prime(p)])
+    def test_theorem_range_and_its_edges(self, p, fresh_facts):
+        checks = edge_checks(p)
+        assert checks
+        for r, i in checks:
+            assert tuple(shallow_kill_check(p, r, i)) == scanned_report(p, r, i), (r, i)
+
+    def test_theta_power_read_once_per_p_and_i(self, monkeypatch, fresh_facts):
+        reads = []
+        power = fp_poly._theta_power
+
+        def counted(p, i):
+            reads.append((p, i))
+            return power(p, i)
+
+        monkeypatch.setattr(fp_poly, "_theta_power", counted)
+        for r, i in edge_checks(13):
+            assert shallow_kill_check(13, r, i).passed
+        assert sorted(reads) == [(13, 1), (13, 2), (13, 3)]
+
+    @pytest.mark.parametrize(
+        "i,value,unreduced,want",
+        [
+            # the unit of f_i and the lowest entry of theta^i / Y are both at X^i
+            (1, 0, False, "f_1 has no unit at X^0Y^16"),
+            (2, 0, False, "f_2 has no unit at X^1Y^29"),
+            # an entry below X^i: every lam != 0 keeps it as its lowest degree
+            (2, (1, 3), False, "summand at lam = 1 has X-degree 1 < 2"),
+            # p at X^i is 0 mod p: the unit (-lam)^k c fails and the scan decides
+            (1, 13, True, "f_1 has no unit at X^0Y^16"),
+            (2, 13, True, "f_2 has no unit at X^1Y^29"),
+        ],
+    )
+    def test_mutated_theta_power_fails_as_the_scan_does(
+        self, monkeypatch, fresh_facts, i, value, unreduced, want
+    ):
+        p, r = 13, 16 if i == 1 else 30
+        power = fp_poly._theta_power(p, i)
+        if isinstance(value, tuple):
+            low, value = value
+            mutated = _patched(power, low, value)
+        else:
+            mutated = _patched(power, i, value, unreduced)
+        monkeypatch.setattr(fp_poly, "_theta_power", lambda q, m: mutated if (q, m) == (p, i) else power)
+        report = shallow_kill_check(p, r, i)
+        assert want in report.failures
+        assert tuple(report) == scanned_report(p, r, i)
