@@ -230,10 +230,11 @@ class TestShallowKillCheck:
 
 
 def _scan_min_x(p, k, entries, lam):
-    """The lowest X-degree of (X - lam Y)^k * g, scanned lowest first, as the certificate once did.
+    """The lowest X-degree of (X - lam Y)^k * g, scanned lowest first.
 
-    The one change: a term whose power of lam is 0 skips its binomial,
-    which leaves every sum the same.
+    A copy of the library's scan, kept apart from it, except that a term
+    whose power of lam is 0 skips its binomial, which leaves every sum the
+    same.
     """
     for d in range(entries[0][0], k + entries[-1][0] + 1):
         total = 0
@@ -251,7 +252,7 @@ def _scan_min_x(p, k, entries, lam):
 
 
 def scanned_report(p, r, i):
-    """The certificate as it was before its r-independent facts were read once per (p, i).
+    """The certificate with nothing read once per (p, i): the report of ``shallow_kill_check``.
 
     It builds f_i and scans every lam's summand at each r; it reads theta^i
     and the pure Y^r defect through the module, so a patch reaches both.
