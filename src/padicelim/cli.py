@@ -24,7 +24,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import compress
 
 from padicelim.congruence import make_params, master_terms
 from padicelim.eliminator import (
@@ -75,10 +74,9 @@ def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
 
 
 # the line-2 slack lines of the (p, n) tables rendered so far, for one prime:
-# the pairs, their lines (unindented) in pair order and in sort_keys order,
-# and each sorted line's place in the pairs, found when a shorter window
-# first asks; cleared when p changes
-_SLACK_LINES: dict[tuple[int, int | None], list] = {}
+# the pairs, and their lines (unindented) in sort_keys order, each with its
+# place in the pairs; cleared when p changes
+_SLACK_LINES: dict[tuple[int, int | None], tuple[tuple[tuple[int, str], ...], tuple[tuple[str, int], ...]]] = {}
 
 
 def _slack_json(p: int, n: int | None, pairs: tuple[tuple[int, str], ...], pad: str) -> str:
@@ -86,11 +84,10 @@ def _slack_json(p: int, n: int | None, pairs: tuple[tuple[int, str], ...], pad: 
 
     A kill's pairs are the suffix of its (p, n) table's that r's window
     holds, so the lines of the longest pairs rendered for (p, n) serve every
-    shorter suffix: the kill keeps the lines from its first pair on, and no
-    line is formatted or sorted again.  The lines are reused only after a
-    check that they end with these very pairs; other pairs, such as a
-    hand-built trace's, are rendered afresh and replace them.  A (p, n)
-    rendered once, as in a one-shot request, costs what it did before.
+    shorter suffix: the kill keeps the lines from its first pair's place on,
+    and no line is formatted or sorted again.  The lines are reused only
+    after a check that they end with these very pairs; other pairs, such as
+    a hand-built trace's, are rendered afresh and replace them.
     """
     if not pairs:
         return "{}"
@@ -99,18 +96,13 @@ def _slack_json(p: int, n: int | None, pairs: tuple[tuple[int, str], ...], pad: 
     if start < 0 or cached[0][start:] != pairs:
         if _SLACK_LINES and next(iter(_SLACK_LINES))[0] != p:
             _SLACK_LINES.clear()
-        texts = [f'"{j}": {_json_str(s)}' for j, s in pairs]
         # sort_keys order, the degrees as strings: "10" comes before "9".  The
         # lines sort in that order since '"' sorts before '-' and every digit
-        cached = _SLACK_LINES[(p, n)] = [pairs, texts, sorted(texts), None]
+        lines = sorted([(f'"{j}": {_json_str(s)}', place) for place, (j, s) in enumerate(pairs)])
+        cached = _SLACK_LINES[(p, n)] = (pairs, tuple(lines))
         start = 0
-    _pairs, texts, lines, places = cached
-    if start:
-        if places is None:
-            places = cached[3] = sorted(range(len(texts)), key=texts.__getitem__)
-        lines = compress(lines, map(start.__le__, places))
     q = pad + "  "
-    return f"{{\n{q}" + f",\n{q}".join(lines) + f"\n{pad}}}"
+    return f"{{\n{q}" + f",\n{q}".join([line for line, place in cached[1] if place >= start]) + f"\n{pad}}}"
 
 
 def _entry_json(e: SubquotientEntry, p: int, pad: str) -> str:

@@ -29,21 +29,20 @@ the divisibility argument (theta^i is divisible by X^i) supports *smallest*;
 the check verifies the min-degree statement.  It does not multiply the
 summand out, and what it reads of theta^i it reads once per (p, i), since
 none of it depends on r: f_i's coefficient at X^(i-1), and the lowest entry
-c X^t of theta^i / Y.  With k = r - i(p+1) + 1, (X - lam Y)^k carries that
-entry to (-lam)^k c X^t, below every other product.  For 1 <= lam < p this
-is a unit of F_p whenever c is, so those summands have lowest X-degree t at
-every r; the lam = 0 summand is X^k theta^i / Y, of lowest X-degree k + t.
-Per r the check compares these degrees with i, words its failures, and at
-i = 1 reads the pure Y^r coefficient at every lam.  Were c not a unit, it
-would scan each summand instead: the coefficients from C(k, s) (-lam)^(k-s)
-and the non-zero entries of theta^i / Y, lowest X-degree first, up to the
-first non-zero one.  ``shallow_summand`` forms the full product; ``verify
-shallow`` keeps it as the oracle for every reported degree.
+c X^t of theta^i / Y, c a unit of F_p as every non-zero entry is.  With
+k = r - i(p+1) + 1, (X - lam Y)^k carries that entry to (-lam)^k c X^t,
+below every other product and a unit for 1 <= lam < p, so those summands
+have lowest X-degree t at every r; the lam = 0 summand is X^k theta^i / Y,
+of lowest X-degree k + t.  Per r the check compares these degrees with i,
+words its failures, and at i = 1 reads the pure Y^r coefficient at every
+lam.  ``shallow_summand`` forms the full product; ``verify shallow`` keeps
+it as the oracle for every reported degree.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 from typing import NamedTuple
 
@@ -223,41 +222,14 @@ def shallow_summand(p: int, r: int, i: int, lam: int) -> HPoly:
 
 
 @lru_cache(maxsize=None)
-def _shallow_facts(p: int, i: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...] | None]:
+def _shallow_facts(p: int, i: int) -> tuple[int, int]:
     """What the certificate for i reads of theta^i; none of it depends on r.
 
     f_i's coefficient at X^(i-1), which Y^k and the sign of f_i leave a unit
-    or zero; the non-zero entries (t, c_t) of theta^i / Y, lowest t first;
-    and each lam = 1..p-1 paired with the lowest X-degree t of its summand,
-    or None when the lowest entry c X^t is not a unit, so that (-lam)^k c
-    need not be one either.
+    or zero, and the X-degree t of the lowest non-zero entry of theta^i / Y.
     """
     power = _theta_power(p, i)
-    entries = tuple((t, c) for t, c in enumerate(power.div_y().coeffs) if c)
-    t, c = entries[0]
-    lowest = tuple((lam, t) for lam in range(1, p)) if c % p else None
-    return power.div_x().coeff(i - 1), entries, lowest
-
-
-def _summand_min_x(p: int, k: int, entries: tuple[tuple[int, int], ...], lam: int) -> int:
-    """The lowest X-degree of (X - lam Y)^k * g, scanned lowest first.
-
-    ``entries`` are the non-zero (t, c_t) of g = sum c_t X^t Y^(deg g - t),
-    lowest t first.  The X^d coefficient is the sum of
-    C(k, d - t) (-lam)^(k - d + t) c_t over d - k <= t <= d; no degree below
-    the lowest t can carry one.
-    """
-    for d in range(entries[0][0], k + entries[-1][0] + 1):
-        total = 0
-        for t, c in entries:
-            s = d - t
-            if s < 0:
-                break
-            if s <= k:
-                total += comb(k, s) * pow(-lam, k - s, p) * c
-        if total % p:
-            return d
-    raise ValueError("min_x_degree undefined on the zero polynomial")
+    return power.div_x().coeff(i - 1), power.div_y().min_x_degree()
 
 
 def pure_y_defect(p: int, r: int, lam: int) -> int:
@@ -301,16 +273,13 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
     failures: list[str] = []
 
     k = r - i * (p + 1) + 1
-    unit, entries, lowest = _shallow_facts(p, i)
-    if unit % p == 0:
+    unit, t = _shallow_facts(p, i)
+    if unit == 0:
         failures.append(f"f_{i} has no unit at X^{i - 1}Y^{r - i + 1}")
 
-    if lowest is None:
-        # the lowest entry of theta^i / Y is not a unit: scan every summand
-        min_degrees = tuple((lam, _summand_min_x(p, k, entries, lam)) for lam in range(p))
-    else:
-        # at lam = 0 the summand is X^k theta^i / Y
-        min_degrees = ((0, k + entries[0][0]), *lowest)
+    # at lam = 0 the summand is X^k theta^i / Y; at every other lam its
+    # lowest entry is (-lam)^k c X^t, a unit times X^t
+    min_degrees = ((0, k + t), *zip(range(1, p), repeat(t)))
     failures += [f"summand at lam = {lam} has X-degree {md} < {i}" for lam, md in min_degrees if md < i]
 
     if i == 1 and r >= p:

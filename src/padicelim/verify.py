@@ -135,8 +135,9 @@ def verify_lambda_sweep(primes: tuple[int, ...] = (5, 7, 11, 13)) -> VerifyResul
 def verify_shallow(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
     """All certificates for i <= r/p, i(p+1)-1 <= r <= p^2-p-1, plus the r = p-1 defect.
 
-    Each summand's lowest X-degree, which the certificate scans lowest
-    first, is checked again against the fully multiplied-out product.
+    Each summand's lowest X-degree, which the certificate reads off the
+    lowest entry of theta^i / Y, is checked again against the fully
+    multiplied-out product.
     """
     res = VerifyResult("shallow", primes)
     for p in primes:
@@ -148,7 +149,7 @@ def verify_shallow(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
                 res.failures.extend(
                     f"p={p}, r={r}, i={i}: {msg}" for msg in report.failures
                 )
-                # the full product is the oracle for the lowest-first scan
+                # the full product is the oracle for every reported degree
                 for lam, md in report.summand_min_x:
                     full = shallow_summand(p, r, i, lam).min_x_degree()
                     if full != md:
