@@ -357,6 +357,15 @@ class TestSlackLines:
         for obj in (*real, hand_built(), edited, *real):
             assert emit_report(obj, "json") == reference_json(obj.to_dict())
 
+    def test_pairs_out_of_degree_order(self):
+        # a window's lines are those from its first pair's place on, so a
+        # degree above the window's first, placed before it, stays out
+        trace = hand_built().trace
+        kill = trace.entries[2]
+        longer = trace._replace(entries=(kill._replace(slack_table=((12, "3"), *kill.slack_table)),))
+        for obj in (longer, trace):
+            assert emit_report(obj, "json") == reference_json(obj.to_dict())
+
 
 class TestGoldenOutput:
     """The exact bytes, per stream, and the exit code of the human tables."""
