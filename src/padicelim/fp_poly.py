@@ -242,6 +242,11 @@ def pure_y_defect(p: int, r: int, lam: int) -> int:
     check_prime(p)
     if r < p - 1:
         raise InvalidRangeError("r must be at least p - 1")
+    return _y_defect(p, r, lam)
+
+
+def _y_defect(p: int, r: int, lam: int) -> int:
+    """:func:`pure_y_defect` for a p and an r already checked."""
     return (pow(-lam, r - p + 1, p) - pow(-lam, r, p)) % p
 
 
@@ -283,8 +288,6 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
     failures += [f"summand at lam = {lam} has X-degree {md} < {i}" for lam, md in min_degrees if md < i]
 
     if i == 1 and r >= p:
-        for lam in range(p):
-            if pure_y_defect(p, r, lam) != 0:
-                failures.append(f"pure Y^r coefficient survives at lam = {lam}")
+        failures += [f"pure Y^r coefficient survives at lam = {lam}" for lam in range(p) if _y_defect(p, r, lam)]
 
     return ShallowReport(summand_min_x=min_degrees, failures=tuple(failures))

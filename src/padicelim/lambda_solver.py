@@ -23,10 +23,11 @@ moment system exactly and fraction-free: the power equations are reduced by
 the unitriangular change of basis from monomials i^j to binomial moments
 C(i, m) (an integer row reduction, pivots all 1), after which the system is
 triangular and back-substitution stays in the integers.  It runs by whole
-rows: the Pascal rows are built once per call, each from the one before,
-and each solved lambda_i leaves the right-hand side in one row operation,
-so no binomial is evaluated on its own.  ``lambda_closed`` evaluates the
-whole family from the product formula
+rows: the Pascal rows do not depend on (p, b, n), so they are kept for the
+process in one list that grows from its last row, and each solved lambda_i
+leaves the right-hand side in one row operation, so no binomial is
+evaluated on its own.  ``lambda_closed`` evaluates the whole family from
+the product formula
 
     lambda_i = (-1)^(n-i) ((b+1)p / ((b+1)p - i)) C((b+1)p - 1, n) C(n, i)
 
@@ -45,6 +46,17 @@ from padicelim.errors import DigitError, WindowError
 from padicelim.exactnum import Rational, binom, check_prime
 
 __all__ = ["LambdaVector", "BulletReport", "solve_lambda", "lambda_closed", "verify_lambda"]
+
+_PASCAL_ROWS: list[list[int]] = [[1]]  # complete rows C(i, 0..i), i = 0, 1, ...
+
+
+def _pascal_rows(y: int) -> list[list[int]]:
+    """Extend the cached rows through row y, each new row from the last one."""
+    rows = _PASCAL_ROWS
+    for _ in range(len(rows), y + 1):
+        row = rows[-1]
+        rows.append([1, *map(add, row, row[1:]), 1])
+    return rows
 
 
 def _check_window(p: int, b: int, n: int) -> None:
@@ -92,10 +104,7 @@ def solve_lambda(p: int, b: int, n: int) -> LambdaVector:
     """
     _check_window(p, b, n)
     y = (b + 1) * p
-    rows = [[1]]  # Pascal rows C(i, 0..i), each from the one before
-    for _ in range(y):
-        row = rows[-1]
-        rows.append([1, *map(add, row, row[1:]), 1])
+    rows = _pascal_rows(y)
     rhs = rows[y][: n + 1]
     lam = [0] * (n + 1)
     for i in range(n, -1, -1):

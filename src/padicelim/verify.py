@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from padicelim.combinat import binom_mod_p2, lucas_mod_p, stirling2, stirling2_def, stirling_lucas_check
 from padicelim.congruence import inequality_suite, make_params, master_terms, star_full, star_mod_p2, window_degrees
-from padicelim.exactnum import INF, ValP, harmonic, rational_mod, vp_int
-from padicelim.fp_poly import pure_y_defect, shallow_kill_check, shallow_summand
+from padicelim.exactnum import INF, harmonic, rational_mod, vp_int
+from padicelim.fp_poly import _lin_mul, pure_y_defect, shallow_kill_check, shallow_summand
 from padicelim.lambda_solver import lambda_closed, solve_lambda, verify_lambda
 
 __all__ = [
@@ -72,15 +72,16 @@ def verify_lucas2(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
         lemma_hits = 0
         for n_big in range(p * p):
             for k_big in range(n_big + 1):
+                exact = math.comb(n_big, k_big)
                 got = binom_mod_p2(n_big, k_big, p)
-                expected = math.comb(n_big, k_big) % mod2
+                expected = exact % mod2
                 if got.value != expected:
                     res.failures.append(
                         f"p={p}: C({n_big},{k_big}) = {expected} mod p^2, formula gave {got.value}"
                     )
                 if got.via_lemma:
                     lemma_hits += 1
-                if lucas_mod_p(n_big, k_big, p) != math.comb(n_big, k_big) % p:
+                if lucas_mod_p(n_big, k_big, p) != exact % p:
                     res.failures.append(f"p={p}: classical digit product wrong at ({n_big},{k_big})")
                 res.checked += 1
         res.observations.append(f"p={p}: {lemma_hits} pairs took the digit-formula path")
@@ -132,31 +133,52 @@ def verify_lambda_sweep(primes: tuple[int, ...] = (5, 7, 11, 13)) -> VerifyResul
     return res
 
 
+def _shallow_products(p: int):
+    """Yield (r, i, summands) for every certificate at p, r-major.
+
+    summands[lam] lists the coefficients of the fully multiplied-out
+    (X - lam Y)^k theta^i / Y, k = r - i(p+1) + 1.  At an i's first r, where
+    k = 0, it is ``shallow_summand``; at every later r it is the list of
+    r - 1 times (X - lam Y).
+    """
+    carried: dict[int, list[list[int]]] = {}
+    for r in range(p, p * p - p):
+        for i in range(1, r // p + 1):
+            k = r - i * (p + 1) + 1
+            if k < 0:
+                continue
+            if k == 0:
+                summands = [list(shallow_summand(p, r, i, lam).coeffs) for lam in range(p)]
+            else:
+                summands = [_lin_mul(coeffs, 1, -lam, p) for lam, coeffs in enumerate(carried[i])]
+            carried[i] = summands
+            yield r, i, summands
+
+
 def verify_shallow(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
     """All certificates for i <= r/p, i(p+1)-1 <= r <= p^2-p-1, plus the r = p-1 defect.
 
     Each summand's lowest X-degree, which the certificate reads off the
     lowest entry of theta^i / Y, is checked again against the fully
-    multiplied-out product.
+    multiplied-out product.  That product is carried from r to r + 1 by one
+    factor (X - lam Y) per (i, lam), so only each i's first r multiplies
+    theta^i / Y out.
     """
     res = VerifyResult("shallow", primes)
     for p in primes:
-        for r in range(p, p * p - p):
-            for i in range(1, r // p + 1):
-                if r < i * (p + 1) - 1:
-                    continue
-                report = shallow_kill_check(p, r, i)
-                res.failures.extend(
-                    f"p={p}, r={r}, i={i}: {msg}" for msg in report.failures
-                )
-                # the full product is the oracle for every reported degree
-                for lam, md in report.summand_min_x:
-                    full = shallow_summand(p, r, i, lam).min_x_degree()
-                    if full != md:
-                        res.failures.append(
-                            f"p={p}, r={r}, i={i}: scanned X-degree {md} at lam = {lam}, product has {full}"
-                        )
-                res.checked += 1
+        for r, i, summands in _shallow_products(p):
+            report = shallow_kill_check(p, r, i)
+            res.failures.extend(
+                f"p={p}, r={r}, i={i}: {msg}" for msg in report.failures
+            )
+            # the full product is the oracle for every reported degree
+            for lam, md in report.summand_min_x:
+                full = next(d for d, c in enumerate(summands[lam]) if c)
+                if full != md:
+                    res.failures.append(
+                        f"p={p}, r={r}, i={i}: scanned X-degree {md} at lam = {lam}, product has {full}"
+                    )
+            res.checked += 1
         defect = pure_y_defect(p, p - 1, 0)
         if defect == 0:
             res.failures.append(f"p={p}: expected nonzero pure-Y defect at r = p - 1, lam = 0")
@@ -225,30 +247,28 @@ def verify_inequalities(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
     return res
 
 
-def _uncancelled_val(params, term) -> ValP:
-    """x + (n - j) + vL + v_p(C), with no cancellation of vL; +infinity if C = 0."""
-    if term.num == 0:
-        return INF
-    v_c = vp_int(term.num, params.p) - vp_int(term.den, params.p)
-    return ValP(params.x + (params.n - term.j + v_c) + params.vL)
-
-
 def verify_vl_independence(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:
     """Total valuations equal the un-cancelled sum under two admissible vL choices.
 
-    For each vL the sum x + (n - j) + vL + v_p(C) is formed from that vL's
-    own parameters and compared with the term's total_val(r), which never
-    sees vL: agreement under both choices is the vL independence.  The terms
-    depend on (p, n) and ceil(r/2) only, so both choices read one list.
+    For each vL the sum (x + n + vL) + (v_p(C) - j) is formed from that vL's
+    own parameters, with no cancellation of vL (+infinity if C = 0), and
+    compared with the term's total_val(r), which never sees vL: agreement
+    under both choices is the vL independence.  The terms depend on (p, n)
+    and ceil(r/2) only, so both choices read one list, and a term's
+    total_val(r) and v_p(C) - j are taken once for both.
     """
     res = VerifyResult("vl-independence", primes)
     for p in primes:
         for r, n, _b in _admissible_rn(p):
             bound = Fraction(r, 2) - n
             choices = [make_params(p, r, n, vL) for vL in (bound - 1, bound - Fraction(7, 2))]
-            terms = master_terms(choices[0])
+            terms = [
+                (t.total_val(r), None if t.num == 0 else vp_int(t.num, p) - vp_int(t.den, p) - t.j)
+                for t in master_terms(choices[0])
+            ]
             for params in choices:
-                if any(t.total_val(r) != _uncancelled_val(params, t) for t in terms):
+                outer = params.x + params.n + params.vL
+                if any(total != (INF if rest is None else outer + rest) for total, rest in terms):
                     res.failures.append(f"p={p}, r={r}, n={n}: total valuations depend on vL")
                     break
             res.checked += 1

@@ -419,6 +419,25 @@ class TestGoldenOutput:
             assert child.wait(timeout=60) == 0
         assert digest.hexdigest() == "1c2c8f724a7516d7bf877849cfbfacb108c636123657dd4b5655d428fa669d00"
 
+    @pytest.mark.parametrize(
+        "lemma,checks,digest",
+        [
+            ("lucas2", 8931, "96a26148dd540e55a17b1fd8b4c6c63b163811fa45fa568f61fbaee517ccb0bc"),
+            ("stirling-lucas", 3433, "4cacdffa24390023ba7740adcca3b203135d3f70d4ebc9689ef2be6d0a4a7037"),
+            ("lambda", 328, "6cd6e34a5a2dc7f54b48e791117e09580d3ce15a8342a233786928513e0b081d"),
+            ("shallow", 584, "228a58a2198df4c0793f13c8b94a1ac8c711a64dc3b4ac5364b2ace9d24ab731"),
+            ("star", 3700, "c42adaf051ba048d49e9f862697e73c3569ac77910c3383be9a62b93a09b2e21"),
+            ("inequalities", 3112, "baced2410041e5afeaef77f7d2f3b28325605becc69071828ae3a7303248ade9"),
+            ("vl-independence", 422, "d1868f224e2b52bb6f46d3fbe16cdbd57e696de1702e7ba59223dd3e0af090fc"),
+        ],
+    )
+    def test_verify_json_digest(self, capsys, lemma, checks, digest):
+        # every lemma sweep at its default primes: its checks, observations and verdict
+        code, out, err = run_cli(capsys, "verify", lemma, "--emit", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["checked"] == checks
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_congruence_table(self, capsys):
         assert run_cli(capsys, "congruence", "--p", "5", "--r", "8", "--n", "7") == (
             0,

@@ -37,7 +37,8 @@ from padicelim.errors import (
 )
 from padicelim.combinat import stirling2
 from padicelim.eliminator import good_candidates, run_elimination, theorem_r_values
-from padicelim.exactnum import InvalidPrimeError, harmonic, is_prime, rational_mod, vp, vp_int
+from padicelim.exactnum import InvalidPrimeError, ValP, harmonic, is_prime, rational_mod, vp, vp_factorial, vp_int
+from padicelim.verify import verify_vl_independence
 
 
 class TestMakeParams:
@@ -542,7 +543,72 @@ def _printed_shortcut(p, n):
     return (2 * (n // p) + 1) * (p - 1) > n
 
 
+def _two_scan_suite(p, r, n):
+    """``inequality_suite`` as it was with both j < n scans: the oracle for the extreme-term reads."""
+    b, _eps, v_fall = congruence._check_window(p, r, n)
+    power_exceeds, step_ok_at, ilog = congruence._power_exceeds, congruence._geometric_step_ok, congruence._ilog
+    families = []
+
+    e_base = 2 * n - r - v_fall + 1
+    base_ok = power_exceeds(p, 2 * e_base, n + 1, strict=True)
+    chain_ok = e_base >= 2 and p * p > n + 1
+    step_ok = step_ok_at(p, 2 * e_base)
+    families.append(congruence.FamilyResult(
+        "telescoping-zp",
+        base_ok and chain_ok and step_ok,
+        (("base", f"{p}^{e_base} > {n + 1}"), ("chain", f"exponent {e_base} >= 2 and {p * p} > {n + 1}")),
+    ))
+
+    pre_base = (2 * n - r - v_fall) * (p - 1) > n
+    window_base = (2 * (b + 1) - v_fall) * (p - 1) > n
+    slope_ok = 2 * (p - 1) - 1 > 0
+    families.append(congruence.FamilyResult(
+        "telescoping-pzp",
+        pre_base and window_base and slope_ok,
+        (
+            ("window base", f"(2(b+1)-vFall)(p-1) = {(2 * (b + 1) - v_fall) * (p - 1)} > n = {n}"),
+            ("pre-reduction base", f"(2n-r-vFall)(p-1) = {(2 * n - r - v_fall) * (p - 1)} > n = {n}"),
+        ),
+    ))
+
+    v_r_fact = vp_factorial(r, p)
+    q_base = power_exceeds(p, r - 2 * v_r_fact, r + 1, strict=True)
+    q_monotone = all(vp_factorial(j, p) <= v_r_fact for j in range(n))
+    q_step = step_ok_at(p, r - 2 * v_r_fact)
+    families.append(congruence.FamilyResult(
+        "qp-zp",
+        q_base and q_monotone and (n + 1 <= r + 1) and q_step,
+        (("base", f"{p}^(({r} - 2*{v_r_fact})/2) > {r + 1}"), ("rhs bound", f"n + 1 = {n + 1} <= r + 1 = {r + 1}")),
+    ))
+
+    boundary_ok = all(2 * (n - v_fall - ilog(n - j, p)) >= r for j in range(n))
+    m_exp2 = 2 * n - r + 2 - 2 * v_fall
+    m_base = power_exceeds(p, m_exp2, n + 1, strict=False)
+    m_chain = p ** (b + 2 - v_fall) >= r + 1 and 2 * n >= r + 2 * b + 2
+    m_step = step_ok_at(p, m_exp2)
+    lambda_tail_ok = 2 * (n - v_fall - ilog(n, p)) >= r
+    families.append(congruence.FamilyResult(
+        "master-tail",
+        boundary_ok and m_base and m_chain and m_step and lambda_tail_ok,
+        (
+            ("boundary", "2(n - vFall - floor(log_p(n - j))) >= r for all j < n"),
+            ("base", f"{p}^({m_exp2}/2) >= {n + 1}"),
+            ("chain", f"{p}^{b + 2 - v_fall} >= {r + 1}"),
+        ),
+    ))
+    return tuple(families)
+
+
 class TestInequalities:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_extreme_terms_give_what_the_scans_gave(self, p):
+        checked = 0
+        for r in range(p, p * p - p):
+            for n in window_degrees(p, r):
+                assert inequality_suite(p, r, n) == _two_scan_suite(p, r, n), (p, r, n)
+                checked += 1
+        assert checked > 0
+
     def test_example_5_8_6(self):
         families = inequality_suite(5, 8, 6)
         assert all(f.passed for f in families)
@@ -636,6 +702,29 @@ def _assert_matches_reference(calls):
     for args, kwargs, audit in calls:
         expected = _reference_audit(*args, **kwargs)
         assert (audit.failures, audit.slack_table) == expected, args
+
+
+class TestVlIndependence:
+    def test_passes_at_every_admissible_vl(self):
+        res = verify_vl_independence((5,))
+        assert res.passed and res.checked > 0
+
+    def test_a_total_valuation_off_by_a_half_fails(self, monkeypatch):
+        # total_val is read once per term for both vL choices; one wrong
+        # value must still fail the (r, n) it is read at, and only those
+        target = master_terms(make_params(5, 8, 7, -4))[0]
+        assert target.slack is not None
+        total_val = congruence.CongruenceTerm.total_val
+
+        def off(term, r):
+            if term != target:
+                return total_val(term, r)
+            return ValP(Fraction(r + 1 - 2 * (term.j - term.slack), 2))  # r/2 - j + slack + 1/2
+
+        monkeypatch.setattr(congruence.CongruenceTerm, "total_val", off)
+        failures = verify_vl_independence((5,)).failures
+        assert "p=5, r=8, n=7: total valuations depend on vL" in failures
+        assert all(f.startswith("p=5, r=") and f.endswith(", n=7: total valuations depend on vL") for f in failures)
 
 
 class TestAuditIndexOracle:

@@ -11,9 +11,9 @@ from math import comb
 
 import pytest
 
-from padicelim import fp_poly
+from padicelim import fp_poly, verify
 from padicelim.eliminator import theorem_r_values
-from padicelim.errors import InvalidRangeError, NotPolynomialError
+from padicelim.errors import InvalidPrimeError, InvalidRangeError, NotPolynomialError
 from padicelim.exactnum import is_prime
 from padicelim.fp_poly import (
     HPoly,
@@ -189,7 +189,7 @@ class TestShallowKillCheck:
         assert report.passed
         assert all(md >= 2 for _lam, md in report.summand_min_x)
         # the pure Y^r check runs at i = 1 only
-        monkeypatch.setattr(fp_poly, "pure_y_defect", lambda p, r, lam: 1)
+        monkeypatch.setattr(fp_poly, "_y_defect", lambda p, r, lam: 1)
         assert shallow_kill_check(5, 14, 2).passed
         assert shallow_kill_check(5, 14, 1).failures == tuple(
             f"pure Y^r coefficient survives at lam = {lam}" for lam in range(5)
@@ -202,6 +202,25 @@ class TestShallowKillCheck:
             shallow_kill_check(5, 20, 1)  # r > p^2 - p - 1
         with pytest.raises(InvalidRangeError):
             shallow_kill_check(5, 8, 0)
+
+    def test_pure_y_check_reads_every_lam_under_one_prime_check(self, monkeypatch):
+        # with theta^1 read, the certificate checks p once for all p lams;
+        # pure_y_defect still checks its own p and r
+        assert shallow_kill_check(13, 20, 1).passed
+        checked = []
+        check = fp_poly.check_prime
+
+        def counted(p, minimum=2):
+            checked.append(p)
+            return check(p, minimum)
+
+        monkeypatch.setattr(fp_poly, "check_prime", counted)
+        assert shallow_kill_check(13, 20, 1).passed
+        assert checked == [13]
+        with pytest.raises(InvalidPrimeError):
+            pure_y_defect(9, 20, 1)
+        with pytest.raises(InvalidRangeError):
+            pure_y_defect(13, 11, 1)
 
     def test_r_equals_p_minus_1_negative(self):
         # the pure-power cancellation genuinely fails at lam = 0 there
@@ -227,6 +246,35 @@ class TestShallowKillCheck:
                 if r < i * 6 - 1:
                     continue
                 assert shallow_kill_check(5, r, i).passed, (r, i)
+
+
+class TestCarriedShallowOracle:
+    """``verify shallow`` carries each full summand from r to r + 1."""
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_carried_product_is_the_summand(self, p):
+        seen = set()
+        for r, i, summands in verify._shallow_products(p):
+            assert len(summands) == p
+            for lam, coeffs in enumerate(summands):
+                assert tuple(coeffs) == shallow_summand(p, r, i, lam).coeffs, (r, i, lam)
+            seen.add((r, i))
+        assert seen == set(every_check(p))
+
+    def test_one_degree_off_is_caught(self, monkeypatch):
+        check = verify.shallow_kill_check
+
+        def off_by_one(p, r, i):
+            report = check(p, r, i)
+            if (p, r, i) != (7, 20, 2):
+                return report
+            degrees = tuple((lam, md + (lam == 3)) for lam, md in report.summand_min_x)
+            return report._replace(summand_min_x=degrees)
+
+        monkeypatch.setattr(verify, "shallow_kill_check", off_by_one)
+        md = dict(check(7, 20, 2).summand_min_x)[3]
+        res = verify.verify_shallow((7,))
+        assert res.failures == [f"p=7, r=20, i=2: scanned X-degree {md + 1} at lam = 3, product has {md}"]
 
 
 def _scan_min_x(p, k, entries, lam):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicelim import lambda_solver
 from padicelim.errors import DigitError, WindowError
 from padicelim.exactnum import InvalidPrimeError, binom
 from padicelim.lambda_solver import BulletReport, LambdaVector, lambda_closed, solve_lambda, verify_lambda
@@ -67,6 +68,18 @@ class TestSolve:
             solve_lambda(5, 4, 20)  # b = p - 1 rejected, not extrapolated
         with pytest.raises(InvalidPrimeError):
             solve_lambda(4, 0, 2)
+
+
+    def test_rows_from_an_empty_cache_out_of_order(self):
+        # a fill to row 156, then families whose rows are already there
+        rows = lambda_solver._PASCAL_ROWS
+        del rows[1:]
+        for p, b in [(13, 11), (5, 0), (11, 9)]:
+            for n in range(b * p, (b + 1) * p):
+                vec = solve_lambda(p, b, n)
+                assert [vec.entries[i] for i in range(n + 1)] == list(lambda_closed(p, b, n)), (p, b, n)
+            assert len(rows) == 157, (p, b)
+        assert rows == [[binom(i, m) for m in range(i + 1)] for i in range(157)]
 
 
 class TestClosedForm:
