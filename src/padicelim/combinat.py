@@ -23,7 +23,6 @@ from operator import add, mul
 from typing import NamedTuple
 
 from padicelim.exactnum import (
-    Rational,
     binom,
     check_prime,
     harmonic,
@@ -124,7 +123,7 @@ def binom_mod_p2(n_big: int, k_big: int, p: int) -> Mod2Residue:
     hm = harmonic(r_digit - s_digit)
     hs = harmonic(s_digit)
     correction = 1 + p * a * (ha - hm) + p * b * (hm - hs)
-    value = binom(a, b) * binom(r_digit, s_digit) * Rational(correction)
+    value = binom(a, b) * binom(r_digit, s_digit) * correction
     return Mod2Residue(rational_mod(value, modulus), True)
 
 

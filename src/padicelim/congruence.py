@@ -46,11 +46,15 @@ An audit instantiates the congruence at one n, aims at its target degree
 j* = n - b - 1, gives each non-zero term a status and checks the one slack
 bound that the status needs:
 
-    dead             slack > 0              forced dead, above j*, or line 1 at j*
-    generator        slack 0, unit residue  line 2 at j*
-    residual         slack >= 0             above j*, carried to a second pass
-    deeper-integral  slack >= 0             below j*, j >= ceil(r/2)
-    below-range      slack >= 0             j < ceil(r/2)
+    dead             slack > 0   forced dead, above j*, or line 1 at j*
+    generator        slack 0     line 2 at j*
+    residual         slack >= 0  above j*, carried to a second pass
+    deeper-integral  slack >= 0  below j*, j >= ceil(r/2)
+    below-range      slack >= 0  j < ceil(r/2)
+
+Slack 0 says that the coefficient is a p-unit times p^vFall, the threshold
+power: C / p^(v_p(C)) is a unit by the definition of v_p, so the slack
+alone decides a generator.
 
 These thresholds are the package's single integrality axiom pair (the
 external lattice criteria are not re-proved here); the audits re-derive
@@ -102,7 +106,6 @@ from padicelim.errors import (
 )
 from padicelim.exactnum import (
     INF,
-    Rational,
     ValP,
     as_rational,
     binom,
@@ -246,7 +249,7 @@ def _star_numerator(n: int, b: int, j: int, consts: tuple[int, int, int, int]) -
     return lead * bracket - b1**m * ph_den
 
 
-def star_full(params: CongruenceParams, j: int) -> Rational:
+def star_full(params: CongruenceParams, j: int) -> Fraction:
     """The exact a = 0 coefficient (full closed form, no reduction)."""
     _check_star_degree(params, j)
     consts = _star_constants(params.p, params.n, params.b, params.eps)
@@ -275,7 +278,6 @@ class CongruenceTerm(NamedTuple):
     ``coeff`` forms the Fraction when read.  ``slack`` is the integer
     v_p(coeff) - vFall, or None when the coefficient vanishes identically;
     the total valuation is derived from r by :meth:`total_val`.
-    ``unit_residue`` is the residue mod p^2 of coeff / p^(v_p(coeff)).
     A per-(p, n) table holds the line-2 terms and the line-1 columns (terms
     with a = 0 and line 1, before the a-factor); :func:`master_terms` forms
     the line-1 terms from them on each call, which is why a term is a bare
@@ -288,10 +290,9 @@ class CongruenceTerm(NamedTuple):
     num: int
     den: int
     slack: int | None
-    unit_residue: int | None
 
     @property
-    def coeff(self) -> Rational:
+    def coeff(self) -> Fraction:
         """The exact coefficient num/den."""
         return Fraction(self.num, self.den)
 
@@ -311,9 +312,9 @@ class _Table(NamedTuple):
     """The terms of one (p, n) congruence, stored as an audit reads them.
 
     ``columns`` holds the line-1 columns (degrees j0..n-1) once, ``factors``
-    one pair (unit, unit mod p^2 over a) per a = 1..eps with unit = (-1)^a
-    C(eps, a), and term (a, j) is column j scaled by factor a, with the
-    column's slack.  ``line2`` holds the line-2 terms (degrees j0-1..n-1).
+    the unit (-1)^a C(eps, a) of each a = 1..eps, and term (a, j) is column
+    j times factor a over a, with the column's slack.  ``line2`` holds the
+    line-2 terms (degrees j0-1..n-1).
     ``target`` is the degree t = n - b - 1 that every audit of n aims at,
     ``slacks`` pairs each line-2 degree with its slack text, ``misses`` holds
     the misses of an audit with no residual or must-die degree over the whole
@@ -324,7 +325,7 @@ class _Table(NamedTuple):
 
     j0: int
     columns: tuple[CongruenceTerm, ...]
-    factors: tuple[tuple[int, int], ...]
+    factors: tuple[int, ...]
     line2: tuple[CongruenceTerm, ...]
     target: int
     slacks: tuple[tuple[int, str], ...]
@@ -338,13 +339,13 @@ class _Table(NamedTuple):
         n: int,
         j0: int,
         columns: tuple[CongruenceTerm, ...],
-        factors: tuple[tuple[int, int], ...],
+        factors: tuple[int, ...],
         line2: tuple[CongruenceTerm, ...],
     ) -> _Table:
         """The (p, n) table of these columns, factors and line-2 terms, with its derived fields."""
         target = n - n // p - 1
-        misses = tuple(_misses(p, columns, line2, target, None, None))
-        generator = _meets(line2[target - j0 + 1], GENERATOR, p)
+        misses = tuple(_misses(columns, line2, target, None, None))
+        generator = _meets(line2[target - j0 + 1], GENERATOR)
         slacks = tuple((t.j, t.slack_text) for t in line2)
         return cls(j0, columns, factors, line2, target, slacks, misses, generator)
 
@@ -364,20 +365,15 @@ def _build_table(p: int, n: int) -> _Table:
     the degree before and reading {m brace b} and {m brace b+1} from one fill of
     the Stirling cache; the line-2 numerator is the closed form of
     :func:`star_full` times C(n, j) (-1)^m.  A second loop per line values
-    each numerator by exact division by p and reduces its unit part mod p^2;
-    the denominator of pH_eps is valued and inverted once per table.
-    :meth:`_Table.of` derives the rest.
+    each numerator by exact division by p; the denominator of pH_eps is
+    valued once per table.  :meth:`_Table.of` derives the rest.
     """
     b, eps = divmod(n, p)
     b1 = b + 1
     v_fall = fall_valuation(p, n)
     j0 = (max(p, n) + 1) // 2
-    modulus = p * p
-    # the line-1 a-factors (-1)^a C(eps, a), each with its residue over a
-    factors, unit = [], 1
-    for a in range(1, eps + 1):
-        unit = -unit * (eps - a + 1) // a
-        factors.append((unit, unit * pow(a, -1, modulus) % modulus))
+    # the line-1 a-factors (-1)^a C(eps, a)
+    factors = tuple((-1) ** a * binom(eps, a) for a in range(1, eps + 1))
     # line 1 runs over m = 1..top - 1 and line 2 over m = 1..top
     top = n - j0 + 1
     # a column is C(n, j) (-1)^(j+b+1) C(b1 p, n+1) (n+1) b! {m brace b}, its
@@ -405,23 +401,22 @@ def _build_table(p: int, n: int) -> _Table:
         if m < top:
             nums1.append(signed_binom * prefactor * stirling_b[m])
     v_den = vp_int(ph_den, p)
-    den_inverse = pow(ph_den // p**v_den % modulus, -1, modulus)
     lines = []
-    for line, nums, den, shift, inverse in (
-        (1, nums1, 1, v_fall, 1),
-        (2, nums2, ph_den, v_fall + v_den, den_inverse),
+    for line, nums, den, shift in (
+        (1, nums1, 1, v_fall),
+        (2, nums2, ph_den, v_fall + v_den),
     ):
         terms = []
         for j, num in enumerate(reversed(nums), n - len(nums)):
             if not num:
-                terms.append(CongruenceTerm(0, line, j, 0, den, None, None))
+                terms.append(CongruenceTerm(0, line, j, 0, den, None))
                 continue
             v, unit = 0, num
             while not unit % p:
                 v, unit = v + 1, unit // p
-            terms.append(CongruenceTerm(0, line, j, num, den, v - shift, unit * inverse % modulus))
+            terms.append(CongruenceTerm(0, line, j, num, den, v - shift))
         lines.append(tuple(terms))
-    return _Table.of(p, n, j0, lines[0], tuple(factors), lines[1])
+    return _Table.of(p, n, j0, lines[0], factors, lines[1])
 
 
 def _table(p: int, r: int, n: int) -> tuple[_Table, int]:
@@ -453,13 +448,9 @@ def master_terms(params: CongruenceParams) -> tuple[CongruenceTerm, ...]:
     serves the term listings and checks.
     """
     table, start = _table(params.p, params.r, params.n)
-    modulus = params.p * params.p
     line1 = [
-        CongruenceTerm(
-            a, 1, col.j, col.num * unit, a, col.slack,
-            None if col.slack is None else col.unit_residue * unit_mod % modulus,
-        )
-        for a, (unit, unit_mod) in enumerate(table.factors, 1)
+        CongruenceTerm(a, 1, col.j, col.num * unit, a, col.slack)
+        for a, unit in enumerate(table.factors, 1)
         for col in table.columns[start:]
     ]
     return (*line1, *table.line2[start:])
@@ -473,7 +464,8 @@ DEEPER = "deeper-integral"
 BELOW = "below-range"
 GENERATOR = "generator"
 RESIDUAL = "residual"
-# the slack each status needs, as failure text
+# the slack each status needs, as failure text (slack 0 is a unit times the
+# threshold power, which is what "a unit residue" names)
 _NEEDS = {DEAD: "> 0", GENERATOR: "0 with a unit residue", RESIDUAL: ">= 0", DEEPER: ">= 0", BELOW: ">= 0"}
 
 
@@ -517,17 +509,20 @@ def _status(
     return DEEPER if j >= ceil_half else BELOW
 
 
-def _meets(term: CongruenceTerm, status: str, p: int) -> bool:
-    """Whether a non-zero term's slack meets what ``status`` needs; a zero term is no generator."""
+def _meets(term: CongruenceTerm, status: str) -> bool:
+    """Whether a non-zero term's slack meets what ``status`` needs; a zero term is no generator.
+
+    A generator needs slack 0 and nothing more: its coefficient divided by
+    p^(v_p(coeff)) is a p-unit by the definition of v_p.
+    """
     if status == DEAD:
         return term.slack > 0
     if status == GENERATOR:
-        return term.slack == 0 and term.unit_residue % p != 0
+        return term.slack == 0
     return term.slack >= 0
 
 
 def _misses(
-    p: int,
     columns: Sequence[CongruenceTerm],
     line2: Sequence[CongruenceTerm],
     target: int,
@@ -545,7 +540,7 @@ def _misses(
         for term in (*columns, *line2)
         if term.slack is not None
         and (term.slack <= 0 or (term.j == target and term.line == 2))
-        and not _meets(term, _status(term, target, 0, residual, must_die), p)
+        and not _meets(term, _status(term, target, 0, residual, must_die))
     ]
 
 
@@ -583,7 +578,7 @@ def _audit(
         # most tables have no miss, and an empty tuple skips the comprehension
         misses = table.misses and [t for t in table.misses if t.j + t.line > ceil_half]
     else:
-        misses = _misses(p, table.columns[start:], table.line2[start:], target, residual, must_die)
+        misses = _misses(table.columns[start:], table.line2[start:], target, residual, must_die)
     if misses or not table.generator:
         rows = [(t, _status(t, target, ceil_half, residual, must_die)) for t in misses]
         term_failures = [

@@ -1,9 +1,9 @@
 """Exact integer/rational arithmetic with p-adic valuations.
 
-Every scalar in this package is an exact rational (``fractions.Fraction``,
-re-exported here as ``Rational``) or an exact integer.  No floating point is
-used anywhere: every downstream statement is a congruence or a valuation
-inequality, and both are decided exactly.
+Every scalar in this package is an exact rational (``fractions.Fraction``)
+or an exact integer.  No floating point is used anywhere: every downstream
+statement is a congruence or a valuation inequality, and both are decided
+exactly.
 
 Valuations are values of type :class:`ValP`: either a rational number or the
 distinguished +infinity (the valuation of zero).  Half-integer valuations
@@ -19,10 +19,7 @@ from math import comb, isqrt
 
 from padicelim.errors import InvalidPrimeError, MalformedInputError
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "ValP",
     "InvalidPrimeError",
     "is_prime",

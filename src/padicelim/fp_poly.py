@@ -109,9 +109,6 @@ class HPoly:
             return 0
         return self.coeffs[x_power]
 
-    def __neg__(self) -> "HPoly":
-        return HPoly(self.p, tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "HPoly") -> "HPoly":
         self._compat(other)
         out = [0] * (self.degree + other.degree + 1)
@@ -133,9 +130,6 @@ class HPoly:
         for _ in range(e):
             out = out * self
         return out
-
-    def mul_y(self, k: int = 1) -> "HPoly":
-        return HPoly(self.p, self.coeffs + (0,) * k)
 
     def div_x(self) -> "HPoly":
         if self.coeffs[0] != 0:

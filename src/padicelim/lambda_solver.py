@@ -43,7 +43,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from padicelim.errors import DigitError, WindowError
-from padicelim.exactnum import Rational, binom, check_prime
+from padicelim.exactnum import binom, check_prime
 
 __all__ = ["LambdaVector", "BulletReport", "solve_lambda", "lambda_closed", "verify_lambda"]
 
@@ -115,7 +115,7 @@ def solve_lambda(p: int, b: int, n: int) -> LambdaVector:
     return LambdaVector(p=p, b=b, n=n, entries=entries)
 
 
-def lambda_closed(p: int, b: int, n: int) -> tuple[Rational, ...]:
+def lambda_closed(p: int, b: int, n: int) -> tuple[Fraction, ...]:
     """The product-formula values of lambda_0, ..., lambda_n, indexed by i.
 
     The window is checked and C((b+1)p - 1, n) computed once per family;

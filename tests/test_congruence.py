@@ -241,7 +241,7 @@ class TestMasterTerms:
         params = make_params(5, 8, 7, -5)
         terms = {(t.line, t.a, t.j): t for t in master_terms(params)}
         gen = terms[(2, 0, 5)]
-        assert gen.slack == 0 and gen.unit_residue % 5 != 0
+        assert gen.slack == 0
         assert gen.coeff == math.comb(7, 5) * 608  # C(n,j) (-1)^(n-j) star_j
         assert terms[(2, 0, 6)].slack == 1  # 610 = 5 * 122
 
@@ -263,7 +263,7 @@ class TestMasterTerms:
 
     @staticmethod
     def _closed_form_terms(p, r, n, oracle_cache):
-        """(line, a, j, coeff, slack, unit residue) from the docstring's closed forms."""
+        """(line, a, j, coeff, slack) from the docstring's closed forms."""
         params = make_params(p, r, n, Fraction(r, 2) - n - 1)
         b, eps = divmod(n, p)
         v_fall = vp(math.prod(range(n - b, n + 1)), p)
@@ -283,12 +283,7 @@ class TestMasterTerms:
                     )
                 else:
                     coeff = math.comb(n, j) * (-1) ** (n - j) * star_full(params, j)
-                if coeff == 0:
-                    oracle_cache[key] = (coeff, None, None)
-                else:
-                    v = vp(coeff, p)
-                    unit = rational_mod(Fraction(coeff) / Fraction(p) ** v, p * p)
-                    oracle_cache[key] = (coeff, v - v_fall, unit)
+                oracle_cache[key] = (coeff, None if coeff == 0 else vp(coeff, p) - v_fall)
             rows.append((line, a, j) + oracle_cache[key])
         return rows
 
@@ -309,7 +304,7 @@ class TestMasterTerms:
             for p in (5, 7, 11):
                 for r, n in halves[p][half]:
                     got = [
-                        (t.line, t.a, t.j, t.coeff, t.slack, t.unit_residue)
+                        (t.line, t.a, t.j, t.coeff, t.slack)
                         for t in master_terms(make_params(p, r, n, Fraction(r, 2) - n - 1))
                     ]
                     assert got == self._closed_form_terms(p, r, n, oracle_cache), (p, r, n)
@@ -319,7 +314,7 @@ class TestMasterTerms:
         # b = 1 and b = 2, with 79 and 48 line-1 rows formed from the columns
         params = make_params(101, r, n, Fraction(r, 2) - n - 1)
         terms = master_terms(params)
-        got = [(t.line, t.a, t.j, t.coeff, t.slack, t.unit_residue) for t in terms]
+        got = [(t.line, t.a, t.j, t.coeff, t.slack) for t in terms]
         assert got == self._closed_form_terms(101, r, n, {})
         assert master_terms(params) == terms
 
@@ -330,12 +325,12 @@ class TestMasterTerms:
         for n in range((p + 3) // 2, 3 * p):
             r = max(p, n)
             got = [
-                (t.line, t.a, t.j, t.coeff, t.slack, t.unit_residue)
+                (t.line, t.a, t.j, t.coeff, t.slack)
                 for t in master_terms(make_params(p, r, n, Fraction(r, 2) - n - 1))
             ]
             assert got == self._closed_form_terms(p, r, n, {}), n
             if n < p:  # b = 0: every line-1 column vanishes
-                assert {row[3:] for row in got if row[0] == 1} == {(0, None, None)}, n
+                assert {row[3:] for row in got if row[0] == 1} == {(0, None)}, n
 
     def test_tables_held_for_one_prime(self):
         master_terms(make_params(5, 8, 7, -5))
@@ -414,7 +409,7 @@ class TestAuditBad:
         params = make_params(5, 14, 11, -8)
         assert _statuses(params)[(2, 0, 8)] == GENERATOR
         generator = _terms(params)[(2, 0, 8)]
-        assert generator.slack == 0 and generator.unit_residue % 5 != 0
+        assert generator.slack == 0
 
     def test_rescue_note_at_r_2p_plus_4(self, monkeypatch):
         # the j = p + 1 = 6 term is the below-range edge at r = 2p + 4
@@ -669,7 +664,7 @@ def _reference_audit(method, p, r, n, failures=(), residual=None, must_die=None)
         if status == DEAD:
             ok = slack > 0
         elif status == GENERATOR:
-            ok = generator = slack == 0 and term.unit_residue % p != 0
+            ok = generator = slack == 0
         else:
             ok = slack >= 0
         if not ok:
@@ -853,22 +848,11 @@ class TestAuditFailurePaths:
                 mutated += 1
         assert mutated >= 10
 
-    def test_generator_needs_a_unit_residue(self, monkeypatch, mutate_table):
-        # the generator of audit_good(5, 8, 7, -5) keeps slack 0, its residue becomes 0 mod p
-        mutate_table(monkeypatch, 7, (2, 0, 5), unit_residue=5)
-        assert audit_good(5, 8, 7, -5).failures == (
-            "term (line 2, a=0, j=5) has slack 0, needs 0 with a unit residue (generator)",
-            "no generator found at degree 5",
-        )
-        calls = _recorded_audits(monkeypatch)
-        audit_good(5, 8, 7, -5)
-        _assert_matches_reference(calls)
-
 
 def test_a_zero_coefficient_at_the_target_fails_only_for_want_of_a_generator(monkeypatch, mutate_table):
     # the line-2 coefficient of audit_good(5, 8, 7, -5) at its target degree 5
     # vanishes: a zero term is no miss, so no term row names it
-    mutate_table(monkeypatch, 7, (2, 0, 5), num=0, slack=None, unit_residue=None)
+    mutate_table(monkeypatch, 7, (2, 0, 5), num=0, slack=None)
     calls = _recorded_audits(monkeypatch)
     assert audit_good(5, 8, 7, -5).failures == ("no generator found at degree 5",)
     _assert_matches_reference(calls)
