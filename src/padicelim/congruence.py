@@ -35,12 +35,13 @@ the table stores and values each column once, with one factor per a, and
 only :func:`master_terms` forms line-1 terms.  The line-2 terms are stored.
 A table is built in one pass over its degrees: each exact numerator carries
 C(n, j) and (b+1)^(n-j) from the degree before and reads its Stirling values
-from one fill of the cache, and is then valued by exact division by p.
-Terms, tables and audit results are named tuples.  A term keeps its exact
-coefficient as an integer numerator and denominator, never as a Fraction:
-on line 1 the column numerator times (-1)^a C(eps, a) over a, on line 2
-the star numerator over the denominator of pH_eps.  The Fraction is formed
-only when a reader asks for ``coeff``.
+from one fill of the cache, and is then valued by exact division by p;
+its slack is all that an audit reads of it.  Terms, tables and audit
+results are named tuples.  A term keeps its exact coefficient as an
+integer numerator and denominator, never as a Fraction: on line 1 the
+column numerator times (-1)^a C(eps, a) over a, on line 2 the star
+numerator over the denominator of pH_eps.  The Fraction is formed only
+when a reader asks for ``coeff``.
 
 An audit instantiates the congruence at one n, aims at its target degree
 j* = n - b - 1, gives each non-zero term a status and checks the one slack
