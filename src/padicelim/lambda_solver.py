@@ -18,46 +18,29 @@ not 0 mod 25): the cancellation sum_k (-1)^k C(b, k) = 0 that drives it is
 vacuous there.  ``verify_lambda`` therefore asserts bullet 2 only for
 b >= 1 and reports the b = 0 outcome as observed, not as a failure.
 
-Two independent computations are provided.  ``solve_lambda`` solves the
-moment system exactly and fraction-free: the power equations are reduced by
-the unitriangular change of basis from monomials i^j to binomial moments
-C(i, m) (an integer row reduction, pivots all 1), after which the system is
-triangular and back-substitution stays in the integers.  It runs by whole
-rows: the Pascal rows do not depend on (p, b, n), so they are kept for the
-process in one list that grows from its last row, and each solved lambda_i
-leaves the right-hand side in one row operation, so no binomial is
-evaluated on its own.  ``lambda_closed`` evaluates the whole family from
-the product formula
+Two independent computations are provided.  ``solve_lambda`` expands
+sum_i lambda_i u^i = sum_{m <= n} C((b+1)p, m) (u - 1)^m by Horner's rule,
+a Taylor shift in integers.  ``lambda_closed`` evaluates the whole family
+from the product formula
 
     lambda_i = (-1)^(n-i) ((b+1)p / ((b+1)p - i)) C((b+1)p - 1, n) C(n, i)
 
 obtained from the Vandermonde determinant.  The tests require the two to
-agree entry-wise, exactly.
+agree entry-wise, exactly.  ``verify_lambda`` shares no code with either.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby, repeat
-from operator import add, mul, sub
+from math import factorial
+from operator import add, sub
 from typing import NamedTuple
 
+from padicelim.combinat import stirling2
 from padicelim.errors import DigitError, WindowError
 from padicelim.exactnum import binom, check_prime
 
 __all__ = ["LambdaVector", "BulletReport", "solve_lambda", "lambda_closed", "verify_lambda"]
-
-_PASCAL_ROWS: list[list[int]] = [[1]]  # complete rows C(i, 0..i), i = 0, 1, ...
-
-
-def _pascal_rows(y: int) -> list[list[int]]:
-    """Extend the cached rows through row y, each new row from the last one."""
-    rows = _PASCAL_ROWS
-    for _ in range(len(rows), y + 1):
-        row = rows[-1]
-        rows.append([1, *map(add, row, row[1:]), 1])
-    return rows
-
 
 def _check_window(p: int, b: int, n: int) -> None:
     check_prime(p, minimum=5)
@@ -94,22 +77,22 @@ class LambdaVector:
 def solve_lambda(p: int, b: int, n: int) -> LambdaVector:
     """Solve the moment system exactly with lambda_{(b+1)p} pinned to -1.
 
-    Moving the pinned node to the right-hand side leaves
-    sum_{i=0}^{n} lambda_i i^j = y^j (y = (b+1)p) for 0 <= j <= n.  Row
-    reduction by the unitriangular monomial-to-binomial change of basis
-    turns this into the triangular system sum_i lambda_i C(i, m) = C(y, m),
-    solved from i = n downward in pure integer arithmetic: lambda_i is the
-    m = i entry of the right-hand side, and lambda_i C(i, 0..i-1) is then
-    subtracted from the entries below it in one step.
+    With y = (b+1)p the system is sum_{i <= n} lambda_i i^j = y^j, j <= n.
+    As i^j = sum_m S(j, m) m! C(i, m) is unitriangular, it is equivalently
+    sum_i lambda_i C(i, m) = C(y, m), m <= n: L(1 + x) = sum_m C(y, m) x^m
+    for L(u) = sum_i lambda_i u^i.  So L(u) = sum_m C(y, m) (u - 1)^m, exact
+    as an identity of polynomials of degree n.  Horner's rule in (u - 1)
+    expands it, each step one shifted subtraction of the list.
     """
     _check_window(p, b, n)
     y = (b + 1) * p
-    rows = _pascal_rows(y)
-    rhs = rows[y][: n + 1]
-    lam = [0] * (n + 1)
-    for i in range(n, -1, -1):
-        lam_i = lam[i] = rhs.pop()  # pivot C(i, i) = 1
-        rhs = list(map(sub, rhs, map(mul, repeat(lam_i, i), rows[i])))
+    c = [1]  # C(y, m), m = 0..n
+    for m in range(1, n + 1):
+        c.append(c[-1] * (y - m + 1) // m)
+    lam = [c[n]]
+    for m in range(n - 1, -1, -1):
+        lam = list(map(sub, [0, *lam], [*lam, 0]))  # times (u - 1)
+        lam[0] += c[m]
     entries = dict(enumerate(lam))
     entries[y] = -1
     return LambdaVector(p=p, b=b, n=n, entries=entries)
@@ -153,37 +136,49 @@ class BulletReport(NamedTuple):
 
 
 def verify_lambda(v: LambdaVector) -> BulletReport:
-    """Check all four bullet points of the coefficient lemma exactly."""
+    """Check all four bullet points of the coefficient lemma exactly.
+
+    Bullet 1: with B_m = sum_{i in I} lambda_i C(i, m), the power moment is
+    P_j = sum_{m <= j} S(j, m) m! B_m (as i^j = sum_m S(j, m) m! C(i, m)),
+    unitriangular, so all P_j vanish iff all B_m do.  The B_m are the
+    coefficients of sum_I lambda_i (1 + x)^i mod x^(n+1), by Horner in (1 + x).
+    Bullet 2: for i = a + pt, i^j = a^j + j a^(j-1) pt mod p^2 (later binomial
+    terms carry p^2; 0^0 = 1), so each class sum is a^j S0_a + j a^(j-1) p S1_a
+    mod p^2, with S0_a = sum lambda_i and S1_a = sum lambda_i t over the class.
+    """
     p, b, n = v.p, v.b, v.n
     failures: list[str] = []
 
-    # The index set is ordered by residue class once, so each class is one
-    # slice.  w holds lambda_i i^j for the current j (0^0 = 1) and steps to
-    # j + 1 by multiplying each entry by its node i; the class sums are the
-    # slice sums and their total is the bullet-1 power moment.
-    nodes = sorted(v.index_set, key=lambda i: i % p)
-    classes: list[tuple[int, slice]] = []
-    lo = 0
-    for a, members in groupby(nodes, lambda i: i % p):
-        hi = lo + len(list(members))
-        classes.append((a, slice(lo, hi)))
-        lo = hi
-    w = [v.entries[i] for i in nodes]
-    bullet1 = True
+    moments = [0] * (n + 1)
+    for i in range(v.top_node, -1, -1):
+        moments[0] += v.entries.get(i, 0)
+        if i:
+            moments = [moments[0], *map(add, moments[1:], moments)]  # times (1 + x)
+    nonzero = [(m, factorial(m) * moment) for m, moment in enumerate(moments) if moment]
+    bullet1 = not nonzero
+    if nonzero:
+        for j in range(nonzero[0][0], n + 1):
+            if sum(stirling2(j, m) * weighted for m, weighted in nonzero if m <= j):
+                failures.append(f"bullet 1 fails at j = {j}")
+
     mod2 = p * p
-    deviations: list[tuple[int, int]] = []
-    for j in range(n + 1):
-        total = 0
-        for a, cls in classes:
-            class_sum = sum(w[cls])
-            total += class_sum
-            if class_sum % mod2:
+    s0 = [0] * p
+    s1 = [0] * p
+    for i in v.index_set:
+        t, a = divmod(i, p)
+        s0[a] += v.entries[i]
+        s1[a] += v.entries[i] * t
+    deviations: list[tuple[int, int]] = []  # a-major, as the class congruence is stated
+    for a in range(p):
+        c0 = s0[a] % mod2
+        c1 = s1[a] % p * p
+        if not (c0 or c1):  # zero at every j
+            continue
+        power, slope = 1, 0  # a^j and j a^(j-1), mod p^2
+        for j in range(n + 1):
+            if (power * c0 + slope * c1) % mod2:
                 deviations.append((a, j))
-        if total:
-            bullet1 = False
-            failures.append(f"bullet 1 fails at j = {j}")
-        w = list(map(mul, w, nodes))
-    deviations.sort()  # a-major, as the class congruence is stated
+            power, slope = power * a % mod2, (slope * a + power) % mod2
     bullet2_mode = "asserted" if b >= 1 else "observed"
     bullet2 = not deviations
     if deviations and b >= 1:

@@ -388,6 +388,21 @@ class TestGoldenOutput:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["--p", "13", "--b", "11", "--n", "155"],
+             "52779dd680b4d1bbfee0838b2e9f080a5db2b2c8ed49f0460d457e2a964aa560"),
+            (["--p", "5", "--b", "0", "--n", "3"],
+             "6c201deb4cbf9e9811f0abe240586260531e240a39887a048d2d39dd1d4f93f7"),
+        ],
+    )
+    def test_lambda_json_digest(self, capsys, argv, digest):
+        # the largest family the sweeps verify, and the observed b = 0 deviation
+        code, out, err = run_cli(capsys, "lambda", *argv, "--emit", "json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_sweep_json_digest(self, capsys):
         # the kill traces and predictions of every theorem-range (p, r) for p <= 31
         code, out, err = run_cli(capsys, "sweep", "--p-range", "5:31", "--emit", "json")

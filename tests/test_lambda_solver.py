@@ -1,14 +1,22 @@
 """Coefficient family: triangular solve vs product formula, four bullets."""
 
+import os
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
-from padicelim import lambda_solver
 from padicelim.errors import DigitError, WindowError
 from padicelim.exactnum import InvalidPrimeError, binom
 from padicelim.lambda_solver import BulletReport, LambdaVector, lambda_closed, solve_lambda, verify_lambda
+
+# hypothesis caches the constants it finds in local source under its home
+# directory, ./.hypothesis unless set: keep the tree clean.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "padicelim-hypothesis")
 
 
 def _reference_verify(v: LambdaVector) -> BulletReport:
@@ -68,18 +76,6 @@ class TestSolve:
             solve_lambda(5, 4, 20)  # b = p - 1 rejected, not extrapolated
         with pytest.raises(InvalidPrimeError):
             solve_lambda(4, 0, 2)
-
-
-    def test_rows_from_an_empty_cache_out_of_order(self):
-        # a fill to row 156, then families whose rows are already there
-        rows = lambda_solver._PASCAL_ROWS
-        del rows[1:]
-        for p, b in [(13, 11), (5, 0), (11, 9)]:
-            for n in range(b * p, (b + 1) * p):
-                vec = solve_lambda(p, b, n)
-                assert [vec.entries[i] for i in range(n + 1)] == list(lambda_closed(p, b, n)), (p, b, n)
-            assert len(rows) == 157, (p, b)
-        assert rows == [[binom(i, m) for m in range(i + 1)] for i in range(157)]
 
 
 class TestClosedForm:
@@ -147,7 +143,7 @@ class TestBullets:
                 v = solve_lambda(p, b, n)
                 assert verify_lambda(v) == _reference_verify(v), (p, b, n)
 
-    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_mutations_match_reference(self, p):
         # one entry moved by 1, p or p^2: each bullet's failure rows, in order
         rng = random.Random(p)
@@ -159,6 +155,71 @@ class TestBullets:
                     report = verify_lambda(v)
                     assert report == _reference_verify(v), (p, b, n, delta)
                     assert not report.passed and not report.bullet1
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_same_class_pair_mutations_match_reference(self, p):
+        # +d and -d on two members a + pt of one class a != 0 with different t:
+        # S0_a keeps its value; d = 1 moves S1_a mod p, so only the linear
+        # term deviates, from j = 1 on; d = p moves neither mod p^2
+        rng = random.Random(p)
+        for b in range(1, p - 1):
+            n = rng.randrange(b * p + 1, (b + 1) * p)
+            a = rng.randint(1, min(p - 1, n - p))
+            hi, lo = rng.sample(range(a, n + 1, p), 2)
+            for d in (1, p):
+                v = solve_lambda(p, b, n)
+                v.entries[hi] += d
+                v.entries[lo] -= d
+                report = verify_lambda(v)
+                assert report == _reference_verify(v), (p, b, n, a, d)
+                assert not report.bullet1
+                assert report.bullet2_deviations[:1] == (((a, 1),) if d == 1 else ()), (p, b, n, a, d)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_one_moment_mutations_match_reference(self, p):
+        # c (-1)^(n-i) C(n, i) added to each lambda_i, i <= n, moves the
+        # binomial moment B_n by c and no other, so P_j first fails at j = n
+        for b in range(p - 1):
+            for n in (b * p, (b + 1) * p - 1):
+                for c in (1, p * p):
+                    v = solve_lambda(p, b, n)
+                    for i in range(n + 1):
+                        v.entries[i] += c * (-1) ** ((n - i) % 2) * binom(n, i)
+                    report = verify_lambda(v)
+                    assert report == _reference_verify(v), (p, b, n, c)
+                    bullet1_rows = [f for f in report.failures if f.startswith("bullet 1")]
+                    assert bullet1_rows == [f"bullet 1 fails at j = {n}"], (p, b, n, c)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_one_vanishing_power_moment_matches_reference(self, p):
+        # i2^k on lambda_i1 and -i1^k on lambda_i2 (0 < i1 < i2) move P_j by
+        # i2^k i1^j - i1^k i2^j, zero at j = k alone: the rows skip k, so each
+        # P_j must weigh B_m by S(j, m) m!, not test the B_m one by one
+        rng = random.Random(p)
+        for b in range(1, p - 1):
+            n = rng.randrange(b * p, (b + 1) * p)
+            i1, i2 = sorted(rng.sample(range(1, n + 1), 2))
+            k = rng.randint(1, n - 1)
+            v = solve_lambda(p, b, n)
+            v.entries[i1] += i2**k
+            v.entries[i2] -= i1**k
+            report = verify_lambda(v)
+            assert report == _reference_verify(v), (p, b, n, i1, i2, k)
+            bullet1_rows = [f for f in report.failures if f.startswith("bullet 1")]
+            assert bullet1_rows == [f"bullet 1 fails at j = {j}" for j in range(n + 1) if j != k]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_one_entry_mutation_matches_reference(self, data):
+        p = data.draw(st.sampled_from([5, 7, 11]), label="p")
+        b = data.draw(st.integers(0, p - 2), label="b")
+        n = data.draw(st.integers(b * p, (b + 1) * p - 1), label="n")
+        node = data.draw(st.sampled_from([*range(n + 1), (b + 1) * p]), label="node")
+        scale = data.draw(st.sampled_from([1, p, p * p]), label="scale")
+        delta = scale * data.draw(st.integers().filter(bool), label="delta / scale")
+        v = solve_lambda(p, b, n)
+        v.entries[node] += delta
+        assert verify_lambda(v) == _reference_verify(v)
 
     def test_deviations_are_a_major(self):
         v = solve_lambda(5, 1, 6)
@@ -177,6 +238,21 @@ class TestBullets:
         n = (b + 1) * 17 - 1
         v = solve_lambda(17, b, n)
         assert lambda_closed(17, b, n) == tuple(v.entries[i] for i in range(n + 1))
+
+    @pytest.mark.skipif(
+        not os.environ.get("PADICELIM_LONG_TESTS"),
+        reason="about 1 s; set PADICELIM_LONG_TESTS=1 to run",
+    )
+    def test_p17_solve_and_verify(self):
+        # every family of p = 17 against the closed form; the reference
+        # verification at both ends of each b's window
+        p = 17
+        for b in range(p - 1):
+            for n in range(b * p, (b + 1) * p):
+                v = solve_lambda(p, b, n)
+                assert lambda_closed(p, b, n) == tuple(v.entries[i] for i in range(n + 1)), (b, n)
+                if n in (b * p, (b + 1) * p - 1):
+                    assert verify_lambda(v) == _reference_verify(v), (b, n)
 
     def test_integrality_witness(self):
         # the solve returns integers outright; the closed form reduces to them
