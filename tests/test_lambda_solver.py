@@ -1,4 +1,4 @@
-"""Coefficient family: triangular solve vs product formula, four bullets."""
+"""Coefficient family: Taylor-shift solve vs product formula, four bullets."""
 
 import os
 import random
