@@ -151,7 +151,7 @@ def verify_lambda(v: LambdaVector) -> BulletReport:
 
     moments = [0] * (n + 1)
     for i in range(v.top_node, -1, -1):
-        moments[0] += v.entries.get(i, 0)
+        moments[0] += v.entries.get(i, 0)  # no node strictly between n and (b+1)p
         if i:
             moments = [moments[0], *map(add, moments[1:], moments)]  # times (1 + x)
     nonzero = [(m, factorial(m) * moment) for m, moment in enumerate(moments) if moment]
