@@ -34,12 +34,7 @@ from padicelim.eliminator import (
     run_elimination,
     theorem_r_values,
 )
-from padicelim.errors import (
-    EliminationIncompleteError,
-    InvalidRangeError,
-    MalformedInputError,
-    PadicElimError,
-)
+from padicelim.errors import EliminationIncompleteError, PadicElimError
 from padicelim.exactnum import as_rational, check_prime, is_prime
 from padicelim.lambda_solver import solve_lambda, verify_lambda
 from padicelim.verify import VERIFIERS, VerifyResult
@@ -290,7 +285,7 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[VerifyResult, bool]:
     primes = tuple(check_prime(p, minimum=5) for p in ns.p or ())
     for k, p in enumerate(primes):
         if p in primes[:k]:
-            raise MalformedInputError(f"p = {p} is repeated")
+            raise PadicElimError(f"p = {p} is repeated")
     verifier = VERIFIERS[ns.lemma]
     result = verifier(primes=primes) if primes else verifier()
     return result, result.passed
@@ -350,7 +345,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> tuple[list[ReductionResult], bool]:
             ps.append(p)
             rs.append(r_values)
     if not ps:
-        raise InvalidRangeError("sweep range is empty")
+        raise PadicElimError("sweep range is empty")
     jobs = min(_job_count(ns.jobs), len(ps))
     if jobs > 1:
         # import here: a pool is only needed for a parallel sweep

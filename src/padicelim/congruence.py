@@ -83,9 +83,10 @@ therefore keeps the misses of such an audit over all its degrees, and a
 good or bad audit at r fails on exactly those inside r's window.  The ugly
 phases move bounds (phase one carries a residual family at cp, phase two
 forces cp - 1 dead), so each lists the misses of r's window itself.  The
-audits check the hypotheses of :func:`make_params` with integer comparisons
-and the same errors, and build no CongruenceParams: vL is compared through
-its numerator and denominator.
+audits check the hypotheses of :func:`make_params` on p, r and n with
+integer comparisons and the same messages, and build no CongruenceParams.
+They take no vL: a term's total valuation r/2 - j + slack does not depend on
+it, so a verdict holds for every vL < r/2 - n, and the caller checks vL.
 ``inequality_suite`` verifies, exactly, the arithmetic inequality families
 that the supporting lemmas reduce to.
 """
@@ -98,13 +99,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from padicelim.combinat import stirling2, stirling2_column
-from padicelim.errors import (
-    InvalidDegreeError,
-    InvalidRangeError,
-    NotGoodCandidateError,
-    VLBoundError,
-    WindowError,
-)
+from padicelim.errors import PadicElimError
 from padicelim.exactnum import (
     INF,
     ValP,
@@ -162,7 +157,7 @@ def fall_valuation(p: int, n: int) -> int:
     exactly one p: vFall counts them.
     """
     if not 1 <= n < p * p:
-        raise WindowError(f"n = {n} outside [1, {p * p - 1}], where vFall has its closed form")
+        raise PadicElimError(f"n = {n} outside [1, {p * p - 1}], where vFall has its closed form")
     return n // p - (n - n // p - 1) // p
 
 
@@ -175,45 +170,29 @@ def _check_window(p: int, r: int, n: int) -> tuple[int, int, int]:
     """Validate p, r and the window of n (the hypotheses without vL); return b, eps and vFall."""
     check_prime(p, minimum=5)
     if not (p <= r <= p * p - p - 1):
-        raise InvalidRangeError(f"r = {r} outside [{p}, {p * p - p - 1}]")
+        raise PadicElimError(f"r = {r} outside [{p}, {p * p - p - 1}]")
     # n >= r/2 + b + 1 with b = floor(n/p): 2n - 2b never falls as n grows,
     # so the window is the interval [window_degrees(p, r)[0], r]
     if not (0 <= n <= r and 2 * n >= r + 2 * (n // p) + 2):
-        raise WindowError(f"n = {n} outside the window [{window_degrees(p, r)[0]}, {r}]")
+        raise PadicElimError(f"n = {n} outside the window [{window_degrees(p, r)[0]}, {r}]")
     # n <= r <= p^2 - p - 1 keeps b <= p - 2
     b, eps = divmod(n, p)
-    # the hypotheses give vFall <= 1 and n - vFall > r/2, so with
-    # vL < r/2 - n, x > -vFall >= -1 (tests/test_congruence.py checks both)
+    # the hypotheses give vFall <= 1 and n - vFall > r/2, so make_params'
+    # vL < r/2 - n gives x > -vFall >= -1 (tests/test_congruence.py checks both)
     return b, eps, fall_valuation(p, n)
-
-
-def _below(vL: Fraction | int | str, r: int, n: int) -> bool:
-    """Whether vL < r/2 - n, compared in integers: 2 num(vL) < (r - 2n) den(vL).
-
-    An int or a Fraction is read as it is; anything else goes through
-    :func:`as_rational`, which takes a rational literal and rejects the rest.
-    """
-    if not isinstance(vL, (int, Fraction)):
-        vL = as_rational(vL)
-    return 2 * vL.numerator < (r - 2 * n) * vL.denominator
-
-
-def _check_vl(r: int, n: int, vL: Fraction | int | str) -> None:
-    """Raise VLBoundError unless vL < r/2 - n."""
-    if not _below(vL, r, n):
-        raise VLBoundError(f"vL must be < r/2 - n = {Fraction(r, 2) - n}, got {as_rational(vL)}")
 
 
 def make_params(p: int, r: int, n: int, vL: Fraction | int | str) -> CongruenceParams:
     """Validate the hypotheses, vL < r/2 - n among them, and compute b, eps, vFall and x.
 
-    Each violated hypothesis raises its own error class: InvalidPrimeError,
-    InvalidRangeError (r), WindowError (n), VLBoundError.
+    A violated hypothesis raises PadicElimError with a message that names it.
     """
     b, eps, v_fall = _check_window(p, r, n)
     vL = as_rational(vL)
-    _check_vl(r, n, vL)
-    x = Fraction(r, 2) - n - v_fall - vL
+    bound = Fraction(r, 2) - n
+    if not vL < bound:
+        raise PadicElimError(f"vL must be < r/2 - n = {bound}, got {vL}")
+    x = bound - v_fall - vL
     return CongruenceParams(p=p, r=r, n=n, vL=vL, b=b, eps=eps, v_fall=v_fall, x=x)
 
 
@@ -224,7 +203,7 @@ def _check_star_degree(params: CongruenceParams, j: int) -> None:
     lo = params.ceil_half_r - 1
     hi = params.n - 1
     if not (lo <= j <= hi):
-        raise InvalidDegreeError(f"j = {j} outside [{lo}, {hi}]")
+        raise PadicElimError(f"j = {j} outside [{lo}, {hi}]")
 
 
 def _star_constants(p: int, n: int, b: int, eps: int) -> tuple[int, int, int, int]:
@@ -436,7 +415,7 @@ def _table(p: int, r: int, n: int) -> tuple[_Table, int]:
         table = _TABLES[(p, n)]
     start = (r + 1) // 2 - table.j0
     if start < 0:
-        raise WindowError(f"r = {r} is below max(p, n) = {max(p, n)}")
+        raise PadicElimError(f"r = {r} is below max(p, n) = {max(p, n)}")
     return table, start
 
 
@@ -595,25 +574,27 @@ def _audit(
     return KillAudit(method, (n,), r - target, table.slacks[start:], tuple(failures))
 
 
-def audit_good(p: int, r: int, n: int, vL: Fraction | int | str) -> KillAudit:
-    """Single-congruence kill at an n with vFall = 0: target j* = n - b - 1."""
+def audit_good(p: int, r: int, n: int) -> KillAudit:
+    """Single-congruence kill at an n with vFall = 0: target j* = n - b - 1.
+
+    The verdict holds for every vL < r/2 - n; the caller checks vL.
+    """
     b, _eps, v_fall = _check_window(p, r, n)
-    _check_vl(r, n, vL)
     if v_fall != 0:
-        raise NotGoodCandidateError(
-            f"v_p([{n}]_{b + 1}) = {v_fall} != 0: n is not a good candidate"
-        )
+        raise PadicElimError(f"v_p([{n}]_{b + 1}) = {v_fall} != 0: n is not a good candidate")
     return _audit("good", p, r, n)
 
 
-def audit_bad(p: int, r: int, vL: Fraction | int | str) -> KillAudit:
-    """The n = 2p + 1 kill (b = 2, vFall = 1): target j* = 2p - 2, i* = r - 2p + 2."""
+def audit_bad(p: int, r: int) -> KillAudit:
+    """The n = 2p + 1 kill (b = 2, vFall = 1): target j* = 2p - 2, i* = r - 2p + 2.
+
+    The verdict holds for every vL < r/2 - (2p + 1); the caller checks vL.
+    """
     check_prime(p, minimum=5)
     if not (2 * p + 4 <= r <= 3 * p - 1):
-        raise InvalidRangeError(f"r = {r} outside [{2 * p + 4}, {3 * p - 1}]")
+        raise PadicElimError(f"r = {r} outside [{2 * p + 4}, {3 * p - 1}]")
     # r <= 3p - 1 <= 4p - 4 keeps n = 2p + 1 in the window: n >= r/2 + b + 1
     n = 2 * p + 1
-    _check_vl(r, n, vL)
     failures = []
     # only at r = 2p + 4 does degree p + 1 enter the window, as its
     # below-range edge; the Stirling values at t = p vanish mod p and rescue it
@@ -622,7 +603,7 @@ def audit_bad(p: int, r: int, vL: Fraction | int | str) -> KillAudit:
     return _audit("bad", p, r, n, failures)
 
 
-def audit_ugly(p: int, r: int, vL: Fraction | int | str, c: int) -> KillAudit:
+def audit_ugly(p: int, r: int, c: int) -> KillAudit:
     """Two-phase kill of j* = cp - 1 (i* = r - cp + 1) for c in {1, 2}.
 
     Phase one instantiates the congruence at n = cp + c (b = c, vFall = 1,
@@ -631,18 +612,15 @@ def audit_ugly(p: int, r: int, vL: Fraction | int | str, c: int) -> KillAudit:
     vFall = 0, target cp), where the degree-cp term is a generator and the
     degree-(cp - 1) term is forced dead (the binomial C(cp+c+1, cp-1) is
     divisible by p); this certifies that the residual is supported on
-    sub-quotients deeper than the target.
+    sub-quotients deeper than the target.  The verdict holds for every
+    vL < r/2 - (cp + c + 1), which implies phase one's bound; the caller
+    checks vL.
     """
     check_prime(p, minimum=5)
     if c not in (1, 2):
-        raise InvalidRangeError(f"c = {c} must be 1 or 2")
+        raise PadicElimError(f"c = {c} must be 1 or 2")
     if not (c * p + c + 2 <= r <= (c + 1) * p - 1):
-        raise InvalidRangeError(f"r = {r} outside [{c * p + c + 2}, {(c + 1) * p - 1}]")
-    # vL < r/2 - (cp + c + 1) is each phase's own bound on vL, or implies it
-    if not _below(vL, r, c * p + c + 1):
-        raise VLBoundError(
-            f"ugly method needs vL < r/2 - (cp + c + 1) = {Fraction(r, 2) - (c * p + c + 1)}"
-        )
+        raise PadicElimError(f"r = {r} outside [{c * p + c + 2}, {(c + 1) * p - 1}]")
 
     n1 = c * p + c
     # the window is an interval ending at r > n1 + 1, so it holds n1 + 1 with n1

@@ -28,12 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from padicelim.congruence import audit_bad, audit_good, audit_ugly, fall_valuation, window_degrees
-from padicelim.errors import (
-    EliminationIncompleteError,
-    InvalidRangeError,
-    PredictionUnavailableError,
-    VLBoundError,
-)
+from padicelim.errors import EliminationIncompleteError, PadicElimError
 from padicelim.exactnum import as_rational, check_prime
 
 __all__ = [
@@ -153,12 +148,12 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
 
     check_prime(p, minimum=5)
     if not _accepted_r(p, r):
-        raise InvalidRangeError(
-            f"r = {r} outside [{p + 3}, {2 * p - 1}] u [{2 * p + 4}, {3 * p - 1}]"
-        )
+        raise PadicElimError(f"r = {r} outside [{p + 3}, {2 * p - 1}] u [{2 * p + 4}, {3 * p - 1}]")
     vL = Fraction(-(r + 1), 2) if vL is None else as_rational(vL)
+    # the one vL check of a kill: every audited n is at most r, so
+    # vL < -r/2 gives each audit's hypothesis vL < r/2 - n
     if not vL < Fraction(-r, 2):
-        raise VLBoundError(f"vL = {vL} must be < -r/2 = {Fraction(-r, 2)}")
+        raise PadicElimError(f"vL = {vL} must be < -r/2 = {Fraction(-r, 2)}")
 
     c = r // p
     half = r // 2
@@ -187,13 +182,13 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
             )
         record(i, "shallow")
 
-    audits = [audit_good(p, r, n, vL) for n in good_candidates(p, r)]
+    audits = [audit_good(p, r, n) for n in good_candidates(p, r)]
     if c == 2:
-        audits.append(audit_bad(p, r, vL))
+        audits.append(audit_bad(p, r))
     # the two-phase kill is needed (and its window holds) iff its target
     # degree cp - 1 is inside the filtration window
     if 2 * (c * p - 1) >= r:
-        audits.append(audit_ugly(p, r, vL, c))
+        audits.append(audit_ugly(p, r, c))
     for audit in audits:
         if not audit.passed:
             witness = ",".join(map(str, audit.witness_n))
@@ -228,13 +223,11 @@ def predict(p: int, r: int) -> ReductionResult:
     """
     check_prime(p, minimum=5)
     if r == 2 * p - 1:
-        raise PredictionUnavailableError(
+        raise PadicElimError(
             f"prediction unavailable: r = 2p-1 = {r} (the reducibility guard fails)"
         )
     if r not in theorem_r_values(p):
-        raise InvalidRangeError(
-            f"r = {r} outside [{p + 3}, {2 * p - 2}] u [{2 * p + 4}, {3 * p - 1}]"
-        )
+        raise PadicElimError(f"r = {r} outside [{p + 3}, {2 * p - 2}] u [{2 * p + 4}, {3 * p - 1}]")
     trace = run_elimination(p, r)
     c = r // p
     return ReductionResult(

@@ -17,11 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
-from padicelim.errors import InvalidPrimeError, MalformedInputError
+from padicelim.errors import PadicElimError
 
 __all__ = [
     "ValP",
-    "InvalidPrimeError",
     "is_prime",
     "check_prime",
     "vp_int",
@@ -53,7 +52,7 @@ def is_prime(p: int) -> bool:
 
 def check_prime(p: int, minimum: int = 2) -> int:
     if not is_prime(p) or p < minimum:
-        raise InvalidPrimeError(f"p = {p} is not a prime >= {minimum}")
+        raise PadicElimError(f"p = {p} is not a prime >= {minimum}")
     return p
 
 
@@ -172,21 +171,19 @@ def as_rational(text: str | int | Fraction) -> Fraction:
     """Parse an exact rational literal ("a/b" or "a"); no decimals.
 
     An int or a Fraction is taken as it is; any other value that is not
-    such a literal (a float among them) raises MalformedInputError.
+    such a literal (a float among them) raises PadicElimError.
     """
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
     if not isinstance(text, str):
-        raise MalformedInputError(f"rational literal expected (got {text!r})")
+        raise PadicElimError(f"rational literal expected (got {text!r})")
     text = text.strip()
     try:
         value = Fraction(text)
     except ZeroDivisionError:
-        raise MalformedInputError(f"rational literal {text!r} has a zero denominator") from None
+        raise PadicElimError(f"rational literal {text!r} has a zero denominator") from None
     except ValueError:
-        raise MalformedInputError(f"rational literal expected (got {text!r})") from None
+        raise PadicElimError(f"rational literal expected (got {text!r})") from None
     if "." in text or "e" in text.lower():
-        raise MalformedInputError(
-            f"rational literal expected (got {text!r}); decimals are not accepted"
-        )
+        raise PadicElimError(f"rational literal expected (got {text!r}); decimals are not accepted")
     return value

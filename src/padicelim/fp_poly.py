@@ -46,7 +46,7 @@ from itertools import repeat
 from math import comb
 from typing import NamedTuple
 
-from padicelim.errors import InvalidRangeError, NotPolynomialError
+from padicelim.errors import PadicElimError
 from padicelim.exactnum import check_prime
 
 __all__ = [
@@ -133,16 +133,16 @@ class HPoly:
 
     def div_x(self) -> "HPoly":
         if self.coeffs[0] != 0:
-            raise NotPolynomialError("not divisible by X: pure Y term present")
+            raise PadicElimError("not divisible by X: pure Y term present")
         if self.degree == 0:
-            raise NotPolynomialError("cannot divide a constant by X")
+            raise PadicElimError("cannot divide a constant by X")
         return HPoly(self.p, self.coeffs[1:])
 
     def div_y(self) -> "HPoly":
         if self.coeffs[-1] != 0:
-            raise NotPolynomialError("not divisible by Y: pure X term present")
+            raise PadicElimError("not divisible by Y: pure X term present")
         if self.degree == 0:
-            raise NotPolynomialError("cannot divide a constant by Y")
+            raise PadicElimError("cannot divide a constant by Y")
         return HPoly(self.p, self.coeffs[:-1])
 
     def _compat(self, other: "HPoly") -> None:
@@ -206,10 +206,10 @@ def shallow_summand(p: int, r: int, i: int, lam: int) -> HPoly:
     """(X - lam Y)^(r - i(p+1) + 1) * theta^i / Y, exact over F_p."""
     check_prime(p)
     if i < 1:
-        raise InvalidRangeError("i must be >= 1")
+        raise PadicElimError("i must be >= 1")
     k = r - i * (p + 1) + 1
     if k < 0:
-        raise NotPolynomialError(
+        raise PadicElimError(
             f"r = {r} < i(p+1) - 1 = {i * (p + 1) - 1}: the quotient is not a polynomial"
         )
     return linear_form_power(p, 1, -lam, k) * _theta_power(p, i).div_y()
@@ -235,7 +235,7 @@ def pure_y_defect(p: int, r: int, lam: int) -> int:
     """
     check_prime(p)
     if r < p - 1:
-        raise InvalidRangeError("r must be at least p - 1")
+        raise PadicElimError("r must be at least p - 1")
     return _y_defect(p, r, lam)
 
 
@@ -266,7 +266,7 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
     """Certify the vanishing of the sub-quotient indexed by i - 1."""
     check_prime(p, minimum=5)
     if i < 1 or r < i * (p + 1) - 1 or r > p * p - p - 1:
-        raise InvalidRangeError(
+        raise PadicElimError(
             f"(p, r, i) = ({p}, {r}, {i}) violates 1 <= i, i(p+1)-1 <= r <= p^2-p-1"
         )
     failures: list[str] = []

@@ -37,7 +37,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from padicelim.combinat import stirling2
-from padicelim.errors import DigitError, WindowError
+from padicelim.errors import PadicElimError
 from padicelim.exactnum import binom, check_prime
 
 __all__ = ["LambdaVector", "BulletReport", "solve_lambda", "lambda_closed", "verify_lambda"]
@@ -45,9 +45,9 @@ __all__ = ["LambdaVector", "BulletReport", "solve_lambda", "lambda_closed", "ver
 def _check_window(p: int, b: int, n: int) -> None:
     check_prime(p, minimum=5)
     if b < 0 or b > p - 2:
-        raise DigitError(f"b = {b} outside [0, {p - 2}]")
+        raise PadicElimError(f"b = {b} outside [0, {p - 2}]")
     if not (b * p <= n <= (b + 1) * p - 1):
-        raise WindowError(f"n = {n} outside [{b * p}, {(b + 1) * p - 1}]")
+        raise PadicElimError(f"n = {n} outside [{b * p}, {(b + 1) * p - 1}]")
 
 
 class LambdaVector:

@@ -95,6 +95,13 @@ class TestEliminate:
         code, _, _ = run_cli(capsys, "eliminate", "--p", "5", "--r", "11")
         assert code == 2
 
+    def test_failed_audit_exits_1_with_one_error_line(self, capsys, monkeypatch, mutate_table):
+        # the good n = 11 of (7, 12) loses its generator: a kill fails on valid input
+        mutate_table(monkeypatch, 11, (2, 0, 9), slack=1)
+        code, out, err = run_cli(capsys, "eliminate", "--p", "7", "--r", "12")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: good audit failed at n = 11: ") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_lambda_p5_reports_observed_deviation(self, capsys):

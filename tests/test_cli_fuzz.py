@@ -1,4 +1,8 @@
-"""Fuzzes of the CLI: every argv exits 0, 1 or 2 with no exception, and trace JSON matches json.dumps."""
+"""Fuzzes of the CLI and the kill trace.
+
+Every argv exits 0, 1 or 2 with no exception and a one-line error, trace JSON
+matches json.dumps, and the kills do not depend on vL.
+"""
 
 import contextlib
 import io
@@ -66,6 +70,12 @@ def test_main_exits_0_1_or_2(argv):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        # one error line, last: argparse puts its usage lines before it
+        assert sum("error:" in line for line in lines) == 1 and "error:" in lines[-1], (argv, lines)
+    elif code == 1 and argv[0] != "verify":
+        assert len(lines) == 1, (argv, lines)
 
 
 @st.composite
@@ -84,3 +94,10 @@ def eliminations(draw):
 def test_trace_json_matches_json_dumps(args):
     trace = run_elimination(*args)
     assert emit_report(trace, "json") == json.dumps(trace.to_dict(), indent=2, sort_keys=True)
+
+
+@settings(max_examples=40, database=None, derandomize=True, deadline=None)
+@given(args=eliminations())
+def test_kills_do_not_depend_on_vl(args):
+    p, r, vL = args
+    assert run_elimination(p, r, vL).entries == run_elimination(p, r).entries

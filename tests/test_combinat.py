@@ -17,7 +17,7 @@ from padicelim.combinat import (
     stirling2_def,
     stirling_lucas_check,
 )
-from padicelim.exactnum import InvalidPrimeError
+from padicelim.errors import PadicElimError
 
 
 class TestLucasModP:
@@ -34,7 +34,7 @@ class TestLucasModP:
                 assert lucas_mod_p(n, k, p) == math.comb(n, k) % p
 
     def test_composite_rejected(self):
-        with pytest.raises(InvalidPrimeError):
+        with pytest.raises(PadicElimError, match=r"^p = 9 is not a prime >= 2$"):
             lucas_mod_p(10, 3, 9)
 
 
@@ -117,5 +117,5 @@ class TestStirlingLucas:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             stirling_lucas_check(1, 1, 0, 5)
-        with pytest.raises(InvalidPrimeError):
+        with pytest.raises(PadicElimError, match=r"^p = 4 is not a prime >= 2$"):
             stirling_lucas_check(1, 1, 1, 4)

@@ -13,14 +13,8 @@ from padicelim.eliminator import (
     theorem_r_values,
     trace_from_dict,
 )
-from padicelim.errors import (
-    EliminationIncompleteError,
-    InvalidRangeError,
-    MalformedInputError,
-    PredictionUnavailableError,
-    VLBoundError,
-)
-from padicelim.exactnum import InvalidPrimeError, is_prime
+from padicelim.errors import EliminationIncompleteError, PadicElimError
+from padicelim.exactnum import is_prime
 
 
 def survivors(trace):
@@ -106,26 +100,43 @@ class TestRunElimination:
     def test_default_and_explicit_vl(self):
         assert run_elimination(5, 8).vL == Fraction(-9, 2)
         assert run_elimination(5, 8, "-13/2").vL == Fraction(-13, 2)
-        with pytest.raises(VLBoundError):
+        with pytest.raises(PadicElimError, match=r"^vL = -4 must be < -r/2 = -4$"):
             run_elimination(5, 8, -4)  # not < -r/2
+
+    def test_every_audited_n_is_at_most_r(self):
+        # the audits need vL < r/2 - n, which vL < -r/2 gives once n <= r:
+        # so run_elimination's check is the one vL check of a kill
+        for p in filter(is_prime, range(5, 60)):
+            for r in filter(lambda r: eliminator._accepted_r(p, r), range(p, 3 * p)):
+                c = r // p
+                audited = set(good_candidates(p, r))
+                if c == 2:
+                    audited.add(2 * p + 1)
+                if 2 * (c * p - 1) >= r:
+                    audited |= {c * p + c, c * p + c + 1}
+                assert all(n <= r for n in audited), (p, r)
+                if p < 14:  # the n listed are those the trace's kills were audited at
+                    trace = run_elimination(p, r)
+                    assert {n for e in trace.entries if e.witness_n for n in e.witness_n} == audited, (p, r)
 
     @pytest.mark.parametrize("vL, message", [
         (-4.5, "rational literal expected (got -4.5)"),
         ("-4.5", "rational literal expected (got '-4.5'); decimals are not accepted"),
     ], ids=["float", "decimal-text"])
     def test_float_and_decimal_vl_rejected(self, vL, message):
-        with pytest.raises(MalformedInputError) as caught:
+        with pytest.raises(PadicElimError) as caught:
             run_elimination(5, 8, vL)
-        assert str(caught.value) == message
+        assert type(caught.value) is PadicElimError and str(caught.value) == message
 
     def test_range_errors(self):
-        with pytest.raises(InvalidRangeError):
+        outside = r" outside \[8, 9\] u \[14, 14\]$"
+        with pytest.raises(PadicElimError, match="^r = 7" + outside):
             run_elimination(5, 7)  # below p + 3
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(PadicElimError, match="^r = 10" + outside):
             run_elimination(5, 10)  # the gap [2p, 2p+3]
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(PadicElimError, match="^r = 15" + outside):
             run_elimination(5, 15)  # above 3p - 1
-        with pytest.raises(InvalidPrimeError):
+        with pytest.raises(PadicElimError, match=r"^p = 9 is not a prime >= 5$"):
             run_elimination(9, 12)
 
     def test_good_candidates_never_target_survivor(self):
@@ -165,7 +176,7 @@ class TestPredict:
         assert predict(5, 14).label == "ind omega2^15"
 
     def test_r_2p_minus_1_unavailable(self):
-        with pytest.raises(PredictionUnavailableError, match="r = 2p-1"):
+        with pytest.raises(PadicElimError, match=r"^prediction unavailable: r = 2p-1 = 9 \(the reducibility guard fails\)$"):
             predict(5, 9)
 
     def test_guard_fails_only_at_r_2p_minus_1(self):
@@ -177,10 +188,11 @@ class TestPredict:
                 assert blocked == (r == 2 * p - 1), (p, r)
 
     def test_gap_ranges_rejected(self):
+        outside = r" outside \[8, 8\] u \[14, 14\]$"
         for r in (10, 11, 12, 13):  # [2p, 2p+3] for p = 5
-            with pytest.raises(InvalidRangeError):
+            with pytest.raises(PadicElimError, match=f"^r = {r}" + outside):
                 predict(5, r)
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(PadicElimError, match="^r = 7" + outside):
             predict(5, 7)  # r <= p + 2 not covered
 
     @pytest.mark.parametrize("p", [5, 7])

@@ -13,7 +13,7 @@ import pytest
 
 from padicelim import fp_poly, verify
 from padicelim.eliminator import theorem_r_values
-from padicelim.errors import InvalidPrimeError, InvalidRangeError, NotPolynomialError
+from padicelim.errors import PadicElimError
 from padicelim.exactnum import is_prime
 from padicelim.fp_poly import (
     HPoly,
@@ -57,9 +57,9 @@ class TestHPoly:
         f = theta(5)
         assert f.div_x() == HPoly(5, (-1, 0, 0, 0, 1, 0))  # X^4 Y - Y^5
         assert f.div_y() == HPoly(5, (0, -1, 0, 0, 0, 1))  # X^5 - X Y^4
-        with pytest.raises(NotPolynomialError):
+        with pytest.raises(PadicElimError, match=r"^not divisible by X: pure Y term present$"):
             HPoly(5, (1, 1)).div_x()
-        with pytest.raises(NotPolynomialError):
+        with pytest.raises(PadicElimError, match=r"^not divisible by Y: pure X term present$"):
             HPoly(5, (1, 1)).div_y()
 
     def test_value_equality_hash_and_immutability(self):
@@ -168,7 +168,7 @@ class TestShallowSummand:
         assert got.min_x_degree() == 5 >= 2
 
     def test_below_bound_is_not_polynomial(self):
-        with pytest.raises(NotPolynomialError):
+        with pytest.raises(PadicElimError, match=r"^r = 4 < i\(p\+1\) - 1 = 5: the quotient is not a polynomial$"):
             shallow_summand(5, 4, 1, 2)
 
 
@@ -192,11 +192,12 @@ class TestShallowKillCheck:
         )
 
     def test_range_errors(self):
-        with pytest.raises(InvalidRangeError):
+        violates = r" violates 1 <= i, i\(p\+1\)-1 <= r <= p\^2-p-1$"
+        with pytest.raises(PadicElimError, match=r"^\(p, r, i\) = \(5, 10, 2\)" + violates):
             shallow_kill_check(5, 10, 2)  # 10 < 2*6 - 1
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(PadicElimError, match=r"^\(p, r, i\) = \(5, 20, 1\)" + violates):
             shallow_kill_check(5, 20, 1)  # r > p^2 - p - 1
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(PadicElimError, match=r"^\(p, r, i\) = \(5, 8, 0\)" + violates):
             shallow_kill_check(5, 8, 0)
 
     def test_pure_y_check_reads_every_lam_under_one_prime_check(self, monkeypatch):
@@ -213,9 +214,9 @@ class TestShallowKillCheck:
         monkeypatch.setattr(fp_poly, "check_prime", counted)
         assert shallow_kill_check(13, 20, 1).passed
         assert checked == [13]
-        with pytest.raises(InvalidPrimeError):
+        with pytest.raises(PadicElimError, match=r"^p = 9 is not a prime >= 2$"):
             pure_y_defect(9, 20, 1)
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(PadicElimError, match=r"^r must be at least p - 1$"):
             pure_y_defect(13, 11, 1)
 
     def test_r_equals_p_minus_1_negative(self):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from padicelim.errors import DigitError, WindowError
-from padicelim.exactnum import InvalidPrimeError, binom
+from padicelim.errors import PadicElimError
+from padicelim.exactnum import binom
 from padicelim.lambda_solver import BulletReport, LambdaVector, lambda_closed, solve_lambda, verify_lambda
 
 # hypothesis caches the constants it finds in local source under its home
@@ -68,13 +68,13 @@ class TestSolve:
             assert solve_lambda(p, b, n).entries[(b + 1) * p] == -1
 
     def test_errors(self):
-        with pytest.raises(WindowError):
+        with pytest.raises(PadicElimError, match=r"^n = 4 outside \[5, 9\]$"):
             solve_lambda(5, 1, 4)  # below bp
-        with pytest.raises(WindowError):
+        with pytest.raises(PadicElimError, match=r"^n = 10 outside \[5, 9\]$"):
             solve_lambda(5, 1, 10)  # above (b+1)p - 1
-        with pytest.raises(DigitError):
+        with pytest.raises(PadicElimError, match=r"^b = 4 outside \[0, 3\]$"):
             solve_lambda(5, 4, 20)  # b = p - 1 rejected, not extrapolated
-        with pytest.raises(InvalidPrimeError):
+        with pytest.raises(PadicElimError, match=r"^p = 4 is not a prime >= 5$"):
             solve_lambda(4, 0, 2)
 
 
