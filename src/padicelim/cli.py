@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from padicelim.congruence import make_params, master_terms
 from padicelim.eliminator import (
@@ -364,8 +365,18 @@ def _add_emit(parser: argparse.ArgumentParser, formats=("table", "json", "tsv"))
     parser.add_argument("--emit", choices=formats, default="table", help="output format")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors reach main's one ``error:`` line, with no usage.
+
+    Its subparsers are of the same class: argparse's default parser_class.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        raise PadicElimError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padicelim",
         description="Exact p-adic congruence audits and sub-quotient elimination traces.",
     )
@@ -439,17 +450,15 @@ def _merge_signed_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _merge_signed_flags(list(argv))
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        ns = _build_parser().parse_args(_merge_signed_flags(list(argv)))
         result, passed = ns.func(ns)
         text = emit_report(result, ns.emit)
+    except SystemExit:
+        # --help printed the help; every argparse error raises PadicElimError
+        return EXIT_OK
     except PadicElimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED if isinstance(exc, EliminationIncompleteError) else EXIT_USAGE
@@ -462,7 +471,3 @@ def main(argv: list[str] | None = None) -> int:
     if ns.emit == "table" and isinstance(result, VerifyResult):
         sys.stderr.write("".join(f"  FAIL: {failure}\n" for failure in result.failures))
     return EXIT_OK if passed else EXIT_FAILED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -19,15 +19,11 @@ result so property tests can score the lemma path separately.
 
 from __future__ import annotations
 
+from math import comb
 from operator import add, mul
 from typing import NamedTuple
 
-from padicelim.exactnum import (
-    binom,
-    check_prime,
-    harmonic,
-    rational_mod,
-)
+from padicelim.exactnum import check_prime, harmonic, rational_mod
 
 __all__ = [
     "lucas_mod_p",
@@ -78,7 +74,7 @@ def stirling2_def(t: int, s: int) -> int:
         return 0
     total = 0
     for j in range(s + 1):
-        total += (-1) ** j * binom(s, j) * (s - j) ** t
+        total += (-1) ** j * comb(s, j) * (s - j) ** t
     fact = 1
     for m in range(2, s + 1):
         fact *= m
@@ -94,7 +90,7 @@ def lucas_mod_p(n_big: int, k_big: int, p: int) -> int:
         raise ValueError("N, K must be nonnegative")
     out = 1
     while n_big or k_big:
-        out = out * binom(n_big % p, k_big % p) % p
+        out = out * comb(n_big % p, k_big % p) % p
         n_big //= p
         k_big //= p
     return out
@@ -118,12 +114,12 @@ def binom_mod_p2(n_big: int, k_big: int, p: int) -> Mod2Residue:
     a, r_digit = divmod(n_big, p)
     b, s_digit = divmod(k_big, p)
     if s_digit > r_digit:
-        return Mod2Residue(binom(n_big, k_big) % modulus, False)
+        return Mod2Residue(comb(n_big, k_big) % modulus, False)
     ha = harmonic(r_digit)
     hm = harmonic(r_digit - s_digit)
     hs = harmonic(s_digit)
     correction = 1 + p * a * (ha - hm) + p * b * (hm - hs)
-    value = binom(a, b) * binom(r_digit, s_digit) * correction
+    value = comb(a, b) * comb(r_digit, s_digit) * correction
     return Mod2Residue(rational_mod(value, modulus), True)
 
 

@@ -96,6 +96,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from padicelim.combinat import stirling2, stirling2_column
@@ -104,7 +105,6 @@ from padicelim.exactnum import (
     INF,
     ValP,
     as_rational,
-    binom,
     check_prime,
     harmonic,
     rational_mod,
@@ -161,9 +161,21 @@ def fall_valuation(p: int, n: int) -> int:
     return n // p - (n - n // p - 1) // p
 
 
+def _window_start(p: int, r: int) -> int:
+    """The least n with n >= r/2 + b + 1, b = floor(n/p).
+
+    2n - 2b never falls as n grows, so the window is [this n, r]; the walk
+    up from r // 2 + 1 takes about r/(2p) steps.
+    """
+    n = r // 2 + 1
+    while 2 * n < r + 2 * (n // p) + 2:
+        n += 1
+    return n
+
+
 def window_degrees(p: int, r: int) -> tuple[int, ...]:
     """The n <= r in the window n >= r/2 + b + 1, b = floor(n/p), in increasing order."""
-    return tuple(n for n in range(r // 2 + 1, r + 1) if 2 * n >= r + 2 * (n // p) + 2)
+    return tuple(range(_window_start(p, r), r + 1))
 
 
 def _check_window(p: int, r: int, n: int) -> tuple[int, int, int]:
@@ -171,10 +183,9 @@ def _check_window(p: int, r: int, n: int) -> tuple[int, int, int]:
     check_prime(p, minimum=5)
     if not (p <= r <= p * p - p - 1):
         raise PadicElimError(f"r = {r} outside [{p}, {p * p - p - 1}]")
-    # n >= r/2 + b + 1 with b = floor(n/p): 2n - 2b never falls as n grows,
-    # so the window is the interval [window_degrees(p, r)[0], r]
+    # n >= r/2 + b + 1 with b = floor(n/p): the window is [_window_start(p, r), r]
     if not (0 <= n <= r and 2 * n >= r + 2 * (n // p) + 2):
-        raise PadicElimError(f"n = {n} outside the window [{window_degrees(p, r)[0]}, {r}]")
+        raise PadicElimError(f"n = {n} outside the window [{_window_start(p, r)}, {r}]")
     # n <= r <= p^2 - p - 1 keeps b <= p - 2
     b, eps = divmod(n, p)
     # the hypotheses give vFall <= 1 and n - vFall > r/2, so make_params'
@@ -212,7 +223,7 @@ def _star_constants(p: int, n: int, b: int, eps: int) -> tuple[int, int, int, in
     fact_b1 = math.factorial(b1)
     ph = p * harmonic(eps)
     sign_n = -1 if n % 2 else 1
-    lead = binom(b1 * p - 1, n) * sign_n
+    lead = comb(b1 * p - 1, n) * sign_n
     return fact_b1, ph.numerator, ph.denominator, lead
 
 
@@ -353,12 +364,12 @@ def _build_table(p: int, n: int) -> _Table:
     v_fall = fall_valuation(p, n)
     j0 = (max(p, n) + 1) // 2
     # the line-1 a-factors (-1)^a C(eps, a)
-    factors = tuple((-1) ** a * binom(eps, a) for a in range(1, eps + 1))
+    factors = tuple((-1) ** a * comb(eps, a) for a in range(1, eps + 1))
     # line 1 runs over m = 1..top - 1 and line 2 over m = 1..top
     top = n - j0 + 1
     # a column is C(n, j) (-1)^(j+b+1) C(b1 p, n+1) (n+1) b! {m brace b}, its
     # sign (-1)^(n+b+1) here and (-1)^m on the carried binomial
-    prefactor = binom(b1 * p, n + 1) * (n + 1) * math.factorial(b) * (-1 if (n + b + 1) % 2 else 1)
+    prefactor = comb(b1 * p, n + 1) * (n + 1) * math.factorial(b) * (-1 if (n + b + 1) % 2 else 1)
     stirling_b = stirling2_column(b, top)
     # star_j times ph_den, as in _star_numerator: lead_den ({m brace b1} b1! - b1^m)
     #   + lead_num ({m+1 brace b1} b1! - b1^(m+1)) - b1^m ph_den
@@ -629,7 +640,7 @@ def audit_ugly(p: int, r: int, c: int) -> KillAudit:
 
     n2 = n1 + 1
     failures2 = []
-    if binom(n2, c * p - 1) % p != 0:
+    if comb(n2, c * p - 1) % p != 0:
         failures2.append(f"C({n2}, {c * p - 1}) is a p-unit; residual certificate fails")
     phase2 = _audit("ugly-phase2", p, r, n2, failures2, must_die=c * p - 1)
 

@@ -226,7 +226,7 @@ def predict(p: int, r: int) -> ReductionResult:
         raise PadicElimError(
             f"prediction unavailable: r = 2p-1 = {r} (the reducibility guard fails)"
         )
-    if r not in theorem_r_values(p):
+    if not _accepted_r(p, r):
         raise PadicElimError(f"r = {r} outside [{p + 3}, {2 * p - 2}] u [{2 * p + 4}, {3 * p - 1}]")
     trace = run_elimination(p, r)
     c = r // p

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import isqrt
 
 from padicelim.errors import PadicElimError
 
@@ -26,7 +26,6 @@ __all__ = [
     "vp_int",
     "vp",
     "vp_factorial",
-    "binom",
     "harmonic",
     "rational_mod",
     "as_rational",
@@ -124,15 +123,6 @@ def vp_factorial(n: int, p: int) -> int:
         total += n // q
         q *= p
     return total
-
-
-def binom(n: int, k: int) -> int:
-    """Exact C(n, k) for n >= 0, with C(n, k) = 0 outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 @lru_cache(maxsize=None)

@@ -51,9 +51,7 @@ from padicelim.exactnum import check_prime
 
 __all__ = [
     "HPoly",
-    "Matrix2",
     "theta",
-    "linear_form_power",
     "act",
     "shallow_summand",
     "pure_y_defect",
@@ -61,7 +59,6 @@ __all__ = [
     "shallow_kill_check",
 ]
 
-Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 class HPoly:
     """Homogeneous polynomial; coeffs[j] multiplies X^j Y^(degree - j).
@@ -150,7 +147,7 @@ class HPoly:
             raise ValueError("mixed characteristics")
 
 
-def linear_form_power(p: int, a: int, b: int, e: int) -> HPoly:
+def _linear_form_power(p: int, a: int, b: int, e: int) -> HPoly:
     """(aX + bY)^e expanded by the binomial theorem: X^j has C(e, j) a^j b^(e-j)."""
     check_prime(p)
     a_pow, b_pow = [1], [1]
@@ -185,7 +182,7 @@ def _lin_mul(coeffs: list[int], x_coef: int, y_coef: int, p: int) -> list[int]:
     return out
 
 
-def act(m: Matrix2, f: HPoly) -> HPoly:
+def act(m: tuple[tuple[int, int], tuple[int, int]], f: HPoly) -> HPoly:
     """Substitute X -> aX + bY, Y -> cX + dY (Horner in the second form)."""
     (a, b), (c, d) = m
     p = f.p
@@ -212,7 +209,7 @@ def shallow_summand(p: int, r: int, i: int, lam: int) -> HPoly:
         raise PadicElimError(
             f"r = {r} < i(p+1) - 1 = {i * (p + 1) - 1}: the quotient is not a polynomial"
         )
-    return linear_form_power(p, 1, -lam, k) * _theta_power(p, i).div_y()
+    return _linear_form_power(p, 1, -lam, k) * _theta_power(p, i).div_y()
 
 
 @lru_cache(maxsize=None)

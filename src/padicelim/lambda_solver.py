@@ -32,13 +32,13 @@ agree entry-wise, exactly.  ``verify_lambda`` shares no code with either.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from operator import add, sub
 from typing import NamedTuple
 
 from padicelim.combinat import stirling2
 from padicelim.errors import PadicElimError
-from padicelim.exactnum import binom, check_prime
+from padicelim.exactnum import check_prime
 
 __all__ = ["LambdaVector", "BulletReport", "solve_lambda", "lambda_closed", "verify_lambda"]
 
@@ -106,7 +106,7 @@ def lambda_closed(p: int, b: int, n: int) -> tuple[Fraction, ...]:
     """
     _check_window(p, b, n)
     y = (b + 1) * p
-    numerator = (-1) ** n * y * binom(y - 1, n)  # at i = 0
+    numerator = (-1) ** n * y * comb(y - 1, n)  # at i = 0
     values = [Fraction(numerator, y)]
     for i in range(1, n + 1):
         numerator = -numerator * (n - i + 1) // i
@@ -190,7 +190,7 @@ def verify_lambda(v: LambdaVector) -> BulletReport:
         if i % p == 0:
             k = i // p
             sign = -1 if (b - k) % 2 else 1
-            if (v.entries[i] - sign * binom(b + 1, k)) % p != 0:
+            if (v.entries[i] - sign * comb(b + 1, k)) % p != 0:
                 bullet3 = False
                 failures.append(f"bullet 3 fails at i = {i}")
         elif v.entries[i] % p != 0:

@@ -550,10 +550,42 @@ class TestUsage:
         assert (done.returncode, done.stderr) == (1, b"")
 
     def test_no_subcommand_exits_2(self, capsys):
-        assert main([]) == 2
+        expected = "error: padicelim: the following arguments are required: cmd\n"
+        assert run_cli(capsys) == (2, "", expected)
+
+    @pytest.mark.parametrize(
+        "argv,prog,message",
+        [
+            (["predict", "--p", "5", "--r", "x"], "padicelim predict", "argument --r: invalid int value: 'x'"),
+            (["predict", "--p", "5"], "padicelim predict", "the following arguments are required: --r"),
+            (
+                ["verify", "everything"], "padicelim verify",
+                "argument lemma: invalid choice: 'everything' (choose from 'inequalities', 'lambda', "
+                "'lucas2', 'shallow', 'star', 'stirling-lucas', 'vl-independence')",
+            ),
+            (
+                ["predict", "--p", "5", "--r", "8", "--emit", "xml"], "padicelim predict",
+                "argument --emit: invalid choice: 'xml' (choose from 'table', 'json', 'tsv')",
+            ),
+            (["predict", "--p", "5", "--r", "8", "--x", "1"], "padicelim", "unrecognized arguments: --x 1"),
+            (
+                ["sweep", "--p-range", "5:7", "--jobs", "0"], "padicelim sweep",
+                "argument --jobs: expected an integer >= 1, got '0'",
+            ),
+            (
+                ["sweep", "--p-range", "5"], "padicelim sweep",
+                "argument --p-range: range must look like A:B, got '5'",
+            ),
+        ],
+    )
+    def test_argparse_error_is_one_line(self, capsys, argv, prog, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {prog}: {message}\n")
 
     def test_help_exits_0(self, capsys):
-        assert main(["--help"]) == 0
+        for argv in (["--help"], ["predict", "--help"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out.startswith(f"usage: {' '.join(['padicelim', *argv[:-1]])} [-h]"), out
 
 
 class TestInvariantsUnderOptimization:

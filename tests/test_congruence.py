@@ -5,6 +5,7 @@ evaluation: star_5 = 608, star_6 = 610, with residues 8 and 10 mod 25.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,23 @@ class TestMakeParams:
     def test_n_above_r_is_a_window_error(self):
         with pytest.raises(PadicElimError, match=r"^n = 20 outside the window \[13, 19\]$"):
             make_params(5, 19, 20, -20)
+
+    def test_window_error_does_not_build_the_window(self):
+        # r may reach p^2 - p - 1; the message walks to the window's start
+        tracemalloc.start()
+        try:
+            with pytest.raises(PadicElimError, match=r"^n = 0 outside the window \[508541, 1016071\]$"):
+                make_params(1009, 1016071, 0, -10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_window_degrees_match_the_definition(self):
+        for p in filter(is_prime, range(5, 40)):
+            for r in range(p * p):
+                want = tuple(n for n in range(r // 2 + 1, r + 1) if 2 * n >= r + 2 * (n // p) + 2)
+                assert window_degrees(p, r) == want, (p, r)
 
     def test_admissible_degrees_keep_b_at_most_p_minus_2(self):
         # every admissible n has n <= r, and n = r is admissible, so the
@@ -422,8 +440,8 @@ class TestAuditUgly:
             failures = audit_ugly(5, 8, 1).failures
         assert failures == ("term (line 2, a=0, j=4) has slack 0, needs > 0 (dead)",)
         # C(7, 4) = 35 supplies the p; a unit in its place breaks the certificate
-        binom = congruence.binom
-        monkeypatch.setattr(congruence, "binom", lambda n, k: 1 if (n, k) == (7, 4) else binom(n, k))
+        comb = congruence.comb
+        monkeypatch.setattr(congruence, "comb", lambda n, k: 1 if (n, k) == (7, 4) else comb(n, k))
         assert audit_ugly(5, 8, 1).failures == ("C(7, 4) is a p-unit; residual certificate fails",)
 
     def test_errors(self):

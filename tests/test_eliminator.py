@@ -1,6 +1,7 @@
 """Elimination engine: full traces, predictions, round trip."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,16 @@ class TestPredict:
                 predict(5, r)
         with pytest.raises(PadicElimError, match="^r = 7" + outside):
             predict(5, 7)  # r <= p + 2 not covered
+
+    def test_r_rejected_without_building_the_theorem_range(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PadicElimError, match=r"^r = 5 outside \[1000006, 2000004\] u \[2000010, 3000008\]$"):
+                predict(1000003, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_sweep_survivor_and_exponent(self, p):

@@ -1,7 +1,7 @@
 """Arithmetic substrate tests.
 
 Oracles here are deliberately primitive: valuations are checked by stripping
-factors off exactly computed integers, and binomials against Pascal's rule.
+factors off exactly computed integers.
 """
 
 import math
@@ -16,7 +16,6 @@ from padicelim.exactnum import (
     INF,
     ValP,
     as_rational,
-    binom,
     harmonic,
     is_prime,
     rational_mod,
@@ -92,22 +91,6 @@ class TestVpFactorial:
     def test_composite_p_rejected(self):
         with pytest.raises(PadicElimError, match=r"^p = 8 is not a prime >= 2$"):
             vp_factorial(10, 8)
-
-
-class TestBinom:
-    def test_examples(self):
-        assert binom(9, 7) == 36
-        assert binom(17, 0) == 1
-        assert binom(3, 5) == 0
-        assert binom(4, -1) == 0
-
-    def test_pascal_oracle(self):
-        # rebuild Pascal's triangle independently
-        row = [1]
-        for n in range(60):
-            for k, expected in enumerate(row):
-                assert binom(n, k) == expected
-            row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
 
 
 class TestHarmonic:

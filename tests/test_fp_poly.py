@@ -18,7 +18,6 @@ from padicelim.exactnum import is_prime
 from padicelim.fp_poly import (
     HPoly,
     act,
-    linear_form_power,
     pure_y_defect,
     shallow_kill_check,
     shallow_summand,
@@ -110,10 +109,11 @@ class TestAction:
         coeffs[0] = -1
         coeffs[p - 1] = 1
         f = HPoly(p, tuple(coeffs))
+        power = fp_poly._linear_form_power
         for lam in range(p):
             got = act(((0, 1), (1, -lam)), f)
-            first = linear_form_power(p, 0, 1, p - 1) * linear_form_power(p, 1, -lam, r - p + 1)
-            second = linear_form_power(p, 1, -lam, r)
+            first = power(p, 0, 1, p - 1) * power(p, 1, -lam, r - p + 1)
+            second = power(p, 1, -lam, r)
             want = HPoly(p, tuple(a - b for a, b in zip(first.coeffs, second.coeffs)))
             assert got == want, lam
 
@@ -140,7 +140,7 @@ class TestAction:
         for a in range(p):
             for b in range(p):
                 for e in range(2 * p + 1):
-                    assert linear_form_power(p, a, b, e) == HPoly(p, (b, a)).power(e), (a, b, e)
+                    assert fp_poly._linear_form_power(p, a, b, e) == HPoly(p, (b, a)).power(e), (a, b, e)
 
     def test_right_action_composition(self):
         rng = random.Random(7121)
