@@ -331,17 +331,19 @@ def _cmd_predict(ns: argparse.Namespace) -> tuple[ReductionResult, bool]:
 
 def _cmd_sweep(ns: argparse.Namespace) -> tuple[list[ReductionResult], bool]:
     p_lo, p_hi = ns.p_range
+    r_lo, r_hi = ns.r_range or (0, None)
+    # the theorem range of p lies in [p + 3, 3p - 1], so only the primes in
+    # [(r_lo + 1)/3, r_hi - 3] can meet [r_lo, r_hi]
+    if r_hi is not None:
+        p_hi = min(p_hi, r_hi - 3)
     # one task per prime, largest first: the cost grows about as p^4, so
     # the last task a worker takes is a small one
     ps: list[int] = []
     rs: list[tuple[int, ...]] = []
-    for p in range(p_hi, max(p_lo, 5) - 1, -1):
+    for p in range(p_hi, max(p_lo, 5, -(-(r_lo + 1) // 3)) - 1, -1):
         if not is_prime(p):
             continue
-        r_values = theorem_r_values(p)
-        if ns.r_range:
-            r_lo, r_hi = ns.r_range
-            r_values = tuple(r for r in r_values if r_lo <= r <= r_hi)
+        r_values = theorem_r_values(p, r_lo, r_hi)
         if r_values:
             ps.append(p)
             rs.append(r_values)

@@ -210,9 +210,11 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
     return KillTrace(p=p, r=r, c=c, vL=vL, entries=entries)
 
 
-def theorem_r_values(p: int) -> tuple[int, ...]:
-    """The r values covered by the prediction: [p+3, 2p-2] and [2p+4, 3p-1]."""
-    return tuple(range(p + 3, 2 * p - 1)) + tuple(range(2 * p + 4, 3 * p))
+def theorem_r_values(p: int, r_lo: int = 0, r_hi: int | None = None) -> tuple[int, ...]:
+    """The r values covered by the prediction: [p+3, 2p-2] and [2p+4, 3p-1], within [r_lo, r_hi]."""
+    top = 3 * p - 1 if r_hi is None else min(r_hi, 3 * p - 1)
+    low = range(max(r_lo, p + 3), min(top, 2 * p - 2) + 1)
+    return tuple(low) + tuple(range(max(r_lo, 2 * p + 4), top + 1))
 
 
 def predict(p: int, r: int) -> ReductionResult:

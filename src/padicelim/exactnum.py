@@ -32,9 +32,14 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def is_prime(p: int) -> bool:
-    """Deterministic primality by trial division (inputs here are small)."""
+    """Deterministic primality by trial division (inputs here are small).
+
+    The cache serves ``check_prime``, which every request calls with the
+    few primes it works at; a sweep's scan of its p range passes through it
+    without growing it.
+    """
     if p < 2:
         return False
     if p < 4:

@@ -196,40 +196,56 @@ def _admissible_rn(p: int):
             yield r, n, n // p
 
 
+def _star_case_failures(params) -> list[tuple[int, str]]:
+    """The failing (j, text) pairs of the star checks over params' window of degrees."""
+    p, n, b = params.p, params.n, params.b
+    mod2 = p * p
+    fact_b1 = math.factorial(b + 1)
+    ph_eps = p * harmonic(params.eps)
+    failures = []
+    for j in range(params.ceil_half_r - 1, n):
+        full = star_full(params, j)
+        simple = star_mod_p2(params, j)
+        if rational_mod(full, mod2) != simple:
+            failures.append((j, "full != simplified mod p^2"))
+        got_p = rational_mod(full, p)
+        got_p2 = rational_mod(full, mod2)
+        if j >= n - b and got_p != 0:
+            failures.append((j, "expected 0 mod p"))
+        if j == n - b - 1 and got_p != (-fact_b1) % p:
+            failures.append((j, "expected -(b+1)! mod p"))
+        if n - b + 1 <= j <= n - 1 and got_p2 != 0:
+            failures.append((j, "expected 0 mod p^2"))
+        if j == n - b and got_p2 != rational_mod(-ph_eps * fact_b1, mod2):
+            failures.append((j, "expected -pH_eps(b+1)! mod p^2"))
+        if j == n - b - 1:
+            want = rational_mod(-fact_b1 - ph_eps * fact_b1 * math.comb(b + 1, 2), mod2)
+            if got_p2 != want:
+                failures.append((j, f"expected case value {want} mod p^2"))
+    return failures
+
+
 def verify_star(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:
-    """Full vs simplified star coefficient and the mod-p / mod-p^2 case table."""
+    """Full vs simplified star coefficient and the mod-p / mod-p^2 case table.
+
+    Each check covers one (r, n, j) with ceil(r/2) - 1 <= j <= n - 1.  But
+    star_full, star_mod_p2 and every case of the table depend on (p, n, j)
+    only, and r enters only through r/2, the start of the window: the window
+    is a suffix of the (p, n) degrees, and the first admissible r of n (the
+    sweep is r-major) has the longest.  So each (n, j) is checked once, at
+    that r, and its failure texts are kept; every (r, n) adds its window's
+    length to the count and repeats the kept texts of its degrees, in the
+    order a per-(r, n, j) sweep finds them.
+    """
     res = VerifyResult("star", primes)
     for p in primes:
-        mod2 = p * p
-        for r, n, b in _admissible_rn(p):
-            params = make_params(p, r, n, Fraction(r, 2) - n - 1)
-            eps = params.eps
-            fact_b1 = math.factorial(b + 1)
-            ph_eps = p * harmonic(eps)
-            for j in range((r + 1) // 2 - 1, n):
-                full = star_full(params, j)
-                simple = star_mod_p2(params, j)
-                if rational_mod(full, mod2) != simple:
-                    res.failures.append(f"p={p}, r={r}, n={n}, j={j}: full != simplified mod p^2")
-                got_p = rational_mod(full, p)
-                got_p2 = rational_mod(full, mod2)
-                if j >= n - b and got_p != 0:
-                    res.failures.append(f"p={p}, r={r}, n={n}, j={j}: expected 0 mod p")
-                if j == n - b - 1 and got_p != (-fact_b1) % p:
-                    res.failures.append(f"p={p}, r={r}, n={n}, j={j}: expected -(b+1)! mod p")
-                if n - b + 1 <= j <= n - 1 and got_p2 != 0:
-                    res.failures.append(f"p={p}, r={r}, n={n}, j={j}: expected 0 mod p^2")
-                if j == n - b and got_p2 != rational_mod(-ph_eps * fact_b1, mod2):
-                    res.failures.append(f"p={p}, r={r}, n={n}, j={j}: expected -pH_eps(b+1)! mod p^2")
-                if j == n - b - 1:
-                    want = rational_mod(
-                        -fact_b1 - ph_eps * fact_b1 * math.comb(b + 1, 2), mod2
-                    )
-                    if got_p2 != want:
-                        res.failures.append(
-                            f"p={p}, r={r}, n={n}, j={j}: expected case value {want} mod p^2"
-                        )
-                res.checked += 1
+        kept: dict[int, list[tuple[int, str]]] = {}
+        for r, n, _b in _admissible_rn(p):
+            lo = (r + 1) // 2 - 1
+            if n not in kept:
+                kept[n] = _star_case_failures(make_params(p, r, n, Fraction(r, 2) - n - 1))
+            res.checked += n - lo
+            res.failures.extend(f"p={p}, r={r}, n={n}, j={j}: {text}" for j, text in kept[n] if j >= lo)
     return res
 
 
@@ -247,30 +263,51 @@ def verify_inequalities(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
     return res
 
 
+def _failing_reach(params) -> int:
+    """The highest ceil(r/2) whose window holds a failing term of params' window; -1 if none.
+
+    Each term's total_val is read at params.r and compared with
+    r/2 - vFall + (v_p(C) - j), or with +infinity if C = 0.  A line-1 term
+    of degree j lies in the window of r when ceil(r/2) <= j, a line-2 term
+    when ceil(r/2) <= j + 1.
+    """
+    p, r = params.p, params.r
+    base = Fraction(r, 2) - params.v_fall
+    reach = -1
+    for t in master_terms(params):
+        want = INF if t.num == 0 else base + (vp_int(t.num, p) - vp_int(t.den, p) - t.j)
+        if t.total_val(r) != want:
+            reach = max(reach, t.j + (t.line == 2))
+    return reach
+
+
 def verify_vl_independence(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:
     """Total valuations equal the un-cancelled sum under two admissible vL choices.
 
-    For each vL the sum (x + n + vL) + (v_p(C) - j) is formed from that vL's
-    own parameters, with no cancellation of vL (+infinity if C = 0), and
-    compared with the term's total_val(r), which never sees vL: agreement
-    under both choices is the vL independence.  The terms depend on (p, n)
-    and ceil(r/2) only, so both choices read one list, and a term's
-    total_val(r) and v_p(C) - j are taken once for both.
+    At each (r, n) and each vL the sum (x + n + vL) + (v_p(C) - j), formed
+    from that vL's own parameters with no cancellation of vL (+infinity if
+    C = 0), must equal every term's total_val(r), which never sees vL:
+    agreement under both choices is the vL independence.  The check runs in
+    two parts, each where its inputs vary.  The r part, per (r, n) and per
+    vL, checks x + n + vL = r/2 - vFall from that vL's make_params.  The
+    term part checks total_val(r) = r/2 - vFall + (v_p(C) - j); together
+    they are the identity above.  The terms of (r, n) are a suffix of the
+    (p, n) table, and r enters the term part only through r/2, so it runs
+    once per (p, n): at the first admissible r of n (the sweep is r-major),
+    whose window is the whole table, each term's total_val and
+    v_p(C) - j are taken once, and a term that fails marks every (r, n)
+    whose window holds it.  An (r, n) fails, once, if either part fails.
     """
     res = VerifyResult("vl-independence", primes)
     for p in primes:
+        reach: dict[int, int] = {}
         for r, n, _b in _admissible_rn(p):
-            bound = Fraction(r, 2) - n
-            choices = [make_params(p, r, n, vL) for vL in (bound - 1, bound - Fraction(7, 2))]
-            terms = [
-                (t.total_val(r), None if t.num == 0 else vp_int(t.num, p) - vp_int(t.den, p) - t.j)
-                for t in master_terms(choices[0])
-            ]
-            for params in choices:
-                outer = params.x + params.n + params.vL
-                if any(total != (INF if rest is None else outer + rest) for total, rest in terms):
-                    res.failures.append(f"p={p}, r={r}, n={n}: total valuations depend on vL")
-                    break
+            half = Fraction(r, 2)
+            choices = [make_params(p, r, n, vL) for vL in (half - n - 1, half - n - Fraction(7, 2))]
+            if n not in reach:
+                reach[n] = _failing_reach(choices[0])
+            if (r + 1) // 2 <= reach[n] or any(c.x + c.n + c.vL != half - c.v_fall for c in choices):
+                res.failures.append(f"p={p}, r={r}, n={n}: total valuations depend on vL")
             res.checked += 1
     return res
 

@@ -217,6 +217,27 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--p-range", "5:5", "--r-range", "100:200")
         assert code == 2 and err == "error: sweep range is empty\n"
 
+    def test_r_range_below_every_theorem_range_exits_2_at_once(self, capsys, monkeypatch):
+        # no prime of 5..20000 has a theorem-range r in [0, 1]: no prime is even tested
+        monkeypatch.setattr(cli, "is_prime", lambda p: pytest.fail(f"is_prime({p}) was called"))
+        code, out, err = run_cli(capsys, "sweep", "--p-range", "5:20000", "--r-range", "0:1")
+        assert (code, out, err) == (2, "", "error: sweep range is empty\n")
+
+    @pytest.mark.parametrize("r_range", ["20:70", "-4:16", "40:41", "100:200"])
+    def test_r_range_gives_what_filtering_every_r_gave(self, capsys, r_range):
+        r_lo, r_hi = map(int, r_range.split(":"))
+        expected = [
+            predict(p, r)
+            for p in range(5, 42)
+            if is_prime(p)
+            for r in theorem_r_values(p)
+            if r_lo <= r <= r_hi
+        ]
+        for fmt in ("json", "tsv"):
+            code, out, err = run_cli(capsys, "sweep", "--p-range", "5:41", "--r-range", r_range, "--emit", fmt)
+            assert (code, err) == (0, "")
+            assert out == emit_report(expected, fmt) + "\n"
+
     def test_table_rows_and_footer(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--p-range", "5:7")
         assert code == 0

@@ -5,12 +5,13 @@ evaluation: star_5 = 608, star_6 = 610, with residues 8 and 10 mod 25.
 """
 
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from padicelim import congruence, eliminator
+from padicelim import congruence, eliminator, verify
 from padicelim.congruence import (
     BELOW,
     DEAD,
@@ -31,8 +32,8 @@ from padicelim.congruence import (
 from padicelim.errors import PadicElimError
 from padicelim.combinat import stirling2
 from padicelim.eliminator import good_candidates, run_elimination, theorem_r_values
-from padicelim.exactnum import ValP, harmonic, is_prime, rational_mod, vp, vp_factorial, vp_int
-from padicelim.verify import verify_vl_independence
+from padicelim.exactnum import INF, ValP, harmonic, is_prime, rational_mod, vp, vp_factorial, vp_int
+from padicelim.verify import VerifyResult, verify_star, verify_vl_independence
 
 
 class TestMakeParams:
@@ -696,6 +697,167 @@ class TestVlIndependence:
         failures = verify_vl_independence((5,)).failures
         assert "p=5, r=8, n=7: total valuations depend on vL" in failures
         assert all(f.startswith("p=5, r=") and f.endswith(", n=7: total valuations depend on vL") for f in failures)
+
+
+def _star_by_r(primes):
+    """``verify_star`` as it checked every (r, n, j) afresh, reading verify's functions."""
+    res = VerifyResult("star", primes)
+    for p in primes:
+        mod2 = p * p
+        for r in range(p, p * p - p):
+            for n in window_degrees(p, r):
+                b = n // p
+                params = verify.make_params(p, r, n, Fraction(r, 2) - n - 1)
+                fact_b1 = math.factorial(b + 1)
+                ph_eps = p * harmonic(params.eps)
+                for j in range((r + 1) // 2 - 1, n):
+                    full = verify.star_full(params, j)
+                    simple = verify.star_mod_p2(params, j)
+                    if rational_mod(full, mod2) != simple:
+                        res.failures.append(f"p={p}, r={r}, n={n}, j={j}: full != simplified mod p^2")
+                    got_p = rational_mod(full, p)
+                    got_p2 = rational_mod(full, mod2)
+                    if j >= n - b and got_p != 0:
+                        res.failures.append(f"p={p}, r={r}, n={n}, j={j}: expected 0 mod p")
+                    if j == n - b - 1 and got_p != (-fact_b1) % p:
+                        res.failures.append(f"p={p}, r={r}, n={n}, j={j}: expected -(b+1)! mod p")
+                    if n - b + 1 <= j <= n - 1 and got_p2 != 0:
+                        res.failures.append(f"p={p}, r={r}, n={n}, j={j}: expected 0 mod p^2")
+                    if j == n - b and got_p2 != rational_mod(-ph_eps * fact_b1, mod2):
+                        res.failures.append(f"p={p}, r={r}, n={n}, j={j}: expected -pH_eps(b+1)! mod p^2")
+                    if j == n - b - 1:
+                        want = rational_mod(-fact_b1 - ph_eps * fact_b1 * math.comb(b + 1, 2), mod2)
+                        if got_p2 != want:
+                            res.failures.append(f"p={p}, r={r}, n={n}, j={j}: expected case value {want} mod p^2")
+                    res.checked += 1
+    return res
+
+
+def _vl_by_r(primes):
+    """``verify_vl_independence`` as it compared every term at every (r, n) and vL."""
+    res = VerifyResult("vl-independence", primes)
+    for p in primes:
+        for r in range(p, p * p - p):
+            for n in window_degrees(p, r):
+                bound = Fraction(r, 2) - n
+                choices = [verify.make_params(p, r, n, vL) for vL in (bound - 1, bound - Fraction(7, 2))]
+                terms = [
+                    (t.total_val(r), None if t.num == 0 else vp_int(t.num, p) - vp_int(t.den, p) - t.j)
+                    for t in master_terms(choices[0])
+                ]
+                for params in choices:
+                    outer = params.x + params.n + params.vL
+                    if any(total != (INF if rest is None else outer + rest) for total, rest in terms):
+                        res.failures.append(f"p={p}, r={r}, n={n}: total valuations depend on vL")
+                        break
+                res.checked += 1
+    return res
+
+
+def _wrong_star_mod_p2(monkeypatch, p, n, j):
+    simplified = verify.star_mod_p2
+
+    def wrong(params, k):
+        value = simplified(params, k)
+        return (value + 1) % (p * p) if (params.p, params.n, k) == (p, n, j) else value
+
+    monkeypatch.setattr(verify, "star_mod_p2", wrong)
+
+
+def _wrong_star_full(monkeypatch, p, n, j):
+    full = verify.star_full
+
+    def wrong(params, k):
+        value = full(params, k)
+        return value + 1 if (params.p, params.n, k) == (p, n, j) else value
+
+    monkeypatch.setattr(verify, "star_full", wrong)
+
+
+def _wrong_total_val(monkeypatch, p, n, line, j):
+    # the term of this line at degree j (a = 1 on line 1): r/2 - j + slack + 1/2 at every r
+    total_val = congruence.CongruenceTerm.total_val
+    target = next(
+        t for t in master_terms(make_params(p, max(p, n), n, Fraction(max(p, n), 2) - n - 1))
+        if (t.line, t.a, t.j) == (line, 2 - line, j)
+    )
+    assert target.slack is not None
+
+    def off(term, r):
+        value = total_val(term, r)
+        return ValP(Fraction(r + 1 - 2 * (term.j - term.slack), 2)) if term == target else value
+
+    monkeypatch.setattr(congruence.CongruenceTerm, "total_val", off)
+
+
+def _wrong_x(monkeypatch, p, n, r, first):
+    # x off by 1/2 at one (r, n), for the first or the second vL choice only
+    original = verify.make_params
+
+    def off(q, s, m, vL):
+        params = original(q, s, m, vL)
+        if (q, s, m) == (p, r, n) and (vL == Fraction(s, 2) - m - 1) == first:
+            return params._replace(x=params.x + Fraction(1, 2))
+        return params
+
+    monkeypatch.setattr(verify, "make_params", off)
+
+
+# six mutations per p, each failing a sweep at one or more (r, n); n = 7 at
+# p = 5 and n = 12 at p = 7 are admissible from r = n on, the first r of n,
+# where the r-independent parts are checked
+_MUTATIONS = {
+    5: [
+        (_wrong_star_mod_p2, (5, 7, 4)),
+        (_wrong_star_full, (5, 7, 5)),
+        (_wrong_total_val, (5, 7, 1, 4)),
+        (_wrong_total_val, (5, 7, 2, 4)),
+        (_wrong_x, (5, 7, 7, True)),
+        (_wrong_x, (5, 7, 9, False)),
+    ],
+    7: [
+        (_wrong_star_mod_p2, (7, 12, 8)),
+        (_wrong_star_full, (7, 12, 10)),
+        (_wrong_total_val, (7, 12, 1, 9)),
+        (_wrong_total_val, (7, 12, 2, 7)),
+        (_wrong_x, (7, 12, 12, True)),
+        (_wrong_x, (7, 12, 15, False)),
+    ],
+}
+
+
+class TestSweepsMatchThePerROracle:
+    """verify_star and verify_vl_independence check r-independent parts once; the per-r sweeps are the oracle."""
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_clean(self, p):
+        for sweep, oracle in ((verify_star, _star_by_r), (verify_vl_independence, _vl_by_r)):
+            got = sweep((p,)).to_dict()
+            assert got["passed"] and got["checked"] > 0
+            assert got == oracle((p,)).to_dict()
+
+    @pytest.mark.parametrize("p, k", [(p, k) for p in (5, 7) for k in range(6)])
+    def test_mutated(self, monkeypatch, p, k):
+        mutate, args = _MUTATIONS[p][k]
+        mutate(monkeypatch, *args)
+        failed = 0
+        for sweep, oracle in ((verify_star, _star_by_r), (verify_vl_independence, _vl_by_r)):
+            got = sweep((p,)).to_dict()
+            assert got == oracle((p,)).to_dict()
+            failed += len(got["failures"])
+        assert failed
+
+    @pytest.mark.skipif(
+        not os.environ.get("PADICELIM_LONG_TESTS"),
+        reason="about 1.5 s; set PADICELIM_LONG_TESTS=1 to run",
+    )
+    @pytest.mark.parametrize(
+        "p, star_checks, vl_checks", [(11, 57_510, 2_690), (13, 162_486, 5_532)]
+    )
+    def test_larger_primes_pass(self, p, star_checks, vl_checks):
+        for sweep, checks in ((verify_star, star_checks), (verify_vl_independence, vl_checks)):
+            res = sweep((p,))
+            assert res.passed and res.checked == checks, res.failures[:3]
 
 
 class TestAuditIndexOracle:

@@ -16,6 +16,7 @@ from padicelim.exactnum import (
     INF,
     ValP,
     as_rational,
+    check_prime,
     harmonic,
     is_prime,
     rational_mod,
@@ -153,3 +154,16 @@ class TestAsRational:
         for value in (4.5, -4.0, Decimal("4.5")):
             with pytest.raises(PadicElimError, match=r"rational literal expected \(got "):
                 as_rational(value)
+
+
+class TestIsPrimeCache:
+    def test_distinct_calls_keep_the_cache_bounded_and_check_prime_hits_it(self):
+        maxsize = is_prime.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 1024
+        for m in range(10**6, 10**6 + 10_000):
+            is_prime(m)
+        assert is_prime.cache_info().currsize <= maxsize
+        check_prime(31)
+        hits = is_prime.cache_info().hits
+        check_prime(31)
+        assert is_prime.cache_info().hits == hits + 1
