@@ -17,8 +17,6 @@ as exact "a/b" text.  Machine formats (json, tsv) never use the unicode
 omega; the human table may.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -36,7 +34,7 @@ from padicelim.eliminator import (
     theorem_r_values,
 )
 from padicelim.errors import EliminationIncompleteError, PadicElimError
-from padicelim.exactnum import as_rational, check_prime, is_prime
+from padicelim.exactnum import check_prime, is_prime
 from padicelim.lambda_solver import solve_lambda, verify_lambda
 from padicelim.verify import VERIFIERS, VerifyResult
 
@@ -71,34 +69,36 @@ def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
 
 # the line-2 slack lines of the (p, n) tables rendered so far, for one prime:
 # the pairs, and their lines (unindented) in sort_keys order, each with its
-# place in the pairs; cleared when p changes
-_SLACK_LINES: dict[tuple[int, int | None], tuple[tuple[tuple[int, str], ...], tuple[tuple[str, int], ...]]] = {}
+# place counted back from the last pair; cleared when p changes
+_SLACK_LINES: dict[tuple[int, int | None], tuple[tuple[tuple[int, str], ...], list[tuple[str, int]]]] = {}
 
 
 def _slack_json(p: int, n: int | None, pairs: tuple[tuple[int, str], ...], pad: str) -> str:
     """The JSON object of a kill's slack pairs, closed at indent ``pad``.
 
     A kill's pairs are the suffix of its (p, n) table's that r's window
-    holds, so the lines of the longest pairs rendered for (p, n) serve every
-    shorter suffix: the kill keeps the lines from its first pair's place on,
-    and no line is formatted or sorted again.  The lines are reused only
-    after a check that they end with these very pairs; other pairs, such as
-    a hand-built trace's, are rendered afresh and replace them.
+    holds, so each line is formatted once per (p, n), in any order of r: a
+    shorter window keeps the held lines less than its length from the end,
+    and a longer one formats only its front pairs and merges them in.  The
+    lines are reused only where the held pairs and these end alike; other
+    pairs, such as a hand-built trace's, are rendered afresh and replace them.
     """
     if not pairs:
         return "{}"
-    cached = _SLACK_LINES.get((p, n))
-    start = len(cached[0]) - len(pairs) if cached else -1
-    if start < 0 or cached[0][start:] != pairs:
+    count = len(pairs)
+    held, lines = _SLACK_LINES.get((p, n)) or ((), ())
+    if held[-count:] != pairs:
+        if pairs[-len(held):] != held:
+            held, lines = (), ()
         if _SLACK_LINES and next(iter(_SLACK_LINES))[0] != p:
             _SLACK_LINES.clear()
         # sort_keys order, the degrees as strings: "10" comes before "9".  The
         # lines sort in that order since '"' sorts before '-' and every digit
-        lines = sorted([(f'"{j}": {_json_str(s)}', place) for place, (j, s) in enumerate(pairs)])
-        cached = _SLACK_LINES[(p, n)] = (pairs, tuple(lines))
-        start = 0
+        front = [(f'"{j}": {_json_str(s)}', count - 1 - k) for k, (j, s) in enumerate(pairs[:count - len(held)])]
+        lines = sorted([*lines, *front])
+        _SLACK_LINES[(p, n)] = (pairs, lines)
     q = pad + "  "
-    return f"{{\n{q}" + f",\n{q}".join([line for line, place in cached[1] if place >= start]) + f"\n{pad}}}"
+    return f"{{\n{q}" + f",\n{q}".join([line for line, back in lines if back < count]) + f"\n{pad}}}"
 
 
 def _entry_json(e: SubquotientEntry, p: int, pad: str) -> str:
@@ -306,8 +306,7 @@ def _cmd_lambda(ns: argparse.Namespace) -> tuple[_LambdaFamily, bool]:
 
 
 def _cmd_congruence(ns: argparse.Namespace) -> tuple[_TermTable, bool]:
-    vL = as_rational(ns.vL) if ns.vL is not None else Fraction(-(ns.r + 1), 2)
-    params = make_params(ns.p, ns.r, ns.n, vL)
+    params = make_params(ns.p, ns.r, ns.n, Fraction(-(ns.r + 1), 2) if ns.vL is None else ns.vL)
     terms = [
         {"line": t.line, "a": t.a, "j": t.j, "coeff": str(t.coeff),
          "total_val": str(t.total_val(params.r)), "slack": t.slack_text}
@@ -321,8 +320,7 @@ def _cmd_congruence(ns: argparse.Namespace) -> tuple[_TermTable, bool]:
 
 
 def _cmd_eliminate(ns: argparse.Namespace) -> tuple[KillTrace, bool]:
-    vL = as_rational(ns.vL) if ns.vL is not None else None
-    return run_elimination(ns.p, ns.r, vL), True
+    return run_elimination(ns.p, ns.r, ns.vL), True
 
 
 def _cmd_predict(ns: argparse.Namespace) -> tuple[ReductionResult, bool]:

@@ -17,10 +17,9 @@ When the digit condition s <= r' fails the lemma does not apply and
 result so property tests can score the lemma path separately.
 """
 
-from __future__ import annotations
-
+from itertools import repeat
 from math import comb
-from operator import add, mul
+from operator import add, mod, mul
 from typing import NamedTuple
 
 from padicelim.exactnum import check_prime, harmonic, rational_mod
@@ -36,6 +35,8 @@ __all__ = [
 ]
 
 _STIRLING_ROWS: list[list[int]] = [[1]]  # complete rows {t brace 0..t}, t = 0, 1, ...
+# the same rows mod p, of one prime only, keyed by p; cleared when p changes
+_STIRLING_ROWS_MOD_P: dict[int, list[tuple[int, ...]]] = {}
 
 
 def _fill_stirling_rows(t: int) -> list[list[int]]:
@@ -45,6 +46,19 @@ def _fill_stirling_rows(t: int) -> list[list[int]]:
         prev = rows[-1]
         # {tt brace s} = s {tt-1 brace s} + {tt-1 brace s-1} for 0 < s < tt
         rows.append([0, *map(add, map(mul, range(1, tt), prev[1:]), prev), 1])
+    return rows
+
+
+def _stirling_rows_mod_p(t: int, p: int) -> list[tuple[int, ...]]:
+    """The rows {t' brace 0..t'} mod p through row t, held for one prime at a time."""
+    rows = _STIRLING_ROWS_MOD_P.get(p)
+    if rows is None:
+        _STIRLING_ROWS_MOD_P.clear()
+        rows = _STIRLING_ROWS_MOD_P[p] = [(1,)]
+    for tt in range(len(rows), t + 1):
+        prev = rows[-1]
+        # the recurrence of _fill_stirling_rows, reduced mod p; a tuple holds no spare room
+        rows.append((0, *map(mod, map(add, map(mul, range(1, tt), prev[1:]), prev), repeat(p)), 1))
     return rows
 
 
@@ -127,13 +141,17 @@ def stirling_lucas_check(y: int, x: int, i: int, p: int) -> tuple[int, int]:
     """Both sides of the Stirling congruence, reduced mod p.
 
     lhs = {y + p^i brace x},  rhs = {y + 1 brace x} + sum_{j=1}^{i} {y brace x - p^j}.
-    The pair is returned so callers assert lhs == rhs.
+    The pair is returned so callers assert lhs == rhs.  The values are read
+    from rows mod p, so no exact row of degree y + p^i is ever held.
     """
     check_prime(p)
     if y < 0 or x < 0 or i < 1:
         raise ValueError("y, x >= 0 and i >= 1 required")
-    lhs = stirling2(y + p**i, x) % p
-    rhs = stirling2(y + 1, x)
+    top = y + p**i
+    rows = _stirling_rows_mod_p(top, p)
+    lhs = rows[top][x] if x <= top else 0
+    rhs = rows[y + 1][x] if x <= y + 1 else 0
     for j in range(1, i + 1):
-        rhs += stirling2(y, x - p**j)
+        if 0 <= x - p**j <= y:
+            rhs += rows[y][x - p**j]
     return lhs, rhs % p

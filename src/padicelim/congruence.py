@@ -91,8 +91,6 @@ it, so a verdict holds for every vL < r/2 - n, and the caller checks vL.
 that the supporting lemmas reduce to.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 from fractions import Fraction
@@ -332,7 +330,7 @@ class _Table(NamedTuple):
         columns: tuple[CongruenceTerm, ...],
         factors: tuple[int, ...],
         line2: tuple[CongruenceTerm, ...],
-    ) -> _Table:
+    ) -> "_Table":
         """The (p, n) table of these columns, factors and line-2 terms, with its derived fields."""
         target = n - n // p - 1
         misses = tuple(_misses(columns, line2, target, None, None))
@@ -677,8 +675,6 @@ def _power_exceeds(p: int, exponent2: int, rhs: int, strict: bool) -> bool:
     r is odd; the comparison squares the right side instead of taking
     roots.  Negative exponents compare 1 against rhs^2 p^(-exponent2).
     """
-    if rhs <= 0:
-        return True
     lhs2, rhs2 = (p**exponent2, rhs * rhs) if exponent2 >= 0 else (1, rhs * rhs * p**-exponent2)
     return lhs2 > rhs2 if strict else lhs2 >= rhs2
 

@@ -22,14 +22,13 @@ p - 1; no representation theory is computed.  Over [p+3, 2p-1] u
 that one value and emits no prediction there.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple
 
 from padicelim.congruence import audit_bad, audit_good, audit_ugly, fall_valuation, window_degrees
 from padicelim.errors import EliminationIncompleteError, PadicElimError
 from padicelim.exactnum import as_rational, check_prime
+from padicelim.fp_poly import shallow_kill_check
 
 __all__ = [
     "SubquotientEntry",
@@ -143,9 +142,6 @@ def _accepted_r(p: int, r: int) -> bool:
 
 def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> KillTrace:
     """Produce the complete kill trace, or raise on any gap or failed audit."""
-    # import here: fp_poly is only needed for the shallow certificates
-    from padicelim.fp_poly import shallow_kill_check
-
     check_prime(p, minimum=5)
     if not _accepted_r(p, r):
         raise PadicElimError(f"r = {r} outside [{p + 3}, {2 * p - 1}] u [{2 * p + 4}, {3 * p - 1}]")

@@ -11,8 +11,6 @@ arise from composite expressions such as r/2 - n - v_p(L).  A ValP is only
 compared for equality and printed; thresholds are decided on integer slacks.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt

@@ -39,8 +39,6 @@ lam.  ``shallow_summand`` forms the full product; ``verify shallow`` keeps
 it as the oracle for every reported degree.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import repeat
 from math import comb

@@ -29,8 +29,6 @@ obtained from the Vandermonde determinant.  The tests require the two to
 agree entry-wise, exactly.  ``verify_lambda`` shares no code with either.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import comb, factorial
 from operator import add, sub

@@ -6,8 +6,6 @@ CLI); observations record expected deviations, like the mod-p^2 class
 congruence at b = 0, without failing the sweep.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 
@@ -35,19 +33,12 @@ class VerifyResult:
 
     __slots__ = ("name", "primes", "checked", "failures", "observations")
 
-    def __init__(
-        self,
-        name: str,
-        primes: tuple[int, ...],
-        checked: int = 0,
-        failures: list[str] | None = None,
-        observations: list[str] | None = None,
-    ):
+    def __init__(self, name: str, primes: tuple[int, ...]):
         self.name = name
         self.primes = primes
-        self.checked = checked
-        self.failures = [] if failures is None else failures
-        self.observations = [] if observations is None else observations
+        self.checked = 0
+        self.failures = []
+        self.observations = []
 
     @property
     def passed(self) -> bool:
@@ -138,8 +129,8 @@ def _shallow_products(p: int):
 
     summands[lam] lists the coefficients of the fully multiplied-out
     (X - lam Y)^k theta^i / Y, k = r - i(p+1) + 1.  At an i's first r, where
-    k = 0, it is ``shallow_summand``; at every later r it is the list of
-    r - 1 times (X - lam Y).
+    k = 0, it is theta^i / Y for every lam, one list shared by all; at every
+    later r it is a new list, that of r - 1 times (X - lam Y).
     """
     carried: dict[int, list[list[int]]] = {}
     for r in range(p, p * p - p):
@@ -148,7 +139,7 @@ def _shallow_products(p: int):
             if k < 0:
                 continue
             if k == 0:
-                summands = [list(shallow_summand(p, r, i, lam).coeffs) for lam in range(p)]
+                summands = [list(shallow_summand(p, r, i, 0).coeffs)] * p
             else:
                 summands = [_lin_mul(coeffs, 1, -lam, p) for lam, coeffs in enumerate(carried[i])]
             carried[i] = summands
@@ -193,7 +184,7 @@ def verify_shallow(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
 def _admissible_rn(p: int):
     for r in range(p, p * p - p):
         for n in window_degrees(p, r):
-            yield r, n, n // p
+            yield r, n
 
 
 def _star_case_failures(params) -> list[tuple[int, str]]:
@@ -240,7 +231,7 @@ def verify_star(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:
     res = VerifyResult("star", primes)
     for p in primes:
         kept: dict[int, list[tuple[int, str]]] = {}
-        for r, n, _b in _admissible_rn(p):
+        for r, n in _admissible_rn(p):
             lo = (r + 1) // 2 - 1
             if n not in kept:
                 kept[n] = _star_case_failures(make_params(p, r, n, Fraction(r, 2) - n - 1))
@@ -253,7 +244,7 @@ def verify_inequalities(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
     """Every inequality family over all admissible (p, r, n)."""
     res = VerifyResult("inequalities", primes)
     for p in primes:
-        for r, n, _b in _admissible_rn(p):
+        for r, n in _admissible_rn(p):
             for fam in inequality_suite(p, r, n):
                 if not fam.passed:
                     res.failures.append(
@@ -301,7 +292,7 @@ def verify_vl_independence(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:
     res = VerifyResult("vl-independence", primes)
     for p in primes:
         reach: dict[int, int] = {}
-        for r, n, _b in _admissible_rn(p):
+        for r, n in _admissible_rn(p):
             half = Fraction(r, 2)
             choices = [make_params(p, r, n, vL) for vL in (half - n - 1, half - n - Fraction(7, 2))]
             if n not in reach:

@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -94,6 +95,17 @@ class TestEliminate:
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "eliminate", "--p", "5", "--r", "11")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["eliminate", "--p", "4", "--r", "8"], "p = 4 is not a prime >= 5"),
+            (["congruence", "--p", "5", "--r", "8", "--n", "9"], "n = 9 outside the window [6, 8]"),
+        ],
+    )
+    def test_vl_fault_comes_after_earlier_faults(self, capsys, argv, message):
+        # the CLI passes --vL on as text: the library parses it once, in its own order of checks
+        assert run_cli(capsys, *argv, "--vL", "x") == (2, "", f"error: {message}\n")
 
     def test_failed_audit_exits_1_with_one_error_line(self, capsys, monkeypatch, mutate_table):
         # the good n = 11 of (7, 12) loses its generator: a kill fails on valid input
@@ -385,8 +397,25 @@ class TestSlackLines:
         for obj in (*real, hand_built(), edited, *real):
             assert emit_report(obj, "json") == reference_json(obj.to_dict())
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shuffled_pass_formats_each_line_once(self, monkeypatch, seed):
+        # the order of the benchmark's sweep: every theorem-range r of p = 31, shuffled
+        rs = list(theorem_r_values(31))
+        random.Random(seed).shuffle(rs)
+        results = [predict(31, r) for r in rs]
+        calls = []
+        monkeypatch.setattr(cli, "_json_str", lambda text: calls.append(text) or json.dumps(text))
+        for res in results:
+            assert emit_report(res, "json") == reference_json(res.to_dict()), res.trace.r
+        # every other string is a label, a vL, a status or a method
+        others = sum(2 + sum(1 + (e.method is not None) for e in res.trace.entries) for res in results)
+        distinct = {
+            (e.witness_n[0], j) for res in results for e in res.trace.entries if e.slack_table for j, _ in e.slack_table
+        }
+        assert len(calls) - others == len(distinct) == 2004
+
     def test_pairs_out_of_degree_order(self):
-        # a window's lines are those from its first pair's place on, so a
+        # a window's lines are those less than its length from the end, so a
         # degree above the window's first, placed before it, stays out
         trace = hand_built().trace
         kill = trace.entries[2]
@@ -481,6 +510,21 @@ class TestGoldenOutput:
         assert json.loads(out)["checked"] == checks
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.skipif(
+        not os.environ.get("PADICELIM_LONG_TESTS"),
+        reason="about 2 s; set PADICELIM_LONG_TESTS=1 to run",
+    )
+    @pytest.mark.parametrize(
+        "lemma,p,checks",
+        [
+            ("lucas2", 13, 14_365), ("stirling-lucas", 13, 7_561), ("shallow", 13, 804),
+            ("inequalities", 13, 5_532), ("stirling-lucas", 59, 437_431),
+        ],
+    )
+    def test_verify_at_larger_primes(self, lemma, p, checks):
+        res = cli.VERIFIERS[lemma]((p,))
+        assert res.passed and res.checked == checks, res.failures[:3]
+
     def test_congruence_table(self, capsys):
         assert run_cli(capsys, "congruence", "--p", "5", "--r", "8", "--n", "7") == (
             0,
@@ -525,7 +569,9 @@ class TestGoldenOutput:
 
     def test_failed_verify_sends_fail_lines_to_stderr_and_exits_1(self, capsys, monkeypatch):
         def failing(primes=(5, 7)):
-            return VerifyResult("lucas2", primes, 3, ["first wrong", "second wrong"], ["seen"])
+            res = VerifyResult("lucas2", primes)
+            res.checked, res.failures, res.observations = 3, ["first wrong", "second wrong"], ["seen"]
+            return res
 
         monkeypatch.setitem(cli.VERIFIERS, "lucas2", failing)
         assert run_cli(capsys, "verify", "lucas2") == (
@@ -610,6 +656,17 @@ class TestUsage:
 
 
 class TestInvariantsUnderOptimization:
+    def test_no_postponed_annotations(self):
+        # every import would compile each record field's annotation again
+        found = [
+            path.name
+            for path in sorted(PACKAGE_DIR.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            and any(alias.name == "annotations" for alias in node.names)
+        ]
+        assert found == []
+
     def test_no_assert_statements(self):
         found = [
             f"{path.name}:{node.lineno}"

@@ -92,6 +92,15 @@ class TestStirling:
         assert stirling2_column(7, 60) == [stirling2_def(t, 7) for t in range(61)]
         assert combinat._STIRLING_ROWS == [[stirling2_def(t, s) for s in range(t + 1)] for t in range(61)]
 
+    def test_rows_mod_p_of_one_prime(self, monkeypatch):
+        # the rows stirling_lucas_check reads: the exact rows reduced mod p, for the last prime only
+        monkeypatch.setattr(combinat, "_STIRLING_ROWS_MOD_P", {})
+        assert combinat._stirling_rows_mod_p(40, 7) == [
+            tuple(stirling2_def(t, s) % 7 for s in range(t + 1)) for t in range(41)
+        ]
+        assert len(combinat._stirling_rows_mod_p(12, 5)) == 13
+        assert list(combinat._STIRLING_ROWS_MOD_P) == [5]
+
     def test_definition_sum_divisibility_guard(self):
         # {t brace s} times s! is the alternating sum; divisibility is exact
         assert stirling2_def(20, 9) == stirling2(20, 9)
