@@ -12,9 +12,11 @@ The mod p^2 refinement of Lucas' theorem used here reads, for digits
     C(pa + r', pb + s) = C(a, b) C(r', s)
         (1 + pa (H_{r'} - H_{r'-s}) + pb (H_{r'-s} - H_s))   mod p^2.
 
-When the digit condition s <= r' fails the lemma does not apply and
-``binom_mod_p2`` falls back to reducing the exact binomial, tagging the
-result so property tests can score the lemma path separately.
+Every denominator of H_k, k < p, is a p-unit, so ``binom_mod_p2`` evaluates
+the formula in integers from the residues of H_0..H_{p-1} mod p^2, taken
+once per prime.  When the digit condition s <= r' fails the lemma does not
+apply and ``binom_mod_p2`` falls back to reducing the exact binomial,
+tagging the result so property tests can score the lemma path separately.
 """
 
 from itertools import repeat
@@ -35,8 +37,11 @@ __all__ = [
 ]
 
 _STIRLING_ROWS: list[list[int]] = [[1]]  # complete rows {t brace 0..t}, t = 0, 1, ...
-# the same rows mod p, of one prime only, keyed by p; cleared when p changes
-_STIRLING_ROWS_MOD_P: dict[int, list[tuple[int, ...]]] = {}
+# the same rows mod p, of one prime only, keyed by p and cleared when p changes: the
+# rows t <= 3p + 1 and t >= p^2, all that stirling_lucas_check reads at y <= 2p, i <= 2
+_STIRLING_ROWS_MOD_P: dict[int, dict[int, tuple[int, ...]]] = {}
+# H_0..H_{p-1} mod p^2, of one prime only, keyed by p; cleared when p changes
+_HARMONIC_MOD_P2: dict[int, list[int]] = {}
 
 
 def _fill_stirling_rows(t: int) -> list[list[int]]:
@@ -49,17 +54,26 @@ def _fill_stirling_rows(t: int) -> list[list[int]]:
     return rows
 
 
-def _stirling_rows_mod_p(t: int, p: int) -> list[tuple[int, ...]]:
-    """The rows {t' brace 0..t'} mod p through row t, held for one prime at a time."""
+def _stirling_row_mod_p(t: int, p: int) -> tuple[int, ...]:
+    """The row {t brace 0..t} mod p, rolled forward from the nearest held row below t.
+
+    Rows 3p + 1 < t < p^2 are rolled through and dropped, so the held rows
+    of p = 101 are about 2p^3 values, not the p^4 / 2 of every row to p^2 + 2p.
+    """
     rows = _STIRLING_ROWS_MOD_P.get(p)
     if rows is None:
         _STIRLING_ROWS_MOD_P.clear()
-        rows = _STIRLING_ROWS_MOD_P[p] = [(1,)]
-    for tt in range(len(rows), t + 1):
-        prev = rows[-1]
-        # the recurrence of _fill_stirling_rows, reduced mod p; a tuple holds no spare room
-        rows.append((0, *map(mod, map(add, map(mul, range(1, tt), prev[1:]), prev), repeat(p)), 1))
-    return rows
+        rows = _STIRLING_ROWS_MOD_P[p] = {0: (1,)}
+    row = rows.get(t)
+    if row is None:
+        start = max(held for held in rows if held < t)
+        row = rows[start]
+        for tt in range(start + 1, t + 1):
+            # the recurrence of _fill_stirling_rows, reduced mod p; a tuple holds no spare room
+            row = (0, *map(mod, map(add, map(mul, range(1, tt), row[1:]), row), repeat(p)), 1)
+            if tt <= 3 * p + 1 or tt >= p * p:
+                rows[tt] = row
+    return row
 
 
 def stirling2(t: int, s: int) -> int:
@@ -115,11 +129,21 @@ class Mod2Residue(NamedTuple):
     via_lemma: bool
 
 
+def _harmonic_mod_p2(p: int) -> list[int]:
+    """[H_k mod p^2 for k = 0..p-1], held for one prime at a time."""
+    residues = _HARMONIC_MOD_P2.get(p)
+    if residues is None:
+        _HARMONIC_MOD_P2.clear()
+        residues = _HARMONIC_MOD_P2[p] = [rational_mod(harmonic(k), p * p) for k in range(p)]
+    return residues
+
+
 def binom_mod_p2(n_big: int, k_big: int, p: int) -> Mod2Residue:
     """C(N, K) mod p^2 via the digit formula, or exact reduction as fallback.
 
     ``via_lemma`` is True when the digit hypothesis s <= r' held and the
-    formula path was used.
+    formula path was used.  The formula is evaluated in integers, from the
+    residues of H_0..H_{p-1} mod p^2.
     """
     check_prime(p)
     if n_big < 0 or k_big < 0:
@@ -129,12 +153,10 @@ def binom_mod_p2(n_big: int, k_big: int, p: int) -> Mod2Residue:
     b, s_digit = divmod(k_big, p)
     if s_digit > r_digit:
         return Mod2Residue(comb(n_big, k_big) % modulus, False)
-    ha = harmonic(r_digit)
-    hm = harmonic(r_digit - s_digit)
-    hs = harmonic(s_digit)
-    correction = 1 + p * a * (ha - hm) + p * b * (hm - hs)
-    value = comb(a, b) * comb(r_digit, s_digit) * correction
-    return Mod2Residue(rational_mod(value, modulus), True)
+    h = _harmonic_mod_p2(p)
+    ha, hm, hs = h[r_digit], h[r_digit - s_digit], h[s_digit]
+    correction = 1 + p * (a * (ha - hm) + b * (hm - hs))
+    return Mod2Residue(comb(a, b) * comb(r_digit, s_digit) * correction % modulus, True)
 
 
 def stirling_lucas_check(y: int, x: int, i: int, p: int) -> tuple[int, int]:
@@ -148,10 +170,10 @@ def stirling_lucas_check(y: int, x: int, i: int, p: int) -> tuple[int, int]:
     if y < 0 or x < 0 or i < 1:
         raise ValueError("y, x >= 0 and i >= 1 required")
     top = y + p**i
-    rows = _stirling_rows_mod_p(top, p)
-    lhs = rows[top][x] if x <= top else 0
-    rhs = rows[y + 1][x] if x <= y + 1 else 0
+    lhs = _stirling_row_mod_p(top, p)[x] if x <= top else 0
+    rhs = _stirling_row_mod_p(y + 1, p)[x] if x <= y + 1 else 0
+    row_y = _stirling_row_mod_p(y, p)
     for j in range(1, i + 1):
         if 0 <= x - p**j <= y:
-            rhs += rows[y][x - p**j]
+            rhs += row_y[x - p**j]
     return lhs, rhs % p

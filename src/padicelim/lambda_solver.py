@@ -18,10 +18,12 @@ not 0 mod 25): the cancellation sum_k (-1)^k C(b, k) = 0 that drives it is
 vacuous there.  ``verify_lambda`` therefore asserts bullet 2 only for
 b >= 1 and reports the b = 0 outcome as observed, not as a failure.
 
-Two independent computations are provided.  ``solve_lambda`` expands
-sum_i lambda_i u^i = sum_{m <= n} C((b+1)p, m) (u - 1)^m by Horner's rule,
-a Taylor shift in integers.  ``lambda_closed`` evaluates the whole family
-from the product formula
+Two independent computations are provided.  ``lambda_window`` builds
+L_n(u) = sum_i lambda_i u^i = sum_{m <= n} C((b+1)p, m) (u - 1)^m in
+integers for every n of a window at once, carrying the term
+C((b+1)p, m) (u - 1)^m and the partial sum L_m from m - 1 to m;
+``solve_lambda`` reads one n from it.  ``lambda_closed`` evaluates the
+whole family from the product formula
 
     lambda_i = (-1)^(n-i) ((b+1)p / ((b+1)p - i)) C((b+1)p - 1, n) C(n, i)
 
@@ -29,16 +31,18 @@ obtained from the Vandermonde determinant.  The tests require the two to
 agree entry-wise, exactly.  ``verify_lambda`` shares no code with either.
 """
 
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import islice, repeat
 from math import comb, factorial
-from operator import add, sub
+from operator import add, floordiv, mul
 from typing import NamedTuple
 
 from padicelim.combinat import stirling2
 from padicelim.errors import PadicElimError
 from padicelim.exactnum import check_prime
 
-__all__ = ["LambdaVector", "BulletReport", "solve_lambda", "lambda_closed", "verify_lambda"]
+__all__ = ["LambdaVector", "BulletReport", "lambda_window", "solve_lambda", "lambda_closed", "verify_lambda"]
 
 def _check_window(p: int, b: int, n: int) -> None:
     check_prime(p, minimum=5)
@@ -72,28 +76,44 @@ class LambdaVector:
         return tuple(range(self.n + 1)) + (self.top_node,)
 
 
-def solve_lambda(p: int, b: int, n: int) -> LambdaVector:
-    """Solve the moment system exactly with lambda_{(b+1)p} pinned to -1.
+def lambda_window(p: int, b: int) -> Iterator[LambdaVector]:
+    """Yield the solved family of every n in [bp, (b+1)p - 1], in increasing n.
 
     With y = (b+1)p the system is sum_{i <= n} lambda_i i^j = y^j, j <= n.
     As i^j = sum_m S(j, m) m! C(i, m) is unitriangular, it is equivalently
-    sum_i lambda_i C(i, m) = C(y, m), m <= n: L(1 + x) = sum_m C(y, m) x^m
-    for L(u) = sum_i lambda_i u^i.  So L(u) = sum_m C(y, m) (u - 1)^m, exact
-    as an identity of polynomials of degree n.  Horner's rule in (u - 1)
-    expands it, each step one shifted subtraction of the list.
+    sum_i lambda_i C(i, m) = C(y, m), m <= n: L_n(1 + x) = sum_m C(y, m) x^m
+    for L_n(u) = sum_i lambda_i u^i.  So L_n(u) = sum_{m <= n} T_m(u) with
+    T_m = C(y, m) (u - 1)^m, exact as an identity of polynomials of degree n,
+    and L_m = L_{m-1} + T_m.  The coefficient of u^i in T_m is
+    (-1)^(m-i) C(y, i) C(y - i, m - i), so each step carries T_{m-1} to T_m
+    by the exact factor -(y - m + 1) / (m - i) on each entry i < m, with the
+    top entry C(y, m) = C(y, m - 1) (y - m + 1) / m.  Every n of the window
+    is one step past the last.
+    """
+    _check_window(p, b, b * p)
+    y = (b + 1) * p
+    term = [1]  # T_m
+    lam = [1]  # L_m
+    for m in range(y):
+        if m:
+            k = y - m + 1
+            top = term[-1] * k // m
+            term = [*map(floordiv, map(mul, term, repeat(-k)), range(m, 0, -1)), top]
+            lam = list(map(add, [*lam, 0], term))
+        if m >= b * p:
+            entries = dict(enumerate(lam))
+            entries[y] = -1
+            yield LambdaVector(p=p, b=b, n=m, entries=entries)
+
+
+def solve_lambda(p: int, b: int, n: int) -> LambdaVector:
+    """Solve the moment system exactly with lambda_{(b+1)p} pinned to -1.
+
+    The window is checked first; the family is the vector that
+    ``lambda_window(p, b)`` yields at n, so its steps run up to n only.
     """
     _check_window(p, b, n)
-    y = (b + 1) * p
-    c = [1]  # C(y, m), m = 0..n
-    for m in range(1, n + 1):
-        c.append(c[-1] * (y - m + 1) // m)
-    lam = [c[n]]
-    for m in range(n - 1, -1, -1):
-        lam = list(map(sub, [0, *lam], [*lam, 0]))  # times (u - 1)
-        lam[0] += c[m]
-    entries = dict(enumerate(lam))
-    entries[y] = -1
-    return LambdaVector(p=p, b=b, n=n, entries=entries)
+    return next(islice(lambda_window(p, b), n - b * p, None))
 
 
 def lambda_closed(p: int, b: int, n: int) -> tuple[Fraction, ...]:

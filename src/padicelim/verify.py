@@ -13,7 +13,7 @@ from padicelim.combinat import binom_mod_p2, lucas_mod_p, stirling2, stirling2_d
 from padicelim.congruence import inequality_suite, make_params, master_terms, star_full, star_mod_p2, window_degrees
 from padicelim.exactnum import INF, harmonic, rational_mod, vp_int
 from padicelim.fp_poly import _lin_mul, pure_y_defect, shallow_kill_check, shallow_summand
-from padicelim.lambda_solver import lambda_closed, solve_lambda, verify_lambda
+from padicelim.lambda_solver import lambda_closed, lambda_window, verify_lambda
 
 __all__ = [
     "VerifyResult",
@@ -99,12 +99,15 @@ def verify_stirling_lucas(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:
 
 
 def verify_lambda_sweep(primes: tuple[int, ...] = (5, 7, 11, 13)) -> VerifyResult:
-    """Solve vs closed form entry-wise plus all four bullets, all (b, n)."""
+    """Solve vs closed form entry-wise plus all four bullets, all (b, n).
+
+    Each (p, b) window is solved once, by ``lambda_window``, in increasing n.
+    """
     res = VerifyResult("lambda", primes)
     for p in primes:
         for b in range(p - 1):
-            for n in range(b * p, (b + 1) * p):
-                vec = solve_lambda(p, b, n)
+            for vec in lambda_window(p, b):
+                n = vec.n
                 for i, closed in enumerate(lambda_closed(p, b, n)):
                     if closed != vec.entries[i]:
                         res.failures.append(f"p={p}, b={b}, n={n}: solve != closed at i={i}")

@@ -57,6 +57,26 @@ class TestBinomModP2:
             for k in range(n + 1):
                 assert binom_mod_p2(n, k, 5).value == math.comb(n, k) % 25
 
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_exhaustive_below_p_squared(self, p):
+        # the value, and the path: the digit formula exactly when s <= r'
+        for n in range(p * p):
+            for k in range(n + 1):
+                assert binom_mod_p2(n, k, p) == (math.comb(n, k) % (p * p), k % p <= n % p), (n, k)
+
+    def test_harmonic_residues_of_one_prime(self, monkeypatch):
+        # H_k mod p^2 for k < p, as sums of inverses mod p^2, held for the last prime only
+        def residues(p):
+            return [sum(pow(m, -1, p * p) for m in range(1, k + 1)) % (p * p) for k in range(p)]
+
+        monkeypatch.setattr(combinat, "_HARMONIC_MOD_P2", {})
+        assert binom_mod_p2(7 * 9 + 5, 7 * 4 + 2, 7).value == math.comb(68, 30) % 49
+        assert combinat._HARMONIC_MOD_P2 == {7: residues(7)}
+        assert binom_mod_p2(11 * 3 + 9, 11 * 2 + 4, 11).value == math.comb(42, 26) % 121
+        assert combinat._HARMONIC_MOD_P2 == {11: residues(11)}
+        assert binom_mod_p2(7 * 9 + 5, 7 * 4 + 2, 7).value == math.comb(68, 30) % 49
+        assert combinat._HARMONIC_MOD_P2 == {7: residues(7)}
+
     def test_multidigit_quotient(self):
         # a = N // p may itself exceed p; the factor C(a, b) stays exact
         assert binom_mod_p2(5 * 30 + 2, 5 * 4 + 1, 5).value == math.comb(152, 21) % 25
@@ -93,13 +113,19 @@ class TestStirling:
         assert combinat._STIRLING_ROWS == [[stirling2_def(t, s) for s in range(t + 1)] for t in range(61)]
 
     def test_rows_mod_p_of_one_prime(self, monkeypatch):
-        # the rows stirling_lucas_check reads: the exact rows reduced mod p, for the last prime only
+        # the rows stirling_lucas_check reads: the exact rows reduced mod p, for the last prime only;
+        # rows 3p + 1 < t < p^2 are rolled through and not held
         monkeypatch.setattr(combinat, "_STIRLING_ROWS_MOD_P", {})
-        assert combinat._stirling_rows_mod_p(40, 7) == [
-            tuple(stirling2_def(t, s) % 7 for s in range(t + 1)) for t in range(41)
-        ]
-        assert len(combinat._stirling_rows_mod_p(12, 5)) == 13
+        exact = [tuple(stirling2_def(t, s) % 7 for s in range(t + 1)) for t in range(61)]
+        assert combinat._stirling_row_mod_p(52, 7) == exact[52]
+        assert sorted(combinat._STIRLING_ROWS_MOD_P[7]) == [*range(23), 49, 50, 51, 52]
+        for t in (40, 3, 60, 22, 50, 23, 0, 48, *range(61)):
+            assert combinat._stirling_row_mod_p(t, 7) == exact[t], t
+        assert sorted(combinat._STIRLING_ROWS_MOD_P[7]) == [*range(23), *range(49, 61)]
+        assert all(row == exact[t] for t, row in combinat._STIRLING_ROWS_MOD_P[7].items())
+        assert combinat._stirling_row_mod_p(12, 5) == tuple(stirling2_def(12, s) % 5 for s in range(13))
         assert list(combinat._STIRLING_ROWS_MOD_P) == [5]
+        assert sorted(combinat._STIRLING_ROWS_MOD_P[5]) == [*range(13)]
 
     def test_definition_sum_divisibility_guard(self):
         # {t brace s} times s! is the alternating sum; divisibility is exact

@@ -1,10 +1,11 @@
-"""Coefficient family: Taylor-shift solve vs product formula, four bullets."""
+"""Coefficient family: carried solve vs Horner and product formula, four bullets."""
 
 import os
 import random
 import tempfile
 from fractions import Fraction
 from math import comb
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -12,11 +13,37 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from padicelim.errors import PadicElimError
-from padicelim.lambda_solver import BulletReport, LambdaVector, lambda_closed, solve_lambda, verify_lambda
+from padicelim.lambda_solver import (
+    BulletReport,
+    LambdaVector,
+    lambda_closed,
+    lambda_window,
+    solve_lambda,
+    verify_lambda,
+)
 
 # hypothesis caches the constants it finds in local source under its home
 # directory, ./.hypothesis unless set: keep the tree clean.
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "padicelim-hypothesis")
+
+
+def _horner_solve(p: int, b: int, n: int) -> dict[int, int]:
+    """The family at one n by Horner's rule in (u - 1): the oracle for the carried solve.
+
+    L(u) = sum_{m <= n} C(y, m) (u - 1)^m with y = (b+1)p, expanded from the
+    top coefficient down, each step one shifted subtraction of the list.
+    """
+    y = (b + 1) * p
+    c = [1]  # C(y, m), m = 0..n
+    for m in range(1, n + 1):
+        c.append(c[-1] * (y - m + 1) // m)
+    lam = [c[n]]
+    for m in range(n - 1, -1, -1):
+        lam = list(map(sub, [0, *lam], [*lam, 0]))  # times (u - 1)
+        lam[0] += c[m]
+    entries = dict(enumerate(lam))
+    entries[y] = -1
+    return entries
 
 
 def _reference_verify(v: LambdaVector) -> BulletReport:
@@ -55,6 +82,30 @@ def _reference_verify(v: LambdaVector) -> BulletReport:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_window_and_solve_match_horner(self, p):
+        for b in range(p - 1):
+            window = list(lambda_window(p, b))
+            assert [v.n for v in window] == list(range(b * p, (b + 1) * p)), b
+            for v in window:
+                assert (v.p, v.b) == (p, b)
+                horner = _horner_solve(p, b, v.n)
+                assert v.entries == horner, (b, v.n)
+                assert solve_lambda(p, b, v.n).entries == horner, (b, v.n)
+
+    def test_window_vectors_are_independent(self):
+        # each yielded vector owns its entries: a mutation reaches no other n
+        first, second = list(lambda_window(5, 1))[:2]
+        first.entries[0] += 1
+        assert second.entries == _horner_solve(5, 1, 6)
+        assert solve_lambda(5, 1, 5).entries == _horner_solve(5, 1, 5)
+
+    def test_window_errors(self):
+        with pytest.raises(PadicElimError, match=r"^b = 4 outside \[0, 3\]$"):
+            next(lambda_window(5, 4))
+        with pytest.raises(PadicElimError, match=r"^p = 9 is not a prime >= 5$"):
+            next(lambda_window(9, 0))
+
     def test_p5_b0_n3(self):
         v = solve_lambda(5, 0, 3)
         assert [v.entries[i] for i in (0, 1, 2, 3, 5)] == [-4, 15, -20, 10, -1]
@@ -241,7 +292,7 @@ class TestBullets:
 
     @pytest.mark.skipif(
         not os.environ.get("PADICELIM_LONG_TESTS"),
-        reason="about 1 s; set PADICELIM_LONG_TESTS=1 to run",
+        reason="about 2 s; set PADICELIM_LONG_TESTS=1 to run",
     )
     def test_p17_solve_and_verify(self):
         # every family of p = 17 against the closed form; the reference
