@@ -28,10 +28,10 @@ from padicelim.congruence import make_params, master_terms
 from padicelim.eliminator import (
     KillTrace,
     ReductionResult,
-    SubquotientEntry,
     predict,
     run_elimination,
     theorem_r_values,
+    trace_json,
 )
 from padicelim.errors import EliminationIncompleteError, PadicElimError
 from padicelim.exactnum import check_prime, is_prime
@@ -54,96 +54,6 @@ _TSV_COLUMNS = ("p", "r", "c", "vL", "exponent", "label")
 def _tsv_row(res: ReductionResult) -> str:
     t = res.trace
     return "\t".join(map(str, (t.p, t.r, t.c, t.vL, res.exponent, res.label)))
-
-
-# json.dumps's own string encoder (ensure_ascii)
-_json_str = json.encoder.encode_basestring_ascii
-
-
-def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
-    """A JSON list or object from its rendered items, closed at indent ``pad``."""
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
-
-
-# the line-2 slack lines of the (p, n) tables rendered so far, for one prime:
-# the pairs, and their lines (unindented) in sort_keys order, each with its
-# place counted back from the last pair; cleared when p changes
-_SLACK_LINES: dict[tuple[int, int | None], tuple[tuple[tuple[int, str], ...], list[tuple[str, int]]]] = {}
-
-
-def _slack_json(p: int, n: int | None, pairs: tuple[tuple[int, str], ...], pad: str) -> str:
-    """The JSON object of a kill's slack pairs, closed at indent ``pad``.
-
-    A kill's pairs are the suffix of its (p, n) table's that r's window
-    holds, so each line is formatted once per (p, n), in any order of r: a
-    shorter window keeps the held lines less than its length from the end,
-    and a longer one formats only its front pairs and merges them in.  The
-    lines are reused only where the held pairs and these end alike; other
-    pairs, such as a hand-built trace's, are rendered afresh and replace them.
-    """
-    if not pairs:
-        return "{}"
-    count = len(pairs)
-    held, lines = _SLACK_LINES.get((p, n)) or ((), ())
-    if held[-count:] != pairs:
-        if pairs[-len(held):] != held:
-            held, lines = (), ()
-        if _SLACK_LINES and next(iter(_SLACK_LINES))[0] != p:
-            _SLACK_LINES.clear()
-        # sort_keys order, the degrees as strings: "10" comes before "9".  The
-        # lines sort in that order since '"' sorts before '-' and every digit
-        front = [(f'"{j}": {_json_str(s)}', count - 1 - k) for k, (j, s) in enumerate(pairs[:count - len(held)])]
-        lines = sorted([*lines, *front])
-        _SLACK_LINES[(p, n)] = (pairs, lines)
-    q = pad + "  "
-    return f"{{\n{q}" + f",\n{q}".join([line for line, back in lines if back < count]) + f"\n{pad}}}"
-
-
-def _entry_json(e: SubquotientEntry, p: int, pad: str) -> str:
-    q = pad + "  "
-    qq = q + "  "
-    method = "null" if e.method is None else _json_str(e.method)
-    witness = "null" if e.witness_n is None else _json_block([f"{qq}{n}" for n in e.witness_n], q)
-    if e.slack_table is None:
-        slack = "null"
-    else:
-        # the table of every method's kill is (p, n) for its first n; any key
-        # is safe, since the lines are checked against the pairs
-        slack = _slack_json(p, e.witness_n[0] if e.witness_n else None, e.slack_table, q)
-    return (
-        f'{pad}{{\n{q}"i": {e.i},\n{q}"j": {e.j},\n{q}"method": {method},\n'
-        f'{q}"slack_table": {slack},\n{q}"status": {_json_str(e.status)},\n'
-        f'{q}"witness_n": {witness}\n{pad}}}'
-    )
-
-
-def _report_json(obj: KillTrace | ReductionResult, pad: str = "") -> str:
-    """The JSON of a trace or a prediction, starting at indent ``pad``.
-
-    The text equals ``pad + json.dumps(obj.to_dict(), indent=2,
-    sort_keys=True)`` with every further line indented by ``pad``, without
-    building the dict or running the pure-Python indented encoder.  A slack
-    table's lines come from :func:`_slack_json`, formatted once per (p, n).
-    """
-    trace = obj.trace if isinstance(obj, ReductionResult) else obj
-    q = pad + "  "
-    rows = [f'{q}"c": {trace.c}', f'{q}"p": {trace.p}']
-    if isinstance(obj, ReductionResult):
-        qq, qqq = q + "  ", q + "    "
-        excluded = _json_block([f"{qqq}  {k}" for k in obj.excluded_residues], qqq)
-        rows.append(
-            f'{q}"prediction": {{\n{qq}"exponent": {obj.exponent},\n'
-            f'{qq}"irreducibility": {{\n{qqq}"excluded": {excluded},\n'
-            f'{qqq}"residue": {obj.irreducibility_residue}\n{qq}}},\n'
-            f'{qq}"label": {_json_str(obj.label)}\n{q}}}'
-        )
-    entries = _json_block([_entry_json(e, trace.p, q + "  ") for e in trace.entries], q)
-    rows += [
-        f'{q}"r": {trace.r}', f'{q}"subquotients": {entries}', f'{q}"vL": {_json_str(str(trace.vL))}',
-    ]
-    return pad + _json_block(rows, pad, "{}")
 
 
 def _trace_rows(trace: KillTrace) -> list[str]:
@@ -225,14 +135,12 @@ def emit_report(obj, fmt: str = "table") -> str:
     ``obj`` is what a subcommand returns: a KillTrace, a ReductionResult, a
     sweep (a list of ReductionResults), a VerifyResult, or the JSON form of
     a lambda family or a term table.  json renders traces, predictions and
-    sweeps with ``_report_json`` and the rest with ``json.dumps``; tsv is
-    defined for a prediction and a sweep.
+    sweeps with ``eliminator.trace_json`` and the rest with ``json.dumps``;
+    tsv is defined for a prediction and a sweep.
     """
     if fmt == "json":
-        if isinstance(obj, list):
-            return _json_block([_report_json(res, "  ") for res in obj], "")
-        if isinstance(obj, (KillTrace, ReductionResult)):
-            return _report_json(obj)
+        if isinstance(obj, (KillTrace, ReductionResult, list)):
+            return trace_json(obj)
         data = obj.to_dict() if isinstance(obj, VerifyResult) else obj
         return json.dumps(data, indent=2, sort_keys=True)
     if fmt == "tsv":

@@ -20,8 +20,12 @@ lookup guarded by the non-congruence conditions r - 2c != 1, p - 2 mod
 p - 1; no representation theory is computed.  Over [p+3, 2p-1] u
 [2p+4, 3p-1] only r = 2p - 1 fails the guard, so ``predict`` checks it as
 that one value and emits no prediction there.
+
+A trace's JSON form has one writer, :func:`trace_json`, and one reader,
+:func:`trace_from_dict`.
 """
 
+import json
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,6 +42,7 @@ __all__ = [
     "run_elimination",
     "predict",
     "theorem_r_values",
+    "trace_json",
     "trace_from_dict",
 ]
 
@@ -63,27 +68,127 @@ class KillTrace(NamedTuple):
     entries: tuple[SubquotientEntry, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "r": self.r,
-            "c": self.c,
-            "vL": str(self.vL),
-            "subquotients": [
-                {
-                    "i": e.i,
-                    "j": e.j,
-                    "status": e.status,
-                    "method": e.method,
-                    "witness_n": list(e.witness_n) if e.witness_n is not None else None,
-                    "slack_table": (
-                        {str(j): s for j, s in e.slack_table}
-                        if e.slack_table is not None
-                        else None
-                    ),
-                }
-                for e in self.entries
-            ],
-        }
+        return json.loads(trace_json(self))
+
+
+class ReductionResult(NamedTuple):
+    """The predicted reduction: label ind omega2^(r+1) plus the guard data."""
+
+    survivor: int
+    exponent: int
+    label: str
+    irreducibility_residue: int
+    excluded_residues: tuple[int, int]
+    trace: KillTrace
+
+    def to_dict(self) -> dict:
+        return json.loads(trace_json(self))
+
+
+# ----------------------------- the JSON form -----------------------------
+
+# json.dumps's own string encoder (ensure_ascii)
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON list from its rendered items, closed at indent ``pad``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + f"\n{pad}]"
+
+
+# the line-2 slack lines of the (p, n) tables rendered so far, for one prime:
+# the pairs, and their lines (unindented) in sort_keys order, each with its
+# place counted back from the last pair; cleared when p changes
+_SLACK_LINES: dict[tuple[int, int | None], tuple[tuple[tuple[int, str], ...], list[tuple[str, int]]]] = {}
+
+
+def _write_slack(out: list[str], p: int, n: int | None, pairs: tuple[tuple[int, str], ...], pad: str) -> None:
+    """Write the JSON object of a kill's slack pairs, closed at indent ``pad``.
+
+    A kill's pairs are the suffix of its (p, n) table's that r's window
+    holds, so each line is formatted once per (p, n), in any order of r: a
+    shorter window keeps the held lines less than its length from the end,
+    and a longer one formats only its front pairs and merges them in.  The
+    lines are reused only where the held pairs and these end alike; other
+    pairs, such as a hand-built trace's, are rendered afresh and replace them.
+    """
+    if not pairs:
+        out.append("{}")
+        return
+    count = len(pairs)
+    held, lines = _SLACK_LINES.get((p, n)) or ((), ())
+    if held[-count:] != pairs:
+        if pairs[-len(held):] != held:
+            held, lines = (), ()
+        if _SLACK_LINES and next(iter(_SLACK_LINES))[0] != p:
+            _SLACK_LINES.clear()
+        # sort_keys order, the degrees as strings: "10" comes before "9".  The
+        # lines sort in that order since '"' sorts before '-' and every digit
+        front = [(f'"{j}": {_json_str(s)}', count - 1 - k) for k, (j, s) in enumerate(pairs[:count - len(held)])]
+        lines = sorted([*lines, *front])
+        _SLACK_LINES[(p, n)] = (pairs, lines)
+    q = pad + "  "
+    out += (f"{{\n{q}", f",\n{q}".join([line for line, back in lines if back < count]), f"\n{pad}}}")
+
+
+def _write_report(out: list[str], obj: KillTrace | ReductionResult, pad: str) -> None:
+    """Write the JSON of a trace or a prediction, from indent ``pad`` on."""
+    trace = obj.trace if isinstance(obj, ReductionResult) else obj
+    q = pad + "  "
+    out.append(f'{pad}{{\n{q}"c": {trace.c},\n{q}"p": {trace.p},\n')
+    if isinstance(obj, ReductionResult):
+        qq, qqq = q + "  ", q + "    "
+        excluded = _json_list([f"{qqq}  {k}" for k in obj.excluded_residues], qqq)
+        out.append(
+            f'{q}"prediction": {{\n{qq}"exponent": {obj.exponent},\n'
+            f'{qq}"irreducibility": {{\n{qqq}"excluded": {excluded},\n'
+            f'{qqq}"residue": {obj.irreducibility_residue}\n{qq}}},\n'
+            f'{qq}"label": {_json_str(obj.label)}\n{q}}},\n'
+        )
+    out.append(f'{q}"r": {trace.r},\n{q}"subquotients": ')
+    # an entry's first piece starts with the text before it: "[" or a comma
+    lead, ep, eq = "[\n", q + "  ", q + "    "
+    for e in trace.entries:
+        method = "null" if e.method is None else _json_str(e.method)
+        out.append(f'{lead}{ep}{{\n{eq}"i": {e.i},\n{eq}"j": {e.j},\n{eq}"method": {method},\n{eq}"slack_table": ')
+        if e.slack_table is None:
+            out.append("null")
+        else:
+            # the table of every method's kill is (p, n) for its first n; any
+            # key is safe, since the lines are checked against the pairs
+            _write_slack(out, trace.p, e.witness_n[0] if e.witness_n else None, e.slack_table, eq)
+        witness = "null" if e.witness_n is None else _json_list([f"{eq}  {n}" for n in e.witness_n], eq)
+        out.append(f',\n{eq}"status": {_json_str(e.status)},\n{eq}"witness_n": {witness}\n{ep}}}')
+        lead = ",\n"
+    out.append(f"\n{q}]" if trace.entries else "[]")
+    out.append(f',\n{q}"vL": {_json_str(str(trace.vL))}\n{pad}}}')
+
+
+def trace_json(obj: KillTrace | ReductionResult | list[ReductionResult], pad: str = "") -> str:
+    """The JSON of a trace, a prediction or a sweep of predictions, from indent ``pad`` on.
+
+    This is the one writer of the JSON form; ``to_dict`` reads it back and
+    :func:`trace_from_dict` parses it.  The text is what ``json.dumps(...,
+    indent=2, sort_keys=True)`` writes for that form, with ``pad`` before
+    every line, but built without dicts or the pure-Python indented encoder.
+    Every piece goes into one list, joined once; a slack table's lines are
+    formatted once per (p, n) by :func:`_write_slack`.
+    """
+    out: list[str] = []
+    if not isinstance(obj, list):
+        _write_report(out, obj, pad)
+    elif not obj:
+        out.append(f"{pad}[]")
+    else:
+        lead = f"{pad}[\n"
+        for res in obj:
+            out.append(lead)
+            _write_report(out, res, pad + "  ")
+            lead = ",\n"
+        out.append(f"\n{pad}]")
+    return "".join(out)
 
 
 def trace_from_dict(data: dict) -> KillTrace:
@@ -106,29 +211,6 @@ def trace_from_dict(data: dict) -> KillTrace:
     return KillTrace(
         p=data["p"], r=data["r"], c=data["c"], vL=as_rational(data["vL"]), entries=entries
     )
-
-
-class ReductionResult(NamedTuple):
-    """The predicted reduction: label ind omega2^(r+1) plus the guard data."""
-
-    survivor: int
-    exponent: int
-    label: str
-    irreducibility_residue: int
-    excluded_residues: tuple[int, int]
-    trace: KillTrace
-
-    def to_dict(self) -> dict:
-        data = self.trace.to_dict()
-        data["prediction"] = {
-            "label": self.label,
-            "exponent": self.exponent,
-            "irreducibility": {
-                "residue": self.irreducibility_residue,
-                "excluded": list(self.excluded_residues),
-            },
-        }
-        return data
 
 
 def good_candidates(p: int, r: int) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ arise from composite expressions such as r/2 - n - v_p(L).  A ValP is only
 compared for equality and printed; thresholds are decided on integer slacks.
 """
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -161,10 +162,11 @@ def rational_mod(q: Fraction | int, modulus: int) -> int:
 
 
 def as_rational(text: str | int | Fraction) -> Fraction:
-    """Parse an exact rational literal ("a/b" or "a"); no decimals.
+    """Parse an exact rational literal ("a/b" or "a" in ASCII digits); no decimals.
 
     An int or a Fraction is taken as it is; any other value that is not
-    such a literal (a float among them) raises PadicElimError.
+    such a literal (a float, a digit group "1_0", a non-ASCII digit among
+    them) raises PadicElimError.
     """
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
@@ -177,6 +179,7 @@ def as_rational(text: str | int | Fraction) -> Fraction:
         raise PadicElimError(f"rational literal {text!r} has a zero denominator") from None
     except ValueError:
         raise PadicElimError(f"rational literal expected (got {text!r})") from None
-    if "." in text or "e" in text.lower():
-        raise PadicElimError(f"rational literal expected (got {text!r}); decimals are not accepted")
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        note = "; decimals are not accepted" if "." in text or "e" in text.lower() else ""
+        raise PadicElimError(f"rational literal expected (got {text!r}){note}")
     return value

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import padicelim
-from padicelim import cli
+from padicelim import cli, eliminator
 from padicelim.cli import emit_report, main
 from padicelim.eliminator import (
     KillTrace,
@@ -29,6 +29,7 @@ from padicelim.eliminator import (
 )
 from padicelim.exactnum import is_prime
 from padicelim.verify import VerifyResult
+from trace_reference import reference_dict, reference_json
 
 PACKAGE_DIR = Path(padicelim.__file__).parent
 BENCH_DIR = PACKAGE_DIR.parents[1] / "perfbench"
@@ -86,7 +87,8 @@ class TestEliminate:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "zero denominator" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("vl", ["abc", "one"])
+    # a digit group and Arabic-Indic digits: Fraction reads both as 1/2
+    @pytest.mark.parametrize("vl", ["abc", "one", "1_0/2_0", "\u0661/\u0662"])
     def test_garbage_vl_exits_2_with_one_line(self, capsys, vl):
         code, out, err = run_cli(capsys, "eliminate", "--p", "5", "--r", "8", "--vL", vl)
         assert code == 2 and out == ""
@@ -315,28 +317,24 @@ class TestSweep:
         assert back == res and emit_report(back, "json") == emit_report(res, "json")
 
 
-def reference_json(data) -> str:
-    """The JSON text of a trace, prediction or sweep, as json.dumps writes it."""
-    return json.dumps(data, indent=2, sort_keys=True)
-
-
 class TestJsonRenderer:
-    """emit_report's trace, prediction and sweep JSON equals json.dumps of to_dict()."""
+    """emit_report's trace, prediction and sweep JSON equals json.dumps of the reference dicts."""
 
     @pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
     def test_every_theorem_range_prediction(self, p):
         results = [predict(p, r) for r in theorem_r_values(p)]
         for res in results:
-            assert emit_report(res, "json") == reference_json(res.to_dict()), res.trace.r
-            assert emit_report(res.trace, "json") == reference_json(res.trace.to_dict()), res.trace.r
-        assert emit_report(results, "json") == reference_json([res.to_dict() for res in results])
+            assert emit_report(res, "json") == reference_json(res), res.trace.r
+            assert emit_report(res.trace, "json") == reference_json(res.trace), res.trace.r
+        assert emit_report(results, "json") == reference_json(results)
 
     def test_edge_shapes(self):
         res = hand_built()
         text = emit_report(res.trace, "json")
-        assert text == reference_json(res.trace.to_dict())
-        assert emit_report(res, "json") == reference_json(res.to_dict())
-        assert emit_report([res, res], "json") == reference_json([res.to_dict()] * 2)
+        assert text == reference_json(res.trace)
+        assert emit_report(res, "json") == reference_json(res)
+        assert emit_report([res, res], "json") == reference_json([res, res])
+        assert res.to_dict() == reference_dict(res) and res.trace.to_dict() == reference_dict(res.trace)
         # the slack degrees sort as strings
         assert text.index('"10": "0"') < text.index('"9": "1"')
 
@@ -359,23 +357,23 @@ class TestSlackLines:
 
     @pytest.fixture(autouse=True)
     def no_lines_yet(self, monkeypatch):
-        monkeypatch.setattr(cli, "_SLACK_LINES", {})
+        monkeypatch.setattr(eliminator, "_SLACK_LINES", {})
 
     def test_high_then_low_then_high_r(self):
         # at p = 13 the windows of r = 24 and 38 are suffixes of those of
         # r = 16 and 30 at the shared degrees n (15, 16 and 21..30)
         results = [predict(13, r) for r in (24, 16, 24, 38, 30, 38)]
         for res in results:
-            assert emit_report(res, "json") == reference_json(res.to_dict()), res.trace.r
+            assert emit_report(res, "json") == reference_json(res), res.trace.r
         short, long = (
             next(e.slack_table for e in res.trace.entries if e.witness_n == (15,)) for res in results[:2]
         )
-        assert cli._SLACK_LINES[(13, 15)][0] == long and long[len(long) - len(short):] == short != long
+        assert eliminator._SLACK_LINES[(13, 15)][0] == long and long[len(long) - len(short):] == short != long
         # inside a sweep list, at its indent, with the lines of the
         # last prime cleared by the next
-        cli._SLACK_LINES.clear()
+        eliminator._SLACK_LINES.clear()
         results += [predict(11, 17), *results[:3]]
-        assert emit_report(results, "json") == reference_json([res.to_dict() for res in results])
+        assert emit_report(results, "json") == reference_json(results)
 
     def test_mutated_slack_after_a_clean_render(self, monkeypatch, mutate_table):
         clean = predict(13, 20)
@@ -385,7 +383,7 @@ class TestSlackLines:
         mutate_table(monkeypatch, kill.witness_n[0], (2, 0, j), slack=slack + 5)
         mutated = predict(13, 20)
         text = emit_report(mutated, "json")
-        assert text == reference_json(mutated.to_dict())
+        assert text == reference_json(mutated) and mutated.to_dict() == reference_dict(mutated)
         assert f'"{j}": "{slack + 5}"' in text and text != clean_text
 
     def test_hand_built_trace_after_real_traces(self):
@@ -395,7 +393,8 @@ class TestSlackLines:
         edited = kill._replace(slack_table=(*kill.slack_table[:-1], (kill.slack_table[-1][0], "7")))
         edited = real[2].trace._replace(entries=(edited,))
         for obj in (*real, hand_built(), edited, *real):
-            assert emit_report(obj, "json") == reference_json(obj.to_dict())
+            assert emit_report(obj, "json") == reference_json(obj)
+            assert obj.to_dict() == reference_dict(obj)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_shuffled_pass_formats_each_line_once(self, monkeypatch, seed):
@@ -404,9 +403,9 @@ class TestSlackLines:
         random.Random(seed).shuffle(rs)
         results = [predict(31, r) for r in rs]
         calls = []
-        monkeypatch.setattr(cli, "_json_str", lambda text: calls.append(text) or json.dumps(text))
+        monkeypatch.setattr(eliminator, "_json_str", lambda text: calls.append(text) or json.dumps(text))
         for res in results:
-            assert emit_report(res, "json") == reference_json(res.to_dict()), res.trace.r
+            assert emit_report(res, "json") == reference_json(res), res.trace.r
         # every other string is a label, a vL, a status or a method
         others = sum(2 + sum(1 + (e.method is not None) for e in res.trace.entries) for res in results)
         distinct = {
@@ -421,7 +420,8 @@ class TestSlackLines:
         kill = trace.entries[2]
         longer = trace._replace(entries=(kill._replace(slack_table=((12, "3"), *kill.slack_table)),))
         for obj in (longer, trace):
-            assert emit_report(obj, "json") == reference_json(obj.to_dict())
+            assert emit_report(obj, "json") == reference_json(obj)
+            assert obj.to_dict() == reference_dict(obj)
 
 
 class TestGoldenOutput:
@@ -738,6 +738,19 @@ class TestInvariantsUnderOptimization:
                 and not re.search(rf"\b{name}\b", bench)
             ]
         assert unread == ["padicelim.exactnum.vp"]
+
+    def test_one_module_writes_the_trace_json(self):
+        # a second writer or dict builder of the JSON form would name its keys
+        keys = ("subquotients", "slack_table", "witness_n")
+        found = {
+            (key, path.name)
+            for path in sorted(PACKAGE_DIR.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for key in keys
+            if node.value == key or f'"{key}"' in node.value
+        }
+        assert found == {(key, "eliminator.py") for key in keys}
 
     def test_only_main_prints_to_stdout(self):
         # one render path: a subcommand returns its output, main prints it

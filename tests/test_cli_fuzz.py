@@ -6,7 +6,6 @@ matches json.dumps, and the kills do not depend on vL.
 
 import contextlib
 import io
-import json
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +19,7 @@ from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 from padicelim.cli import emit_report, main  # noqa: E402
 from padicelim.eliminator import run_elimination, theorem_r_values  # noqa: E402
 from padicelim.verify import VERIFIERS  # noqa: E402
+from trace_reference import reference_dict, reference_json  # noqa: E402
 
 # While pytest collects, hypothesis caches the constants it finds in local
 # source under its home directory, ./.hypothesis unless set: keep the tree clean.
@@ -93,7 +93,8 @@ def eliminations(draw):
 @given(args=eliminations())
 def test_trace_json_matches_json_dumps(args):
     trace = run_elimination(*args)
-    assert emit_report(trace, "json") == json.dumps(trace.to_dict(), indent=2, sort_keys=True)
+    assert emit_report(trace, "json") == reference_json(trace)
+    assert trace.to_dict() == reference_dict(trace)
 
 
 @settings(max_examples=40, database=None, derandomize=True, deadline=None)

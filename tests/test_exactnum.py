@@ -6,6 +6,7 @@ factors off exactly computed integers.
 
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -143,6 +144,7 @@ class TestAsRational:
     def test_parses_exact_literals(self):
         assert as_rational("-9/2") == Fraction(-9, 2)
         assert as_rational("7") == 7
+        assert as_rational(" +3/4\n") == Fraction(3, 4)
         assert as_rational(Fraction(1, 3)) == Fraction(1, 3)
 
     def test_rejects_decimals(self):
@@ -150,10 +152,18 @@ class TestAsRational:
             as_rational("4.5")
         with pytest.raises(ValueError):
             as_rational("1e-3")
+        with pytest.raises(PadicElimError, match="decimals are not accepted"):
+            as_rational("1_0.5")
         # a value that is neither an int, a Fraction nor text
         for value in (4.5, -4.0, Decimal("4.5")):
             with pytest.raises(PadicElimError, match=r"rational literal expected \(got "):
                 as_rational(value)
+
+    @pytest.mark.parametrize("text", ["1_0/2_0", "\u0661/\u0662", "\uff11/2", "1 / 2", "0x10"])
+    def test_rejects_what_is_not_ascii_a_over_b(self, text):
+        # Fraction reads the first three as 1/2
+        with pytest.raises(PadicElimError, match=rf"^rational literal expected \(got {re.escape(repr(text))}\)$"):
+            as_rational(text)
 
 
 class TestIsPrimeCache:
