@@ -166,28 +166,28 @@ def _write_report(out: list[str], obj: KillTrace | ReductionResult, pad: str) ->
     out.append(f',\n{q}"vL": {_json_str(str(trace.vL))}\n{pad}}}')
 
 
-def trace_json(obj: KillTrace | ReductionResult | list[ReductionResult], pad: str = "") -> str:
-    """The JSON of a trace, a prediction or a sweep of predictions, from indent ``pad`` on.
+def trace_json(obj: KillTrace | ReductionResult | list[ReductionResult]) -> str:
+    """The JSON of a trace, a prediction or a sweep of predictions.
 
     This is the one writer of the JSON form; ``to_dict`` reads it back and
     :func:`trace_from_dict` parses it.  The text is what ``json.dumps(...,
-    indent=2, sort_keys=True)`` writes for that form, with ``pad`` before
-    every line, but built without dicts or the pure-Python indented encoder.
-    Every piece goes into one list, joined once; a slack table's lines are
-    formatted once per (p, n) by :func:`_write_slack`.
+    indent=2, sort_keys=True)`` writes for that form, but built without
+    dicts or the pure-Python indented encoder.  Every piece goes into one
+    list, joined once; a slack table's lines are formatted once per (p, n)
+    by :func:`_write_slack`.
     """
     out: list[str] = []
     if not isinstance(obj, list):
-        _write_report(out, obj, pad)
+        _write_report(out, obj, "")
     elif not obj:
-        out.append(f"{pad}[]")
+        out.append("[]")
     else:
-        lead = f"{pad}[\n"
+        lead = "[\n"
         for res in obj:
             out.append(lead)
-            _write_report(out, res, pad + "  ")
+            _write_report(out, res, "  ")
             lead = ",\n"
-        out.append(f"\n{pad}]")
+        out.append("\n]")
     return "".join(out)
 
 

@@ -176,10 +176,12 @@ def as_rational(text: str | int | Fraction) -> Fraction:
     try:
         value = Fraction(text)
     except ZeroDivisionError:
-        raise PadicElimError(f"rational literal {text!r} has a zero denominator") from None
+        value = None  # a zero denominator, named below once the text is a/b
     except ValueError:
         raise PadicElimError(f"rational literal expected (got {text!r})") from None
     if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
         note = "; decimals are not accepted" if "." in text or "e" in text.lower() else ""
         raise PadicElimError(f"rational literal expected (got {text!r}){note}")
+    if value is None:
+        raise PadicElimError(f"rational literal {text!r} has a zero denominator")
     return value

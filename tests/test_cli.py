@@ -87,8 +87,9 @@ class TestEliminate:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "zero denominator" in err and "Traceback" not in err
 
-    # a digit group and Arabic-Indic digits: Fraction reads both as 1/2
-    @pytest.mark.parametrize("vl", ["abc", "one", "1_0/2_0", "\u0661/\u0662"])
+    # a digit group and Arabic-Indic digits: Fraction reads the first two as
+    # 1/2 and the last as 1/0, which is not an a/b literal either
+    @pytest.mark.parametrize("vl", ["abc", "one", "1_0/2_0", "\u0661/\u0662", "1_0/0"])
     def test_garbage_vl_exits_2_with_one_line(self, capsys, vl):
         code, out, err = run_cli(capsys, "eliminate", "--p", "5", "--r", "8", "--vL", vl)
         assert code == 2 and out == ""

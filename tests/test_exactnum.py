@@ -159,9 +159,10 @@ class TestAsRational:
             with pytest.raises(PadicElimError, match=r"rational literal expected \(got "):
                 as_rational(value)
 
-    @pytest.mark.parametrize("text", ["1_0/2_0", "\u0661/\u0662", "\uff11/2", "1 / 2", "0x10"])
+    @pytest.mark.parametrize("text", ["1_0/2_0", "\u0661/\u0662", "\uff11/2", "1 / 2", "0x10", "1_0/0", "\u0661/\u0660"])
     def test_rejects_what_is_not_ascii_a_over_b(self, text):
-        # Fraction reads the first three as 1/2
+        # Fraction reads the first three as 1/2 and the last two as 1/0:
+        # neither is an a/b literal, so neither has a zero denominator
         with pytest.raises(PadicElimError, match=rf"^rational literal expected \(got {re.escape(repr(text))}\)$"):
             as_rational(text)
 
