@@ -23,7 +23,6 @@ __all__ = [
     "is_prime",
     "check_prime",
     "vp_int",
-    "vp",
     "vp_factorial",
     "harmonic",
     "rational_mod",
@@ -105,15 +104,6 @@ def vp_int(n: int, p: int) -> int:
         v += 1
         n //= p
     return v
-
-
-def vp(q: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational: vp(num) - vp(den)."""
-    check_prime(p)
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("vp(0) is undefined: 0 has valuation +infinity")
-    return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
 def vp_factorial(n: int, p: int) -> int:

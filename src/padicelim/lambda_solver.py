@@ -29,13 +29,21 @@ whole family from the product formula
 
 obtained from the Vandermonde determinant.  The tests require the two to
 agree entry-wise, exactly.  ``verify_lambda`` shares no code with either.
+
+``verify_lambda`` checks bullet 1 as a divisibility: the binomial moments
+of L(u) = sum_I lambda_i u^i vanish up to n exactly when (u - 1)^(n+1)
+divides L.  The quotient of u^y, y = (b+1)p, by (u - 1)^(n+1) is
+sum_{k < d} C(n+k, k) u^(d-1-k) with d = y - n <= p, the polynomial part of
+u^y (u - 1)^-(n+1) at infinity.  Subtracting (u - 1)^(n+1) times lambda_y
+times it from L leaves a remainder R of degree <= n with the same moments,
+so bullet 1 holds exactly when R = 0: O(n d) work per family, not O(n y).
 """
 
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice, repeat
 from math import comb, factorial
-from operator import add, floordiv, mul
+from operator import add, floordiv, mul, sub
 from typing import NamedTuple
 
 from padicelim.combinat import stirling2
@@ -158,23 +166,41 @@ def verify_lambda(v: LambdaVector) -> BulletReport:
 
     Bullet 1: with B_m = sum_{i in I} lambda_i C(i, m), the power moment is
     P_j = sum_{m <= j} S(j, m) m! B_m (as i^j = sum_m S(j, m) m! C(i, m)),
-    unitriangular, so all P_j vanish iff all B_m do.  The B_m are the
-    coefficients of sum_I lambda_i (1 + x)^i mod x^(n+1), by Horner in (1 + x).
+    unitriangular, so all P_j vanish iff all B_m do.  B_m is the coefficient
+    of x^m in L(1 + x), so all B_m, m <= n, vanish iff (u - 1)^(n+1) divides
+    L.  With y = (b+1)p and d = y - n, Q = lambda_y sum_{k < d} C(n+k, k)
+    u^(d-1-k) is the quotient of lambda_y u^y by (u - 1)^(n+1), so
+    R = L - (u - 1)^(n+1) Q is lambda_0..lambda_n plus lambda_y times the
+    remainder of u^y: degree <= n.  Only its n + 1 low coefficients are
+    formed, in d shifted row updates.  (u - 1)^(n+1) Q at u = 1 + x is
+    x^(n+1) Q(1 + x), so R has L's B_m for m <= n: R = 0 is bullet 1, and a
+    nonzero R gives L's B_m, by Horner in (1 + x) over its coefficients, and
+    so the same failure rows.
     Bullet 2: for i = a + pt, i^j = a^j + j a^(j-1) pt mod p^2 (later binomial
     terms carry p^2; 0^0 = 1), so each class sum is a^j S0_a + j a^(j-1) p S1_a
     mod p^2, with S0_a = sum lambda_i and S1_a = sum lambda_i t over the class.
     """
     p, b, n = v.p, v.b, v.n
+    y = v.top_node
     failures: list[str] = []
 
-    moments = [0] * (n + 1)
-    for i in range(v.top_node, -1, -1):
-        moments[0] += v.entries.get(i, 0)  # no node strictly between n and (b+1)p
-        if i:
-            moments = [moments[0], *map(add, moments[1:], moments)]  # times (1 + x)
-    nonzero = [(m, factorial(m) * moment) for m, moment in enumerate(moments) if moment]
-    bullet1 = not nonzero
-    if nonzero:
+    row = [(-1) ** (n + 1)]  # (u - 1)^(n+1), from u^0 up
+    for m in range(1, n + 2):
+        row.append(-row[-1] * (n + 2 - m) // m)
+    residue = [v.entries[i] for i in range(n + 1)]  # R, degree <= n
+    d = y - n
+    q = v.entries[y]  # lambda_y C(n + k, k), Q's coefficient of u^(d-1-k)
+    for k in range(d):
+        s = d - 1 - k
+        # minus q u^s (u - 1)^(n+1), cut at u^n: the terms above cancel lambda_y u^y
+        residue[s:] = map(sub, residue[s:], map(mul, row, repeat(q)))
+        q = q * (n + k + 1) // (k + 1)
+    bullet1 = not any(residue)
+    if not bullet1:
+        moments = [0] * (n + 1)
+        for c in reversed(residue):  # Horner in (1 + x)
+            moments = [moments[0] + c, *map(add, moments[1:], moments)]
+        nonzero = [(m, factorial(m) * moment) for m, moment in enumerate(moments) if moment]
         for j in range(nonzero[0][0], n + 1):
             if sum(stirling2(j, m) * weighted for m, weighted in nonzero if m <= j):
                 failures.append(f"bullet 1 fails at j = {j}")

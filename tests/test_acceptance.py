@@ -13,9 +13,10 @@ from fractions import Fraction
 from padicelim.combinat import binom_mod_p2, stirling_lucas_check
 from padicelim.congruence import make_params, master_terms, star_full, star_mod_p2, inequality_suite
 from padicelim.eliminator import predict, theorem_r_values
-from padicelim.exactnum import harmonic, rational_mod, vp
+from padicelim.exactnum import harmonic, rational_mod
 from padicelim.fp_poly import pure_y_defect, shallow_kill_check
 from padicelim.lambda_solver import lambda_closed, solve_lambda, verify_lambda
+from valuation_reference import vp
 
 MAIN_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 

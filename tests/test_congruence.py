@@ -32,8 +32,9 @@ from padicelim.congruence import (
 from padicelim.errors import PadicElimError
 from padicelim.combinat import stirling2
 from padicelim.eliminator import good_candidates, run_elimination, theorem_r_values
-from padicelim.exactnum import INF, ValP, harmonic, is_prime, rational_mod, vp, vp_factorial, vp_int
+from padicelim.exactnum import INF, ValP, harmonic, is_prime, rational_mod, vp_factorial, vp_int
 from padicelim.verify import VerifyResult, verify_star, verify_vl_independence
+from valuation_reference import vp
 
 
 class TestMakeParams:

@@ -21,10 +21,10 @@ from padicelim.exactnum import (
     harmonic,
     is_prime,
     rational_mod,
-    vp,
     vp_factorial,
     vp_int,
 )
+from valuation_reference import vp
 
 PRIMES_TO_100 = [p for p in range(2, 100) if is_prime(p)]
 

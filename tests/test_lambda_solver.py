@@ -208,6 +208,20 @@ class TestBullets:
                     assert not report.passed and not report.bullet1
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_top_entry_scales_the_quotient(self, p):
+        # Q is lambda_y times the quotient of u^y by (u - 1)^(n+1): lambda_y = 0
+        # leaves R = lambda_0..lambda_n, and +1 or -1 + p^2 a remainder whose
+        # rows differ from those of a quotient built for lambda_y = -1
+        for b in range(p - 1):
+            for n in (b * p, (b + 1) * p - 1):
+                for top in (0, 1, p * p - 1):
+                    v = solve_lambda(p, b, n)
+                    v.entries[v.top_node] = top
+                    report = verify_lambda(v)
+                    assert report == _reference_verify(v), (p, b, n, top)
+                    assert not report.bullet1, (p, b, n, top)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_same_class_pair_mutations_match_reference(self, p):
         # +d and -d on two members a + pt of one class a != 0 with different t:
         # S0_a keeps its value; d = 1 moves S1_a mod p, so only the linear
