@@ -24,7 +24,7 @@ from math import comb
 from operator import add, mod, mul
 from typing import NamedTuple
 
-from padicelim.exactnum import check_prime, harmonic, rational_mod
+from padicelim.exactnum import check_prime, harmonic, per_prime, rational_mod
 
 __all__ = [
     "lucas_mod_p",
@@ -36,12 +36,8 @@ __all__ = [
     "stirling_lucas_check",
 ]
 
-_STIRLING_ROWS: list[list[int]] = [[1]]  # complete rows {t brace 0..t}, t = 0, 1, ...
-# the same rows mod p, of one prime only, keyed by p and cleared when p changes: the
-# rows t <= 3p + 1 and t >= p^2, all that stirling_lucas_check reads at y <= 2p, i <= 2
-_STIRLING_ROWS_MOD_P: dict[int, dict[int, tuple[int, ...]]] = {}
-# H_0..H_{p-1} mod p^2, of one prime only, keyed by p; cleared when p changes
-_HARMONIC_MOD_P2: dict[int, list[int]] = {}
+# complete rows {t brace 0..t}, t = 0, 1, ..., p-free and so kept for every prime
+_STIRLING_ROWS: list[list[int]] = [[1]]
 
 
 def _fill_stirling_rows(t: int) -> list[list[int]]:
@@ -57,13 +53,12 @@ def _fill_stirling_rows(t: int) -> list[list[int]]:
 def _stirling_row_mod_p(t: int, p: int) -> tuple[int, ...]:
     """The row {t brace 0..t} mod p, rolled forward from the nearest held row below t.
 
+    p's rows are held with its other state, keyed by t: the rows t <= 3p + 1
+    and t >= p^2, all that stirling_lucas_check reads at y <= 2p, i <= 2.
     Rows 3p + 1 < t < p^2 are rolled through and dropped, so the held rows
     of p = 101 are about 2p^3 values, not the p^4 / 2 of every row to p^2 + 2p.
     """
-    rows = _STIRLING_ROWS_MOD_P.get(p)
-    if rows is None:
-        _STIRLING_ROWS_MOD_P.clear()
-        rows = _STIRLING_ROWS_MOD_P[p] = {0: (1,)}
+    rows = per_prime(p, "stirling_rows_mod_p", lambda: {0: (1,)})
     row = rows.get(t)
     if row is None:
         start = max(held for held in rows if held < t)
@@ -129,21 +124,12 @@ class Mod2Residue(NamedTuple):
     via_lemma: bool
 
 
-def _harmonic_mod_p2(p: int) -> list[int]:
-    """[H_k mod p^2 for k = 0..p-1], held for one prime at a time."""
-    residues = _HARMONIC_MOD_P2.get(p)
-    if residues is None:
-        _HARMONIC_MOD_P2.clear()
-        residues = _HARMONIC_MOD_P2[p] = [rational_mod(harmonic(k), p * p) for k in range(p)]
-    return residues
-
-
 def binom_mod_p2(n_big: int, k_big: int, p: int) -> Mod2Residue:
     """C(N, K) mod p^2 via the digit formula, or exact reduction as fallback.
 
     ``via_lemma`` is True when the digit hypothesis s <= r' held and the
     formula path was used.  The formula is evaluated in integers, from the
-    residues of H_0..H_{p-1} mod p^2.
+    residues of H_0..H_{p-1} mod p^2, held with p's other state.
     """
     check_prime(p)
     if n_big < 0 or k_big < 0:
@@ -153,7 +139,7 @@ def binom_mod_p2(n_big: int, k_big: int, p: int) -> Mod2Residue:
     b, s_digit = divmod(k_big, p)
     if s_digit > r_digit:
         return Mod2Residue(comb(n_big, k_big) % modulus, False)
-    h = _harmonic_mod_p2(p)
+    h = per_prime(p, "harmonic_mod_p2", lambda: [rational_mod(harmonic(k), modulus) for k in range(p)])
     ha, hm, hs = h[r_digit], h[r_digit - s_digit], h[s_digit]
     correction = 1 + p * (a * (ha - hm) + b * (hm - hs))
     return Mod2Residue(comb(a, b) * comb(r_digit, s_digit) * correction % modulus, True)

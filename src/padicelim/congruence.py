@@ -25,7 +25,7 @@ v_p(C) - vFall, an integer (None when C vanishes).  Neither C nor the slack
 depends on r, so the coefficients of one (p, n) are valued once, as a table
 over every degree j an admissible r can ask for; :func:`master_terms` reads
 it from ceil(r/2), and a term derives its total valuation from r on demand.
-The tables of one prime are kept and dropped when the prime changes.  A
+The tables of the last two primes are kept, in ``exactnum.per_prime``.  A
 missing table is built with every missing degree below it and the rest of
 its block of four degrees, so few requests of a process pay for building,
 whatever their order; the low degrees are small (at p = 31 the degrees
@@ -105,6 +105,7 @@ from padicelim.exactnum import (
     as_rational,
     check_prime,
     harmonic,
+    per_prime,
     rational_mod,
     vp_factorial,
     vp_int,
@@ -339,8 +340,6 @@ class _Table(NamedTuple):
         return cls(j0, columns, factors, line2, target, slacks, misses, generator)
 
 
-# the term tables of one prime, keyed by (p, n); cleared when p changes
-_TABLES: dict[tuple[int, int], _Table] = {}
 # a miss builds tables up to the end of its block of this many degrees
 _TABLE_BLOCK = 4
 
@@ -410,18 +409,17 @@ def _build_table(p: int, n: int) -> _Table:
 
 def _table(p: int, r: int, n: int) -> tuple[_Table, int]:
     """The (p, n) table and where the window of r starts in its columns."""
-    table = _TABLES.get((p, n))
+    tables = per_prime(p, "tables", dict)  # the (p, n) tables of p, keyed by n
+    table = tables.get(n)
     if table is None:
-        if _TABLES and next(iter(_TABLES))[0] != p:
-            _TABLES.clear()
         # build every missing degree from the lowest an admissible r has to
         # the end of n's block (no admissible r exceeds p^2 - p - 1): later
         # requests then seldom miss, so few pay for building, in any order
         top = min(-(-n // _TABLE_BLOCK) * _TABLE_BLOCK, p * p - p - 1)
         for m in range((p + 3) // 2, top + 1):
-            if (p, m) not in _TABLES:
-                _TABLES[(p, m)] = _build_table(p, m)
-        table = _TABLES[(p, n)]
+            if m not in tables:
+                tables[m] = _build_table(p, m)
+        table = tables[n]
     start = (r + 1) // 2 - table.j0
     if start < 0:
         raise PadicElimError(f"r = {r} is below max(p, n) = {max(p, n)}")

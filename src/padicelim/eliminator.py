@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from padicelim.congruence import audit_bad, audit_good, audit_ugly, fall_valuation, window_degrees
 from padicelim.errors import EliminationIncompleteError, PadicElimError
-from padicelim.exactnum import as_rational, check_prime
+from padicelim.exactnum import as_rational, check_prime, per_prime
 from padicelim.fp_poly import shallow_kill_check
 
 __all__ = [
@@ -98,12 +98,6 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
-# the line-2 slack lines of the (p, n) tables rendered so far, for one prime:
-# the pairs, and their lines (unindented) in sort_keys order, each with its
-# place counted back from the last pair; cleared when p changes
-_SLACK_LINES: dict[tuple[int, int | None], tuple[tuple[tuple[int, str], ...], list[tuple[str, int]]]] = {}
-
-
 def _write_slack(out: list[str], p: int, n: int | None, pairs: tuple[tuple[int, str], ...], pad: str) -> None:
     """Write the JSON object of a kill's slack pairs, closed at indent ``pad``.
 
@@ -118,17 +112,18 @@ def _write_slack(out: list[str], p: int, n: int | None, pairs: tuple[tuple[int, 
         out.append("{}")
         return
     count = len(pairs)
-    held, lines = _SLACK_LINES.get((p, n)) or ((), ())
+    # the lines of p's tables rendered so far, keyed by n: the pairs, and their lines
+    # (unindented) in sort_keys order, each with its place counted back from the last pair
+    slack_lines = per_prime(p, "slack_lines", dict)
+    held, lines = slack_lines.get(n) or ((), ())
     if held[-count:] != pairs:
         if pairs[-len(held):] != held:
             held, lines = (), ()
-        if _SLACK_LINES and next(iter(_SLACK_LINES))[0] != p:
-            _SLACK_LINES.clear()
         # sort_keys order, the degrees as strings: "10" comes before "9".  The
         # lines sort in that order since '"' sorts before '-' and every digit
         front = [(f'"{j}": {_json_str(s)}', count - 1 - k) for k, (j, s) in enumerate(pairs[:count - len(held)])]
         lines = sorted([*lines, *front])
-        _SLACK_LINES[(p, n)] = (pairs, lines)
+        slack_lines[n] = (pairs, lines)
     q = pad + "  "
     out += (f"{{\n{q}", f",\n{q}".join([line for line, back in lines if back < count]), f"\n{pad}}}")
 

@@ -39,17 +39,17 @@ lam.  ``shallow_summand`` forms the full product; ``verify shallow`` keeps
 it as the oracle for every reported degree.
 """
 
-from functools import lru_cache
 from itertools import repeat
 from math import comb
 from typing import NamedTuple
 
 from padicelim.errors import PadicElimError
-from padicelim.exactnum import check_prime
+from padicelim.exactnum import check_prime, per_prime
 
 __all__ = [
     "HPoly",
     "theta",
+    "lin_mul",
     "act",
     "shallow_summand",
     "pure_y_defect",
@@ -164,13 +164,12 @@ def theta(p: int) -> HPoly:
     return HPoly(p, tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
 def _theta_power(p: int, i: int) -> HPoly:
-    """theta^i, built once per (p, i)."""
-    return theta(p).power(i)
+    """theta^i, built once per (p, i) and held with p's other state."""
+    return per_prime(p, ("theta_power", i), lambda: theta(p).power(i))
 
 
-def _lin_mul(coeffs: list[int], x_coef: int, y_coef: int, p: int) -> list[int]:
+def lin_mul(coeffs: list[int], x_coef: int, y_coef: int, p: int) -> list[int]:
     """Multiply a coefficient list by the linear form x_coef*X + y_coef*Y."""
     out = [0] * (len(coeffs) + 1)
     for k, ck in enumerate(coeffs):
@@ -188,8 +187,8 @@ def act(m: tuple[tuple[int, int], tuple[int, int]], f: HPoly) -> HPoly:
     acc = [f.coeffs[deg]]
     vpow = [1]
     for j in range(deg - 1, -1, -1):
-        vpow = _lin_mul(vpow, c, d, p)
-        acc = _lin_mul(acc, a, b, p)
+        vpow = lin_mul(vpow, c, d, p)
+        acc = lin_mul(acc, a, b, p)
         cj = f.coeffs[j]
         if cj:
             for k, vk in enumerate(vpow):
@@ -210,7 +209,6 @@ def shallow_summand(p: int, r: int, i: int, lam: int) -> HPoly:
     return _linear_form_power(p, 1, -lam, k) * _theta_power(p, i).div_y()
 
 
-@lru_cache(maxsize=None)
 def _shallow_facts(p: int, i: int) -> tuple[int, int]:
     """What the certificate for i reads of theta^i; none of it depends on r.
 
@@ -267,7 +265,7 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
     failures: list[str] = []
 
     k = r - i * (p + 1) + 1
-    unit, t = _shallow_facts(p, i)
+    unit, t = per_prime(p, ("shallow_facts", i), lambda: _shallow_facts(p, i))
     if unit == 0:
         failures.append(f"f_{i} has no unit at X^{i - 1}Y^{r - i + 1}")
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from padicelim.combinat import binom_mod_p2, lucas_mod_p, stirling2, stirling2_def, stirling_lucas_check
 from padicelim.congruence import inequality_suite, make_params, master_terms, star_full, star_mod_p2, window_degrees
 from padicelim.exactnum import INF, harmonic, rational_mod, vp_int
-from padicelim.fp_poly import _lin_mul, pure_y_defect, shallow_kill_check, shallow_summand
+from padicelim.fp_poly import lin_mul, pure_y_defect, shallow_kill_check, shallow_summand
 from padicelim.lambda_solver import lambda_closed, lambda_window, verify_lambda
 
 __all__ = [
@@ -144,7 +144,7 @@ def _shallow_products(p: int):
             if k == 0:
                 summands = [list(shallow_summand(p, r, i, 0).coeffs)] * p
             else:
-                summands = [_lin_mul(coeffs, 1, -lam, p) for lam, coeffs in enumerate(carried[i])]
+                summands = [lin_mul(coeffs, 1, -lam, p) for lam, coeffs in enumerate(carried[i])]
             carried[i] = summands
             yield r, i, summands
 

@@ -1,8 +1,19 @@
-"""Shared fixtures: a (p, n) term table with one term or column changed."""
+"""Shared fixtures: an empty per-prime holder, and a (p, n) term table with one term or column changed."""
 
 import pytest
 
-from padicelim import congruence
+from padicelim import congruence, exactnum
+
+
+def _forget_primes(monkeypatch):
+    """Empty the per-prime holder; what it held before comes back after the test."""
+    monkeypatch.setattr(exactnum, "_KEPT", {})
+
+
+@pytest.fixture
+def no_prime_held(monkeypatch):
+    """Nothing held for any prime at the start of the test, and nothing the test holds kept after it."""
+    _forget_primes(monkeypatch)
 
 
 def _replaced(terms, j, changes):
@@ -18,7 +29,8 @@ def _mutate_table(monkeypatch, n, key, **changes):
     every table, so its slack pairs, misses and generator follow the
     change: a plain ``_replace`` of the table would leave them stale.  The change
     reaches both ``master_terms`` and the audits.  Calls stack: each wraps
-    the table builder that the one before it installed.
+    the table builder that the one before it installed, and empties the
+    per-prime holder, so no table or slack line built before it is read.
     """
     original = congruence._build_table
     line, _a, j = key
@@ -37,7 +49,7 @@ def _mutate_table(monkeypatch, n, key, **changes):
         return congruence._Table.of(p, m, table.j0, columns, table.factors, line2)
 
     monkeypatch.setattr(congruence, "_build_table", mutated)
-    monkeypatch.setattr(congruence, "_TABLES", {})
+    _forget_primes(monkeypatch)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import pickle
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import padicelim
-from padicelim import cli, eliminator
+from padicelim import cli, congruence, eliminator, exactnum
 from padicelim.cli import emit_report, main
 from padicelim.eliminator import (
     KillTrace,
@@ -340,6 +341,19 @@ class TestJsonRenderer:
         assert text.index('"10": "0"') < text.index('"9": "1"')
 
 
+def slack_formats(results, calls) -> tuple[int, int]:
+    """The slack lines among ``calls``, the strings formatted to render ``results``, and their distinct (p, n, j).
+
+    Every other string formatted is a label, a vL, a status or a method.
+    """
+    others = sum(2 + sum(1 + (e.method is not None) for e in res.trace.entries) for res in results)
+    distinct = {
+        (res.trace.p, e.witness_n[0], j)
+        for res in results for e in res.trace.entries if e.slack_table for j, _ in e.slack_table
+    }
+    return len(calls) - others, len(distinct)
+
+
 def hand_built() -> ReductionResult:
     """A prediction no engine run gives: an empty slack table, a two-entry one, a survivor between."""
     trace = KillTrace(p=7, r=12, c=1, vL=Fraction(-27, 4), entries=(
@@ -353,12 +367,9 @@ def hand_built() -> ReductionResult:
     )
 
 
+@pytest.mark.usefixtures("no_prime_held")
 class TestSlackLines:
     """A slack table is read from the lines of its (p, n) table rendered before, and never stale ones."""
-
-    @pytest.fixture(autouse=True)
-    def no_lines_yet(self, monkeypatch):
-        monkeypatch.setattr(eliminator, "_SLACK_LINES", {})
 
     def test_high_then_low_then_high_r(self):
         # at p = 13 the windows of r = 24 and 38 are suffixes of those of
@@ -369,12 +380,11 @@ class TestSlackLines:
         short, long = (
             next(e.slack_table for e in res.trace.entries if e.witness_n == (15,)) for res in results[:2]
         )
-        assert eliminator._SLACK_LINES[(13, 15)][0] == long and long[len(long) - len(short):] == short != long
-        # inside a sweep list, at its indent, with the lines of the
-        # last prime cleared by the next
-        eliminator._SLACK_LINES.clear()
-        results += [predict(11, 17), *results[:3]]
+        assert exactnum._KEPT[13]["slack_lines"][15][0] == long and long[len(long) - len(short):] == short != long
+        # inside a sweep list, at its indent: with three primes, 13's lines are evicted and rendered afresh
+        results += [predict(11, 17), predict(7, 10), *results[:3]]
         assert emit_report(results, "json") == reference_json(results)
+        assert list(exactnum._KEPT) == [7, 13]
 
     def test_mutated_slack_after_a_clean_render(self, monkeypatch, mutate_table):
         clean = predict(13, 20)
@@ -407,12 +417,31 @@ class TestSlackLines:
         monkeypatch.setattr(eliminator, "_json_str", lambda text: calls.append(text) or json.dumps(text))
         for res in results:
             assert emit_report(res, "json") == reference_json(res), res.trace.r
-        # every other string is a label, a vL, a status or a method
-        others = sum(2 + sum(1 + (e.method is not None) for e in res.trace.entries) for res in results)
-        distinct = {
-            (e.witness_n[0], j) for res in results for e in res.trace.entries if e.slack_table for j, _ in e.slack_table
-        }
-        assert len(calls) - others == len(distinct) == 2004
+        assert slack_formats(results, calls) == (2004, 2004)
+
+    def test_alternating_primes_build_each_table_and_format_each_line_once(self, monkeypatch):
+        # two primes' theorem ranges, r by r, cost what they cost one prime at a time
+        built, calls = [], []
+        build = congruence._build_table
+        monkeypatch.setattr(congruence, "_build_table", lambda p, n: built.append((p, n)) or build(p, n))
+        monkeypatch.setattr(eliminator, "_json_str", lambda text: calls.append(text) or json.dumps(text))
+
+        def run(order):
+            monkeypatch.setattr(exactnum, "_KEPT", {})
+            built.clear()
+            calls.clear()
+            results = []
+            for p, r in order:
+                results.append(predict(p, r))
+                assert emit_report(results[-1], "json") == reference_json(results[-1]), (p, r)
+            formats, distinct = slack_formats(results, calls)
+            assert (len(built), formats) == (len(set(built)), distinct)
+            return sorted(built), formats
+
+        ranges = [[(p, r) for r in theorem_r_values(p)] for p in (17, 19)]
+        by_prime = run([*ranges[0], *ranges[1]])
+        alternating = run([pr for pair in itertools.zip_longest(*ranges) for pr in pair if pr])
+        assert alternating == by_prime
 
     def test_pairs_out_of_degree_order(self):
         # a window's lines are those less than its length from the end, so a
@@ -738,6 +767,38 @@ class TestInvariantsUnderOptimization:
                 and not re.search(rf"\b{name}\b", bench)
             ]
         assert unread == []
+
+    def test_only_the_holder_drops_per_prime_state(self):
+        # a process keeps per-prime state in exactnum.per_prime alone: functools
+        # caches only a bounded or p-free function, and nothing else clears,
+        # deletes from, pops or rebinds a module-level container
+        cached, dropped = [], []
+        for path in sorted(PACKAGE_DIR.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            held = {
+                node.id for top in tree.body if isinstance(top, (ast.Assign, ast.AnnAssign))
+                for node in ast.walk(top) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            }
+            for top in tree.body:
+                where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                for node in ast.walk(top):
+                    if isinstance(node, ast.FunctionDef) and any(
+                        re.search(r"\b(lru_)?cache\b", ast.unparse(d)) for d in node.decorator_list
+                    ):
+                        cached.append(where)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in (
+                        "clear", "pop", "popitem"
+                    ) and ast.unparse(node.func.value) in held:
+                        dropped.append(f"{where}: .{node.func.attr}()")
+                    if isinstance(node, ast.Delete):
+                        dropped += [
+                            f"{where}: del" for t in node.targets
+                            if isinstance(t, ast.Subscript) and ast.unparse(t.value) in held
+                        ]
+                    if isinstance(node, ast.Global):
+                        dropped.append(f"{where}: global")
+        assert cached == ["exactnum.is_prime", "exactnum.harmonic"]
+        assert sorted(dropped) == ["exactnum.per_prime: .pop()", "exactnum.per_prime: del"]
 
     def test_one_module_writes_the_trace_json(self):
         # a second writer or dict builder of the JSON form would name its keys

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicelim import congruence, eliminator, verify
+from padicelim import congruence, eliminator, exactnum, verify
 from padicelim.congruence import (
     BELOW,
     DEAD,
@@ -320,22 +320,26 @@ class TestMasterTerms:
             if n < p:  # b = 0: every line-1 column vanishes
                 assert {row[3:] for row in got if row[0] == 1} == {(0, None)}, n
 
-    def test_tables_held_for_one_prime(self):
+    def test_tables_held_for_the_last_two_primes(self, no_prime_held):
         master_terms(make_params(5, 8, 7, -5))
         master_terms(make_params(7, 18, 15, -10))
-        assert {p for p, _n in congruence._TABLES} == {7}
+        master_terms(make_params(11, 20, 17, -8))
+        assert list(exactnum._KEPT) == [7, 11]
+        for p in (7, 11):
+            tables = exactnum._KEPT[p]["tables"]
+            assert tables and all(table == congruence._build_table(p, n) for n, table in tables.items()), p
 
-    def test_a_miss_builds_from_the_lowest_degree_to_the_block_end(self):
-        congruence._TABLES.clear()
+    def test_a_miss_builds_from_the_lowest_degree_to_the_block_end(self, no_prime_held):
         # at p = 7 the lowest admissible degree is 5, and 13 ends its block at 16
         master_terms(make_params(7, 18, 13, -10))
-        assert sorted(congruence._TABLES) == [(7, m) for m in range(5, 17)]
-        built = dict(congruence._TABLES)
+        tables = exactnum._KEPT[7]["tables"]
+        assert sorted(tables) == list(range(5, 17))
+        built = dict(tables)
         master_terms(make_params(7, 14, 9, -8))
-        assert congruence._TABLES == built
+        assert tables == built
         # the block of 41 would end at 44, past the largest admissible r = 41
         master_terms(make_params(7, 41, 41, -21))
-        assert sorted(congruence._TABLES) == [(7, m) for m in range(5, 42)]
+        assert sorted(tables) == list(range(5, 42))
 
     def test_zero_terms_at_b0(self):
         # b = 0 makes every line-1 coefficient vanish ({m brace 0} = 0)

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicelim import exactnum
 from padicelim.errors import PadicElimError
 from padicelim.exactnum import (
     INF,
@@ -20,6 +21,7 @@ from padicelim.exactnum import (
     check_prime,
     harmonic,
     is_prime,
+    per_prime,
     rational_mod,
     vp_factorial,
     vp_int,
@@ -178,3 +180,23 @@ class TestIsPrimeCache:
         hits = is_prime.cache_info().hits
         check_prime(31)
         assert is_prime.cache_info().hits == hits + 1
+
+
+class TestPerPrime:
+    def test_the_two_primes_asked_for_last_are_held(self, no_prime_held):
+        made = []
+
+        def make(p, slot):
+            return lambda: made.append((p, slot)) or [p]
+
+        # a slot made while p holds nothing yet, whose make asks for another slot of p
+        assert per_prime(5, "outer", lambda: per_prime(5, "inner", make(5, "inner")) + [0]) == [5, 0]
+        assert exactnum._KEPT == {5: {"inner": [5], "outer": [5, 0]}}
+        assert per_prime(7, "a", make(7, "a")) == [7]
+        assert per_prime(5, "inner", make(5, "inner")) == [5]
+        # 5 was asked for after 7, so 11 evicts 7
+        assert per_prime(11, "a", make(11, "a")) == [11]
+        assert list(exactnum._KEPT) == [5, 11]
+        assert per_prime(7, "a", make(7, "a")) == [7]
+        assert list(exactnum._KEPT) == [11, 7]
+        assert made == [(5, "inner"), (7, "a"), (11, "a"), (7, "a")]

@@ -336,14 +336,6 @@ def edge_checks(p):
     ]
 
 
-@pytest.fixture
-def fresh_facts():
-    """The per-(p, i) facts cleared before and after, so no patched theta^i leaks between tests."""
-    fp_poly._shallow_facts.cache_clear()
-    yield
-    fp_poly._shallow_facts.cache_clear()
-
-
 def _patched(power, i, value):
     """``power`` with its X^i coefficient set to ``value``."""
     coeffs = list(power.coeffs)
@@ -351,16 +343,17 @@ def _patched(power, i, value):
     return HPoly(power.p, tuple(coeffs))
 
 
+@pytest.mark.usefixtures("no_prime_held")  # so no patched theta^i leaks between tests
 class TestCertificateMatchesTheScan:
     """The facts read once per (p, i) give every report the per-r scan gave."""
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
-    def test_every_check(self, p, fresh_facts):
+    def test_every_check(self, p):
         for r, i in every_check(p):
             assert tuple(shallow_kill_check(p, r, i)) == scanned_report(p, r, i), (r, i)
 
     @pytest.mark.parametrize("p", [19, 23])
-    def test_a_tenth_of_every_check(self, p, fresh_facts):
+    def test_a_tenth_of_every_check(self, p):
         # a fixed sample; the opt-in test below runs all of them
         checks = every_check(p)
         for r, i in random.Random(p).sample(checks, len(checks) // 10):
@@ -371,18 +364,18 @@ class TestCertificateMatchesTheScan:
         reason="about 3 s; set PADICELIM_LONG_TESTS=1 to run",
     )
     @pytest.mark.parametrize("p", [19, 23])
-    def test_every_check_long(self, p, fresh_facts):
+    def test_every_check_long(self, p):
         for r, i in every_check(p):
             assert tuple(shallow_kill_check(p, r, i)) == scanned_report(p, r, i), (r, i)
 
     @pytest.mark.parametrize("p", [p for p in range(5, 62) if is_prime(p)])
-    def test_theorem_range_and_its_edges(self, p, fresh_facts):
+    def test_theorem_range_and_its_edges(self, p):
         checks = edge_checks(p)
         assert checks
         for r, i in checks:
             assert tuple(shallow_kill_check(p, r, i)) == scanned_report(p, r, i), (r, i)
 
-    def test_theta_power_read_once_per_p_and_i(self, monkeypatch, fresh_facts):
+    def test_theta_power_read_once_per_p_and_i(self, monkeypatch):
         reads = []
         power = fp_poly._theta_power
 
@@ -405,7 +398,7 @@ class TestCertificateMatchesTheScan:
             (2, (1, 3), "summand at lam = 1 has X-degree 1 < 2"),
         ],
     )
-    def test_mutated_theta_power_fails_as_the_scan_does(self, monkeypatch, fresh_facts, i, value, want):
+    def test_mutated_theta_power_fails_as_the_scan_does(self, monkeypatch, i, value, want):
         p, r = 13, 16 if i == 1 else 30
         power = fp_poly._theta_power(p, i)
         if isinstance(value, tuple):
