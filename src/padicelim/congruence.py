@@ -25,7 +25,7 @@ v_p(C) - vFall, an integer (None when C vanishes).  Neither C nor the slack
 depends on r, so the coefficients of one (p, n) are valued once, as a table
 over every degree j an admissible r can ask for; :func:`master_terms` reads
 it from ceil(r/2), and a term derives its total valuation from r on demand.
-The tables of the last two primes are kept, in ``exactnum.per_prime``.  A
+The tables of the last prime asked for are kept, in ``exactnum.per_prime``.  A
 missing table is built with every missing degree below it and the rest of
 its block of four degrees, so few requests of a process pay for building,
 whatever their order; the low degrees are small (at p = 31 the degrees

@@ -53,22 +53,19 @@ def is_prime(p: int) -> bool:
     return True
 
 
-# what a process keeps for a prime: each module's slots, for the two primes
-# asked for most recently, the latest last; a third prime evicts the older
-_PRIMES_KEPT = 2
-_KEPT: dict[int, dict[str | tuple, object]] = {}
+# what a process keeps for a prime: each module's own slots, for the prime
+# asked for last; asking for another prime drops them
+_KEPT: dict[int, dict[str, object]] = {}
 
 
-def per_prime(p: int, slot: str | tuple, make):
+def per_prime(p: int, slot: str, make):
     """The state ``slot`` of p, made by ``make()`` when p does not hold it.
 
-    A slot is a name, or a name and a key.  Each module fills and reads only
-    its own slots.  p is not checked: the trace writer also holds the lines
-    of hand-built traces.
+    p is not checked: the trace writer also holds the lines of hand-built traces.
     """
-    slots = _KEPT[p] = _KEPT.pop(p) if p in _KEPT else {}
-    if len(_KEPT) > _PRIMES_KEPT:
-        del _KEPT[next(iter(_KEPT))]
+    if p not in _KEPT:
+        _KEPT.clear()
+    slots = _KEPT.setdefault(p, {})
     if slot not in slots:
         slots[slot] = make()
     return slots[slot]

@@ -165,8 +165,8 @@ def theta(p: int) -> HPoly:
 
 
 def _theta_power(p: int, i: int) -> HPoly:
-    """theta^i, built once per (p, i) and held with p's other state."""
-    return per_prime(p, ("theta_power", i), lambda: theta(p).power(i))
+    """theta^i; what the certificate reads of it is held, in :func:`_shallow_facts`."""
+    return theta(p).power(i)
 
 
 def lin_mul(coeffs: list[int], x_coef: int, y_coef: int, p: int) -> list[int]:
@@ -210,13 +210,16 @@ def shallow_summand(p: int, r: int, i: int, lam: int) -> HPoly:
 
 
 def _shallow_facts(p: int, i: int) -> tuple[int, int]:
-    """What the certificate for i reads of theta^i; none of it depends on r.
+    """What the certificate for i reads of theta^i, held with p's other state; none of it depends on r.
 
     f_i's coefficient at X^(i-1), which Y^k and the sign of f_i leave a unit
     or zero, and the X-degree t of the lowest non-zero entry of theta^i / Y.
     """
-    power = _theta_power(p, i)
-    return power.div_x().coeff(i - 1), power.div_y().min_x_degree()
+    facts = per_prime(p, "shallow_facts", dict)  # keyed by i
+    if i not in facts:
+        power = _theta_power(p, i)
+        facts[i] = power.div_x().coeff(i - 1), power.div_y().min_x_degree()
+    return facts[i]
 
 
 def pure_y_defect(p: int, r: int, lam: int) -> int:
@@ -265,7 +268,7 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
     failures: list[str] = []
 
     k = r - i * (p + 1) + 1
-    unit, t = per_prime(p, ("shallow_facts", i), lambda: _shallow_facts(p, i))
+    unit, t = _shallow_facts(p, i)
     if unit == 0:
         failures.append(f"f_{i} has no unit at X^{i - 1}Y^{r - i + 1}")
 

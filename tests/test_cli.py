@@ -381,10 +381,11 @@ class TestSlackLines:
             next(e.slack_table for e in res.trace.entries if e.witness_n == (15,)) for res in results[:2]
         )
         assert exactnum._KEPT[13]["slack_lines"][15][0] == long and long[len(long) - len(short):] == short != long
-        # inside a sweep list, at its indent: with three primes, 13's lines are evicted and rendered afresh
-        results += [predict(11, 17), predict(7, 10), *results[:3]]
+        # inside a sweep list, at its indent, with the lines of the
+        # last prime dropped by the next
+        results += [predict(11, 17), *results[:3]]
         assert emit_report(results, "json") == reference_json(results)
-        assert list(exactnum._KEPT) == [7, 13]
+        assert list(exactnum._KEPT) == [13]
 
     def test_mutated_slack_after_a_clean_render(self, monkeypatch, mutate_table):
         clean = predict(13, 20)
@@ -419,8 +420,10 @@ class TestSlackLines:
             assert emit_report(res, "json") == reference_json(res), res.trace.r
         assert slack_formats(results, calls) == (2004, 2004)
 
-    def test_alternating_primes_build_each_table_and_format_each_line_once(self, monkeypatch):
-        # two primes' theorem ranges, r by r, cost what they cost one prime at a time
+    def test_primes_in_turn_and_alternating(self, monkeypatch):
+        # prime by prime, as a sweep goes, each table is built and each slack line
+        # formatted once; alternating r by r drops the other prime's each time and
+        # renders the same reports, reading nothing stale
         built, calls = [], []
         build = congruence._build_table
         monkeypatch.setattr(congruence, "_build_table", lambda p, n: built.append((p, n)) or build(p, n))
@@ -430,17 +433,19 @@ class TestSlackLines:
             monkeypatch.setattr(exactnum, "_KEPT", {})
             built.clear()
             calls.clear()
-            results = []
+            results, texts = [], []
             for p, r in order:
                 results.append(predict(p, r))
-                assert emit_report(results[-1], "json") == reference_json(results[-1]), (p, r)
-            formats, distinct = slack_formats(results, calls)
-            assert (len(built), formats) == (len(set(built)), distinct)
-            return sorted(built), formats
+                texts.append(emit_report(results[-1], "json"))
+                assert texts[-1] == reference_json(results[-1]), (p, r)
+            assert list(exactnum._KEPT) == [order[-1][0]]
+            return sorted(texts), results
 
         ranges = [[(p, r) for r in theorem_r_values(p)] for p in (17, 19)]
-        by_prime = run([*ranges[0], *ranges[1]])
-        alternating = run([pr for pair in itertools.zip_longest(*ranges) for pr in pair if pr])
+        by_prime, results = run([*ranges[0], *ranges[1]])
+        formats, distinct = slack_formats(results, calls)
+        assert (len(built), formats) == (len(set(built)), distinct)
+        alternating, _ = run([pr for pair in itertools.zip_longest(*ranges) for pr in pair if pr])
         assert alternating == by_prime
 
     def test_pairs_out_of_degree_order(self):
@@ -798,7 +803,7 @@ class TestInvariantsUnderOptimization:
                     if isinstance(node, ast.Global):
                         dropped.append(f"{where}: global")
         assert cached == ["exactnum.is_prime", "exactnum.harmonic"]
-        assert sorted(dropped) == ["exactnum.per_prime: .pop()", "exactnum.per_prime: del"]
+        assert dropped == ["exactnum.per_prime: .clear()"]
 
     def test_one_module_writes_the_trace_json(self):
         # a second writer or dict builder of the JSON form would name its keys

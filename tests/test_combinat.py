@@ -64,23 +64,20 @@ class TestBinomModP2:
             for k in range(n + 1):
                 assert binom_mod_p2(n, k, p) == (math.comb(n, k) % (p * p), k % p <= n % p), (n, k)
 
-    def test_harmonic_residues_of_the_last_two_primes(self, no_prime_held):
-        # H_k mod p^2 for k < p, as sums of inverses mod p^2, held for the two primes asked for last
+    def test_harmonic_residues_of_one_prime(self, no_prime_held):
+        # H_k mod p^2 for k < p, as sums of inverses mod p^2, held for the last prime only
         def residues(p):
             return [sum(pow(m, -1, p * p) for m in range(1, k + 1)) % (p * p) for k in range(p)]
 
         def held():
             return {p: slots["harmonic_mod_p2"] for p, slots in exactnum._KEPT.items()}
 
-        assert binom_mod_p2(5 * 7 + 3, 5 * 2 + 1, 5).value == math.comb(38, 11) % 25
         assert binom_mod_p2(7 * 9 + 5, 7 * 4 + 2, 7).value == math.comb(68, 30) % 49
-        assert held() == {5: residues(5), 7: residues(7)}
+        assert held() == {7: residues(7)}
         assert binom_mod_p2(11 * 3 + 9, 11 * 2 + 4, 11).value == math.comb(42, 26) % 121
-        assert held() == {7: residues(7), 11: residues(11)}
-        # 7 is asked for again, so 11 is the older when 5 comes back
+        assert held() == {11: residues(11)}
         assert binom_mod_p2(7 * 9 + 5, 7 * 4 + 2, 7).value == math.comb(68, 30) % 49
-        assert binom_mod_p2(5 * 7 + 3, 5 * 2 + 1, 5).value == math.comb(38, 11) % 25
-        assert held() == {7: residues(7), 5: residues(5)}
+        assert held() == {7: residues(7)}
 
     def test_multidigit_quotient(self):
         # a = N // p may itself exceed p; the factor C(a, b) stays exact
@@ -117,24 +114,23 @@ class TestStirling:
         assert stirling2_column(7, 60) == [stirling2_def(t, 7) for t in range(61)]
         assert combinat._STIRLING_ROWS == [[stirling2_def(t, s) for s in range(t + 1)] for t in range(61)]
 
-    def test_rows_mod_p_of_the_last_two_primes(self, no_prime_held):
-        # the rows stirling_lucas_check reads: the exact rows reduced mod p, for the two primes
-        # asked for last; rows 3p + 1 < t < p^2 are rolled through and not held
+    def test_rows_mod_p_of_one_prime(self, no_prime_held):
+        # the rows stirling_lucas_check reads: the exact rows reduced mod p, for the last prime only;
+        # rows 3p + 1 < t < p^2 are rolled through and not held
         def rows(p):
             return exactnum._KEPT[p]["stirling_rows_mod_p"]
 
-        assert combinat._stirling_row_mod_p(12, 5) == tuple(stirling2_def(12, s) % 5 for s in range(13))
         exact = [tuple(stirling2_def(t, s) % 7 for s in range(t + 1)) for t in range(61)]
         assert combinat._stirling_row_mod_p(52, 7) == exact[52]
         assert sorted(rows(7)) == [*range(23), 49, 50, 51, 52]
         for t in (40, 3, 60, 22, 50, 23, 0, 48, *range(61)):
             assert combinat._stirling_row_mod_p(t, 7) == exact[t], t
         assert sorted(rows(7)) == [*range(23), *range(49, 61)]
-        assert combinat._stirling_row_mod_p(14, 11) == tuple(stirling2_def(14, s) % 11 for s in range(15))
-        assert list(exactnum._KEPT) == [7, 11]
-        assert sorted(rows(11)) == [*range(15)]
         assert all(row == exact[t] for t, row in rows(7).items())
-        assert all(row == tuple(stirling2_def(t, s) % 11 for s in range(t + 1)) for t, row in rows(11).items())
+        assert combinat._stirling_row_mod_p(12, 5) == tuple(stirling2_def(12, s) % 5 for s in range(13))
+        assert list(exactnum._KEPT) == [5]
+        assert sorted(rows(5)) == [*range(13)]
+        assert all(row == tuple(stirling2_def(t, s) % 5 for s in range(t + 1)) for t, row in rows(5).items())
 
     def test_definition_sum_divisibility_guard(self):
         # {t brace s} times s! is the alternating sum; divisibility is exact

@@ -320,14 +320,12 @@ class TestMasterTerms:
             if n < p:  # b = 0: every line-1 column vanishes
                 assert {row[3:] for row in got if row[0] == 1} == {(0, None)}, n
 
-    def test_tables_held_for_the_last_two_primes(self, no_prime_held):
+    def test_tables_held_for_one_prime(self, no_prime_held):
         master_terms(make_params(5, 8, 7, -5))
         master_terms(make_params(7, 18, 15, -10))
-        master_terms(make_params(11, 20, 17, -8))
-        assert list(exactnum._KEPT) == [7, 11]
-        for p in (7, 11):
-            tables = exactnum._KEPT[p]["tables"]
-            assert tables and all(table == congruence._build_table(p, n) for n, table in tables.items()), p
+        assert list(exactnum._KEPT) == [7]
+        tables = exactnum._KEPT[7]["tables"]
+        assert tables and all(table == congruence._build_table(7, n) for n, table in tables.items())
 
     def test_a_miss_builds_from_the_lowest_degree_to_the_block_end(self, no_prime_held):
         # at p = 7 the lowest admissible degree is 5, and 13 ends its block at 16

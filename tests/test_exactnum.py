@@ -183,7 +183,7 @@ class TestIsPrimeCache:
 
 
 class TestPerPrime:
-    def test_the_two_primes_asked_for_last_are_held(self, no_prime_held):
+    def test_the_prime_asked_for_last_is_held(self, no_prime_held):
         made = []
 
         def make(p, slot):
@@ -192,11 +192,10 @@ class TestPerPrime:
         # a slot made while p holds nothing yet, whose make asks for another slot of p
         assert per_prime(5, "outer", lambda: per_prime(5, "inner", make(5, "inner")) + [0]) == [5, 0]
         assert exactnum._KEPT == {5: {"inner": [5], "outer": [5, 0]}}
-        assert per_prime(7, "a", make(7, "a")) == [7]
         assert per_prime(5, "inner", make(5, "inner")) == [5]
-        # 5 was asked for after 7, so 11 evicts 7
-        assert per_prime(11, "a", make(11, "a")) == [11]
-        assert list(exactnum._KEPT) == [5, 11]
+        # another prime drops every slot of 5
         assert per_prime(7, "a", make(7, "a")) == [7]
-        assert list(exactnum._KEPT) == [11, 7]
-        assert made == [(5, "inner"), (7, "a"), (11, "a"), (7, "a")]
+        assert exactnum._KEPT == {7: {"a": [7]}}
+        assert per_prime(5, "inner", make(5, "inner")) == [5]
+        assert exactnum._KEPT == {5: {"inner": [5]}}
+        assert made == [(5, "inner"), (7, "a"), (5, "inner")]
