@@ -63,12 +63,12 @@ every divisibility fact they rely on by exact arithmetic instead of
 assuming it.  ``_meets`` is the one place that says which slack each
 status needs.  A positive slack meets every bound but the generator's, so
 an audit's misses, the non-zero terms that fail their bound, lie among the
-terms with slack <= 0 and the line-2 term at j*; ``_misses`` lists them,
-line 1 then line 2, by degree, a line-1 column standing for its terms at
-every a.  Each miss fails the audit with one line naming its row (line, a,
-j).  The statuses are not stored: an audit returns its failures and the
-line-2 slack table of the kill trace, and ``_status`` gives a term its
-status on demand.
+*candidates*: the terms with slack <= 0 and the line-2 term at j*.  That set
+depends on (p, n) alone, so each table keeps it, line 1 then line 2, by
+degree, a line-1 column standing for its terms at every a.  Each miss fails
+the audit with one line naming its row (line, a, j).  The statuses are not
+stored: an audit returns its failures and the line-2 slack table of the
+kill trace, and ``_status`` gives a term its status on demand.
 
 Three audits package the three elimination arguments: ``audit_good`` (one
 congruence at an n with vFall = 0), ``audit_bad`` (n = 2p + 1, vFall = 1,
@@ -82,9 +82,10 @@ both need >= 0): r only moves the start of the window.  Each (p, n) table
 therefore keeps the misses of such an audit over all its degrees, and a
 good or bad audit at r fails on exactly those inside r's window.  The ugly
 phases move bounds (phase one carries a residual family at cp, phase two
-forces cp - 1 dead), so each lists the misses of r's window itself.  The
-audits check the hypotheses of :func:`make_params` on p, r and n with
-integer comparisons and the same messages, and build no CongruenceParams.
+forces cp - 1 dead), so each tests its bounds on the table's candidates
+inside r's window.  The audits check the hypotheses of :func:`make_params`
+on p, r and n with integer comparisons and the same messages, and build no
+CongruenceParams.
 They take no vL: a term's total valuation r/2 - j + slack does not depend on
 it, so a verdict holds for every vL < r/2 - n, and the caller checks vL.
 ``inequality_suite`` verifies, exactly, the arithmetic inequality families
@@ -226,24 +227,18 @@ def _star_constants(p: int, n: int, b: int, eps: int) -> tuple[int, int, int, in
     return fact_b1, ph.numerator, ph.denominator, lead
 
 
-def _star_numerator(n: int, b: int, j: int, consts: tuple[int, int, int, int]) -> int:
-    """star_j times the denominator of pH_eps: the closed form in integers."""
-    fact_b1, ph_num, ph_den, lead = consts
-    b1 = b + 1
-    m = n - j
+def star_full(params: CongruenceParams, j: int) -> Fraction:
+    """The exact a = 0 coefficient (full closed form, no reduction)."""
+    _check_star_degree(params, j)
+    fact_b1, ph_num, ph_den, lead = _star_constants(params.p, params.n, params.b, params.eps)
+    b1 = params.b + 1
+    m = params.n - j
     sign_b1 = -1 if b1 % 2 else 1
     bracket = sign_b1 * (
         (stirling2(m, b1) * fact_b1 - b1**m) * ph_den
         + ph_num * (stirling2(m + 1, b1) * fact_b1 - b1 ** (m + 1))
     )
-    return lead * bracket - b1**m * ph_den
-
-
-def star_full(params: CongruenceParams, j: int) -> Fraction:
-    """The exact a = 0 coefficient (full closed form, no reduction)."""
-    _check_star_degree(params, j)
-    consts = _star_constants(params.p, params.n, params.b, params.eps)
-    return Fraction(_star_numerator(params.n, params.b, j, consts), consts[2])
+    return Fraction(lead * bracket - b1**m * ph_den, ph_den)
 
 
 def star_mod_p2(params: CongruenceParams, j: int) -> int:
@@ -306,9 +301,11 @@ class _Table(NamedTuple):
     j times factor a over a, with the column's slack.  ``line2`` holds the
     line-2 terms (degrees j0-1..n-1).
     ``target`` is the degree t = n - b - 1 that every audit of n aims at,
-    ``slacks`` pairs each line-2 degree with its slack text, ``misses`` holds
-    the misses of an audit with no residual or must-die degree over the whole
-    table, and ``generator`` says whether the line-2 term at t is a
+    ``slacks`` pairs each line-2 degree with its slack text, ``candidates``
+    holds the terms that any audit of n can miss (the non-zero terms with
+    slack <= 0 and the line-2 term at t, line 1 then line 2, by degree),
+    ``misses`` those that an audit with no residual or must-die degree
+    misses, and ``generator`` says whether the line-2 term at t is a
     generator.  Build a table with :meth:`of`, which keeps these derived
     fields in step with the stored ones.
     """
@@ -319,6 +316,7 @@ class _Table(NamedTuple):
     line2: tuple[CongruenceTerm, ...]
     target: int
     slacks: tuple[tuple[int, str], ...]
+    candidates: tuple[CongruenceTerm, ...]
     misses: tuple[CongruenceTerm, ...]
     generator: bool
 
@@ -334,10 +332,16 @@ class _Table(NamedTuple):
     ) -> "_Table":
         """The (p, n) table of these columns, factors and line-2 terms, with its derived fields."""
         target = n - n // p - 1
-        misses = tuple(_misses(columns, line2, target, None, None))
+        candidates = tuple(
+            t
+            for t in (*columns, *line2)
+            if t.slack is not None and (t.slack <= 0 or (t.j == target and t.line == 2))
+        )
+        # below the target every status needs slack >= 0, so ceil(r/2) does not matter
+        misses = tuple(t for t in candidates if not _meets(t, _status(t, target, 0, None, None)))
         generator = _meets(line2[target - j0 + 1], GENERATOR)
         slacks = tuple((t.j, t.slack_text) for t in line2)
-        return cls(j0, columns, factors, line2, target, slacks, misses, generator)
+        return cls(j0, columns, factors, line2, target, slacks, candidates, misses, generator)
 
 
 # a miss builds tables up to the end of its block of this many degrees
@@ -368,7 +372,7 @@ def _build_table(p: int, n: int) -> _Table:
     # sign (-1)^(n+b+1) here and (-1)^m on the carried binomial
     prefactor = comb(b1 * p, n + 1) * (n + 1) * math.factorial(b) * (-1 if (n + b + 1) % 2 else 1)
     stirling_b = stirling2_column(b, top)
-    # star_j times ph_den, as in _star_numerator: lead_den ({m brace b1} b1! - b1^m)
+    # star_j times ph_den, as in star_full: lead_den ({m brace b1} b1! - b1^m)
     #   + lead_num ({m+1 brace b1} b1! - b1^(m+1)) - b1^m ph_den
     fact_b1, ph_num, ph_den, lead = _star_constants(p, n, b, eps)
     stirling_b1 = [s * fact_b1 for s in stirling2_column(b1, top + 1)]
@@ -509,28 +513,6 @@ def _meets(term: CongruenceTerm, status: str) -> bool:
     return term.slack >= 0
 
 
-def _misses(
-    columns: Sequence[CongruenceTerm],
-    line2: Sequence[CongruenceTerm],
-    target: int,
-    residual: int | None,
-    must_die: int | None,
-) -> list[CongruenceTerm]:
-    """The non-zero terms that miss their bound in an audit aimed at ``target``: line 1, then line 2, by degree.
-
-    Only the terms with slack <= 0 and the line-2 term at the target are
-    read.  Below the target every status needs slack >= 0, so ceil(r/2) does
-    not matter here.
-    """
-    return [
-        term
-        for term in (*columns, *line2)
-        if term.slack is not None
-        and (term.slack <= 0 or (term.j == target and term.line == 2))
-        and not _meets(term, _status(term, target, 0, residual, must_die))
-    ]
-
-
 def _failure_row(a: int, term: CongruenceTerm, status: str) -> str:
     """The failure text of the (term.line, a, term.j) term, whose slack misses what ``status`` needs."""
     return (
@@ -551,23 +533,25 @@ def _audit(
     """Audit the (p, r, n) congruence against n - b - 1; the method's own ``failures`` follow the terms'.
 
     Without a residual or must-die degree the misses at r are the table's
-    inside r's window; an ugly phase finds its misses in the window itself.
-    A must-die degree lies below the target, so the generator is the table's.
-    With no miss and the generator present no term is read; otherwise each
-    line-1 miss fails its term at every a (a-major), then each line-2 miss,
-    then a missing generator.  ``slack_table`` is a slice of the table's
-    line-2 slack pairs.  The caller has checked the hypotheses.
+    inside r's window; an ugly phase tests its bounds on the table's
+    candidates inside the window.  A must-die degree lies below the target,
+    so the generator is the table's.  With no term to test and the generator
+    present no term is read; otherwise each line-1 miss fails its term at
+    every a (a-major), then each line-2 miss, then a missing generator.
+    ``slack_table`` is a slice of the table's line-2 slack pairs.  The caller
+    has checked the hypotheses.
     """
     table, start = _table(p, r, n)
     target, ceil_half = table.target, (r + 1) // 2
-    if residual is None and must_die is None:
-        # inside the window: j >= ceil(r/2) on line 1, j >= ceil(r/2) - 1 on line 2;
-        # most tables have no miss, and an empty tuple skips the comprehension
-        misses = table.misses and [t for t in table.misses if t.j + t.line > ceil_half]
-    else:
-        misses = _misses(table.columns[start:], table.line2[start:], target, residual, must_die)
-    if misses or not table.generator:
-        rows = [(t, _status(t, target, ceil_half, residual, must_die)) for t in misses]
+    terms = table.misses if residual is None and must_die is None else table.candidates
+    # inside the window: j >= ceil(r/2) on line 1, j >= ceil(r/2) - 1 on line 2;
+    # most tables have no miss, and an empty tuple skips the comprehension
+    terms = terms and [t for t in terms if t.j + t.line > ceil_half]
+    if terms or not table.generator:
+        rows = [
+            (t, status) for t in terms
+            if not _meets(t, status := _status(t, target, ceil_half, residual, must_die))
+        ]
         term_failures = [
             _failure_row(a, t, status)
             for a in range(1, len(table.factors) + 1)

@@ -26,11 +26,12 @@ def _mutate_table(monkeypatch, n, key, **changes):
     A line-1 term is its column j scaled by a p-unit a-factor, so a line-1
     key changes column j, and the term moves at every a with it.  The
     tampered table is built by ``_Table.of``, as ``_build_table`` builds
-    every table, so its slack pairs, misses and generator follow the
-    change: a plain ``_replace`` of the table would leave them stale.  The change
-    reaches both ``master_terms`` and the audits.  Calls stack: each wraps
-    the table builder that the one before it installed, and empties the
-    per-prime holder, so no table or slack line built before it is read.
+    every table, so its slack pairs, candidates, misses and generator
+    follow the change: a plain ``_replace`` of the table would leave them
+    stale.  The change reaches both ``master_terms`` and the audits.  Calls
+    stack: each wraps the table builder that the one before it installed,
+    and empties the per-prime holder, so no table or slack line built
+    before it is read.
     """
     original = congruence._build_table
     line, _a, j = key

@@ -339,6 +339,18 @@ class TestMasterTerms:
         master_terms(make_params(7, 41, 41, -21))
         assert sorted(tables) == list(range(5, 42))
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_only_two_tables_hold_misses(self, p):
+        # an audit with no residual or must-die degree misses, as (line, j,
+        # slack), only these terms of the tables n = p + 1 and 2p + 2
+        expected = {
+            p + 1: {(1, p, 0), (2, p, 0)},
+            2 * p + 2: {(1, 2 * p, 0), (2, p, -1), (2, 2 * p, 0)},
+        }
+        for n in range((p + 3) // 2, 3 * p):
+            misses = congruence._build_table(p, n).misses
+            assert {(t.line, t.j, t.slack) for t in misses} == expected.get(n, set()), n
+
     def test_zero_terms_at_b0(self):
         # b = 0 makes every line-1 coefficient vanish ({m brace 0} = 0)
         params = make_params(5, 5, 4, -4)
@@ -447,6 +459,29 @@ class TestAuditUgly:
         comb = congruence.comb
         monkeypatch.setattr(congruence, "comb", lambda n, k: 1 if (n, k) == (7, 4) else comb(n, k))
         assert audit_ugly(5, 8, 1).failures == ("C(7, 4) is a p-unit; residual certificate fails",)
+
+    def test_two_phase_audits_read_only_the_table_candidates(self, monkeypatch, no_prime_held):
+        # _Table.of has derived every field when a table is built: an audit
+        # that walks the columns or the line-2 terms again raises
+        class Unread:
+            def __getitem__(self, key):
+                raise AssertionError("a two-phase audit read the table's terms")
+
+            def __iter__(self):
+                raise AssertionError("a two-phase audit read the table's terms")
+
+        build = congruence._build_table
+        monkeypatch.setattr(
+            congruence,
+            "_build_table",
+            lambda p, n: build(p, n)._replace(columns=Unread(), line2=Unread()),
+        )
+        audits = 0
+        for p in (7, 11):
+            for r in theorem_r_values(p):
+                assert audit_ugly(p, r, r // p).passed, (p, r)
+                audits += 1
+        assert audits == 20
 
     def test_errors(self):
         with pytest.raises(PadicElimError, match=r"^r = 7 outside \[8, 9\]$"):
@@ -905,7 +940,6 @@ class TestAuditIndexOracle:
 
         monkeypatch.setattr(congruence, "Fraction", NoFraction)
         monkeypatch.setattr(congruence, "_status", no_walk)
-        monkeypatch.setattr(congruence, "_misses", no_walk)
         monkeypatch.setattr(congruence, "_meets", no_walk)
         monkeypatch.setattr(congruence, "master_terms", no_walk)
         for (audit_at, args), audit in expected.items():
@@ -971,6 +1005,7 @@ class TestAuditFailurePaths:
         "good": (lambda: audit_good(7, 12, 11), (7, 12, -7), [(11, None, None)]),
         "bad": (lambda: audit_bad(7, 18), (7, 18, -10), [(15, None, None)]),
         "ugly": (lambda: audit_ugly(7, 12, 1), (7, 12, -7), [(8, 7, None), (9, None, 6)]),
+        "ugly-c2": (lambda: audit_ugly(7, 18, 2), (7, 18, -10), [(16, 14, None), (17, None, 13)]),
     }
 
     @pytest.mark.parametrize("method", sorted(AUDITS))
