@@ -160,33 +160,6 @@ def _int_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"range must look like A:B, got {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    """Parse a count of at least 1 (an argparse type)."""
-    error = argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    try:
-        value = int(text)
-    except ValueError:
-        raise error from None
-    if value < 1:
-        raise error
-    return value
-
-
-def _job_count(requested: int) -> int:
-    """Workers for a sweep: --jobs, capped at the CPU count.
-
-    A worker takes one whole prime per task, so it builds the (p, n) term
-    tables of its own primes only; workers beyond the cores only add CPU
-    time.
-    """
-    return min(requested, os.cpu_count() or 1)
-
-
-def _predict_prime(p: int, r_values: tuple[int, ...]) -> list[ReductionResult]:
-    """The predictions of one prime at each r in turn: one sweep task."""
-    return [predict(p, r) for r in r_values]
-
-
 # ------------- subcommands: each returns its output and whether it passed -------------
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[VerifyResult, bool]:
@@ -242,29 +215,14 @@ def _cmd_sweep(ns: argparse.Namespace) -> tuple[list[ReductionResult], bool]:
     # [(r_lo + 1)/3, r_hi - 3] can meet [r_lo, r_hi]
     if r_hi is not None:
         p_hi = min(p_hi, r_hi - 3)
-    # one task per prime, largest first: the cost grows about as p^4, so
-    # the last task a worker takes is a small one
-    ps: list[int] = []
-    rs: list[tuple[int, ...]] = []
-    for p in range(p_hi, max(p_lo, 5, -(-(r_lo + 1) // 3)) - 1, -1):
-        if not is_prime(p):
-            continue
-        r_values = theorem_r_values(p, r_lo, r_hi)
-        if r_values:
-            ps.append(p)
-            rs.append(r_values)
-    if not ps:
+    results = [
+        predict(p, r)
+        for p in range(max(p_lo, 5, -(-(r_lo + 1) // 3)), p_hi + 1) if is_prime(p)
+        for r in theorem_r_values(p, r_lo, r_hi)
+    ]
+    if not results:
         raise PadicElimError("sweep range is empty")
-    jobs = min(_job_count(ns.jobs), len(ps))
-    if jobs > 1:
-        # import here: a pool is only needed for a parallel sweep
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_predict_prime, ps, rs))
-    else:
-        chunks = list(map(_predict_prime, ps, rs))
-    return [res for chunk in reversed(chunks) for res in chunk], True
+    return results, True
 
 
 # ----------------------------- parser wiring -----------------------------
@@ -327,10 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="predictions over all theorem-range (p, r)")
     sp.add_argument("--p-range", type=_int_range, required=True, help="inclusive prime range A:B")
     sp.add_argument("--r-range", type=_int_range, default=None, help="optional restriction A:B on r")
-    sp.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="parallel workers, at most the CPU count (default 1)",
-    )
     _add_emit(sp)
     sp.set_defaults(func=_cmd_sweep)
 

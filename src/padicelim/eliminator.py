@@ -251,7 +251,7 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
         report = shallow_kill_check(p, r, i + 1)
         if not report.passed:
             raise EliminationIncompleteError(
-                f"shallow certificate failed at i = {i}: {report.failures}"
+                f"shallow certificate failed at i = {i}: " + "; ".join(report.failures)
             )
         record(i, "shallow")
 

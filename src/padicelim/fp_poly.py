@@ -164,11 +164,6 @@ def theta(p: int) -> HPoly:
     return HPoly(p, tuple(coeffs))
 
 
-def _theta_power(p: int, i: int) -> HPoly:
-    """theta^i; what the certificate reads of it is held, in :func:`_shallow_facts`."""
-    return theta(p).power(i)
-
-
 def lin_mul(coeffs: list[int], x_coef: int, y_coef: int, p: int) -> list[int]:
     """Multiply a coefficient list by the linear form x_coef*X + y_coef*Y."""
     out = [0] * (len(coeffs) + 1)
@@ -206,7 +201,7 @@ def shallow_summand(p: int, r: int, i: int, lam: int) -> HPoly:
         raise PadicElimError(
             f"r = {r} < i(p+1) - 1 = {i * (p + 1) - 1}: the quotient is not a polynomial"
         )
-    return _linear_form_power(p, 1, -lam, k) * _theta_power(p, i).div_y()
+    return _linear_form_power(p, 1, -lam, k) * theta(p).power(i).div_y()
 
 
 def _shallow_facts(p: int, i: int) -> tuple[int, int]:
@@ -217,7 +212,7 @@ def _shallow_facts(p: int, i: int) -> tuple[int, int]:
     """
     facts = per_prime(p, "shallow_facts", dict)  # keyed by i
     if i not in facts:
-        power = _theta_power(p, i)
+        power = theta(p).power(i)
         facts[i] = power.div_x().coeff(i - 1), power.div_y().min_x_degree()
     return facts[i]
 

@@ -290,28 +290,25 @@ class TestSweep:
         assert code == 0 and err == ""
         assert out == expected
 
-    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
-    def test_jobs_below_one_or_non_integer_exits_2(self, capsys, jobs):
-        code, out, err = run_cli(capsys, "sweep", "--p-range", "5:5", "--jobs", jobs)
-        assert code == 2 and out == ""
-        assert f"argument --jobs: expected an integer >= 1, got '{jobs}'" in err
+    @pytest.mark.usefixtures("no_prime_held")
+    def test_each_term_table_is_built_once(self, capsys, monkeypatch):
+        # the sweep goes prime by prime in one process, so no (p, n) table is built twice
+        built = []
+        original = congruence._build_table
 
-    def test_job_count_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        assert cli._job_count(8) == 2
-        assert cli._job_count(1) == 1
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert cli._job_count(4) == 1
+        def counted(p, n):
+            built.append((p, n))
+            return original(p, n)
 
-    def test_parallel_matches_serial(self, capsys):
-        for fmt in ("json", "tsv", "table"):
-            serial = run_cli(capsys, "sweep", "--p-range", "5:7", "--emit", fmt)
-            parallel = run_cli(capsys, "sweep", "--p-range", "5:7", "--emit", fmt, "--jobs", "2")
-            assert serial[0] == 0 and parallel == serial, fmt
+        monkeypatch.setattr(congruence, "_build_table", counted)
+        code, _, err = run_cli(capsys, "sweep", "--p-range", "5:13", "--emit", "json")
+        assert (code, err) == (0, "")
+        assert len(built) == len(set(built)) == 88
 
     def test_prediction_is_one_tsv_row_and_pickles_whole(self):
         # a ReductionResult is a tuple, but it renders as one prediction,
-        # and a parallel sweep's workers send it back by pickle
+        # and it comes back from a pickle as itself, for a caller that sends
+        # results between processes
         res = predict(11, 15)
         assert emit_report(res, "tsv").splitlines()[1:] == ["11\t15\t1\t-8\t16\tind omega2^16"]
         back = pickle.loads(pickle.dumps(res))
@@ -339,6 +336,11 @@ class TestJsonRenderer:
         assert res.to_dict() == reference_dict(res) and res.trace.to_dict() == reference_dict(res.trace)
         # the slack degrees sort as strings
         assert text.index('"10": "0"') < text.index('"9": "1"')
+        # the empty lists: a kill with no witness, a trace with no entries,
+        # a prediction excluding no residue, a sweep with no predictions
+        no_witness = res.trace._replace(entries=(res.trace.entries[0]._replace(witness_n=()),))
+        for obj in (no_witness, res.trace._replace(entries=()), res._replace(excluded_residues=()), []):
+            assert emit_report(obj, "json") == reference_json(obj), obj
 
 
 def slack_formats(results, calls) -> tuple[int, int]:
@@ -518,7 +520,7 @@ class TestGoldenOutput:
     def test_sweep_json_digest_to_101(self):
         # streamed from a child process, so this process never holds the output
         env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
-        argv = [sys.executable, "-m", "padicelim", "sweep", "--p-range", "5:101", "--jobs", "2", "--emit", "json"]
+        argv = [sys.executable, "-m", "padicelim", "sweep", "--p-range", "5:101", "--emit", "json"]
         digest = hashlib.sha256()
         with subprocess.Popen(argv, stdout=subprocess.PIPE, env=env) as child:
             for chunk in iter(lambda: child.stdout.read(1 << 20), b""):
@@ -671,10 +673,7 @@ class TestUsage:
                 "argument --emit: invalid choice: 'xml' (choose from 'table', 'json', 'tsv')",
             ),
             (["predict", "--p", "5", "--r", "8", "--x", "1"], "padicelim", "unrecognized arguments: --x 1"),
-            (
-                ["sweep", "--p-range", "5:7", "--jobs", "0"], "padicelim sweep",
-                "argument --jobs: expected an integer >= 1, got '0'",
-            ),
+            (["sweep", "--p-range", "5:7", "--jobs", "2"], "padicelim", "unrecognized arguments: --jobs 2"),
             (
                 ["sweep", "--p-range", "5"], "padicelim sweep",
                 "argument --p-range: range must look like A:B, got '5'",
@@ -833,13 +832,17 @@ class TestInvariantsUnderOptimization:
                     emit_reads.append(name)
         assert (stdout_calls, emit_reads) == (["main"], [])
 
-    def test_cli_import_leaves_the_process_pool_unloaded(self):
-        env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
-        code = "import sys, padicelim.cli; print('concurrent.futures' in sys.modules)"
-        argv = [sys.executable, "-c", code]
-        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+    def test_no_module_imports_a_process_pool(self):
+        # a sweep runs in one process: no second path through a pool
+        pools = ("concurrent", "multiprocessing")
+        found = [
+            f"{path.stem}: {ast.unparse(node)}"
+            for path in sorted(PACKAGE_DIR.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Import) and any(a.name.split(".")[0] in pools for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in pools)
+        ]
+        assert found == []
 
     def test_cold_cli_import_loads_neither_dataclasses_nor_inspect(self):
         # every CLI request pays for its imports; inspect comes with dataclasses

@@ -25,22 +25,21 @@ from trace_reference import reference_dict, reference_json  # noqa: E402
 # source under its home directory, ./.hypothesis unless set: keep the tree clean.
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "padicelim-hypothesis")
 
-# Small pools keep every call cheap: primes up to 13, narrow ranges, no
-# parallel sweep, and verify only ever at p = 5.  Valid values dominate each
-# pool, so most draws get past parsing; the rest are out of range or malformed.
+# Small pools keep every call cheap: primes up to 13, narrow ranges, and
+# verify only ever at p = 5.  Valid values dominate each pool, so most draws
+# get past parsing; the rest are out of range or malformed.
 PRIMES = st.sampled_from(["5", "7", "11", "13"] * 3 + ["-5", "0", "4", "9", "x"])
 SMALL = st.sampled_from([str(k) for k in range(5, 41)] + ["-2", "0", "1.5", "ten"])
 VLS = st.sampled_from(["-9/2", "-13/2", "-41/2", "-30", "-100", "-4", "3", "1/0", "-4.5", "abc"])
 RANGES = st.sampled_from(
     [f"{lo}:{hi}" for lo in (-5, 0, 5, 7, 11) for hi in (4, 7, 13, 20, 40)] + ["5", "a:b"]
 )
-JOBS = st.sampled_from(["1"] * 4 + ["0", "x"])
 COMMANDS = {
     "predict": (("--p", PRIMES), ("--r", SMALL)),
     "eliminate": (("--p", PRIMES), ("--r", SMALL), ("--vL", VLS)),
     "congruence": (("--p", PRIMES), ("--r", SMALL), ("--n", SMALL), ("--vL", VLS)),
     "lambda": (("--p", PRIMES), ("--b", st.sampled_from(["-1", "0", "1", "2", "3"])), ("--n", SMALL)),
-    "sweep": (("--p-range", RANGES), ("--r-range", RANGES), ("--jobs", JOBS)),
+    "sweep": (("--p-range", RANGES), ("--r-range", RANGES)),
     "verify": (),
 }
 

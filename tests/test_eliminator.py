@@ -165,6 +165,34 @@ class TestRunElimination:
         with pytest.raises(EliminationIncompleteError, match="already killed by good"):
             run_elimination(7, 12)
 
+    def test_failed_shallow_certificate_names_each_failure(self, monkeypatch):
+        original = eliminator.shallow_kill_check
+        failures = ("f_1 has no unit at X^0Y^12", "summand at lam = 0 has X-degree 0 < 1")
+        monkeypatch.setattr(
+            eliminator, "shallow_kill_check", lambda p, r, i: original(p, r, i)._replace(failures=failures)
+        )
+        with pytest.raises(EliminationIncompleteError) as info:
+            run_elimination(7, 12)
+        assert str(info.value) == (
+            "shallow certificate failed at i = 0: "
+            "f_1 has no unit at X^0Y^12; summand at lam = 0 has X-degree 0 < 1"
+        )
+
+    def test_kill_of_the_survivor_is_an_error(self, monkeypatch):
+        original = eliminator.audit_good
+        monkeypatch.setattr(eliminator, "audit_good", lambda p, r, n: original(p, r, n)._replace(target_i=1))
+        with pytest.raises(EliminationIncompleteError) as info:
+            run_elimination(7, 12)
+        assert str(info.value) == "method good targets the surviving index i = 1"
+
+    def test_missing_kill_is_an_error(self, monkeypatch):
+        original = eliminator.good_candidates
+        monkeypatch.setattr(eliminator, "good_candidates", lambda p, r: original(p, r)[1:])
+        assert original(7, 12)[0] == 9
+        with pytest.raises(EliminationIncompleteError) as info:
+            run_elimination(7, 12)
+        assert str(info.value) == "no kill found for indices [5]"
+
 
 class TestPredict:
     def test_p5_r8(self):

@@ -8,6 +8,7 @@ convention at the same time.
 import os
 import random
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -305,10 +306,10 @@ def scanned_report(p, r, i):
     failures = []
     k = r - i * (p + 1) + 1
     sign = -1 if i % 2 else 1
-    f_i = HPoly(p, tuple(sign * c for c in fp_poly._theta_power(p, i).div_x().coeffs) + (0,) * k)
+    f_i = HPoly(p, tuple(sign * c for c in fp_poly.theta(p).power(i).div_x().coeffs) + (0,) * k)
     if f_i.coeff(i - 1) % p == 0:
         failures.append(f"f_{i} has no unit at X^{i - 1}Y^{r - i + 1}")
-    entries = [(t, c) for t, c in enumerate(fp_poly._theta_power(p, i).div_y().coeffs) if c]
+    entries = [(t, c) for t, c in enumerate(fp_poly.theta(p).power(i).div_y().coeffs) if c]
     min_degrees = []
     for lam in range(p):
         md = _scan_min_x(p, k, entries, lam)
@@ -334,6 +335,11 @@ def edge_checks(p):
         (r, i) for r in sorted(rs) if r <= p * p - p - 1
         for i in range(1, r // p + 1) if r >= i * (p + 1) - 1
     ]
+
+
+def _patch_theta_powers(monkeypatch, power_of):
+    """Make ``fp_poly.theta(p).power(i)`` return ``power_of(p, i)``."""
+    monkeypatch.setattr(fp_poly, "theta", lambda p: SimpleNamespace(power=lambda i: power_of(p, i)))
 
 
 def _patched(power, i, value):
@@ -377,13 +383,13 @@ class TestCertificateMatchesTheScan:
 
     def test_theta_power_read_once_per_p_and_i(self, monkeypatch):
         reads = []
-        power = fp_poly._theta_power
+        theta = fp_poly.theta
 
         def counted(p, i):
             reads.append((p, i))
-            return power(p, i)
+            return theta(p).power(i)
 
-        monkeypatch.setattr(fp_poly, "_theta_power", counted)
+        _patch_theta_powers(monkeypatch, counted)
         for r, i in edge_checks(13):
             assert shallow_kill_check(13, r, i).passed
         assert sorted(reads) == [(13, 1), (13, 2), (13, 3)]
@@ -400,13 +406,14 @@ class TestCertificateMatchesTheScan:
     )
     def test_mutated_theta_power_fails_as_the_scan_does(self, monkeypatch, i, value, want):
         p, r = 13, 16 if i == 1 else 30
-        power = fp_poly._theta_power(p, i)
+        theta = fp_poly.theta
+        power = theta(p).power(i)
         if isinstance(value, tuple):
             low, value = value
             mutated = _patched(power, low, value)
         else:
             mutated = _patched(power, i, value)
-        monkeypatch.setattr(fp_poly, "_theta_power", lambda q, m: mutated if (q, m) == (p, i) else power)
+        _patch_theta_powers(monkeypatch, lambda q, m: mutated if (q, m) == (p, i) else theta(q).power(m))
         report = shallow_kill_check(p, r, i)
         assert want in report.failures
         assert tuple(report) == scanned_report(p, r, i)
