@@ -61,7 +61,8 @@ def _trace_rows(trace: KillTrace) -> list[str]:
     rows.append(f"{'i':>3} {'j':>4} {'status':>9} {'method':>8}  witness")
     for e in trace.entries:
         witness = "n = " + ",".join(map(str, e.witness_n)) if e.witness_n else "-"
-        rows.append(f"{e.i:>3} {e.j:>4} {e.status:>9} {e.method or '-':>8}  {witness}")
+        status = "survivor" if e.method is None else "killed"
+        rows.append(f"{e.i:>3} {trace.r - e.i:>4} {status:>9} {e.method or '-':>8}  {witness}")
     return rows
 
 

@@ -67,8 +67,8 @@ an audit's misses, the non-zero terms that fail their bound, lie among the
 depends on (p, n) alone, so each table keeps it, line 1 then line 2, by
 degree, a line-1 column standing for its terms at every a.  Each miss fails
 the audit with one line naming its row (line, a, j).  The statuses are not
-stored: an audit returns its failures and the line-2 slack table of the
-kill trace, and ``_status`` gives a term its status on demand.
+stored: an audit returns the trace row of the index it kills, with the
+failures it found, and ``_status`` gives a term its status on demand.
 
 Three audits package the three elimination arguments: ``audit_good`` (one
 congruence at an n with vFall = 0), ``audit_bad`` (n = 2p + 1, vFall = 1,
@@ -115,7 +115,7 @@ from padicelim.exactnum import (
 __all__ = [
     "CongruenceParams",
     "CongruenceTerm",
-    "KillAudit",
+    "SubquotientEntry",
     "fall_valuation",
     "window_degrees",
     "make_params",
@@ -460,22 +460,21 @@ RESIDUAL = "residual"
 _NEEDS = {DEAD: "> 0", GENERATOR: "0 with a unit residue", RESIDUAL: ">= 0", DEEPER: ">= 0", BELOW: ">= 0"}
 
 
-class KillAudit(NamedTuple):
-    """The audited elimination of one sub-quotient index.
+class SubquotientEntry(NamedTuple):
+    """One row of the kill trace: how the sub-quotient at index i goes.
 
-    ``target_i`` is the killed index, r - j* for the target degree j*.
-    ``witness_n`` holds the degree(s) n the congruence was instantiated at:
-    one entry for the single-congruence methods, two for the two-phase one,
-    whose ``failures`` are those of both congruences.  ``slack_table`` pairs
-    each line-2 degree (the z^j 1_{pZp} family) with its slack text, as the
-    kill trace records it.  A passing audit has no failures.
+    ``method`` is None for the survivor.  An audit returns the row of the
+    index it kills, r - j* for its target degree j*, with the degree(s) n
+    its congruence(s) were instantiated at, the line-2 slack pairs (the
+    z^j 1_{pZp} family) and the failures of every congruence; a passing
+    audit has none.
     """
 
-    method: str
-    witness_n: tuple[int, ...]
-    target_i: int
-    slack_table: tuple[tuple[int, str], ...]
-    failures: tuple[str, ...]
+    i: int
+    method: str | None  # trivial | shallow | good | bad | ugly | None
+    witness_n: tuple[int, ...] | None = None
+    slack_table: tuple[tuple[int, str], ...] | None = None
+    failures: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -529,7 +528,7 @@ def _audit(
     failures: Sequence[str] = (),
     residual: int | None = None,
     must_die: int | None = None,
-) -> KillAudit:
+) -> SubquotientEntry:
     """Audit the (p, r, n) congruence against n - b - 1; the method's own ``failures`` follow the terms'.
 
     Without a residual or must-die degree the misses at r are the table's
@@ -562,10 +561,10 @@ def _audit(
         if not table.generator:
             term_failures.append(f"no generator found at degree {target}")
         failures = (*term_failures, *failures)
-    return KillAudit(method, (n,), r - target, table.slacks[start:], tuple(failures))
+    return SubquotientEntry(r - target, method, (n,), table.slacks[start:], tuple(failures))
 
 
-def audit_good(p: int, r: int, n: int) -> KillAudit:
+def audit_good(p: int, r: int, n: int) -> SubquotientEntry:
     """Single-congruence kill at an n with vFall = 0: target j* = n - b - 1.
 
     The verdict holds for every vL < r/2 - n; the caller checks vL.
@@ -576,7 +575,7 @@ def audit_good(p: int, r: int, n: int) -> KillAudit:
     return _audit("good", p, r, n)
 
 
-def audit_bad(p: int, r: int) -> KillAudit:
+def audit_bad(p: int, r: int) -> SubquotientEntry:
     """The n = 2p + 1 kill (b = 2, vFall = 1): target j* = 2p - 2, i* = r - 2p + 2.
 
     The verdict holds for every vL < r/2 - (2p + 1); the caller checks vL.
@@ -594,7 +593,7 @@ def audit_bad(p: int, r: int) -> KillAudit:
     return _audit("bad", p, r, n, failures)
 
 
-def audit_ugly(p: int, r: int, c: int) -> KillAudit:
+def audit_ugly(p: int, r: int, c: int) -> SubquotientEntry:
     """Two-phase kill of j* = cp - 1 (i* = r - cp + 1) for c in {1, 2}.
 
     Phase one instantiates the congruence at n = cp + c (b = c, vFall = 1,

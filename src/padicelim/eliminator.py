@@ -21,21 +21,22 @@ p - 1; no representation theory is computed.  Over [p+3, 2p-1] u
 [2p+4, 3p-1] only r = 2p - 1 fails the guard, so ``predict`` checks it as
 that one value and emits no prediction there.
 
-A trace's JSON form has one writer, :func:`trace_json`, and one reader,
-:func:`trace_from_dict`.
+A trace's rows are ``congruence.SubquotientEntry``, an audit's stored as it
+returns it.  A row's degree j = r - i and status (survivor iff no method)
+are derived by the JSON form's one writer, :func:`trace_json`, and not read
+by its one reader, :func:`trace_from_dict`.
 """
 
 import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from padicelim.congruence import audit_bad, audit_good, audit_ugly, fall_valuation, window_degrees
+from padicelim.congruence import SubquotientEntry, audit_bad, audit_good, audit_ugly, fall_valuation, window_degrees
 from padicelim.errors import EliminationIncompleteError, PadicElimError
 from padicelim.exactnum import as_rational, check_prime, per_prime
 from padicelim.fp_poly import shallow_kill_check
 
 __all__ = [
-    "SubquotientEntry",
     "KillTrace",
     "ReductionResult",
     "good_candidates",
@@ -45,17 +46,6 @@ __all__ = [
     "trace_json",
     "trace_from_dict",
 ]
-
-
-class SubquotientEntry(NamedTuple):
-    """One row of the kill trace: what happened to F at index i."""
-
-    i: int
-    j: int
-    status: str  # "killed" | "survivor"
-    method: str | None  # trivial | shallow | good | bad | ugly | None
-    witness_n: tuple[int, ...] | None
-    slack_table: tuple[tuple[int, str], ...] | None
 
 
 class KillTrace(NamedTuple):
@@ -147,7 +137,8 @@ def _write_report(out: list[str], obj: KillTrace | ReductionResult, pad: str) ->
     lead, ep, eq = "[\n", q + "  ", q + "    "
     for e in trace.entries:
         method = "null" if e.method is None else _json_str(e.method)
-        out.append(f'{lead}{ep}{{\n{eq}"i": {e.i},\n{eq}"j": {e.j},\n{eq}"method": {method},\n{eq}"slack_table": ')
+        out.append(f'{lead}{ep}{{\n{eq}"i": {e.i},\n{eq}"j": {trace.r - e.i},\n'
+                   f'{eq}"method": {method},\n{eq}"slack_table": ')
         if e.slack_table is None:
             out.append("null")
         else:
@@ -155,7 +146,8 @@ def _write_report(out: list[str], obj: KillTrace | ReductionResult, pad: str) ->
             # key is safe, since the lines are checked against the pairs
             _write_slack(out, trace.p, e.witness_n[0] if e.witness_n else None, e.slack_table, eq)
         witness = "null" if e.witness_n is None else _json_list([f"{eq}  {n}" for n in e.witness_n], eq)
-        out.append(f',\n{eq}"status": {_json_str(e.status)},\n{eq}"witness_n": {witness}\n{ep}}}')
+        status = "survivor" if e.method is None else "killed"
+        out.append(f',\n{eq}"status": "{status}",\n{eq}"witness_n": {witness}\n{ep}}}')
         lead = ",\n"
     out.append(f"\n{q}]" if trace.entries else "[]")
     out.append(f',\n{q}"vL": {_json_str(str(trace.vL))}\n{pad}}}')
@@ -187,12 +179,10 @@ def trace_json(obj: KillTrace | ReductionResult | list[ReductionResult]) -> str:
 
 
 def trace_from_dict(data: dict) -> KillTrace:
-    """Rebuild a KillTrace from its JSON form (audit objects are not carried)."""
+    """Rebuild a KillTrace from its JSON form; a row's ``j`` and ``status`` are derived, so not read."""
     entries = tuple(
         SubquotientEntry(
             i=row["i"],
-            j=row["j"],
-            status=row["status"],
             method=row["method"],
             witness_n=tuple(row["witness_n"]) if row["witness_n"] is not None else None,
             slack_table=(
@@ -232,20 +222,18 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
     half = r // 2
     kills: dict[int, SubquotientEntry] = {}
 
-    def record(i: int, method: str, witness: tuple[int, ...] | None = None,
-               slack_table: tuple[tuple[int, str], ...] | None = None) -> None:
+    def record(kill: SubquotientEntry) -> None:
         # the methods' targets are disjoint, so a second kill is a gap in
         # the argument, like a kill of the survivor
-        if i == c:
+        if kill.i == c:
             raise EliminationIncompleteError(
-                f"method {method} targets the surviving index i = {c}"
+                f"method {kill.method} targets the surviving index i = {c}"
             )
-        if i in kills:
+        if kill.i in kills:
             raise EliminationIncompleteError(
-                f"method {method} kills i = {i}, already killed by {kills[i].method}"
+                f"method {kill.method} kills i = {kill.i}, already killed by {kills[kill.i].method}"
             )
-        kills[i] = SubquotientEntry(i=i, j=r - i, status="killed", method=method,
-                                    witness_n=witness, slack_table=slack_table)
+        kills[kill.i] = kill
 
     for i in range(c):
         report = shallow_kill_check(p, r, i + 1)
@@ -253,7 +241,7 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
             raise EliminationIncompleteError(
                 f"shallow certificate failed at i = {i}: " + "; ".join(report.failures)
             )
-        record(i, "shallow")
+        record(SubquotientEntry(i, "shallow"))
 
     audits = [audit_good(p, r, n) for n in good_candidates(p, r)]
     if c == 2:
@@ -268,17 +256,16 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
             raise EliminationIncompleteError(
                 f"{audit.method} audit failed at n = {witness}: " + "; ".join(audit.failures)
             )
-        record(audit.target_i, audit.method, audit.witness_n, audit.slack_table)
+        record(audit)
 
     for i in range(half + 1, r + 1):
-        record(i, "trivial")
+        record(SubquotientEntry(i, "trivial"))
 
     missing = [i for i in range(half + 1) if i != c and i not in kills]
     if missing:
         raise EliminationIncompleteError(f"no kill found for indices {missing}")
 
-    survivor = SubquotientEntry(i=c, j=r - c, status="survivor", method=None,
-                                witness_n=None, slack_table=None)
+    survivor = SubquotientEntry(c, None)
     entries = tuple(kills.get(i, survivor) for i in range(r + 1))
     return KillTrace(p=p, r=r, c=c, vL=vL, entries=entries)
 

@@ -36,8 +36,8 @@ def is_prime(p: int) -> bool:
     """Deterministic primality by trial division (inputs here are small).
 
     The cache serves ``check_prime``, which every request calls with the
-    few primes it works at; a sweep's scan of its p range passes through it
-    without growing it.
+    few primes it works at; a sweep's scan of its p range adds one entry per
+    scanned p, and the cache is bounded at 64 entries.
     """
     if p < 2:
         return False

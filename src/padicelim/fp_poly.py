@@ -40,7 +40,6 @@ it as the oracle for every reported degree.
 """
 
 from itertools import repeat
-from math import comb
 from typing import NamedTuple
 
 from padicelim.errors import PadicElimError
@@ -145,16 +144,6 @@ class HPoly:
             raise ValueError("mixed characteristics")
 
 
-def _linear_form_power(p: int, a: int, b: int, e: int) -> HPoly:
-    """(aX + bY)^e expanded by the binomial theorem: X^j has C(e, j) a^j b^(e-j)."""
-    check_prime(p)
-    a_pow, b_pow = [1], [1]
-    for _ in range(e):
-        a_pow.append(a_pow[-1] * a % p)
-        b_pow.append(b_pow[-1] * b % p)
-    return HPoly(p, tuple(comb(e, j) * a_pow[j] * b_pow[e - j] for j in range(e + 1)))
-
-
 def theta(p: int) -> HPoly:
     """The Dickson polynomial X^p Y - X Y^p (degree p + 1)."""
     check_prime(p)
@@ -201,7 +190,7 @@ def shallow_summand(p: int, r: int, i: int, lam: int) -> HPoly:
         raise PadicElimError(
             f"r = {r} < i(p+1) - 1 = {i * (p + 1) - 1}: the quotient is not a polynomial"
         )
-    return _linear_form_power(p, 1, -lam, k) * theta(p).power(i).div_y()
+    return HPoly(p, (-lam, 1)).power(k) * theta(p).power(i).div_y()
 
 
 def _shallow_facts(p: int, i: int) -> tuple[int, int]:

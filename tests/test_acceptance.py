@@ -47,10 +47,10 @@ def test_criterion_1_main_theorem_reproduction():
             if result.survivor != r // p:
                 failures.append(f"(p={p}, r={r}): survivor {result.survivor}")
             trace = result.trace
-            statuses = {e.i: e.status for e in trace.entries}
-            if sorted(statuses) != list(range(r + 1)):
+            methods = {e.i: e.method for e in trace.entries}
+            if sorted(methods) != list(range(r + 1)):
                 failures.append(f"(p={p}, r={r}): trace does not cover [0, r]")
-            survivors = [i for i, s in statuses.items() if s == "survivor"]
+            survivors = [i for i, method in methods.items() if method is None]
             if survivors != [r // p]:
                 failures.append(f"(p={p}, r={r}): survivors {survivors}")
     report("1 (main theorem sweep)", failures, checked)

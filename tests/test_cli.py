@@ -19,10 +19,10 @@ import pytest
 import padicelim
 from padicelim import cli, congruence, eliminator, exactnum
 from padicelim.cli import emit_report, main
+from padicelim.congruence import SubquotientEntry
 from padicelim.eliminator import (
     KillTrace,
     ReductionResult,
-    SubquotientEntry,
     predict,
     run_elimination,
     theorem_r_values,
@@ -346,9 +346,9 @@ class TestJsonRenderer:
 def slack_formats(results, calls) -> tuple[int, int]:
     """The slack lines among ``calls``, the strings formatted to render ``results``, and their distinct (p, n, j).
 
-    Every other string formatted is a label, a vL, a status or a method.
+    Every other string formatted is a label, a vL or a method.
     """
-    others = sum(2 + sum(1 + (e.method is not None) for e in res.trace.entries) for res in results)
+    others = sum(2 + sum(e.method is not None for e in res.trace.entries) for res in results)
     distinct = {
         (res.trace.p, e.witness_n[0], j)
         for res in results for e in res.trace.entries if e.slack_table for j, _ in e.slack_table
@@ -359,9 +359,9 @@ def slack_formats(results, calls) -> tuple[int, int]:
 def hand_built() -> ReductionResult:
     """A prediction no engine run gives: an empty slack table, a two-entry one, a survivor between."""
     trace = KillTrace(p=7, r=12, c=1, vL=Fraction(-27, 4), entries=(
-        SubquotientEntry(0, 12, "killed", "good", (9, 10), ()),
-        SubquotientEntry(1, 11, "survivor", None, None, None),
-        SubquotientEntry(2, 10, "killed", "ugly", (10,), ((9, "1"), (10, "0"))),
+        SubquotientEntry(0, "good", (9, 10), ()),
+        SubquotientEntry(1, None),
+        SubquotientEntry(2, "ugly", (10,), ((9, "1"), (10, "0"))),
     ))
     return ReductionResult(
         survivor=1, exponent=13, label="ind omega2^13", irreducibility_residue=4,
@@ -393,7 +393,7 @@ class TestSlackLines:
         clean = predict(13, 20)
         clean_text = emit_report(clean, "json")
         kill = next(e for e in clean.trace.entries if e.method == "good")
-        j, slack = next((j, int(s)) for j, s in kill.slack_table if j != kill.j and s not in ("0", "inf"))
+        j, slack = next((j, int(s)) for j, s in kill.slack_table if j != 20 - kill.i and s not in ("0", "inf"))
         mutate_table(monkeypatch, kill.witness_n[0], (2, 0, j), slack=slack + 5)
         mutated = predict(13, 20)
         text = emit_report(mutated, "json")

@@ -380,7 +380,7 @@ def _line2_slacks(params):
 class TestAuditGood:
     def test_kills_i3_via_n7(self):
         audit = audit_good(5, 8, 7)
-        assert audit.passed and audit.target_i == 3  # target degree j* = r - i* = 5
+        assert audit.passed and audit.i == 3  # target degree j* = r - i* = 5
         params = make_params(5, 8, 7, -5)
         assert _statuses(params)[(2, 0, 5)] == GENERATOR
         assert _terms(params)[(2, 0, 5)].slack == 0
@@ -388,7 +388,7 @@ class TestAuditGood:
 
     def test_kills_i2_via_n8(self):
         audit = audit_good(5, 8, 8)
-        assert audit.passed and audit.target_i == 2
+        assert audit.passed and audit.i == 2
 
     def test_rejects_vfall_nonzero(self):
         with pytest.raises(PadicElimError, match=r"^v_p\(\[6\]_2\) = 1 != 0: n is not a good candidate$"):
@@ -407,7 +407,7 @@ class TestAuditBad:
     def test_kills_i6_at_p5_r14(self):
         audit = audit_bad(5, 14)
         assert audit.passed
-        assert audit.witness_n == (11,) and audit.target_i == 6  # j* = 8
+        assert audit.witness_n == (11,) and audit.i == 6  # j* = 8
         params = make_params(5, 14, 11, -8)
         assert _statuses(params)[(2, 0, 8)] == GENERATOR
         generator = _terms(params)[(2, 0, 8)]
@@ -433,7 +433,7 @@ class TestAuditUgly:
     def test_p5_r8_c1(self):
         audit = audit_ugly(5, 8, 1)
         assert audit.passed
-        assert audit.witness_n == (6, 7) and audit.target_i == 4  # j* = 4
+        assert audit.witness_n == (6, 7) and audit.i == 4  # j* = 4
         # phase one: n = cp + c = 6 leaves a residual family at degree cp = 5
         params1 = make_params(5, 8, 6, -5)
         statuses = _statuses(params1, residual=5)
@@ -443,7 +443,7 @@ class TestAuditUgly:
 
     def test_p5_r14_c2(self):
         audit = audit_ugly(5, 14, 2)
-        assert audit.passed and audit.target_i == 5 and audit.witness_n == (12, 13)
+        assert audit.passed and audit.i == 5 and audit.witness_n == (12, 13)
         statuses = _statuses(make_params(5, 14, 12, -8), residual=10)
         assert list(statuses.values()).count(RESIDUAL) == 3  # a = 0, 1, 2 at degree cp = 10
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from padicelim import eliminator
+from padicelim.congruence import audit_bad, audit_good, audit_ugly
 from padicelim.eliminator import (
     good_candidates,
     predict,
@@ -19,13 +20,13 @@ from padicelim.exactnum import is_prime
 
 
 def survivors(trace):
-    return [e.i for e in trace.entries if e.status == "survivor"]
+    return [e.i for e in trace.entries if e.method is None]
 
 
 def trace_summary(trace):
     out = {}
     for e in trace.entries:
-        if e.status == "survivor":
+        if e.method is None:
             out[e.i] = ("survivor", None)
         else:
             out[e.i] = (e.method, e.witness_n)
@@ -86,16 +87,30 @@ class TestRunElimination:
 
     def test_index_degree_correspondence(self):
         trace = run_elimination(7, 18)
-        for e in trace.entries:
-            assert e.j == trace.r - e.i
-        assert trace.entries[0].j == trace.r
+        rows = trace.to_dict()["subquotients"]
+        for row in rows:
+            assert row["j"] == trace.r - row["i"]
+        assert rows[0]["j"] == trace.r
         half = trace.r // 2
-        assert trace.entries[half].j == (trace.r + 1) // 2
+        assert rows[half]["j"] == (trace.r + 1) // 2
+
+    def test_audited_rows_are_the_audits_own(self):
+        # the trace stores the row each audit returns, unchanged
+        p, r = 7, 18
+        audits = {
+            "good": lambda e: audit_good(p, r, e.witness_n[0]),
+            "bad": lambda e: audit_bad(p, r),
+            "ugly": lambda e: audit_ugly(p, r, r // p),
+        }
+        audited = [e for e in run_elimination(p, r).entries if e.method in audits]
+        assert {e.method for e in audited} == set(audits)
+        for e in audited:
+            assert e == audits[e.method](e), e.i
 
     def test_kill_partition(self):
         for p, r in [(5, 8), (5, 14), (7, 12), (7, 20), (11, 16)]:
             trace = run_elimination(p, r)
-            killed = {e.i for e in trace.entries if e.status == "killed"}
+            killed = {e.i for e in trace.entries if e.method is not None}
             assert killed == set(range(r + 1)) - {trace.c}
 
     def test_default_and_explicit_vl(self):
@@ -180,7 +195,7 @@ class TestRunElimination:
 
     def test_kill_of_the_survivor_is_an_error(self, monkeypatch):
         original = eliminator.audit_good
-        monkeypatch.setattr(eliminator, "audit_good", lambda p, r, n: original(p, r, n)._replace(target_i=1))
+        monkeypatch.setattr(eliminator, "audit_good", lambda p, r, n: original(p, r, n)._replace(i=1))
         with pytest.raises(EliminationIncompleteError) as info:
             run_elimination(7, 12)
         assert str(info.value) == "method good targets the surviving index i = 1"
@@ -247,6 +262,15 @@ class TestSerialization:
         trace = run_elimination(5, 14, -8)
         data = json.loads(json.dumps(trace.to_dict()))
         assert trace_from_dict(data) == trace
+
+    @pytest.mark.parametrize("field", ["status", "j"])
+    def test_a_row_disagreeing_on_a_derived_field_does_not_round_trip(self, field):
+        # j = r - i and the status (survivor iff no method) are derived, not read
+        data = run_elimination(7, 18).to_dict()
+        assert trace_from_dict(data).to_dict() == data
+        row = next(row for row in data["subquotients"] if row["method"] == "good")
+        row[field] = "survivor" if field == "status" else row["j"] + 1
+        assert trace_from_dict(data).to_dict() != data
 
     def test_prediction_dict_schema(self):
         data = predict(5, 8).to_dict()

@@ -110,11 +110,11 @@ class TestAction:
         coeffs[0] = -1
         coeffs[p - 1] = 1
         f = HPoly(p, tuple(coeffs))
-        power = fp_poly._linear_form_power
         for lam in range(p):
             got = act(((0, 1), (1, -lam)), f)
-            first = power(p, 0, 1, p - 1) * power(p, 1, -lam, r - p + 1)
-            second = power(p, 1, -lam, r)
+            form = HPoly(p, (-lam, 1))  # X - lam Y
+            first = HPoly(p, (1, 0)).power(p - 1) * form.power(r - p + 1)
+            second = form.power(r)
             want = HPoly(p, tuple(a - b for a, b in zip(first.coeffs, second.coeffs)))
             assert got == want, lam
 
@@ -135,13 +135,6 @@ class TestAction:
             f = HPoly(p, tuple(coeffs))
             for lam in range(p):
                 assert pure_y_defect(p, r, lam) == act(((0, 1), (1, -lam)), f).coeff(0), (r, lam)
-
-    @pytest.mark.parametrize("p", [5, 7])
-    def test_linear_form_power_matches_repeated_products(self, p):
-        for a in range(p):
-            for b in range(p):
-                for e in range(2 * p + 1):
-                    assert fp_poly._linear_form_power(p, a, b, e) == HPoly(p, (b, a)).power(e), (a, b, e)
 
     def test_right_action_composition(self):
         rng = random.Random(7121)

@@ -33,8 +33,8 @@ def reference_dict(obj):
         "subquotients": [
             {
                 "i": e.i,
-                "j": e.j,
-                "status": e.status,
+                "j": obj.r - e.i,
+                "status": "survivor" if e.method is None else "killed",
                 "method": e.method,
                 "witness_n": list(e.witness_n) if e.witness_n is not None else None,
                 "slack_table": {str(j): s for j, s in e.slack_table} if e.slack_table is not None else None,
