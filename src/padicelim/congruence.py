@@ -33,15 +33,9 @@ below 47 hold 16% of the terms).  On line 1 the factor (-1)^a C(eps, a)/a
 is a p-unit (a <= eps < p), so every a shares the slack of its column j:
 the table stores and values each column once, with one factor per a, and
 only :func:`master_terms` forms line-1 terms.  The line-2 terms are stored.
-A table is built in one pass over its degrees: each exact numerator carries
-C(n, j) and (b+1)^(n-j) from the degree before and reads its Stirling values
-from one fill of the cache, and is then valued by exact division by p;
-its slack is all that an audit reads of it.  Terms, tables and audit
-results are named tuples.  A term keeps its exact coefficient as an
-integer numerator and denominator, never as a Fraction: on line 1 the
-column numerator times (-1)^a C(eps, a) over a, on line 2 the star
-numerator over the denominator of pH_eps.  The Fraction is formed only
-when a reader asks for ``coeff``.
+Terms, tables and audit results are named tuples: :func:`_build_table` says
+how a table is built in one pass, and :class:`CongruenceTerm` how a term
+keeps its exact coefficient without a Fraction.
 
 An audit instantiates the congruence at one n, aims at its target degree
 j* = n - b - 1, gives each non-zero term a status and checks the one slack
@@ -80,12 +74,13 @@ without a residual or must-die degree gives each term a bound that depends
 only on its line and degree, never on r (below-range and deeper-integral
 both need >= 0): r only moves the start of the window.  Each (p, n) table
 therefore keeps the misses of such an audit over all its degrees, and a
-good or bad audit at r fails on exactly those inside r's window.  The ugly
-phases move bounds (phase one carries a residual family at cp, phase two
-forces cp - 1 dead), so each tests its bounds on the table's candidates
-inside r's window.  The audits check the hypotheses of :func:`make_params`
-on p, r and n with integer comparisons and the same messages, and build no
-CongruenceParams.
+good or bad audit at r fails on exactly those inside r's window, and one
+with no miss and its generator reads no term.  The ugly phases move bounds
+(phase one carries a residual family at cp, phase two forces cp - 1 dead),
+so each tests its bounds on the table's candidates inside r's window.  The
+audits check the hypotheses of :func:`make_params` on p, r and n with
+integer comparisons and the same messages, and build no CongruenceParams;
+:func:`good_kills` checks p and r once for all the good audits of r.
 They take no vL: a term's total valuation r/2 - j + slack does not depend on
 it, so a verdict holds for every vL < r/2 - n, and the caller checks vL.
 ``inequality_suite`` verifies, exactly, the arithmetic inequality families
@@ -122,7 +117,9 @@ __all__ = [
     "star_full",
     "star_mod_p2",
     "master_terms",
+    "held_slacks",
     "audit_good",
+    "good_kills",
     "audit_bad",
     "audit_ugly",
     "FamilyResult",
@@ -430,6 +427,11 @@ def _table(p: int, r: int, n: int) -> tuple[_Table, int]:
     return table, start
 
 
+def held_slacks(p: int, n: int) -> tuple[tuple[int, str], ...] | None:
+    """The line-2 slack pairs of the (p, n) table held for p, or None; nothing is built."""
+    return getattr(per_prime(p, "tables", dict).get(n), "slacks", None)
+
+
 def master_terms(params: CongruenceParams) -> tuple[CongruenceTerm, ...]:
     """All terms of the congruence, line 1 then line 2, ordered by (a, j).
 
@@ -573,6 +575,12 @@ def audit_good(p: int, r: int, n: int) -> SubquotientEntry:
     if v_fall != 0:
         raise PadicElimError(f"v_p([{n}]_{b + 1}) = {v_fall} != 0: n is not a good candidate")
     return _audit("good", p, r, n)
+
+
+def good_kills(p: int, r: int) -> tuple[SubquotientEntry, ...]:
+    """The good audit at each n of r's window with vFall = 0, as :func:`audit_good` gives it; p and r are checked once."""
+    _check_window(p, r, r)  # n = r lies in the window of every admissible r
+    return tuple(_audit("good", p, r, n) for n in window_degrees(p, r) if fall_valuation(p, n) == 0)
 
 
 def audit_bad(p: int, r: int) -> SubquotientEntry:

@@ -22,16 +22,19 @@ p - 1; no representation theory is computed.  Over [p+3, 2p-1] u
 that one value and emits no prediction there.
 
 A trace's rows are ``congruence.SubquotientEntry``, an audit's stored as it
-returns it.  A row's degree j = r - i and status (survivor iff no method)
-are derived by the JSON form's one writer, :func:`trace_json`, and not read
-by its one reader, :func:`trace_from_dict`.
+returns it (the good audits of r from one call of ``congruence.good_kills``,
+which checks p and r once), and the trivial block (r/2, r] built whole,
+its clash with a kill found by one comparison.  A row's degree j = r - i
+and status (survivor iff no method) are derived by the JSON form's one
+writer, :func:`trace_json`, and not read by its one reader,
+:func:`trace_from_dict`.
 """
 
 import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from padicelim.congruence import SubquotientEntry, audit_bad, audit_good, audit_ugly, fall_valuation, window_degrees
+from padicelim.congruence import SubquotientEntry, audit_bad, audit_ugly, good_kills, held_slacks
 from padicelim.errors import EliminationIncompleteError, PadicElimError
 from padicelim.exactnum import as_rational, check_prime, per_prime
 from padicelim.fp_poly import shallow_kill_check
@@ -39,7 +42,6 @@ from padicelim.fp_poly import shallow_kill_check
 __all__ = [
     "KillTrace",
     "ReductionResult",
-    "good_candidates",
     "run_elimination",
     "predict",
     "theorem_r_values",
@@ -88,34 +90,31 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
-def _write_slack(out: list[str], p: int, n: int | None, pairs: tuple[tuple[int, str], ...], pad: str) -> None:
+def _write_slack(out: list[str], slack_lines: dict, p: int, n: int | None, pairs: tuple, pad: str) -> None:
     """Write the JSON object of a kill's slack pairs, closed at indent ``pad``.
 
     A kill's pairs are the suffix of its (p, n) table's that r's window
-    holds, so each line is formatted once per (p, n), in any order of r: a
-    shorter window keeps the held lines less than its length from the end,
-    and a longer one formats only its front pairs and merges them in.  The
-    lines are reused only where the held pairs and these end alike; other
-    pairs, such as a hand-built trace's, are rendered afresh and replace them.
+    holds.  ``slack_lines`` holds, by n, some pairs and their lines in the
+    pairs' order, each formatted once: the table's pairs where p holds the
+    table and the kill's pairs end them, else the kill's own pairs (in
+    ascending r the first kill of n has the longest window).  A kill whose
+    pairs end the held ones takes the last of their lines and sorts them;
+    any other pairs, such as a hand-built trace's, are formatted afresh
+    and held in their place.
     """
     if not pairs:
         out.append("{}")
         return
     count = len(pairs)
-    # the lines of p's tables rendered so far, keyed by n: the pairs, and their lines
-    # (unindented) in sort_keys order, each with its place counted back from the last pair
-    slack_lines = per_prime(p, "slack_lines", dict)
-    held, lines = slack_lines.get(n) or ((), ())
-    if held[-count:] != pairs:
-        if pairs[-len(held):] != held:
-            held, lines = (), ()
-        # sort_keys order, the degrees as strings: "10" comes before "9".  The
-        # lines sort in that order since '"' sorts before '-' and every digit
-        front = [(f'"{j}": {_json_str(s)}', count - 1 - k) for k, (j, s) in enumerate(pairs[:count - len(held)])]
-        lines = sorted([*lines, *front])
-        slack_lines[n] = (pairs, lines)
+    held = slack_lines.get(n)
+    if held is None or held[0][-count:] != pairs:
+        table = held_slacks(p, n)
+        full = table if table is not None and table[-count:] == pairs else pairs
+        held = slack_lines[n] = (full, [f'"{j}": {_json_str(s)}' for j, s in full])
+    # sort_keys order, the degrees as strings: "10" comes before "9".  The
+    # lines sort in that order since '"' sorts before '-' and every digit
     q = pad + "  "
-    out += (f"{{\n{q}", f",\n{q}".join([line for line, back in lines if back < count]), f"\n{pad}}}")
+    out += (f"{{\n{q}", f",\n{q}".join(sorted(held[1][-count:])), f"\n{pad}}}")
 
 
 def _write_report(out: list[str], obj: KillTrace | ReductionResult, pad: str) -> None:
@@ -135,6 +134,7 @@ def _write_report(out: list[str], obj: KillTrace | ReductionResult, pad: str) ->
     out.append(f'{q}"r": {trace.r},\n{q}"subquotients": ')
     # an entry's first piece starts with the text before it: "[" or a comma
     lead, ep, eq = "[\n", q + "  ", q + "    "
+    slack_lines = per_prime(trace.p, "slack_lines", dict)  # see _write_slack
     for e in trace.entries:
         method = "null" if e.method is None else _json_str(e.method)
         out.append(f'{lead}{ep}{{\n{eq}"i": {e.i},\n{eq}"j": {trace.r - e.i},\n'
@@ -144,7 +144,7 @@ def _write_report(out: list[str], obj: KillTrace | ReductionResult, pad: str) ->
         else:
             # the table of every method's kill is (p, n) for its first n; any
             # key is safe, since the lines are checked against the pairs
-            _write_slack(out, trace.p, e.witness_n[0] if e.witness_n else None, e.slack_table, eq)
+            _write_slack(out, slack_lines, trace.p, e.witness_n[0] if e.witness_n else None, e.slack_table, eq)
         witness = "null" if e.witness_n is None else _json_list([f"{eq}  {n}" for n in e.witness_n], eq)
         status = "survivor" if e.method is None else "killed"
         out.append(f',\n{eq}"status": "{status}",\n{eq}"witness_n": {witness}\n{ep}}}')
@@ -198,11 +198,6 @@ def trace_from_dict(data: dict) -> KillTrace:
     )
 
 
-def good_candidates(p: int, r: int) -> tuple[int, ...]:
-    """All n <= r in the window n >= r/2 + b + 1 with v_p([n]_{b+1}) = 0."""
-    return tuple(n for n in window_degrees(p, r) if fall_valuation(p, n) == 0)
-
-
 def _accepted_r(p: int, r: int) -> bool:
     return (p + 3 <= r <= 2 * p - 1) or (2 * p + 4 <= r <= 3 * p - 1)
 
@@ -218,32 +213,17 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
     if not vL < Fraction(-r, 2):
         raise PadicElimError(f"vL = {vL} must be < -r/2 = {Fraction(-r, 2)}")
 
-    c = r // p
-    half = r // 2
+    c, half = r // p, r // 2
     kills: dict[int, SubquotientEntry] = {}
-
-    def record(kill: SubquotientEntry) -> None:
-        # the methods' targets are disjoint, so a second kill is a gap in
-        # the argument, like a kill of the survivor
-        if kill.i == c:
-            raise EliminationIncompleteError(
-                f"method {kill.method} targets the surviving index i = {c}"
-            )
-        if kill.i in kills:
-            raise EliminationIncompleteError(
-                f"method {kill.method} kills i = {kill.i}, already killed by {kills[kill.i].method}"
-            )
-        kills[kill.i] = kill
-
     for i in range(c):
         report = shallow_kill_check(p, r, i + 1)
         if not report.passed:
             raise EliminationIncompleteError(
                 f"shallow certificate failed at i = {i}: " + "; ".join(report.failures)
             )
-        record(SubquotientEntry(i, "shallow"))
+        kills[i] = SubquotientEntry(i, "shallow")
 
-    audits = [audit_good(p, r, n) for n in good_candidates(p, r)]
+    audits = list(good_kills(p, r))
     if c == 2:
         audits.append(audit_bad(p, r))
     # the two-phase kill is needed (and its window holds) iff its target
@@ -256,17 +236,29 @@ def run_elimination(p: int, r: int, vL: Fraction | int | str | None = None) -> K
             raise EliminationIncompleteError(
                 f"{audit.method} audit failed at n = {witness}: " + "; ".join(audit.failures)
             )
-        record(audit)
+        # the methods' targets are disjoint, so a second kill is a gap in
+        # the argument, like a kill of the survivor
+        if audit.i == c:
+            raise EliminationIncompleteError(f"method {audit.method} targets the surviving index i = {c}")
+        if audit.i in kills:
+            raise EliminationIncompleteError(
+                f"method {audit.method} kills i = {audit.i}, already killed by {kills[audit.i].method}"
+            )
+        kills[audit.i] = audit
 
-    for i in range(half + 1, r + 1):
-        record(SubquotientEntry(i, "trivial"))
-
+    # the trivial block (half, r] clashes with a kill iff the deepest kill lies in it
+    if max(kills) > half:
+        i = min(i for i in kills if i > half)
+        raise EliminationIncompleteError(f"method trivial kills i = {i}, already killed by {kills[i].method}")
     missing = [i for i in range(half + 1) if i != c and i not in kills]
     if missing:
         raise EliminationIncompleteError(f"no kill found for indices {missing}")
 
-    survivor = SubquotientEntry(c, None)
-    entries = tuple(kills.get(i, survivor) for i in range(r + 1))
+    kills[c] = SubquotientEntry(c, None)
+    entries = (
+        *map(kills.__getitem__, range(half + 1)),
+        *[SubquotientEntry(i, "trivial") for i in range(half + 1, r + 1)],
+    )
     return KillTrace(p=p, r=r, c=c, vL=vL, entries=entries)
 
 

@@ -343,17 +343,20 @@ class TestJsonRenderer:
             assert emit_report(obj, "json") == reference_json(obj), obj
 
 
-def slack_formats(results, calls) -> tuple[int, int]:
-    """The slack lines among ``calls``, the strings formatted to render ``results``, and their distinct (p, n, j).
+def slack_formats(results, calls) -> tuple[int, int, int]:
+    """The slack lines among ``calls``, the strings formatted to render ``results``; their distinct (p, n, j); the lines of their tables.
 
-    Every other string formatted is a label, a vL or a method.
+    Every other string formatted is a label, a vL or a method.  A kill's
+    table is (p, n) for its first n, and it holds one line-2 slack pair per
+    degree from ceil(max(p, n)/2) - 1 to n - 1.
     """
     others = sum(2 + sum(e.method is not None for e in res.trace.entries) for res in results)
     distinct = {
         (res.trace.p, e.witness_n[0], j)
         for res in results for e in res.trace.entries if e.slack_table for j, _ in e.slack_table
     }
-    return len(calls) - others, len(distinct)
+    tables = {(p, n) for p, n, _j in distinct}
+    return len(calls) - others, len(distinct), sum(n - (max(p, n) + 1) // 2 + 1 for p, n in tables)
 
 
 def hand_built() -> ReductionResult:
@@ -382,7 +385,13 @@ class TestSlackLines:
         short, long = (
             next(e.slack_table for e in res.trace.entries if e.witness_n == (15,)) for res in results[:2]
         )
-        assert exactnum._KEPT[13]["slack_lines"][15][0] == long and long[len(long) - len(short):] == short != long
+        assert long[len(long) - len(short):] == short != long
+        # the writer holds table 15's pairs and their lines in degree order,
+        # which crosses from one digit to two, so a window's lines are sorted
+        pairs, lines = exactnum._KEPT[13]["slack_lines"][15]
+        assert pairs == exactnum._KEPT[13]["tables"][15].slacks and pairs[len(pairs) - len(long):] == long
+        assert [j for j, _ in pairs] == list(range(7, 15))
+        assert lines == [f'"{j}": "{s}"' for j, s in pairs]
         # inside a sweep list, at its indent, with the lines of the
         # last prime dropped by the next
         results += [predict(11, 17), *results[:3]]
@@ -420,7 +429,31 @@ class TestSlackLines:
         monkeypatch.setattr(eliminator, "_json_str", lambda text: calls.append(text) or json.dumps(text))
         for res in results:
             assert emit_report(res, "json") == reference_json(res), res.trace.r
-        assert slack_formats(results, calls) == (2004, 2004)
+        # each line of every table a kill reads, once: 2,022 lines, of which the
+        # windows read 2,004 (the rest lie below the lowest r's windows)
+        assert slack_formats(results, calls) == (2022, 2004, 2022)
+
+    def test_p37_windows_across_degree_100(self):
+        # at p = 37 the tables n >= 101 hold degrees on both sides of 100, so
+        # their held lines are out of sort_keys order; every r, shuffled
+        rs = list(theorem_r_values(37))
+        random.Random(37).shuffle(rs)
+        for r in rs:
+            res = predict(37, r)
+            assert emit_report(res, "json") == reference_json(res), r
+        held = exactnum._KEPT[37]["slack_lines"]
+        assert {n for n, (_pairs, lines) in held.items() if lines != sorted(lines)} == set(range(101, 111))
+
+    def test_sweep_list_rendered_after_every_prime_is_computed(self, monkeypatch):
+        # as the CLI's sweep does: every prediction first, then one list, so the
+        # tables of a prime are gone when it is rendered; ascending r still
+        # formats each line that a window reads once
+        results = [predict(p, r) for p in (13, 17, 19) for r in theorem_r_values(p)]
+        calls = []
+        monkeypatch.setattr(eliminator, "_json_str", lambda text: calls.append(text) or json.dumps(text))
+        assert emit_report(results, "json") == reference_json(results)
+        formats, distinct, _tables = slack_formats(results, calls)
+        assert formats == distinct and not exactnum._KEPT[19].get("tables")
 
     def test_primes_in_turn_and_alternating(self, monkeypatch):
         # prime by prime, as a sweep goes, each table is built and each slack line
@@ -445,14 +478,15 @@ class TestSlackLines:
 
         ranges = [[(p, r) for r in theorem_r_values(p)] for p in (17, 19)]
         by_prime, results = run([*ranges[0], *ranges[1]])
-        formats, distinct = slack_formats(results, calls)
-        assert (len(built), formats) == (len(set(built)), distinct)
+        formats, _distinct, tables = slack_formats(results, calls)
+        assert (len(built), formats) == (len(set(built)), tables)
         alternating, _ = run([pr for pair in itertools.zip_longest(*ranges) for pr in pair if pr])
         assert alternating == by_prime
 
     def test_pairs_out_of_degree_order(self):
-        # a window's lines are those less than its length from the end, so a
-        # degree above the window's first, placed before it, stays out
+        # pairs that are no held table's suffix are rendered afresh, in
+        # sort_keys order, whatever their own order; pairs that end them
+        # read the held lines from the end, not by degree
         trace = hand_built().trace
         kill = trace.entries[2]
         longer = trace._replace(entries=(kill._replace(slack_table=((12, "3"), *kill.slack_table)),))

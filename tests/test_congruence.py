@@ -22,6 +22,7 @@ from padicelim.congruence import (
     audit_good,
     audit_ugly,
     fall_valuation,
+    good_kills,
     inequality_suite,
     make_params,
     master_terms,
@@ -31,7 +32,7 @@ from padicelim.congruence import (
 )
 from padicelim.errors import PadicElimError
 from padicelim.combinat import stirling2
-from padicelim.eliminator import good_candidates, run_elimination, theorem_r_values
+from padicelim.eliminator import run_elimination, theorem_r_values
 from padicelim.exactnum import INF, ValP, harmonic, is_prime, rational_mod, vp_factorial, vp_int
 from padicelim.verify import VerifyResult, verify_star, verify_vl_independence
 from valuation_reference import vp
@@ -393,6 +394,14 @@ class TestAuditGood:
     def test_rejects_vfall_nonzero(self):
         with pytest.raises(PadicElimError, match=r"^v_p\(\[6\]_2\) = 1 != 0: n is not a good candidate$"):
             audit_good(5, 8, 6)
+
+    def test_good_kills_are_the_good_audits_of_r(self):
+        assert good_kills(5, 8) == tuple(audit_good(5, 8, n) for n in (7, 8))
+        # p and r are checked once, as every audit checks them
+        for p, r, message in ((9, 12, "p = 9 is not a prime >= 5"), (7, 6, "r = 6 outside [7, 41]")):
+            with pytest.raises(PadicElimError) as info:
+                good_kills(p, r)
+            assert str(info.value) == message
 
     def test_disposition_statuses(self):
         statuses = _statuses(make_params(5, 8, 7, -5))
@@ -925,8 +934,9 @@ class TestAuditIndexOracle:
         p = 11
         expected = {}
         for r in theorem_r_values(p):  # builds the tables
-            for n in good_candidates(p, r):
-                expected[audit_good, (p, r, n)] = audit_good(p, r, n)
+            for n in window_degrees(p, r):
+                if fall_valuation(p, n) == 0:
+                    expected[audit_good, (p, r, n)] = audit_good(p, r, n)
             if r // p == 2:
                 expected[audit_bad, (p, r)] = audit_bad(p, r)
         assert {audit.method for audit in expected.values()} == {"good", "bad"}

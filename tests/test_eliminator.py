@@ -6,10 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from padicelim import eliminator
-from padicelim.congruence import audit_bad, audit_good, audit_ugly
+from padicelim import eliminator, exactnum
+from padicelim.congruence import (
+    audit_bad,
+    audit_good,
+    audit_ugly,
+    fall_valuation,
+    make_params,
+    master_terms,
+    window_degrees,
+)
 from padicelim.eliminator import (
-    good_candidates,
     predict,
     run_elimination,
     theorem_r_values,
@@ -17,6 +24,11 @@ from padicelim.eliminator import (
 )
 from padicelim.errors import EliminationIncompleteError, PadicElimError
 from padicelim.exactnum import is_prime
+
+
+def good_candidates(p, r):
+    """The n of r's window with vFall = 0: the degrees of its good kills."""
+    return [n for n in window_degrees(p, r) if fall_valuation(p, n) == 0]
 
 
 def survivors(trace):
@@ -175,10 +187,22 @@ class TestRunElimination:
         )
 
     def test_repeated_kill_is_an_error(self, monkeypatch):
-        original = eliminator.good_candidates
-        monkeypatch.setattr(eliminator, "good_candidates", lambda p, r: original(p, r)[:1] * 2)
-        with pytest.raises(EliminationIncompleteError, match="already killed by good"):
+        original = eliminator.good_kills
+        monkeypatch.setattr(eliminator, "good_kills", lambda p, r: original(p, r)[:1] * 2)
+        with pytest.raises(EliminationIncompleteError) as info:
             run_elimination(7, 12)
+        assert str(info.value) == "method good kills i = 5, already killed by good"
+
+    def test_kill_inside_the_trivial_block_is_an_error(self, monkeypatch):
+        # the trivial rows (r/2, r] are not recorded one by one; a kill among
+        # them is still named, at the least such index
+        original = eliminator.good_kills
+        monkeypatch.setattr(
+            eliminator, "good_kills", lambda p, r: (*original(p, r), original(p, r)[0]._replace(i=r))
+        )
+        with pytest.raises(EliminationIncompleteError) as info:
+            run_elimination(7, 12)
+        assert str(info.value) == "method trivial kills i = 12, already killed by good"
 
     def test_failed_shallow_certificate_names_each_failure(self, monkeypatch):
         original = eliminator.shallow_kill_check
@@ -194,19 +218,80 @@ class TestRunElimination:
         )
 
     def test_kill_of_the_survivor_is_an_error(self, monkeypatch):
-        original = eliminator.audit_good
-        monkeypatch.setattr(eliminator, "audit_good", lambda p, r, n: original(p, r, n)._replace(i=1))
+        original = eliminator.good_kills
+        monkeypatch.setattr(eliminator, "good_kills", lambda p, r: tuple(e._replace(i=1) for e in original(p, r)))
         with pytest.raises(EliminationIncompleteError) as info:
             run_elimination(7, 12)
         assert str(info.value) == "method good targets the surviving index i = 1"
 
     def test_missing_kill_is_an_error(self, monkeypatch):
-        original = eliminator.good_candidates
-        monkeypatch.setattr(eliminator, "good_candidates", lambda p, r: original(p, r)[1:])
-        assert original(7, 12)[0] == 9
+        original = eliminator.good_kills
+        monkeypatch.setattr(eliminator, "good_kills", lambda p, r: original(p, r)[1:])
+        assert original(7, 12)[0].witness_n == (9,)
         with pytest.raises(EliminationIncompleteError) as info:
             run_elimination(7, 12)
         assert str(info.value) == "no kill found for indices [5]"
+
+    def test_kill_of_a_negative_index_leaves_its_own_missing(self, monkeypatch):
+        # a kill aimed below 0 does not stand in for the index it should
+        # kill: here the two-phase kill of i = 6 = r/2, the last index checked
+        original = eliminator.audit_ugly
+        assert original(7, 12, 1).i == 6
+        monkeypatch.setattr(eliminator, "audit_ugly", lambda p, r, c: original(p, r, c)._replace(i=-1))
+        with pytest.raises(EliminationIncompleteError) as info:
+            run_elimination(7, 12)
+        assert str(info.value) == "no kill found for indices [6]"
+
+    def test_a_miss_fails_the_windows_that_hold_it_only(self, monkeypatch, mutate_table):
+        # the good n = 11 at p = 7 with its line-2 degree-6 slack at -1: the
+        # table has a miss, and only the theorem-range r whose window holds
+        # degree 6 (r <= 14) fail
+        mutate_table(monkeypatch, 11, (2, 0, 6), slack=-1)
+        for r, status in ((11, "deeper-integral"), (12, "deeper-integral"), (13, "below-range")):
+            with pytest.raises(EliminationIncompleteError) as info:
+                run_elimination(7, r)
+            assert str(info.value) == (
+                f"good audit failed at n = 11: term (line 2, a=0, j=6) has slack -1, needs >= 0 ({status})"
+            ), r
+        trace = run_elimination(7, 18)
+        assert exactnum._KEPT[7]["tables"][11].misses
+        row = next(e for e in trace.entries if e.witness_n == (11,))
+        assert row == audit_good(7, 18, 11) and row.passed and (6, "-1") not in row.slack_table
+
+    @pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+    def test_good_rows_and_table_verdicts_match_their_audits(self, no_prime_held, p):
+        # each good row the engine stores is the row audit_good returns,
+        # failures and all; whether a table has its generator and no miss is
+        # recomputed from its terms, read whole at r = max(p, n)
+        rows = 0
+        for r in theorem_r_values(p) + (2 * p - 1,):
+            for e in run_elimination(p, r).entries:
+                if e.method == "good":
+                    assert e == audit_good(p, r, e.witness_n[0]), (r, e.i)
+                    rows += 1
+        assert rows > 0
+        tables = exactnum._KEPT[p]["tables"]
+        good = {n: table.generator and not table.misses for n, table in tables.items()}
+        assert {n for n in good if not good[n]} == {p + 1, 2 * p + 2}
+        for n in good:
+            r = max(p, n)
+            terms = master_terms(make_params(p, r, n, Fraction(r, 2) - n - 1))
+            assert good[n] == _good_by_terms(terms, n - n // p - 1), n
+
+
+def _good_by_terms(terms, target):
+    """Whether every term of an audit aimed at ``target`` with no residual or must-die degree meets its bound."""
+    def meets(t):
+        if t.slack is None:
+            return True
+        if t.j > target or (t.j == target and t.line == 1):
+            return t.slack > 0  # dead
+        if t.j == target:
+            return t.slack == 0  # the generator
+        return t.slack >= 0  # deeper-integral or below-range
+
+    generator = any(t.line == 2 and t.j == target and t.slack == 0 for t in terms)
+    return generator and all(map(meets, terms))
 
 
 class TestPredict:
