@@ -117,7 +117,6 @@ __all__ = [
     "star_full",
     "star_mod_p2",
     "master_terms",
-    "held_slacks",
     "audit_good",
     "good_kills",
     "audit_bad",
@@ -427,11 +426,6 @@ def _table(p: int, r: int, n: int) -> tuple[_Table, int]:
     return table, start
 
 
-def held_slacks(p: int, n: int) -> tuple[tuple[int, str], ...] | None:
-    """The line-2 slack pairs of the (p, n) table held for p, or None; nothing is built."""
-    return getattr(per_prime(p, "tables", dict).get(n), "slacks", None)
-
-
 def master_terms(params: CongruenceParams) -> tuple[CongruenceTerm, ...]:
     """All terms of the congruence, line 1 then line 2, ordered by (a, j).
 
@@ -469,13 +463,16 @@ class SubquotientEntry(NamedTuple):
     index it kills, r - j* for its target degree j*, with the degree(s) n
     its congruence(s) were instantiated at, the line-2 slack pairs (the
     z^j 1_{pZp} family) and the failures of every congruence; a passing
-    audit has none.
+    audit has none.  Its pairs are ``slack_table[slack_start:]``: the tuple
+    of its first n's table, shared by every row of that (p, n), from r's
+    window on; a hand-built or parsed row's own pairs, from 0.
     """
 
     i: int
     method: str | None  # trivial | shallow | good | bad | ugly | None
     witness_n: tuple[int, ...] | None = None
     slack_table: tuple[tuple[int, str], ...] | None = None
+    slack_start: int = 0
     failures: tuple[str, ...] = ()
 
     @property
@@ -539,8 +536,8 @@ def _audit(
     so the generator is the table's.  With no term to test and the generator
     present no term is read; otherwise each line-1 miss fails its term at
     every a (a-major), then each line-2 miss, then a missing generator.
-    ``slack_table`` is a slice of the table's line-2 slack pairs.  The caller
-    has checked the hypotheses.
+    The row holds the table's line-2 slack pairs, not a copy, and where r's
+    window starts in them.  The caller has checked the hypotheses.
     """
     table, start = _table(p, r, n)
     target, ceil_half = table.target, (r + 1) // 2
@@ -563,7 +560,7 @@ def _audit(
         if not table.generator:
             term_failures.append(f"no generator found at degree {target}")
         failures = (*term_failures, *failures)
-    return SubquotientEntry(r - target, method, (n,), table.slacks[start:], tuple(failures))
+    return SubquotientEntry(r - target, method, (n,), table.slacks, start, tuple(failures))
 
 
 def audit_good(p: int, r: int, n: int) -> SubquotientEntry:

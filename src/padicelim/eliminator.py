@@ -34,7 +34,7 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from padicelim.congruence import SubquotientEntry, audit_bad, audit_ugly, good_kills, held_slacks
+from padicelim.congruence import SubquotientEntry, audit_bad, audit_ugly, good_kills
 from padicelim.errors import EliminationIncompleteError, PadicElimError
 from padicelim.exactnum import as_rational, check_prime, per_prime
 from padicelim.fp_poly import shallow_kill_check
@@ -90,35 +90,29 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
-def _write_slack(out: list[str], slack_lines: dict, p: int, n: int | None, pairs: tuple, pad: str) -> None:
-    """Write the JSON object of a kill's slack pairs, closed at indent ``pad``.
+def _write_slack(out: list[str], slack_lines: dict, n: int | None, pairs: tuple, start: int, pad: str) -> None:
+    """Write the JSON object of the slack pairs ``pairs[start:]``, closed at indent ``pad``.
 
-    A kill's pairs are the suffix of its (p, n) table's that r's window
-    holds.  ``slack_lines`` holds, by n, some pairs and their lines in the
-    pairs' order, each formatted once: the table's pairs where p holds the
-    table and the kill's pairs end them, else the kill's own pairs (in
-    ascending r the first kill of n has the longest window).  A kill whose
-    pairs end the held ones takes the last of their lines and sorts them;
-    any other pairs, such as a hand-built trace's, are formatted afresh
-    and held in their place.
+    An audit's row holds its (p, n) table's own pairs and the start of r's
+    window.  ``slack_lines`` holds, by n, the pairs written last and their
+    lines, each formatted once: the same pairs (``is``) take their lines
+    from ``start`` and sort them; other pairs, such as a parsed row's, are
+    formatted and held in their place.
     """
-    if not pairs:
+    if start >= len(pairs):
         out.append("{}")
         return
-    count = len(pairs)
     held = slack_lines.get(n)
-    if held is None or held[0][-count:] != pairs:
-        table = held_slacks(p, n)
-        full = table if table is not None and table[-count:] == pairs else pairs
-        held = slack_lines[n] = (full, [f'"{j}": {_json_str(s)}' for j, s in full])
+    if held is None or held[0] is not pairs:
+        held = slack_lines[n] = (pairs, [f'"{j}": {_json_str(s)}' for j, s in pairs])
     # sort_keys order, the degrees as strings: "10" comes before "9".  The
     # lines sort in that order since '"' sorts before '-' and every digit
     q = pad + "  "
-    out += (f"{{\n{q}", f",\n{q}".join(sorted(held[1][-count:])), f"\n{pad}}}")
+    out += (f"{{\n{q}", f",\n{q}".join(sorted(held[1][start:])), f"\n{pad}}}")
 
 
 def _write_report(out: list[str], obj: KillTrace | ReductionResult, pad: str) -> None:
-    """Write the JSON of a trace or a prediction, from indent ``pad`` on."""
+    """Write the JSON of a trace or a prediction, from indent ``pad`` on; a row's slack pairs from ``slack_start`` on."""
     trace = obj.trace if isinstance(obj, ReductionResult) else obj
     q = pad + "  "
     out.append(f'{pad}{{\n{q}"c": {trace.c},\n{q}"p": {trace.p},\n')
@@ -142,9 +136,8 @@ def _write_report(out: list[str], obj: KillTrace | ReductionResult, pad: str) ->
         if e.slack_table is None:
             out.append("null")
         else:
-            # the table of every method's kill is (p, n) for its first n; any
-            # key is safe, since the lines are checked against the pairs
-            _write_slack(out, slack_lines, trace.p, e.witness_n[0] if e.witness_n else None, e.slack_table, eq)
+            # the table of every method's kill is (p, n) for its first n
+            _write_slack(out, slack_lines, e.witness_n[0] if e.witness_n else None, e.slack_table, e.slack_start, eq)
         witness = "null" if e.witness_n is None else _json_list([f"{eq}  {n}" for n in e.witness_n], eq)
         status = "survivor" if e.method is None else "killed"
         out.append(f',\n{eq}"status": "{status}",\n{eq}"witness_n": {witness}\n{ep}}}')
@@ -160,7 +153,7 @@ def trace_json(obj: KillTrace | ReductionResult | list[ReductionResult]) -> str:
     :func:`trace_from_dict` parses it.  The text is what ``json.dumps(...,
     indent=2, sort_keys=True)`` writes for that form, but built without
     dicts or the pure-Python indented encoder.  Every piece goes into one
-    list, joined once; a slack table's lines are formatted once per (p, n)
+    list, joined once; the slack lines of a (p, n) table are formatted once
     by :func:`_write_slack`.
     """
     out: list[str] = []
@@ -179,7 +172,7 @@ def trace_json(obj: KillTrace | ReductionResult | list[ReductionResult]) -> str:
 
 
 def trace_from_dict(data: dict) -> KillTrace:
-    """Rebuild a KillTrace from its JSON form; a row's ``j`` and ``status`` are derived, so not read."""
+    """Rebuild a KillTrace from its JSON form: a row's pairs start at 0, its ``j`` and ``status`` are derived."""
     entries = tuple(
         SubquotientEntry(
             i=row["i"],

@@ -14,7 +14,7 @@ compared for equality and printed; thresholds are decided on integer slacks.
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, prod
 
 from padicelim.errors import PadicElimError
 
@@ -31,25 +31,33 @@ __all__ = [
 ]
 
 
+# Miller-Rabin to all these bases is exact below the bound (Sorenson and Webster, 2015)
+_MR_BASES, _MR_BOUND = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41), 3_317_044_064_679_887_385_961_981
+
+
 @lru_cache(maxsize=64)
 def is_prime(p: int) -> bool:
-    """Deterministic primality by trial division (inputs here are small).
+    """Deterministic primality: Miller-Rabin to the prime bases 2..41 below 3.3 * 10^24, trial division above.
 
     The cache serves ``check_prime``, which every request calls with the
     few primes it works at; a sweep's scan of its p range adds one entry per
     scanned p, and the cache is bounded at 64 entries.
     """
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0 or p % 3 == 0:
-        return False
-    d = 5
-    while d <= isqrt(p):
-        if p % d == 0 or p % (d + 2) == 0:
-            return False
-        d += 6
+    if p < 2 or gcd(p, prod(_MR_BASES)) > 1:
+        return p in _MR_BASES
+    if p >= _MR_BOUND:
+        return all(p % d for d in range(43, isqrt(p) + 1, 2))
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    d = (p - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x != 1:
+            for _ in range(s):
+                if x == p - 1:
+                    break
+                x = x * x % p
+            else:
+                return False
     return True
 
 

@@ -24,13 +24,12 @@ from padicelim.eliminator import (
     KillTrace,
     ReductionResult,
     predict,
-    run_elimination,
     theorem_r_values,
     trace_from_dict,
 )
 from padicelim.exactnum import is_prime
 from padicelim.verify import VerifyResult
-from trace_reference import reference_dict, reference_json
+from trace_reference import reference_dict, reference_json, slack_window
 
 PACKAGE_DIR = Path(padicelim.__file__).parent
 BENCH_DIR = PACKAGE_DIR.parents[1] / "perfbench"
@@ -43,6 +42,17 @@ def run_cli(capsys, *argv):
 
 
 class TestPredict:
+    def test_a_large_prime_p_exits_2_on_its_r(self):
+        # p = 10^18 + 3 is prime, decided at once; then r is out of range
+        env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+        argv = [sys.executable, "-m", "padicelim", "predict", "--p", "1000000000000000003", "--r", "5"]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "error: r = 5 outside [1000000000000000006, 2000000000000000004]"
+            " u [2000000000000000010, 3000000000000000008]\n"
+        )
+
     def test_json_label(self, capsys):
         code, out, _ = run_cli(capsys, "predict", "--p", "5", "--r", "8", "--emit", "json")
         assert code == 0
@@ -71,7 +81,7 @@ class TestEliminate:
         data = json.loads(out)
         assert len(data["subquotients"]) == 9
         assert sum(1 for row in data["subquotients"] if row["status"] == "survivor") == 1
-        assert trace_from_dict(data) == run_elimination(5, 8)
+        assert trace_from_dict(data).to_dict() == data
 
     def test_custom_vl(self, capsys):
         code, out, _ = run_cli(
@@ -353,7 +363,7 @@ def slack_formats(results, calls) -> tuple[int, int, int]:
     others = sum(2 + sum(e.method is not None for e in res.trace.entries) for res in results)
     distinct = {
         (res.trace.p, e.witness_n[0], j)
-        for res in results for e in res.trace.entries if e.slack_table for j, _ in e.slack_table
+        for res in results for e in res.trace.entries if e.slack_table for j, _ in slack_window(e)
     }
     tables = {(p, n) for p, n, _j in distinct}
     return len(calls) - others, len(distinct), sum(n - (max(p, n) + 1) // 2 + 1 for p, n in tables)
@@ -383,13 +393,13 @@ class TestSlackLines:
         for res in results:
             assert emit_report(res, "json") == reference_json(res), res.trace.r
         short, long = (
-            next(e.slack_table for e in res.trace.entries if e.witness_n == (15,)) for res in results[:2]
+            next(slack_window(e) for e in res.trace.entries if e.witness_n == (15,)) for res in results[:2]
         )
         assert long[len(long) - len(short):] == short != long
         # the writer holds table 15's pairs and their lines in degree order,
         # which crosses from one digit to two, so a window's lines are sorted
         pairs, lines = exactnum._KEPT[13]["slack_lines"][15]
-        assert pairs == exactnum._KEPT[13]["tables"][15].slacks and pairs[len(pairs) - len(long):] == long
+        assert pairs is exactnum._KEPT[13]["tables"][15].slacks and pairs[len(pairs) - len(long):] == long
         assert [j for j, _ in pairs] == list(range(7, 15))
         assert lines == [f'"{j}": "{s}"' for j, s in pairs]
         # inside a sweep list, at its indent, with the lines of the
@@ -402,7 +412,7 @@ class TestSlackLines:
         clean = predict(13, 20)
         clean_text = emit_report(clean, "json")
         kill = next(e for e in clean.trace.entries if e.method == "good")
-        j, slack = next((j, int(s)) for j, s in kill.slack_table if j != 20 - kill.i and s not in ("0", "inf"))
+        j, slack = next((j, int(s)) for j, s in slack_window(kill) if j != 20 - kill.i and s not in ("0", "inf"))
         mutate_table(monkeypatch, kill.witness_n[0], (2, 0, j), slack=slack + 5)
         mutated = predict(13, 20)
         text = emit_report(mutated, "json")
@@ -446,14 +456,15 @@ class TestSlackLines:
 
     def test_sweep_list_rendered_after_every_prime_is_computed(self, monkeypatch):
         # as the CLI's sweep does: every prediction first, then one list, so the
-        # tables of a prime are gone when it is rendered; ascending r still
-        # formats each line that a window reads once
+        # tables of a prime are gone when it is rendered; the rows still hold
+        # their tables' pairs, so each line of a table is formatted once: 1,702
+        # lines, of which the windows read 1,670
         results = [predict(p, r) for p in (13, 17, 19) for r in theorem_r_values(p)]
         calls = []
         monkeypatch.setattr(eliminator, "_json_str", lambda text: calls.append(text) or json.dumps(text))
         assert emit_report(results, "json") == reference_json(results)
-        formats, distinct, _tables = slack_formats(results, calls)
-        assert formats == distinct and not exactnum._KEPT[19].get("tables")
+        assert slack_formats(results, calls) == (1702, 1670, 1702)
+        assert not exactnum._KEPT[19].get("tables")
 
     def test_primes_in_turn_and_alternating(self, monkeypatch):
         # prime by prime, as a sweep goes, each table is built and each slack line
@@ -484,9 +495,8 @@ class TestSlackLines:
         assert alternating == by_prime
 
     def test_pairs_out_of_degree_order(self):
-        # pairs that are no held table's suffix are rendered afresh, in
-        # sort_keys order, whatever their own order; pairs that end them
-        # read the held lines from the end, not by degree
+        # pairs other than the ones held under their n are formatted afresh
+        # and written in sort_keys order, whatever their own order
         trace = hand_built().trace
         kill = trace.entries[2]
         longer = trace._replace(entries=(kill._replace(slack_table=((12, "3"), *kill.slack_table)),))

@@ -35,6 +35,7 @@ from padicelim.combinat import stirling2
 from padicelim.eliminator import run_elimination, theorem_r_values
 from padicelim.exactnum import INF, ValP, harmonic, is_prime, rational_mod, vp_factorial, vp_int
 from padicelim.verify import VerifyResult, verify_star, verify_vl_independence
+from trace_reference import slack_window
 from valuation_reference import vp
 
 
@@ -385,7 +386,7 @@ class TestAuditGood:
         params = make_params(5, 8, 7, -5)
         assert _statuses(params)[(2, 0, 5)] == GENERATOR
         assert _terms(params)[(2, 0, 5)].slack == 0
-        assert audit.slack_table == _line2_slacks(params)
+        assert slack_window(audit) == _line2_slacks(params)
 
     def test_kills_i2_via_n8(self):
         audit = audit_good(5, 8, 8)
@@ -448,7 +449,7 @@ class TestAuditUgly:
         statuses = _statuses(params1, residual=5)
         # one line-1 term (a = 1) and one line-2 term
         assert {(line, j) for (line, _a, j), s in statuses.items() if s == RESIDUAL} == {(1, 5), (2, 5)}
-        assert audit.slack_table == _line2_slacks(params1)
+        assert slack_window(audit) == _line2_slacks(params1)
 
     def test_p5_r14_c2(self):
         audit = audit_ugly(5, 14, 2)
@@ -724,7 +725,7 @@ def _assert_matches_reference(calls):
     assert calls
     for args, kwargs, audit in calls:
         expected = _reference_audit(*args, **kwargs)
-        assert (audit.failures, audit.slack_table) == expected, args
+        assert (audit.failures, slack_window(audit)) == expected, args
 
 
 class TestVlIndependence:
@@ -925,7 +926,7 @@ class TestAuditIndexOracle:
                 if fall_valuation(p, n) == 0:
                     audit = audit_good(p, r, n)
                     expected = _reference_audit("good", p, r, n)
-                    assert (audit.failures, audit.slack_table) == expected, (p, r, n)
+                    assert (audit.failures, slack_window(audit)) == expected, (p, r, n)
                     assert audit.passed, (p, r, n)
                     audits += 1
         assert audits == count
@@ -998,7 +999,7 @@ class TestGoodVerdictWindowEdge:
         verdicts = {}
         for r in range(11, 19):
             audit = audit_good(7, r, 11)
-            assert (audit.failures, audit.slack_table) == _reference_audit("good", 7, r, 11), r
+            assert (audit.failures, slack_window(audit)) == _reference_audit("good", 7, r, 11), r
             verdicts[r] = audit.passed
         edge = 2 * j if line == 1 else 2 * j + 2  # the largest r whose window holds degree j
         assert verdicts == {r: r > edge for r in range(11, 19)}

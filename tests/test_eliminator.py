@@ -1,8 +1,12 @@
 """Elimination engine: full traces, predictions, round trip."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +25,11 @@ from padicelim.eliminator import (
     run_elimination,
     theorem_r_values,
     trace_from_dict,
+    trace_json,
 )
 from padicelim.errors import EliminationIncompleteError, PadicElimError
 from padicelim.exactnum import is_prime
+from trace_reference import slack_window
 
 
 def good_candidates(p, r):
@@ -256,7 +262,7 @@ class TestRunElimination:
         trace = run_elimination(7, 18)
         assert exactnum._KEPT[7]["tables"][11].misses
         row = next(e for e in trace.entries if e.witness_n == (11,))
-        assert row == audit_good(7, 18, 11) and row.passed and (6, "-1") not in row.slack_table
+        assert row == audit_good(7, 18, 11) and row.passed and (6, "-1") not in slack_window(row)
 
     @pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
     def test_good_rows_and_table_verdicts_match_their_audits(self, no_prime_held, p):
@@ -346,7 +352,47 @@ class TestSerialization:
     def test_json_round_trip(self):
         trace = run_elimination(5, 14, -8)
         data = json.loads(json.dumps(trace.to_dict()))
-        assert trace_from_dict(data) == trace
+        assert trace_from_dict(data).to_dict() == data
+
+    def test_a_parsed_trace_renders_as_the_engines(self, no_prime_held):
+        # a parsed row holds its window alone, from 0; rendered between the
+        # engine's traces it writes the same bytes and leaves no stale line
+        traces = [run_elimination(13, r) for r in (20, 30, 38)]
+        texts = [trace_json(trace) for trace in traces]
+        for trace, text in zip(traces, texts):
+            parsed = trace_from_dict(json.loads(text))
+            assert trace_json(parsed) == text
+            rows = [(e, row) for e, row in zip(trace.entries, parsed.entries) if e.slack_table is not None]
+            assert all(row.slack_start == 0 and row.slack_table == slack_window(e) for e, row in rows)
+        assert [trace_json(trace) for trace in traces] == texts
+
+    def test_audited_rows_share_their_tables_slack_pairs(self, no_prime_held):
+        # every audited row of a (p, n) holds that table's own slack tuple,
+        # not a copy, and the start of its r's window in it
+        rows = [e for r in theorem_r_values(13) for e in predict(13, r).trace.entries if e.slack_table is not None]
+        tables = exactnum._KEPT[13]["tables"]
+        assert {e.method for e in rows} == {"good", "bad", "ugly"}
+        assert all(e.slack_table is tables[e.witness_n[0]].slacks for e in rows)
+        assert {e.slack_start for e in rows} > {0}
+
+    @pytest.mark.skipif(
+        not os.environ.get("PADICELIM_LONG_TESTS"),
+        reason="about 3 s; set PADICELIM_LONG_TESTS=1 to run",
+    )
+    def test_a_prime_range_with_its_results_kept_stays_small(self):
+        # predict over the whole p = 211 range, every result kept, in a fresh
+        # process: the rows share their tables' slack pairs, and the pass peaks
+        # near 111 MB on Linux with Python 3.11 (191 MB with a copy per kill)
+        code = (
+            "from padicelim.eliminator import predict, theorem_r_values; "
+            "results = [predict(211, r) for r in theorem_r_values(211)]"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(eliminator.__file__).parents[1])}
+        child = subprocess.Popen([sys.executable, "-c", code], env=env)
+        _pid, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0
+        assert usage.ru_maxrss < 150 * 1024  # KiB
 
     @pytest.mark.parametrize("field", ["status", "j"])
     def test_a_row_disagreeing_on_a_derived_field_does_not_round_trip(self, field):

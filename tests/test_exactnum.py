@@ -169,6 +169,33 @@ class TestAsRational:
             as_rational(text)
 
 
+def _by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_10_5(self):
+        assert [n for n in range(-2, 10**5) if is_prime(n) != _by_trial_division(n)] == []
+
+    @pytest.mark.parametrize(
+        "n, factor",
+        [
+            # the least strong pseudoprime to the prime bases 2, 2..3, ..., 2..37
+            (2047, 23), (1373653, 829), (25326001, 2251), (3215031751, 151),
+            (2152302898747, 6763), (3474749660383, 1303), (341550071728321, 10670053),
+            (3825123056546413051, 149491), (318665857834031151167461, 399165290221),
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n, factor):
+        assert 1 < factor < n and n % factor == 0
+        assert not is_prime(n)
+
+    def test_large_primes_and_the_trial_division_above_the_bound(self):
+        assert all(map(is_prime, (2**31 - 1, 10**18 + 3, 2**61 - 1, 2**64 + 13)))
+        # at and above 3.3 * 10^24 trial division decides; these have small factors
+        assert not is_prime(43**16) and not is_prime(3_317_044_064_679_887_385_961_982)
+
+
 class TestIsPrimeCache:
     def test_distinct_calls_keep_the_cache_bounded_and_check_prime_hits_it(self):
         maxsize = is_prime.cache_info().maxsize

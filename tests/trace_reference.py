@@ -10,6 +10,11 @@ import json
 from padicelim.eliminator import ReductionResult
 
 
+def slack_window(entry):
+    """The slack pairs a row writes: its table's pairs inside r's window, ``slack_table[slack_start:]``."""
+    return entry.slack_table[entry.slack_start:]
+
+
 def reference_dict(obj):
     """The JSON form of a trace, a prediction or a sweep (a list of predictions)."""
     if isinstance(obj, list):
@@ -37,7 +42,7 @@ def reference_dict(obj):
                 "status": "survivor" if e.method is None else "killed",
                 "method": e.method,
                 "witness_n": list(e.witness_n) if e.witness_n is not None else None,
-                "slack_table": {str(j): s for j, s in e.slack_table} if e.slack_table is not None else None,
+                "slack_table": {str(j): s for j, s in slack_window(e)} if e.slack_table is not None else None,
             }
             for e in obj.entries
         ],
