@@ -22,20 +22,26 @@ The total valuation of a term is x + (n - j) + vL + v_p(C), which collapses
 to (r/2 - j - vFall) + v_p(C): it does not depend on vL.  The *slack* of a
 term is its total valuation minus the filtration threshold r/2 - j, i.e.
 v_p(C) - vFall, an integer (None when C vanishes).  Neither C nor the slack
-depends on r, so the coefficients of one (p, n) are valued once, as a table
-over every degree j an admissible r can ask for; :func:`master_terms` reads
-it from ceil(r/2), and a term derives its total valuation from r on demand.
-The tables of the last prime asked for are kept, in ``exactnum.per_prime``.  A
-missing table is built with every missing degree below it and the rest of
-its block of four degrees, so few requests of a process pay for building,
-whatever their order; the low degrees are small (at p = 31 the degrees
-below 47 hold 16% of the terms).  On line 1 the factor (-1)^a C(eps, a)/a
-is a p-unit (a <= eps < p), so every a shares the slack of its column j:
-the table stores and values each column once, with one factor per a, and
-only :func:`master_terms` forms line-1 terms.  The line-2 terms are stored.
-Terms, tables and audit results are named tuples: :func:`_build_table` says
-how a table is built in one pass, and :class:`CongruenceTerm` how a term
-keeps its exact coefficient without a Fraction.
+depends on r, so the coefficients of one (p, n) are valued once, over every
+degree j an admissible r can ask for, and r only moves where its window
+starts.  On line 1 the factor (-1)^a C(eps, a)/a is a p-unit (a <= eps < p),
+so every a shares the slack of its column j.
+
+The audits read only slacks, so the engine's table of one (p, n) keeps the
+slacks and what the audits derive from them, and no coefficient:
+:func:`_build_table` values every term from residues mod p^6 (a residue
+that is 0 mod p^6 decides nothing, and such a table is built from the exact
+terms instead).  The tables of the last prime asked for are kept, in
+``exactnum.per_prime``, with the residues they share.  A missing table is
+built with every missing degree below it and the rest of its block of four
+degrees, so few requests of a process pay for building, whatever their
+order; the low degrees are small (at p = 31 the degrees below 47 hold 16%
+of the terms).  :func:`master_terms` lists the exact terms of one (p, n)
+from ceil(r/2), built by :func:`_exact_terms` on each call and not kept,
+and a term derives its total valuation from r on demand; those exact terms
+are the oracle of the residue tables.  Terms, tables and audit results are
+named tuples, and :class:`CongruenceTerm` says how a term keeps its exact
+coefficient without a Fraction.
 
 An audit instantiates the congruence at one n, aims at its target degree
 j* = n - b - 1, gives each non-zero term a status and checks the one slack
@@ -259,10 +265,10 @@ class CongruenceTerm(NamedTuple):
     ``coeff`` forms the Fraction when read.  ``slack`` is the integer
     v_p(coeff) - vFall, or None when the coefficient vanishes identically;
     the total valuation is derived from r by :meth:`total_val`.
-    A per-(p, n) table holds the line-2 terms and the line-1 columns (terms
-    with a = 0 and line 1, before the a-factor); :func:`master_terms` forms
-    the line-1 terms from them on each call, which is why a term is a bare
-    named tuple.
+    :func:`_exact_terms` builds the line-2 terms and the line-1 columns
+    (terms with a = 0 and line 1, before the a-factor) of one (p, n), and
+    :func:`master_terms` forms the line-1 terms from them, which is why a
+    term is a bare named tuple.
     """
 
     a: int
@@ -290,30 +296,26 @@ class CongruenceTerm(NamedTuple):
 
 
 class _Table(NamedTuple):
-    """The terms of one (p, n) congruence, stored as an audit reads them.
+    """What the audits read of one (p, n) congruence; it keeps no term and no numerator.
 
-    ``columns`` holds the line-1 columns (degrees j0..n-1) once, ``factors``
-    the unit (-1)^a C(eps, a) of each a = 1..eps, and term (a, j) is column
-    j times factor a over a, with the column's slack.  ``line2`` holds the
-    line-2 terms (degrees j0-1..n-1).
-    ``target`` is the degree t = n - b - 1 that every audit of n aims at,
-    ``slacks`` pairs each line-2 degree with its slack text, ``candidates``
-    holds the terms that any audit of n can miss (the non-zero terms with
-    slack <= 0 and the line-2 term at t, line 1 then line 2, by degree),
-    ``misses`` those that an audit with no residual or must-die degree
-    misses, and ``generator`` says whether the line-2 term at t is a
-    generator.  Build a table with :meth:`of`, which keeps these derived
-    fields in step with the stored ones.
+    ``j0`` is the lowest line-1 degree (line 2 starts one lower), ``eps``
+    the number of line-1 a-factors (a = 1..eps), and ``target`` the degree
+    t = n - b - 1 that every audit of n aims at.  ``slacks`` pairs each
+    line-2 degree with its slack text, and ``candidates`` holds the terms
+    that any audit of n can miss, as (line, j, slack): the non-zero terms
+    with slack <= 0 and the line-2 term at t, line 1 then line 2, by
+    degree, a line-1 column standing for its terms at every a.  ``misses``
+    holds those that an audit with no residual or must-die degree misses,
+    and ``generator`` says whether the line-2 term at t is a generator.
+    Build a table with :meth:`of`, which derives every field from the slacks.
     """
 
     j0: int
-    columns: tuple[CongruenceTerm, ...]
-    factors: tuple[int, ...]
-    line2: tuple[CongruenceTerm, ...]
+    eps: int
     target: int
     slacks: tuple[tuple[int, str], ...]
-    candidates: tuple[CongruenceTerm, ...]
-    misses: tuple[CongruenceTerm, ...]
+    candidates: tuple[tuple[int, int, int], ...]
+    misses: tuple[tuple[int, int, int], ...]
     generator: bool
 
     @classmethod
@@ -322,31 +324,44 @@ class _Table(NamedTuple):
         p: int,
         n: int,
         j0: int,
-        columns: tuple[CongruenceTerm, ...],
-        factors: tuple[int, ...],
-        line2: tuple[CongruenceTerm, ...],
+        slacks1: Sequence[int | None],
+        slacks2: Sequence[int | None],
     ) -> "_Table":
-        """The (p, n) table of these columns, factors and line-2 terms, with its derived fields."""
+        """The (p, n) table whose line-1 columns j0..n-1 and line-2 terms j0-1..n-1 have these slacks (None: zero)."""
         target = n - n // p - 1
         candidates = tuple(
-            t
-            for t in (*columns, *line2)
-            if t.slack is not None and (t.slack <= 0 or (t.j == target and t.line == 2))
+            (line, j, slack)
+            for line, first, slacks in ((1, j0, slacks1), (2, j0 - 1, slacks2))
+            for j, slack in enumerate(slacks, first)
+            if slack is not None and (slack <= 0 or (j == target and line == 2))
         )
-        # below the target every status needs slack >= 0, so ceil(r/2) does not matter
-        misses = tuple(t for t in candidates if not _meets(t, _status(t, target, 0, None, None)))
-        generator = _meets(line2[target - j0 + 1], GENERATOR)
-        slacks = tuple((t.j, t.slack_text) for t in line2)
-        return cls(j0, columns, factors, line2, target, slacks, candidates, misses, generator)
+        # below the target every status needs slack >= 0, so ceil(r/2) does
+        # not matter, and a candidate there with slack 0 meets its bound
+        misses = tuple(
+            (line, j, slack)
+            for line, j, slack in candidates
+            if (slack < 0 or j >= target) and not _meets(slack, _status(line, j, target, 0, None, None))
+        )
+        generator = _meets(slacks2[target - j0 + 1], GENERATOR)
+        # one text per slack value, shared by the pairs
+        texts = {slack: "inf" if slack is None else str(slack) for slack in set(slacks2)}
+        slacks = tuple(zip(range(j0 - 1, n), map(texts.__getitem__, slacks2)))
+        return cls(j0, n % p, target, slacks, candidates, misses, generator)
 
 
 # a miss builds tables up to the end of its block of this many degrees
 _TABLE_BLOCK = 4
+# the engine's tables value their terms from residues mod p^_RESIDUE_EXPONENT
+_RESIDUE_EXPONENT = 6
 
 
-def _build_table(p: int, n: int) -> _Table:
-    """Every term of the (p, n) congruence that an admissible r can ask for, in one pass.
+def _exact_terms(
+    p: int, n: int
+) -> tuple[int, tuple[CongruenceTerm, ...], tuple[int, ...], tuple[CongruenceTerm, ...]]:
+    """Every term of the (p, n) congruence that an admissible r can ask for, exactly, in one pass.
 
+    Returns j0, the line-1 columns (degrees j0..n-1), the a-factors
+    (-1)^a C(eps, a) of a = 1..eps and the line-2 terms (degrees j0-1..n-1).
     Admissible r has r >= p and r >= n, so ceil(r/2) >= j0 = ceil(max(p, n)/2).
     One loop walks the degrees j = n - m down from n - 1 and forms both
     lines' exact integer numerators, carrying (-1)^m C(n, m) and (b+1)^m from
@@ -354,7 +369,8 @@ def _build_table(p: int, n: int) -> _Table:
     the Stirling cache; the line-2 numerator is the closed form of
     :func:`star_full` times C(n, j) (-1)^m.  A second loop per line values
     each numerator by exact division by p; the denominator of pH_eps is
-    valued once per table.  :meth:`_Table.of` derives the rest.
+    valued once.  Nothing is kept: :func:`master_terms` runs this for its one
+    (p, n), and :func:`_build_table` where a residue decides no slack.
     """
     b, eps = divmod(n, p)
     b1 = b + 1
@@ -404,11 +420,110 @@ def _build_table(p: int, n: int) -> _Table:
                 v, unit = v + 1, unit // p
             terms.append(CongruenceTerm(0, line, j, num, den, v - shift))
         lines.append(tuple(terms))
-    return _Table.of(p, n, j0, lines[0], factors, lines[1])
+    return j0, lines[0], factors, lines[1]
+
+
+class _Residues(NamedTuple):
+    """What the residue tables of p share, held with p's other state.
+
+    ``vps[k]`` is v_p(k) for 1 <= k < len(vps), and ``columns[s]`` pairs
+    {t brace s} mod ``modulus`` = p^K, t = 0, 1, ..., with the valuation
+    of each residue (None for a residue 0).
+    """
+
+    modulus: int
+    vps: list[int]
+    columns: dict[int, tuple[list[int], list[int | None]]]
+
+
+def _residues(p: int, n: int, s_max: int, t_max: int) -> _Residues:
+    """p's residue state, with v_p(k) for k <= n and the columns s <= s_max through row t_max."""
+    held = per_prime(p, "residues", lambda: _Residues(p**_RESIDUE_EXPONENT, [0], {}))
+    modulus, vps, columns = held
+    vps.extend(vp_int(k, p) for k in range(len(vps), n + 1))
+    # {t brace s} = s {t-1 brace s} + {t-1 brace s-1}, column s - 1 first
+    for s in range(s_max + 1):
+        column, vals = columns.setdefault(s, ([1], [0]) if s == 0 else ([0], [None]))
+        prev = columns[s - 1][0] if s else None
+        for t in range(len(column), t_max + 1):
+            value = (s * column[t - 1] + prev[t - 1]) % modulus if s else 0
+            column.append(value)
+            vals.append(vp_int(value, p) if value else None)
+    return held
+
+
+def _residue_slacks(p: int, n: int, j0: int) -> tuple[list, list] | None:
+    """The line-1 and line-2 slacks of the (p, n) table by degree, from residues mod p^K; None if one is undecided.
+
+    With m = n - j, b = floor(n/p) and v_p(C(n, m)) carried from m - 1 by
+    v_p(n - m + 1) - v_p(m): a line-1 slack is v_p(C(n, m)) +
+    v_p(C((b+1)p, n+1)(n+1)) + v_p({m brace b}) - vFall (b! and the
+    a-factors are units, and {m brace b} = 0 exactly when m < b or b = 0);
+    a line-2 slack is v_p(C(n, m)) plus the valuation of the star numerator
+    of :func:`_exact_terms` mod p^K, less vFall and v_p(ph_den).  Its
+    constants are reduced once, and (b+1)^m is carried mod p^K.  A residue
+    that is 0 mod p^K is not a valuation: then the result is None.
+    """
+    b, eps = divmod(n, p)
+    b1 = b + 1
+    top = n - j0 + 1
+    modulus, vps, columns = _residues(p, n, b1, top + 1)
+    col_b1, vals_b = columns[b1][0], columns[b][1]
+    v_fall = fall_valuation(p, n)
+    shift1 = vp_int(comb(b1 * p, n + 1) * (n + 1), p) - v_fall
+    fact_b1, ph_num, ph_den, lead = _star_constants(p, n, b, eps)
+    if b1 % 2:
+        lead = -lead
+    shift2 = v_fall + vp_int(ph_den, p)
+    # star = c_m {m brace b1} + c_m1 {m+1 brace b1} - c_pow b1^m, the closed form of _exact_terms
+    c_m = lead * ph_den * fact_b1 % modulus
+    c_m1 = lead * ph_num * fact_b1 % modulus
+    c_pow = (lead * (ph_den + ph_num * b1) + ph_den) % modulus
+    slacks1, slacks2 = [], []
+    v_binom, power = 0, 1  # v_p(C(n, m)) and b1^m mod p^K
+    for m in range(1, top + 1):
+        v_binom += vps[n - m + 1] - vps[m]
+        power = power * b1 % modulus
+        star = (c_m * col_b1[m] + c_m1 * col_b1[m + 1] - c_pow * power) % modulus
+        if not star:
+            return None
+        slacks2.append(v_binom + vp_int(star, p) - shift2)
+        if m < top:
+            if m < b or not b:
+                slacks1.append(None)
+            elif vals_b[m] is None:
+                return None
+            else:
+                slacks1.append(v_binom + vals_b[m] + shift1)
+    slacks1.reverse()
+    slacks2.reverse()
+    return slacks1, slacks2
+
+
+def _build_table(p: int, n: int) -> _Table:
+    """The (p, n) table the engine keeps, its slacks from residues mod p^K (K = ``_RESIDUE_EXPONENT``).
+
+    Where a residue decides no slack, the table is built from the exact
+    terms of :func:`_exact_terms` instead, so no slack rests on K.
+    """
+    j0 = (max(p, n) + 1) // 2
+    slacks = _residue_slacks(p, n, j0)
+    if slacks is None:
+        _j0, columns, _factors, line2 = _exact_terms(p, n)
+        slacks = [t.slack for t in columns], [t.slack for t in line2]
+    return _Table.of(p, n, j0, *slacks)
+
+
+def _window_offset(p: int, r: int, n: int, j0: int) -> int:
+    """Where the window of r starts in the degrees of a (p, n) table that starts at j0."""
+    start = (r + 1) // 2 - j0
+    if start < 0:
+        raise PadicElimError(f"r = {r} is below max(p, n) = {max(p, n)}")
+    return start
 
 
 def _table(p: int, r: int, n: int) -> tuple[_Table, int]:
-    """The (p, n) table and where the window of r starts in its columns."""
+    """The (p, n) table and where the window of r starts in its degrees."""
     tables = per_prime(p, "tables", dict)  # the (p, n) tables of p, keyed by n
     table = tables.get(n)
     if table is None:
@@ -420,27 +535,25 @@ def _table(p: int, r: int, n: int) -> tuple[_Table, int]:
             if m not in tables:
                 tables[m] = _build_table(p, m)
         table = tables[n]
-    start = (r + 1) // 2 - table.j0
-    if start < 0:
-        raise PadicElimError(f"r = {r} is below max(p, n) = {max(p, n)}")
-    return table, start
+    return table, _window_offset(p, r, n, table.j0)
 
 
 def master_terms(params: CongruenceParams) -> tuple[CongruenceTerm, ...]:
     """All terms of the congruence, line 1 then line 2, ordered by (a, j).
 
-    The only place a line-1 term is formed: each of the shared (p, n)
-    table's columns in the window, scaled by each a-factor.  The line-2
-    terms are sliced from the table.  Audits read the table directly; this
-    serves the term listings and checks.
+    Its (p, n) terms are built exactly by :func:`_exact_terms` on each call
+    and not kept; each line-1 term is a column in the window scaled by an
+    a-factor.  Audits read the engine's residue tables; this serves the
+    term listings and checks.
     """
-    table, start = _table(params.p, params.r, params.n)
+    j0, columns, factors, line2 = _exact_terms(params.p, params.n)
+    start = _window_offset(params.p, params.r, params.n, j0)
     line1 = [
         CongruenceTerm(a, 1, col.j, col.num * unit, a, col.slack)
-        for a, unit in enumerate(table.factors, 1)
-        for col in table.columns[start:]
+        for a, unit in enumerate(factors, 1)
+        for col in columns[start:]
     ]
-    return (*line1, *table.line2[start:])
+    return (*line1, *line2[start:])
 
 
 # --------------------------------------------------------------------------
@@ -481,42 +594,39 @@ class SubquotientEntry(NamedTuple):
 
 
 def _status(
-    term: CongruenceTerm,
+    line: int,
+    j: int,
     target_j: int,
     ceil_half: int,
     residual: int | None,
     must_die: int | None,
 ) -> str:
-    """The status of a non-zero term in an audit aimed at degree ``target_j``."""
-    j = term.j
+    """The status of the non-zero term of this line and degree j in an audit aimed at degree ``target_j``."""
     if j == must_die:
         return DEAD
     if j > target_j:
         return RESIDUAL if j == residual else DEAD
     if j == target_j:
-        return GENERATOR if term.line == 2 else DEAD
+        return GENERATOR if line == 2 else DEAD
     return DEEPER if j >= ceil_half else BELOW
 
 
-def _meets(term: CongruenceTerm, status: str) -> bool:
-    """Whether a non-zero term's slack meets what ``status`` needs; a zero term is no generator.
+def _meets(slack: int | None, status: str) -> bool:
+    """Whether a non-zero term's slack meets what ``status`` needs; a zero term (None) is no generator.
 
     A generator needs slack 0 and nothing more: its coefficient divided by
     p^(v_p(coeff)) is a p-unit by the definition of v_p.
     """
     if status == DEAD:
-        return term.slack > 0
+        return slack > 0
     if status == GENERATOR:
-        return term.slack == 0
-    return term.slack >= 0
+        return slack == 0
+    return slack >= 0
 
 
-def _failure_row(a: int, term: CongruenceTerm, status: str) -> str:
-    """The failure text of the (term.line, a, term.j) term, whose slack misses what ``status`` needs."""
-    return (
-        f"term (line {term.line}, a={a}, j={term.j}) has slack {term.slack_text}, "
-        f"needs {_NEEDS[status]} ({status})"
-    )
+def _failure_row(line: int, a: int, j: int, slack: int, status: str) -> str:
+    """The failure text of the (line, a, j) term, whose slack misses what ``status`` needs."""
+    return f"term (line {line}, a={a}, j={j}) has slack {slack}, needs {_NEEDS[status]} ({status})"
 
 
 def _audit(
@@ -544,19 +654,20 @@ def _audit(
     terms = table.misses if residual is None and must_die is None else table.candidates
     # inside the window: j >= ceil(r/2) on line 1, j >= ceil(r/2) - 1 on line 2;
     # most tables have no miss, and an empty tuple skips the comprehension
-    terms = terms and [t for t in terms if t.j + t.line > ceil_half]
+    terms = terms and [(line, j, slack) for line, j, slack in terms if j + line > ceil_half]
     if terms or not table.generator:
         rows = [
-            (t, status) for t in terms
-            if not _meets(t, status := _status(t, target, ceil_half, residual, must_die))
+            (line, j, slack, status)
+            for line, j, slack in terms
+            if not _meets(slack, status := _status(line, j, target, ceil_half, residual, must_die))
         ]
         term_failures = [
-            _failure_row(a, t, status)
-            for a in range(1, len(table.factors) + 1)
-            for t, status in rows
-            if t.line == 1
+            _failure_row(1, a, j, slack, status)
+            for a in range(1, table.eps + 1)
+            for line, j, slack, status in rows
+            if line == 1
         ]
-        term_failures += [_failure_row(0, t, status) for t, status in rows if t.line == 2]
+        term_failures += [_failure_row(2, 0, j, slack, status) for line, j, slack, status in rows if line == 2]
         if not table.generator:
             term_failures.append(f"no generator found at degree {target}")
         failures = (*term_failures, *failures)

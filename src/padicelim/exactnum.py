@@ -14,7 +14,7 @@ compared for equality and printed; thresholds are decided on integer slacks.
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 from padicelim.errors import PadicElimError
 
@@ -37,16 +37,17 @@ _MR_BASES, _MR_BOUND = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41), 3_317_0
 
 @lru_cache(maxsize=64)
 def is_prime(p: int) -> bool:
-    """Deterministic primality: Miller-Rabin to the prime bases 2..41 below 3.3 * 10^24, trial division above.
+    """Deterministic primality below 3.3 * 10^24: the strong test to the prime bases 2..41.
 
-    The cache serves ``check_prime``, which every request calls with the
-    few primes it works at; a sweep's scan of its p range adds one entry per
+    A base that the strong test fails proves p composite, at any size.
+    At and above the bound a p that passes every base may still be
+    composite, so primality is not decided there: PadicElimError.  The
+    cache serves ``check_prime``, which every request calls with the few
+    primes it works at; a sweep's scan of its p range adds one entry per
     scanned p, and the cache is bounded at 64 entries.
     """
     if p < 2 or gcd(p, prod(_MR_BASES)) > 1:
         return p in _MR_BASES
-    if p >= _MR_BOUND:
-        return all(p % d for d in range(43, isqrt(p) + 1, 2))
     s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
     d = (p - 1) >> s
     for a in _MR_BASES:
@@ -58,6 +59,10 @@ def is_prime(p: int) -> bool:
                 x = x * x % p
             else:
                 return False
+    if p >= _MR_BOUND:
+        raise PadicElimError(
+            f"p = {p} passes the strong test to the bases 2..41, which decides primality only below {_MR_BOUND}"
+        )
     return True
 
 

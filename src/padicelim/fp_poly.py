@@ -34,9 +34,10 @@ k = r - i(p+1) + 1, (X - lam Y)^k carries that entry to (-lam)^k c X^t,
 below every other product and a unit for 1 <= lam < p, so those summands
 have lowest X-degree t at every r; the lam = 0 summand is X^k theta^i / Y,
 of lowest X-degree k + t.  Per r the check compares these degrees with i,
-words its failures, and at i = 1 reads the pure Y^r coefficient at every
-lam.  ``shallow_summand`` forms the full product; ``verify shallow`` keeps
-it as the oracle for every reported degree.
+words its failures, and at i = 1 reads the lams that leave a pure Y^r
+coefficient, found once per r mod (p - 1).  ``shallow_summand`` forms the
+full product; ``verify shallow`` keeps it as the oracle for every reported
+degree.
 """
 
 from itertools import repeat
@@ -224,6 +225,19 @@ def _y_defect(p: int, r: int, lam: int) -> int:
     return (pow(-lam, r - p + 1, p) - pow(-lam, r, p)) % p
 
 
+def _defective_lams(p: int, r: int) -> list[int]:
+    """The lams whose pure Y^r defect is non-zero at an r >= p, held with p's other state.
+
+    Both exponents r - p + 1 and r are then positive, so by Fermat the
+    defect depends on r only through r mod (p - 1): one list per residue.
+    """
+    lams = per_prime(p, "y_defect_lams", dict)  # keyed by r mod (p - 1)
+    key = r % (p - 1)
+    if key not in lams:
+        lams[key] = [lam for lam in range(p) if _y_defect(p, r, lam)]
+    return lams[key]
+
+
 class ShallowReport(NamedTuple):
     """Evidence that the sub-quotient indexed by i - 1 vanishes.
 
@@ -262,6 +276,6 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
     failures += [f"summand at lam = {lam} has X-degree {md} < {i}" for lam, md in min_degrees if md < i]
 
     if i == 1 and r >= p:
-        failures += [f"pure Y^r coefficient survives at lam = {lam}" for lam in range(p) if _y_defect(p, r, lam)]
+        failures += [f"pure Y^r coefficient survives at lam = {lam}" for lam in _defective_lams(p, r)]
 
     return ShallowReport(summand_min_x=min_degrees, failures=tuple(failures))

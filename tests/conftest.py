@@ -1,4 +1,4 @@
-"""Shared fixtures: an empty per-prime holder, and a (p, n) term table with one term or column changed."""
+"""Shared fixtures: an empty per-prime holder, and a (p, n) congruence with one slack changed."""
 
 import pytest
 
@@ -16,44 +16,44 @@ def no_prime_held(monkeypatch):
     _forget_primes(monkeypatch)
 
 
-def _replaced(terms, j, changes):
-    return tuple(t._replace(**changes) if t.j == j else t for t in terms)
+def _mutate_table(monkeypatch, n, key, slack):
+    """Give the degree-n congruence ``slack`` in its (line, a, j) term, in a fresh per-prime holder.
 
-
-def _mutate_table(monkeypatch, n, key, **changes):
-    """Give the degree-n term table ``changes`` in its (line, a, j) term, in a fresh table store.
-
+    The exact terms of n take the slack (their numerators are left as
+    they are), so ``master_terms`` lists it, and the engine's table of n is
+    built by ``_Table.of`` from the slacks of those terms, so its slack
+    pairs, candidates, misses and generator follow the change: the audits
+    and their reference walk of ``master_terms`` see the same congruence.
     A line-1 term is its column j scaled by a p-unit a-factor, so a line-1
-    key changes column j, and the term moves at every a with it.  The
-    tampered table is built by ``_Table.of``, as ``_build_table`` builds
-    every table, so its slack pairs, candidates, misses and generator
-    follow the change: a plain ``_replace`` of the table would leave them
-    stale.  The change reaches both ``master_terms`` and the audits.  Calls
-    stack: each wraps the table builder that the one before it installed,
-    and empties the per-prime holder, so no table or slack line built
-    before it is read.
+    key changes column j, and the term moves at every a with it.  Calls
+    stack: each wraps the builders that the one before it installed, and
+    empties the per-prime holder, so no table or slack line built before
+    it is read.
     """
-    original = congruence._build_table
+    exact, build = congruence._exact_terms, congruence._build_table
     line, _a, j = key
-    if line == 1:
-        assert set(changes) == {"slack"}, "a line-1 term is mutated through its column's slack"
 
-    def mutated(p, m):
-        table = original(p, m)
+    def mutated_terms(p, m):
+        j0, columns, factors, line2 = exact(p, m)
+        if m == n:
+            columns, line2 = (
+                tuple(t._replace(slack=slack) if (t.line, t.j) == (line, j) else t for t in terms)
+                for terms in (columns, line2)
+            )
+        return j0, columns, factors, line2
+
+    def mutated_table(p, m):
         if m != n:
-            return table
-        columns, line2 = table.columns, table.line2
-        if line == 1:
-            columns = _replaced(columns, j, changes)
-        else:
-            line2 = _replaced(line2, j, changes)
-        return congruence._Table.of(p, m, table.j0, columns, table.factors, line2)
+            return build(p, m)
+        j0, columns, _factors, line2 = congruence._exact_terms(p, m)
+        return congruence._Table.of(p, m, j0, [t.slack for t in columns], [t.slack for t in line2])
 
-    monkeypatch.setattr(congruence, "_build_table", mutated)
+    monkeypatch.setattr(congruence, "_exact_terms", mutated_terms)
+    monkeypatch.setattr(congruence, "_build_table", mutated_table)
     _forget_primes(monkeypatch)
 
 
 @pytest.fixture
 def mutate_table():
-    """``mutate_table(monkeypatch, n, (line, a, j), **changes)``: see :func:`_mutate_table`."""
+    """``mutate_table(monkeypatch, n, (line, a, j), slack)``: see :func:`_mutate_table`."""
     return _mutate_table

@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +52,20 @@ class TestPredict:
         assert done.stderr == (
             "error: r = 5 outside [1000000000000000006, 2000000000000000004]"
             " u [2000000000000000010, 3000000000000000008]\n"
+        )
+
+    def test_a_strong_probable_prime_past_the_bound_exits_2_at_once(self):
+        # 2^89 - 1 passes the strong test to every base, but lies where that
+        # decides nothing: one line, exit 2, no trial division
+        env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+        argv = [sys.executable, "-m", "padicelim", "predict", "--p", "618970019642690137449562111", "--r", "5"]
+        start = time.perf_counter()
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - start < 1
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "error: p = 618970019642690137449562111 passes the strong test to the bases 2..41,"
+            " which decides primality only below 3317044064679887385961981\n"
         )
 
     def test_json_label(self, capsys):

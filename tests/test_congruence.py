@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicelim import congruence, eliminator, exactnum, verify
+from padicelim import combinat, congruence, eliminator, exactnum, verify
 from padicelim.congruence import (
     BELOW,
     DEAD,
@@ -32,7 +32,7 @@ from padicelim.congruence import (
 )
 from padicelim.errors import PadicElimError
 from padicelim.combinat import stirling2
-from padicelim.eliminator import run_elimination, theorem_r_values
+from padicelim.eliminator import predict, run_elimination, theorem_r_values
 from padicelim.exactnum import INF, ValP, harmonic, is_prime, rational_mod, vp_factorial, vp_int
 from padicelim.verify import VerifyResult, verify_star, verify_vl_independence
 from trace_reference import slack_window
@@ -278,9 +278,9 @@ class TestMasterTerms:
         return rows
 
     def test_table_slices_match_closed_forms(self):
-        # each prime's (r, n) pairs largest r first, so a table is built at a
-        # large r and then sliced for smaller ones; the primes alternate in
-        # halves, so every prime's tables are dropped and rebuilt once
+        # each prime's (r, n) pairs largest r first, so the terms of a (p, n)
+        # are listed at a large r and then at smaller ones; the primes
+        # alternate in halves
         halves = {}
         for p in (5, 7, 11):
             pairs = sorted(
@@ -323,22 +323,27 @@ class TestMasterTerms:
                 assert {row[3:] for row in got if row[0] == 1} == {(0, None)}, n
 
     def test_tables_held_for_one_prime(self, no_prime_held):
-        master_terms(make_params(5, 8, 7, -5))
-        master_terms(make_params(7, 18, 15, -10))
+        congruence._table(5, 8, 7)
+        congruence._table(7, 18, 15)
         assert list(exactnum._KEPT) == [7]
         tables = exactnum._KEPT[7]["tables"]
         assert tables and all(table == congruence._build_table(7, n) for n, table in tables.items())
 
+    def test_master_terms_keeps_nothing(self, no_prime_held):
+        # the term listings build their one (p, n) exactly, and hold no table
+        master_terms(make_params(7, 18, 15, -10))
+        assert exactnum._KEPT == {}
+
     def test_a_miss_builds_from_the_lowest_degree_to_the_block_end(self, no_prime_held):
         # at p = 7 the lowest admissible degree is 5, and 13 ends its block at 16
-        master_terms(make_params(7, 18, 13, -10))
+        congruence._table(7, 18, 13)
         tables = exactnum._KEPT[7]["tables"]
         assert sorted(tables) == list(range(5, 17))
         built = dict(tables)
-        master_terms(make_params(7, 14, 9, -8))
+        congruence._table(7, 14, 9)
         assert tables == built
         # the block of 41 would end at 44, past the largest admissible r = 41
-        master_terms(make_params(7, 41, 41, -21))
+        congruence._table(7, 41, 41)
         assert sorted(tables) == list(range(5, 42))
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
@@ -351,7 +356,7 @@ class TestMasterTerms:
         }
         for n in range((p + 3) // 2, 3 * p):
             misses = congruence._build_table(p, n).misses
-            assert {(t.line, t.j, t.slack) for t in misses} == expected.get(n, set()), n
+            assert set(misses) == expected.get(n, set()), n
 
     def test_zero_terms_at_b0(self):
         # b = 0 makes every line-1 coefficient vanish ({m brace 0} = 0)
@@ -361,11 +366,90 @@ class TestMasterTerms:
                 assert t.coeff == 0 and t.slack is None
 
 
+def _exact_table(p, n):
+    """The (p, n) table derived from the exact terms: the oracle of the engine's residue tables."""
+    j0, columns, _factors, line2 = congruence._exact_terms(p, n)
+    return j0, [t.slack for t in columns], [t.slack for t in line2]
+
+
+def _assert_residue_tables_match(p, n_range):
+    # every slack from residues equals the exact one, so every derived
+    # field the audits read does too; no table falls back to exact terms
+    for n in n_range:
+        j0, *exact = _exact_table(p, n)
+        slacks = congruence._residue_slacks(p, n, j0)
+        assert slacks is not None and list(slacks) == exact, (p, n)
+        assert congruence._build_table(p, n) == congruence._Table.of(p, n, j0, *exact), (p, n)
+
+
+_SMALL_PRIMES = [p for p in range(5, 62) if is_prime(p)]
+
+
+class TestResidueTables:
+    """The engine's tables from residues mod p^6 against the exact builder."""
+
+    @pytest.mark.parametrize("p", _SMALL_PRIMES)
+    def test_every_table_matches_the_exact_builder(self, no_prime_held, p):
+        _assert_residue_tables_match(p, range((p + 3) // 2, 3 * p + 2))
+
+    @pytest.mark.skipif(
+        not os.environ.get("PADICELIM_LONG_TESTS"),
+        reason="about 2 s; set PADICELIM_LONG_TESTS=1 to run",
+    )
+    @pytest.mark.parametrize("p", [101, 127, 211])
+    def test_every_table_matches_the_exact_builder_at_larger_primes(self, no_prime_held, p):
+        _assert_residue_tables_match(p, range((p + 3) // 2, 3 * p + 2))
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_every_admissible_degree_matches(self, no_prime_held, p):
+        # b up to p - 2, past the theorem range, as an audit at any admissible r reads
+        _assert_residue_tables_match(p, range((p + 3) // 2, p * p - p))
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 31])
+    def test_residues_mod_p_fall_back_to_exact_terms(self, monkeypatch, no_prime_held, p):
+        # mod p^1 many residues are 0, which decides no slack: those tables
+        # are built from the exact terms, and every table still matches
+        monkeypatch.setattr(congruence, "_RESIDUE_EXPONENT", 1)
+        exact = congruence._exact_terms
+        fallbacks = []
+        monkeypatch.setattr(congruence, "_exact_terms", lambda q, n: fallbacks.append(n) or exact(q, n))
+        for n in range((p + 3) // 2, 3 * p + 2):
+            table = congruence._build_table(p, n)
+            assert table == congruence._Table.of(p, n, *_exact_table(p, n)), n
+        assert exactnum._KEPT[p]["residues"].modulus == p
+        assert fallbacks
+
+    def test_a_stirling_residue_that_decides_nothing_falls_back(self, no_prime_held):
+        # mod p^1 a star residue is 0 before any Stirling one (j >= n - b makes
+        # star_j 0 mod p), so this sets {5 brace 2} to undecided by hand
+        p, n = 13, 30  # b = 2, line-1 degrees m = 1..15
+        j0 = (max(p, n) + 1) // 2
+        assert congruence._residue_slacks(p, n, j0) is not None
+        exactnum._KEPT[p]["residues"].columns[2][1][5] = None
+        assert congruence._residue_slacks(p, n, j0) is None
+        assert congruence._build_table(p, n) == congruence._Table.of(p, n, *_exact_table(p, n))
+
+    def test_a_theorem_range_forms_no_term_and_few_stirling_rows(self, monkeypatch, no_prime_held):
+        class NoTerm(congruence.CongruenceTerm):
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("a congruence term was formed")
+
+        monkeypatch.setattr(congruence, "CongruenceTerm", NoTerm)
+        for p in (13, 41):
+            monkeypatch.setattr(combinat, "_STIRLING_ROWS", [[1]])
+            for r in theorem_r_values(p):
+                predict(p, r)
+            # audit_bad reads row p; the tables, b = 3 among them past the
+            # range's last degree, read residue columns
+            assert len(combinat._STIRLING_ROWS) == p + 1, p
+            assert max(exactnum._KEPT[p]["tables"]) > 3 * p
+
+
 def _statuses(params, residual=None, must_die=None):
     """(line, a, j) -> status of each non-zero term of the congruence ``params``, aimed at n - b - 1."""
     target_j = params.n - params.b - 1
     return {
-        (t.line, t.a, t.j): congruence._status(t, target_j, params.ceil_half_r, residual, must_die)
+        (t.line, t.a, t.j): congruence._status(t.line, t.j, target_j, params.ceil_half_r, residual, must_die)
         for t in master_terms(params)
         if t.slack is not None
     }
@@ -471,20 +555,20 @@ class TestAuditUgly:
         assert audit_ugly(5, 8, 1).failures == ("C(7, 4) is a p-unit; residual certificate fails",)
 
     def test_two_phase_audits_read_only_the_table_candidates(self, monkeypatch, no_prime_held):
-        # _Table.of has derived every field when a table is built: an audit
-        # that walks the columns or the line-2 terms again raises
+        # _Table.of has derived every field when a table is built: a two-phase
+        # audit that reads the slack pairs or the misses, not the candidates, raises
         class Unread:
             def __getitem__(self, key):
-                raise AssertionError("a two-phase audit read the table's terms")
+                raise AssertionError("a two-phase audit read more than the table's candidates")
 
             def __iter__(self):
-                raise AssertionError("a two-phase audit read the table's terms")
+                raise AssertionError("a two-phase audit read more than the table's candidates")
 
         build = congruence._build_table
         monkeypatch.setattr(
             congruence,
             "_build_table",
-            lambda p, n: build(p, n)._replace(columns=Unread(), line2=Unread()),
+            lambda p, n: build(p, n)._replace(slacks=Unread(), misses=Unread()),
         )
         audits = 0
         for p in (7, 11):
@@ -689,7 +773,7 @@ def _reference_audit(method, p, r, n, failures=(), residual=None, must_die=None)
         slack = term.slack
         if slack is None or (slack > 0 and (term.line == 1 or term.j != target_j)):
             continue
-        status = congruence._status(term, target_j, ceil_half, residual, must_die)
+        status = congruence._status(term.line, term.j, target_j, ceil_half, residual, must_die)
         if status == DEAD:
             ok = slack > 0
         elif status == GENERATOR:
@@ -1042,7 +1126,7 @@ class TestAuditFailurePaths:
 def test_a_zero_coefficient_at_the_target_fails_only_for_want_of_a_generator(monkeypatch, mutate_table):
     # the line-2 coefficient of audit_good(5, 8, 7) at its target degree 5
     # vanishes: a zero term is no miss, so no term row names it
-    mutate_table(monkeypatch, 7, (2, 0, 5), num=0, slack=None)
+    mutate_table(monkeypatch, 7, (2, 0, 5), slack=None)
     calls = _recorded_audits(monkeypatch)
     assert audit_good(5, 8, 7).failures == ("no generator found at degree 5",)
     _assert_matches_reference(calls)

@@ -190,10 +190,23 @@ class TestIsPrime:
         assert 1 < factor < n and n % factor == 0
         assert not is_prime(n)
 
-    def test_large_primes_and_the_trial_division_above_the_bound(self):
+    def test_large_primes_and_the_strong_test_above_the_bound(self):
         assert all(map(is_prime, (2**31 - 1, 10**18 + 3, 2**61 - 1, 2**64 + 13)))
-        # at and above 3.3 * 10^24 trial division decides; these have small factors
+        # at and above 3.3 * 10^24 a failed base still proves p composite,
+        # with or without a small factor
         assert not is_prime(43**16) and not is_prime(3_317_044_064_679_887_385_961_982)
+        assert not is_prime((2**61 - 1) ** 2) and not is_prime((2**61 - 1) * (2**89 - 1))
+
+    @pytest.mark.parametrize("p", [2**89 - 1, 2**107 - 1, 2**127 - 1])
+    def test_a_number_past_the_bound_that_passes_every_base_is_not_decided(self, p):
+        # these Mersenne primes pass every base; nothing there proves them prime
+        with pytest.raises(PadicElimError) as info:
+            is_prime(p)
+        assert str(info.value) == (
+            f"p = {p} passes the strong test to the bases 2..41, which decides primality only below {exactnum._MR_BOUND}"
+        )
+        with pytest.raises(PadicElimError):
+            check_prime(p)
 
 
 class TestIsPrimeCache:

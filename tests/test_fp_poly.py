@@ -174,7 +174,7 @@ class TestShallowKillCheck:
         assert f_1 == HPoly(5, (1, 0, 0, 0, -1, 0, 0, 0, 0)) and f_1.coeff(0) == 1
         assert tuple(pure_y_defect(5, 8, lam) for lam in range(5)) == (0,) * 5
 
-    def test_p5_r14_i2(self, monkeypatch):
+    def test_p5_r14_i2(self, monkeypatch, no_prime_held):
         report = shallow_kill_check(5, 14, 2)
         assert report.passed
         assert all(md >= 2 for _lam, md in report.summand_min_x)
@@ -221,15 +221,14 @@ class TestShallowKillCheck:
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_lowest_first_scan_matches_full_product(self, p):
+        # every certificate i(p+1) - 1 <= r <= p^2 - p - 1; the full products
+        # are carried from r to r + 1 (TestCarriedShallowOracle pins them)
         checked = 0
-        for r in range(p, p * p - p):
-            for i in range(1, r // p + 1):
-                if r < i * (p + 1) - 1:
-                    continue
-                for lam, md in shallow_kill_check(p, r, i).summand_min_x:
-                    assert md == shallow_summand(p, r, i, lam).min_x_degree(), (r, i, lam)
-                    checked += 1
-        assert checked > 0
+        for r, i, summands in verify._shallow_products(p):
+            for lam, md in shallow_kill_check(p, r, i).summand_min_x:
+                assert md == next(d for d, c in enumerate(summands[lam]) if c), (r, i, lam)
+                checked += 1
+        assert checked == p * len(every_check(p)) > 0
 
     def test_small_sweep_p5(self):
         for r in range(5, 20):
