@@ -4,7 +4,8 @@ Stirling numbers of the second kind {t brace s} follow the conventions
 {t brace s} = 0 for s > t or s < 0, {0 brace 0} = 1.  They are computed two
 ways on purpose: by the recurrence {t brace s} = s {t-1 brace s} +
 {t-1 brace s-1} (cached, used everywhere) and by the alternating definition
-sum divided by s! (used as an independent oracle in the tests).
+sum divided by s!, a whole row {t brace 0..t} at a time (the independent
+oracle of ``verify stirling-lucas`` and the tests).
 
 The mod p^2 refinement of Lucas' theorem used here reads, for digits
 0 <= s <= r' <= p - 1 and any a, b >= 0:
@@ -21,7 +22,7 @@ tagging the result so property tests can score the lemma path separately.
 
 from itertools import repeat
 from math import comb
-from operator import add, mod, mul
+from operator import add, mod, mul, sub
 from typing import NamedTuple
 
 from padicelim.exactnum import check_prime, harmonic, per_prime, rational_mod
@@ -32,7 +33,7 @@ __all__ = [
     "binom_mod_p2",
     "stirling2",
     "stirling2_column",
-    "stirling2_def",
+    "stirling2_def_row",
     "stirling_lucas_check",
 ]
 
@@ -86,24 +87,30 @@ def stirling2_column(s: int, t_max: int) -> list[int]:
     return [rows[t][s] if 0 <= s <= t else 0 for t in range(t_max + 1)]
 
 
-def stirling2_def(t: int, s: int) -> int:
-    """{t brace s} straight from the definition sum (independent oracle).
+def stirling2_def_row(t: int) -> list[int]:
+    """[{t brace s} for s = 0..t] straight from the definition sum (independent oracle).
 
-    (1/s!) sum_{j=0}^{s} (-1)^j C(s, j) (s - j)^t, with 0^0 = 1.
+    {t brace s} = (1/s!) sum_{j=0}^{s} (-1)^j C(s, j) (s - j)^t, with 0^0 = 1.
+    The powers m^t, m <= t, are formed once, and the signed binomials
+    (-1)^j C(s, j) are carried from s - 1 by Pascal's rule, so each s is
+    one dot product of that row with the powers (s - j)^t.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if s < 0 or s > t:
-        return 0
-    total = 0
-    for j in range(s + 1):
-        total += (-1) ** j * comb(s, j) * (s - j) ** t
+    powers = [m**t for m in range(t + 1)]
+    signed = [1]  # (-1)^j C(s, j), j = 0..s
     fact = 1
-    for m in range(2, s + 1):
-        fact *= m
-    if total % fact != 0:
-        raise ArithmeticError(f"definition sum for {{{t} brace {s}}} not divisible by {s}!")
-    return total // fact
+    row = []
+    for s in range(t + 1):
+        if s:
+            # (-1)^j C(s, j) = (-1)^j C(s-1, j) - (-1)^(j-1) C(s-1, j-1)
+            signed = [*map(sub, [*signed, 0], [0, *signed])]
+            fact *= s
+        value, rest = divmod(sum(map(mul, signed, powers[s::-1])), fact)
+        if rest:
+            raise ArithmeticError(f"definition sum for {{{t} brace {s}}} not divisible by {s}!")
+        row.append(value)
+    return row
 
 
 def lucas_mod_p(n_big: int, k_big: int, p: int) -> int:

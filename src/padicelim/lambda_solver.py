@@ -27,8 +27,10 @@ whole family from the product formula
 
     lambda_i = (-1)^(n-i) ((b+1)p / ((b+1)p - i)) C((b+1)p - 1, n) C(n, i)
 
-obtained from the Vandermonde determinant.  The tests require the two to
-agree entry-wise, exactly.  ``verify_lambda`` shares no code with either.
+obtained from the Vandermonde determinant, as the integer numerators
+lambda_i ((b+1)p - i).  ``verify_lambda_sweep`` and the tests compare the
+two by cross-multiplying: each solved lambda_i times (b+1)p - i must equal
+its numerator exactly.  ``verify_lambda`` shares no code with either.
 
 ``verify_lambda`` checks bullet 1 as a divisibility: the binomial moments
 of L(u) = sum_I lambda_i u^i vanish up to n exactly when (u - 1)^(n+1)
@@ -40,7 +42,6 @@ so bullet 1 holds exactly when R = 0: O(n d) work per family, not O(n y).
 """
 
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import islice, repeat
 from math import comb, factorial
 from operator import add, floordiv, mul, sub
@@ -124,19 +125,21 @@ def solve_lambda(p: int, b: int, n: int) -> LambdaVector:
     return next(islice(lambda_window(p, b), n - b * p, None))
 
 
-def lambda_closed(p: int, b: int, n: int) -> tuple[Fraction, ...]:
-    """The product-formula values of lambda_0, ..., lambda_n, indexed by i.
+def lambda_closed(p: int, b: int, n: int) -> tuple[int, ...]:
+    """The product-formula numerators lambda_i ((b+1)p - i), i = 0..n, indexed by i.
 
-    The window is checked and C((b+1)p - 1, n) computed once per family;
-    each (-1)^(n-i) C(n, i) is carried from i - 1.
+    With y = (b+1)p the numerator is (-1)^(n-i) y C(y - 1, n) C(n, i), an
+    unreduced integer; lambda_i itself is the numerator over y - i, which
+    is never 0 as i <= n < y.  The window is checked and C(y - 1, n)
+    computed once per family; each (-1)^(n-i) C(n, i) is carried from i - 1.
     """
     _check_window(p, b, n)
     y = (b + 1) * p
     numerator = (-1) ** n * y * comb(y - 1, n)  # at i = 0
-    values = [Fraction(numerator, y)]
+    values = [numerator]
     for i in range(1, n + 1):
         numerator = -numerator * (n - i + 1) // i
-        values.append(Fraction(numerator, y - i))
+        values.append(numerator)
     return tuple(values)
 
 

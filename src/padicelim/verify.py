@@ -8,8 +8,9 @@ congruence at b = 0, without failing the sweep.
 
 import math
 from fractions import Fraction
+from operator import add
 
-from padicelim.combinat import binom_mod_p2, lucas_mod_p, stirling2, stirling2_def, stirling_lucas_check
+from padicelim.combinat import binom_mod_p2, lucas_mod_p, stirling2, stirling2_def_row, stirling_lucas_check
 from padicelim.congruence import inequality_suite, make_params, master_terms, star_full, star_mod_p2, window_degrees
 from padicelim.exactnum import INF, harmonic, rational_mod, vp_int
 from padicelim.fp_poly import lin_mul, pure_y_defect, shallow_kill_check, shallow_summand
@@ -56,14 +57,19 @@ class VerifyResult:
 
 
 def verify_lucas2(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
-    """Digit formula vs exact binomials mod p^2, exhaustively for N < p^2."""
+    """Digit formula vs exact binomials mod p^2, exhaustively for N < p^2.
+
+    The exact C(N, 0..N) are one Pascal row, carried from N - 1.
+    """
     res = VerifyResult("lucas2", primes)
     for p in primes:
         mod2 = p * p
         lemma_hits = 0
+        row = [1]  # C(N, K), K = 0..N
         for n_big in range(p * p):
-            for k_big in range(n_big + 1):
-                exact = math.comb(n_big, k_big)
+            if n_big:
+                row = [*map(add, [*row, 0], [0, *row])]
+            for k_big, exact in enumerate(row):
                 got = binom_mod_p2(n_big, k_big, p)
                 expected = exact % mod2
                 if got.value != expected:
@@ -72,7 +78,7 @@ def verify_lucas2(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
                     )
                 if got.via_lemma:
                     lemma_hits += 1
-                if lucas_mod_p(n_big, k_big, p) != exact % p:
+                if lucas_mod_p(n_big, k_big, p) != expected % p:
                     res.failures.append(f"p={p}: classical digit product wrong at ({n_big},{k_big})")
                 res.checked += 1
         res.observations.append(f"p={p}: {lemma_hits} pairs took the digit-formula path")
@@ -80,7 +86,7 @@ def verify_lucas2(primes: tuple[int, ...] = (5, 7, 11)) -> VerifyResult:
 
 
 def verify_stirling_lucas(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:
-    """lhs = rhs for y <= 2p, x <= y + p^i, i in {1, 2}; recurrence vs definition."""
+    """lhs = rhs for y <= 2p, x <= y + p^i, i in {1, 2}; recurrence vs definition rows."""
     res = VerifyResult("stirling-lucas", primes)
     for p in primes:
         for i in (1, 2):
@@ -91,8 +97,8 @@ def verify_stirling_lucas(primes: tuple[int, ...] = (5, 7)) -> VerifyResult:
                         res.failures.append(f"p={p}: lhs {lhs} != rhs {rhs} at (y={y}, x={x}, i={i})")
                     res.checked += 1
     for t in range(61):
-        for s in range(t + 1):
-            if stirling2(t, s) != stirling2_def(t, s):
+        for s, value in enumerate(stirling2_def_row(t)):
+            if stirling2(t, s) != value:
                 res.failures.append(f"recurrence and definition disagree at ({t}, {s})")
             res.checked += 1
     return res
@@ -102,17 +108,21 @@ def verify_lambda_sweep(primes: tuple[int, ...] = (5, 7, 11, 13)) -> VerifyResul
     """Solve vs closed form entry-wise plus all four bullets, all (b, n).
 
     Each (p, b) window is solved once, by ``lambda_window``, in increasing n.
+    The closed form gives the numerators lambda_i ((b+1)p - i), so each
+    solved lambda_i is compared with its numerator by cross-multiplying:
+    no division and no reduced fraction.
     """
     res = VerifyResult("lambda", primes)
     for p in primes:
         for b in range(p - 1):
+            y = (b + 1) * p
             for vec in lambda_window(p, b):
                 n = vec.n
                 for i, closed in enumerate(lambda_closed(p, b, n)):
-                    if closed != vec.entries[i]:
+                    if closed != vec.entries[i] * (y - i):
                         res.failures.append(f"p={p}, b={b}, n={n}: solve != closed at i={i}")
                 report = verify_lambda(vec)
-                if vec.entries[(b + 1) * p] != -1:
+                if vec.entries[y] != -1:
                     res.failures.append(f"p={p}, b={b}, n={n}: top entry is not -1")
                 res.failures.extend(
                     f"p={p}, b={b}, n={n}: {msg}" for msg in report.failures

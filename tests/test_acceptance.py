@@ -93,8 +93,8 @@ def test_criterion_4_lambda_lemma():
         for b in range(p - 1):
             for n in range(b * p, (b + 1) * p):
                 vec = solve_lambda(p, b, n)
-                for i, closed in enumerate(lambda_closed(p, b, n)):
-                    if Fraction(vec.entries[i]) != closed:
+                for i, num in enumerate(lambda_closed(p, b, n)):
+                    if Fraction(vec.entries[i]) != Fraction(num, (b + 1) * p - i):
                         failures.append(f"(p={p}, b={b}, n={n}): solve != closed at i={i}")
                 rep = verify_lambda(vec)
                 if not (rep.bullet1 and rep.bullet3 and rep.bullet4):

@@ -608,7 +608,7 @@ class TestGoldenOutput:
 
     @pytest.mark.skipif(
         not os.environ.get("PADICELIM_LONG_TESTS"),
-        reason="about 4 s; set PADICELIM_LONG_TESTS=1 to run",
+        reason="about 6 s; set PADICELIM_LONG_TESTS=1 to run",
     )
     @pytest.mark.parametrize(
         "lemma,p,checks",
@@ -616,6 +616,7 @@ class TestGoldenOutput:
             ("lucas2", 13, 14_365), ("stirling-lucas", 13, 7_561), ("shallow", 13, 804),
             ("inequalities", 13, 5_532), ("stirling-lucas", 59, 437_431),
             ("lambda", 17, 272), ("lucas2", 17, 41_905), ("lambda", 23, 506),
+            ("lambda", 29, 812),
         ],
     )
     def test_verify_at_larger_primes(self, lemma, p, checks):

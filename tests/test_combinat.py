@@ -1,20 +1,22 @@
 """Lucas-type congruences and Stirling numbers.
 
-The two Stirling computations (recurrence, definition sum) double-check each
-other; binomial congruences are scored against math.comb reduced exactly.
+The two Stirling computations (recurrence, definition-sum rows) double-check
+each other; binomial congruences are scored against math.comb reduced exactly.
+The oracles of ``verify lucas2`` and ``verify stirling-lucas`` are shown to
+catch one wrong value.
 """
 
 import math
 
 import pytest
 
-from padicelim import combinat, exactnum
+from padicelim import combinat, exactnum, verify
 from padicelim.combinat import (
     binom_mod_p2,
     lucas_mod_p,
     stirling2,
     stirling2_column,
-    stirling2_def,
+    stirling2_def_row,
     stirling_lucas_check,
 )
 from padicelim.errors import PadicElimError
@@ -86,33 +88,42 @@ class TestBinomModP2:
 
 class TestStirling:
     def test_examples(self):
-        assert stirling2(4, 2) == 7 == stirling2_def(4, 2)
+        assert stirling2(4, 2) == 7 == stirling2_def_row(4)[2]
         assert stirling2(9, 9) == 1
         assert stirling2(3, 5) == 0
         assert stirling2(6, -2) == 0
         assert stirling2(0, 0) == 1
+        assert stirling2_def_row(0) == [1]
+        assert stirling2_def_row(4) == [0, 1, 7, 6, 1]
+        with pytest.raises(ValueError):
+            stirling2_def_row(-1)
 
     def test_recurrence_equals_definition_to_60(self):
         for t in range(61):
-            for s in range(t + 1):
-                assert stirling2(t, s) == stirling2_def(t, s)
+            assert [stirling2(t, s) for s in range(t + 1)] == stirling2_def_row(t), t
+
+    def test_definition_rows_equal_the_cached_rows_to_60(self):
+        combinat._fill_stirling_rows(60)
+        for t in range(61):
+            assert stirling2_def_row(t) == combinat._STIRLING_ROWS[t], t
 
     def test_column_from_an_empty_cache(self, monkeypatch):
         # the first read fills rows 0..10; a column past every row is zero
         monkeypatch.setattr(combinat, "_STIRLING_ROWS", [[1]])
+        rows = [stirling2_def_row(t) for t in range(11)]
         for s in (0, 1, 3, 10, 12):
-            assert stirling2_column(s, 10) == [stirling2_def(t, s) for t in range(11)], s
+            assert stirling2_column(s, 10) == [row[s] if s < len(row) else 0 for row in rows], s
         assert stirling2_column(0, 0) == [1]
 
     def test_rows_grow_from_the_last_one(self, monkeypatch):
         # a fill to row 40, a read below it, then a column that extends to 60
         monkeypatch.setattr(combinat, "_STIRLING_ROWS", [[1]])
-        assert [stirling2(40, s) for s in range(41)] == [stirling2_def(40, s) for s in range(41)]
+        assert [stirling2(40, s) for s in range(41)] == stirling2_def_row(40)
         assert len(combinat._STIRLING_ROWS) == 41
         assert [stirling2(3, s) for s in range(4)] == [0, 1, 3, 1]
         assert len(combinat._STIRLING_ROWS) == 41
-        assert stirling2_column(7, 60) == [stirling2_def(t, 7) for t in range(61)]
-        assert combinat._STIRLING_ROWS == [[stirling2_def(t, s) for s in range(t + 1)] for t in range(61)]
+        assert stirling2_column(7, 60) == [0] * 7 + [stirling2_def_row(t)[7] for t in range(7, 61)]
+        assert combinat._STIRLING_ROWS == [stirling2_def_row(t) for t in range(61)]
 
     def test_rows_mod_p_of_one_prime(self, no_prime_held):
         # the rows stirling_lucas_check reads: the exact rows reduced mod p, for the last prime only;
@@ -120,21 +131,55 @@ class TestStirling:
         def rows(p):
             return exactnum._KEPT[p]["stirling_rows_mod_p"]
 
-        exact = [tuple(stirling2_def(t, s) % 7 for s in range(t + 1)) for t in range(61)]
+        exact = [tuple(value % 7 for value in stirling2_def_row(t)) for t in range(61)]
         assert combinat._stirling_row_mod_p(52, 7) == exact[52]
         assert sorted(rows(7)) == [*range(23), 49, 50, 51, 52]
         for t in (40, 3, 60, 22, 50, 23, 0, 48, *range(61)):
             assert combinat._stirling_row_mod_p(t, 7) == exact[t], t
         assert sorted(rows(7)) == [*range(23), *range(49, 61)]
         assert all(row == exact[t] for t, row in rows(7).items())
-        assert combinat._stirling_row_mod_p(12, 5) == tuple(stirling2_def(12, s) % 5 for s in range(13))
+        assert combinat._stirling_row_mod_p(12, 5) == tuple(value % 5 for value in stirling2_def_row(12))
         assert list(exactnum._KEPT) == [5]
         assert sorted(rows(5)) == [*range(13)]
-        assert all(row == tuple(stirling2_def(t, s) % 5 for s in range(t + 1)) for t, row in rows(5).items())
+        assert all(row == tuple(value % 5 for value in stirling2_def_row(t)) for t, row in rows(5).items())
 
     def test_definition_sum_divisibility_guard(self):
         # {t brace s} times s! is the alternating sum; divisibility is exact
-        assert stirling2_def(20, 9) == stirling2(20, 9)
+        assert stirling2_def_row(20)[9] == stirling2(20, 9)
+
+    def test_verify_catches_one_wrong_recurrence_entry(self, monkeypatch):
+        # the definition rows are the oracle: one wrong cached entry is one failure
+        rows = [list(row) for row in combinat._fill_stirling_rows(60)]
+        rows[37][12] += 1
+        monkeypatch.setattr(combinat, "_STIRLING_ROWS", rows)
+        res = verify.verify_stirling_lucas()
+        assert res.checked == 3433
+        assert res.failures == ["recurrence and definition disagree at (37, 12)"]
+
+
+class TestLucas2Oracle:
+    def test_verify_catches_a_formula_off_by_one_at_one_pair(self, monkeypatch):
+        # the Pascal rows are the oracle: binom_mod_p2 wrong at one pair is one failure there
+        def off_at_one_pair(n_big, k_big, p):
+            got = binom_mod_p2(n_big, k_big, p)
+            if (n_big, k_big, p) == (40, 17, 7):
+                return got._replace(value=(got.value + 1) % (p * p))
+            return got
+
+        monkeypatch.setattr(verify, "binom_mod_p2", off_at_one_pair)
+        res = verify.verify_lucas2()
+        expected = math.comb(40, 17) % 49
+        assert res.checked == 8931
+        assert res.failures == [f"p=7: C(40,17) = {expected} mod p^2, formula gave {(expected + 1) % 49}"]
+
+    def test_verify_catches_a_wrong_digit_product(self, monkeypatch):
+        def off_at_one_pair(n_big, k_big, p):
+            return (lucas_mod_p(n_big, k_big, p) + ((n_big, k_big, p) == (100, 3, 11))) % p
+
+        monkeypatch.setattr(verify, "lucas_mod_p", off_at_one_pair)
+        res = verify.verify_lucas2()
+        assert res.checked == 8931
+        assert res.failures == ["p=11: classical digit product wrong at (100,3)"]
 
 
 class TestStirlingLucas:

@@ -1,5 +1,11 @@
-"""Coefficient family: carried solve vs Horner and product formula, four bullets."""
+"""Coefficient family: carried solve vs Horner and product formula, four bullets.
 
+The closed form gives integer numerators lambda_i ((b+1)p - i); the tests
+rebuild lambda_i from them as a Fraction, and show that ``verify lambda``
+compares them with no Fraction and catches one wrong numerator.
+"""
+
+import fractions
 import os
 import random
 import tempfile
@@ -12,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from padicelim import verify
 from padicelim.errors import PadicElimError
 from padicelim.lambda_solver import (
     BulletReport,
@@ -44,6 +51,12 @@ def _horner_solve(p: int, b: int, n: int) -> dict[int, int]:
     entries = dict(enumerate(lam))
     entries[y] = -1
     return entries
+
+
+def _closed_fractions(p: int, b: int, n: int) -> tuple[Fraction, ...]:
+    """lambda_0..lambda_n of the product formula, each numerator over (b+1)p - i."""
+    y = (b + 1) * p
+    return tuple(Fraction(num, y - i) for i, num in enumerate(lambda_closed(p, b, n)))
 
 
 def _reference_verify(v: LambdaVector) -> BulletReport:
@@ -131,16 +144,19 @@ class TestSolve:
 
 class TestClosedForm:
     def test_examples(self):
-        assert lambda_closed(5, 0, 3)[2] == -20
-        assert lambda_closed(5, 1, 6)[0] == 84 == comb(9, 6)
-        assert lambda_closed(5, 0, 3)[0] == -4
+        assert _closed_fractions(5, 0, 3)[2] == -20
+        assert _closed_fractions(5, 1, 6)[0] == 84 == comb(9, 6)
+        assert _closed_fractions(5, 0, 3)[0] == -4
+        # the unreduced numerators lambda_i (5 - i) of p = 5, b = 0, n = 3
+        assert lambda_closed(5, 0, 3) == (-20, 60, -60, 20)
+        assert all(type(num) is int for num in lambda_closed(13, 5, 70))
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_matches_solver_everywhere(self, p):
         for b in range(p - 1):
             for n in range(b * p, (b + 1) * p):
                 v = solve_lambda(p, b, n)
-                closed = lambda_closed(p, b, n)
+                closed = _closed_fractions(p, b, n)
                 assert len(closed) == n + 1, (p, b, n)
                 for i in range(n + 1):
                     assert Fraction(v.entries[i]) == closed[i], (p, b, n, i)
@@ -302,7 +318,7 @@ class TestBullets:
     def test_solver_matches_closed_form_at_p17_top_n(self, b):
         n = (b + 1) * 17 - 1
         v = solve_lambda(17, b, n)
-        assert lambda_closed(17, b, n) == tuple(v.entries[i] for i in range(n + 1))
+        assert _closed_fractions(17, b, n) == tuple(v.entries[i] for i in range(n + 1))
 
     @pytest.mark.skipif(
         not os.environ.get("PADICELIM_LONG_TESTS"),
@@ -315,7 +331,7 @@ class TestBullets:
         for b in range(p - 1):
             for n in range(b * p, (b + 1) * p):
                 v = solve_lambda(p, b, n)
-                assert lambda_closed(p, b, n) == tuple(v.entries[i] for i in range(n + 1)), (b, n)
+                assert _closed_fractions(p, b, n) == tuple(v.entries[i] for i in range(n + 1)), (b, n)
                 if n in (b * p, (b + 1) * p - 1):
                     assert verify_lambda(v) == _reference_verify(v), (b, n)
 
@@ -324,5 +340,29 @@ class TestBullets:
         v = solve_lambda(7, 2, 17)
         for i in v.index_set:
             assert isinstance(v.entries[i], int)
-            closed = lambda_closed(7, 2, 17)[i] if i <= 17 else Fraction(-1)
+            closed = _closed_fractions(7, 2, 17)[i] if i <= 17 else Fraction(-1)
             assert closed.denominator == 1
+
+
+class TestSweepOracle:
+    def test_sweep_forms_no_fraction(self, monkeypatch):
+        # the closed form is compared by cross-multiplying, in integers only
+        def no_fraction(*args, **kwargs):
+            raise AssertionError("a Fraction was formed")
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", no_fraction)
+        monkeypatch.setattr(verify, "Fraction", no_fraction)
+        res = verify.verify_lambda_sweep((5, 7, 11, 13))
+        assert res.checked == 328 and res.passed, res.failures[:3]
+
+    def test_one_wrong_numerator_is_one_failure(self, monkeypatch):
+        def off_at_one_entry(p, b, n):
+            closed = lambda_closed(p, b, n)
+            if (p, b, n) == (11, 3, 40):
+                return closed[:7] + (closed[7] + 1,) + closed[8:]
+            return closed
+
+        monkeypatch.setattr(verify, "lambda_closed", off_at_one_entry)
+        res = verify.verify_lambda_sweep((5, 7, 11, 13))
+        assert res.checked == 328
+        assert res.failures == ["p=11, b=3, n=40: solve != closed at i=7"]
