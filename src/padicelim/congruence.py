@@ -703,9 +703,12 @@ def audit_bad(p: int, r: int) -> SubquotientEntry:
     n = 2 * p + 1
     failures = []
     # only at r = 2p + 4 does degree p + 1 enter the window, as its
-    # below-range edge; the Stirling values at t = p vanish mod p and rescue it
-    if r == 2 * p + 4 and (stirling2(p, 2) % p != 0 or stirling2(p, 3) % p != 0):
-        failures.append(f"stirling rescue fails at j = {p + 1}")
+    # below-range edge; {p brace 2} and {p brace 3} vanish mod p and rescue
+    # it, read from p's residue columns (exact mod p^6, so exact mod p)
+    if r == 2 * p + 4:
+        columns = _residues(p, n, 3, p).columns
+        if columns[2][0][p] % p or columns[3][0][p] % p:
+            failures.append(f"stirling rescue fails at j = {p + 1}")
     return _audit("bad", p, r, n, failures)
 
 

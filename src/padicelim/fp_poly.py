@@ -26,18 +26,18 @@ r >= i(p+1) - 1) has two halves:
 
 The power-of-X claim in (b) is sometimes phrased as a *largest* power where
 the divisibility argument (theta^i is divisible by X^i) supports *smallest*;
-the check verifies the min-degree statement.  It does not multiply the
-summand out, and what it reads of theta^i it reads once per (p, i), since
-none of it depends on r: f_i's coefficient at X^(i-1), and the lowest entry
-c X^t of theta^i / Y, c a unit of F_p as every non-zero entry is.  With
-k = r - i(p+1) + 1, (X - lam Y)^k carries that entry to (-lam)^k c X^t,
-below every other product and a unit for 1 <= lam < p, so those summands
-have lowest X-degree t at every r; the lam = 0 summand is X^k theta^i / Y,
-of lowest X-degree k + t.  Per r the check compares these degrees with i,
-words its failures, and at i = 1 reads the lams that leave a pure Y^r
-coefficient, found once per r mod (p - 1).  ``shallow_summand`` forms the
-full product; ``verify shallow`` keeps it as the oracle for every reported
-degree.
+the check verifies the min-degree statement.  It multiplies nothing out:
+theta^i = (-1)^i X^i Y^i (Y^(p-1) - X^(p-1))^i, so the lowest entry of
+theta^i is (-1)^i X^i Y^(pi).  Hence f_i's coefficient at X^(i-1) is the
+unit (-1)^i up to the sign of f_i, and the lowest entry of theta^i / Y is
+c X^t with c = (-1)^i and t = i, at every r.  With k = r - i(p+1) + 1,
+(X - lam Y)^k carries that entry to (-lam)^k c X^t, below every other
+product and a unit for 1 <= lam < p, so those summands have lowest
+X-degree t; the lam = 0 summand is X^k theta^i / Y, of lowest X-degree
+k + t.  Per r the check compares these degrees with i, words its failures,
+and at i = 1 reads the lams that leave a pure Y^r coefficient, found once
+per prime.  ``shallow_summand`` forms the full product; ``verify shallow``
+keeps it as the oracle for every reported degree.
 """
 
 from itertools import repeat
@@ -194,19 +194,6 @@ def shallow_summand(p: int, r: int, i: int, lam: int) -> HPoly:
     return HPoly(p, (-lam, 1)).power(k) * theta(p).power(i).div_y()
 
 
-def _shallow_facts(p: int, i: int) -> tuple[int, int]:
-    """What the certificate for i reads of theta^i, held with p's other state; none of it depends on r.
-
-    f_i's coefficient at X^(i-1), which Y^k and the sign of f_i leave a unit
-    or zero, and the X-degree t of the lowest non-zero entry of theta^i / Y.
-    """
-    facts = per_prime(p, "shallow_facts", dict)  # keyed by i
-    if i not in facts:
-        power = theta(p).power(i)
-        facts[i] = power.div_x().coeff(i - 1), power.div_y().min_x_degree()
-    return facts[i]
-
-
 def pure_y_defect(p: int, r: int, lam: int) -> int:
     """Coefficient of Y^r after acting with (0 1; 1 -lam) on f = X^(p-1)Y^(r-p+1) - Y^r.
 
@@ -225,17 +212,14 @@ def _y_defect(p: int, r: int, lam: int) -> int:
     return (pow(-lam, r - p + 1, p) - pow(-lam, r, p)) % p
 
 
-def _defective_lams(p: int, r: int) -> list[int]:
+def _defective_lams(p: int) -> list[int]:
     """The lams whose pure Y^r defect is non-zero at an r >= p, held with p's other state.
 
-    Both exponents r - p + 1 and r are then positive, so by Fermat the
-    defect depends on r only through r mod (p - 1): one list per residue.
+    The defect (-lam)^(r-p+1) (1 - (-lam)^(p-1)) has a positive first
+    exponent once r >= p, so it vanishes where lam = 0 or (-lam)^(p-1) = 1:
+    the same lams at every r >= p, one list per prime, read at r = p.
     """
-    lams = per_prime(p, "y_defect_lams", dict)  # keyed by r mod (p - 1)
-    key = r % (p - 1)
-    if key not in lams:
-        lams[key] = [lam for lam in range(p) if _y_defect(p, r, lam)]
-    return lams[key]
+    return per_prime(p, "y_defect_lams", lambda: [lam for lam in range(p) if _y_defect(p, p, lam)])
 
 
 class ShallowReport(NamedTuple):
@@ -244,8 +228,9 @@ class ShallowReport(NamedTuple):
     ``summand_min_x`` pairs each lam with the minimal X-degree of its
     summand.  ``failures`` names each missing unit, low summand degree and
     surviving pure Y^r coefficient (checked at i = 1).  The unit of f_i and
-    the lowest entry of theta^i / Y are read once per (p, i); each r checks
-    them against its own degrees and words its own failures.
+    the lowest entry of theta^i / Y are read from the closed form of
+    theta^i; each r checks them against its own degrees and words its own
+    failures.
     """
 
     summand_min_x: tuple[tuple[int, int], ...]
@@ -257,7 +242,11 @@ class ShallowReport(NamedTuple):
 
 
 def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
-    """Certify the vanishing of the sub-quotient indexed by i - 1."""
+    """Certify the vanishing of the sub-quotient indexed by i - 1.
+
+    f_i's unit (-1)^i and the X-degree t = i of the lowest entry of
+    theta^i / Y come from the closed form of theta^i; nothing is multiplied out.
+    """
     check_prime(p, minimum=5)
     if i < 1 or r < i * (p + 1) - 1 or r > p * p - p - 1:
         raise PadicElimError(
@@ -266,7 +255,7 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
     failures: list[str] = []
 
     k = r - i * (p + 1) + 1
-    unit, t = _shallow_facts(p, i)
+    unit, t = (-1) ** i % p, i
     if unit == 0:
         failures.append(f"f_{i} has no unit at X^{i - 1}Y^{r - i + 1}")
 
@@ -276,6 +265,6 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
     failures += [f"summand at lam = {lam} has X-degree {md} < {i}" for lam, md in min_degrees if md < i]
 
     if i == 1 and r >= p:
-        failures += [f"pure Y^r coefficient survives at lam = {lam}" for lam in _defective_lams(p, r)]
+        failures += [f"pure Y^r coefficient survives at lam = {lam}" for lam in _defective_lams(p)]
 
     return ShallowReport(summand_min_x=min_degrees, failures=tuple(failures))

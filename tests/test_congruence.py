@@ -439,9 +439,10 @@ class TestResidueTables:
             monkeypatch.setattr(combinat, "_STIRLING_ROWS", [[1]])
             for r in theorem_r_values(p):
                 predict(p, r)
-            # audit_bad reads row p; the tables, b = 3 among them past the
-            # range's last degree, read residue columns
-            assert len(combinat._STIRLING_ROWS) == p + 1, p
+            # the tables, b = 3 among them past the range's last degree, and
+            # audit_bad's Stirling rescue at r = 2p + 4 read residue columns
+            assert 2 * p + 4 in theorem_r_values(p)
+            assert combinat._STIRLING_ROWS == [[1]], p
             assert max(exactnum._KEPT[p]["tables"]) > 3 * p
 
 
@@ -507,13 +508,15 @@ class TestAuditBad:
         generator = _terms(params)[(2, 0, 8)]
         assert generator.slack == 0
 
-    def test_rescue_note_at_r_2p_plus_4(self, monkeypatch):
+    def test_rescue_note_at_r_2p_plus_4(self, no_prime_held):
         # the j = p + 1 = 6 term is the below-range edge at r = 2p + 4
         assert _statuses(make_params(5, 14, 11, -8))[(2, 0, 6)] == BELOW
         assert audit_bad(5, 14).passed  # builds the (5, 11) term table
-        # {5 brace 2} = 15 vanishes mod p; a unit in its place breaks the rescue
-        stirling2 = congruence.stirling2
-        monkeypatch.setattr(congruence, "stirling2", lambda t, s: 16 if (t, s) == (5, 2) else stirling2(t, s))
+        # {5 brace 2} = 15 vanishes mod p; a unit in its place in p's residue
+        # column breaks the rescue
+        column = exactnum._KEPT[5]["residues"].columns[2][0]
+        assert column[5] == 15
+        column[5] = 16
         assert audit_bad(5, 14).failures == ("stirling rescue fails at j = 6",)
 
     def test_range_check(self):
