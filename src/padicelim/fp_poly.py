@@ -194,6 +194,15 @@ def shallow_summand(p: int, r: int, i: int, lam: int) -> HPoly:
     return HPoly(p, (-lam, 1)).power(k) * theta(p).power(i).div_y()
 
 
+def _shallow_facts(p: int, i: int) -> tuple[int, int]:
+    """f_i's unit at X^(i-1) and the X-degree of the lowest entry of theta^i / Y.
+
+    Read from the lowest entry (-1)^i X^i Y^(pi) of theta^i; none of it
+    depends on r, and nothing is multiplied out.
+    """
+    return (-1) ** i % p, i
+
+
 def pure_y_defect(p: int, r: int, lam: int) -> int:
     """Coefficient of Y^r after acting with (0 1; 1 -lam) on f = X^(p-1)Y^(r-p+1) - Y^r.
 
@@ -255,7 +264,7 @@ def shallow_kill_check(p: int, r: int, i: int) -> ShallowReport:
     failures: list[str] = []
 
     k = r - i * (p + 1) + 1
-    unit, t = (-1) ** i % p, i
+    unit, t = _shallow_facts(p, i)
     if unit == 0:
         failures.append(f"f_{i} has no unit at X^{i - 1}Y^{r - i + 1}")
 

@@ -412,9 +412,10 @@ class TestCertificateMatchesTheScan:
             (2, (1, 3), "summand at lam = 1 has X-degree 1 < 2"),
         ],
     )
-    def test_mutated_theta_power_changes_the_scan_not_the_certificate(self, monkeypatch, i, value, want):
+    def test_mutated_theta_power_fails_as_the_scan_does(self, monkeypatch, i, value, want):
         # the certificate reads the closed form of theta^i, the scan the
-        # multiplied-out product: a wrong closed form would differ from it
+        # multiplied-out product: a patched product changes the scan alone,
+        # and the certificate fed that product's facts fails as the scan does
         p, r = 13, 16 if i == 1 else 30
         theta = fp_poly.theta
         power = theta(p).power(i)
@@ -424,8 +425,13 @@ class TestCertificateMatchesTheScan:
         else:
             mutated = _patched(power, i, value)
         _patch_theta_powers(monkeypatch, lambda q, m: mutated if (q, m) == (p, i) else theta(q).power(m))
-        report = shallow_kill_check(p, r, i)
-        assert report.passed
         scan = scanned_report(p, r, i)
         assert want in scan[1]
-        assert tuple(report) != scan
+        assert shallow_kill_check(p, r, i).passed
+
+        facts = mutated.div_x().coeff(i - 1), mutated.div_y().min_x_degree()
+        closed_form = fp_poly._shallow_facts
+        monkeypatch.setattr(fp_poly, "_shallow_facts", lambda q, m: facts if (q, m) == (p, i) else closed_form(q, m))
+        report = shallow_kill_check(p, r, i)
+        assert want in report.failures
+        assert tuple(report) == scan
